@@ -3,7 +3,7 @@
 Per experiment the out directory receives:
 
     runs.csv     per-run ledger (6-decimal fixed seconds)
-    events.jsonl one JSON object per control-loop event
+    events.jsonl one JSON object per control-loop event, written run by run
     report.csv   metric x quality-preset grid, 2-decimal cells
     report.txt   the same grid, aligned, plus threshold and selection lines
 
@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .errors import SimulationError
 from .kb import RunRecord
@@ -54,8 +56,69 @@ def runs_csv_text(records: tuple[RunRecord, ...], config_names: tuple[str, ...])
     return "\n".join(lines) + "\n"
 
 
-def events_jsonl_text(events: list[dict]) -> str:
-    return "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+class QuotedNames(dict):
+    """Config name -> its JSON string literal, each quoted once on first use."""
+
+    def __missing__(self, name: str | None) -> str:
+        text = self[name] = json.dumps(name)
+        return text
+
+
+def events_jsonl_text(
+    run_index: int, first_seq: int, events: list[tuple], quoted: QuotedNames
+) -> str:
+    """One run's events as JSON lines, per the schema in `mapek.EVENT_FIELDS`.
+
+    Byte for byte what `json.dumps(event, separators=(",", ":"))` gives
+    for each event dict, without building the dicts.
+    """
+    lines = []
+    add = lines.append
+    for seq, event in enumerate(events, first_seq):
+        kind = event[0]
+        head = f'{{"seq":{seq},"run":{run_index},"t_us":{event[1]},"event":"{kind}",'
+        if kind == "monitor":
+            add(f'{head}"upload_mbps":{event[2]!r},"ok":{_JSON_BOOL[event[3]]}}}\n')
+        elif kind == "analyze":
+            add(f'{head}"condition":"{event[2]}"}}\n')
+        elif kind == "plan":
+            if len(event) == 3:
+                add(f'{head}"action":"{event[2]}"}}\n')
+            else:
+                add(f'{head}"action":"{event[2]}","target":{quoted[event[3]]},"reason":"{event[4]}"}}\n')
+        elif kind == "register":
+            strategy_id = "null" if event[3] is None else event[3]
+            add(
+                f'{head}"ok":{_JSON_BOOL[event[2]]},"strategy_id":{strategy_id},'
+                f'"target":{quoted[event[4]]}}}\n'
+            )
+        elif kind == "execute":
+            strategy_id = "null" if event[3] is None else event[3]
+            add(
+                f'{head}"source":"{event[2]}","strategy_id":{strategy_id},'
+                f'"target":{quoted[event[4]]},"applied":{_JSON_BOOL[event[5]]}}}\n'
+            )
+        else:
+            segments = ",".join([f"[{quoted[name]},{us}]" for name, us in event[4]])
+            add(
+                f'{head}"dt_us":{event[2]},"reconfig_us":{event[3]},'
+                f'"segments":[{segments}],"active":{quoted[event[5]]}}}\n'
+            )
+    return "".join(lines)
+
+
+class JsonlFileSink:
+    """Writes each run's events to an open text file as soon as the run ends."""
+
+    def __init__(self, file: TextIO):
+        self._file = file
+        self._quoted = QuotedNames()
+
+    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
+        self._file.write(events_jsonl_text(run_index, first_seq, events, self._quoted))
 
 
 def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
@@ -120,14 +183,20 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     """Run the scenario and write runs.csv, events.jsonl, report.csv, report.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_loop(config)
-    report = aggregate(result.records, result.space)
+    # Events stream to a temp file that replaces events.jsonl only once the
+    # loop has finished, so a crash never leaves a truncated events.jsonl.
+    partial = out / "events.jsonl.partial"
+    try:
+        with partial.open("w", encoding="utf-8", newline="") as f:
+            result = run_loop(config, JsonlFileSink(f))
+        report = aggregate(result.records, result.space)
+        os.replace(partial, out / "events.jsonl")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
     (out / "runs.csv").write_text(
         runs_csv_text(result.records, result.space.names), encoding="utf-8", newline=""
-    )
-    (out / "events.jsonl").write_text(
-        events_jsonl_text(result.events), encoding="utf-8", newline=""
     )
     (out / "report.csv").write_text(render_report_csv(report), encoding="utf-8", newline="")
     (out / "report.txt").write_text(

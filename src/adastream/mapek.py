@@ -20,7 +20,8 @@ running.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Protocol
 
 from .errors import DuplicateServiceError, SimulationError, UnknownServiceError
 from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
@@ -239,14 +240,48 @@ class Executor:
         )
 
 
+# Field names after (seq, run, t_us, event) for each event kind, in line
+# order. The engine hands a run's events to its sink as tuples
+# (kind, t_us, *values); a plan "keep" carries only the action.
+EVENT_FIELDS = {
+    "monitor": ("upload_mbps", "ok"),
+    "analyze": ("condition",),
+    "plan": ("action", "target", "reason"),
+    "register": ("ok", "strategy_id", "target"),
+    "execute": ("source", "strategy_id", "target", "applied"),
+    "step": ("dt_us", "reconfig_us", "segments", "active"),
+}
+
+
+class EventSink(Protocol):
+    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
+        """Take one run's events in order; their seq numbers start at first_seq."""
+
+
+class CollectingSink:
+    """Keeps every event as the dict its events.jsonl line parses to."""
+
+    def __init__(self) -> None:
+        self.events: list[dict] = []
+
+    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
+        for seq, (kind, t_us, *values) in enumerate(events, first_seq):
+            event = {"seq": seq, "run": run_index, "t_us": t_us, "event": kind}
+            event.update(zip(EVENT_FIELDS[kind], values))
+            if kind == "step":
+                event["segments"] = [list(segment) for segment in event["segments"]]
+            self.events.append(event)
+
+
 @dataclass
 class EngineResult:
     records: tuple[RunRecord, ...]
-    events: list[dict]
     kb: KnowledgeBase
     threshold_mbps: float
     space: AdaptationSpace
     config: ScenarioConfig
+    # filled only when the run used the default collecting sink
+    events: list[dict] = field(default_factory=list)
 
 
 class Engine:
@@ -280,6 +315,12 @@ class Engine:
         self.threshold_mbps = compute_threshold(
             warmup_trace, config.warmup.start_s, config.warmup.end_s
         )
+        if self.threshold_mbps <= 0:
+            raise SimulationError(
+                f"warmup window [{config.warmup.start_s:g}, {config.warmup.end_s:g}) s "
+                f"gives a threshold of 0 Mbps (the clamped trace is zero there); "
+                f"move the window or raise trace.mean_mbps"
+            )
         self.kb = KnowledgeBase(
             threshold_mbps=self.threshold_mbps, last_applied=config.initial_config
         )
@@ -304,7 +345,11 @@ class Engine:
         self.executor = Executor(self.space, config.reconfig_delay_us)
         self._ran = False
 
-    def run(self) -> EngineResult:
+    def run(self, sink: EventSink | None = None) -> EngineResult:
+        """Run every tick, handing each run's events to `sink` as the run ends.
+
+        Without a sink the events are collected into `EngineResult.events`.
+        """
         if self._ran:
             raise SimulationError("engine already ran; build a fresh Engine to replay")
         self._ran = True
@@ -314,23 +359,21 @@ class Engine:
         missing = [k for k in MAPE_SERVICE_KINDS if k not in available_kinds]
         if missing:
             raise SimulationError(f"cannot start loop; unregistered services: {missing}")
+        collector = None
+        if sink is None:
+            sink = collector = CollectingSink()
 
         cfg = self.config
-        events: list[dict] = []
-        seq = 0
-
-        def emit(run: int, t_us: int, event: str, **fields) -> None:
-            nonlocal seq
-            events.append({"seq": seq, "run": run, "t_us": t_us, "event": event, **fields})
-            seq += 1
-
         adaptive = cfg.mode == "adaptive"
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
+        seq = 0
         records: list[RunRecord] = []
 
         for run_index in range(cfg.runs):
+            events: list[tuple] = []
+            emit = events.append
             self.stream.start_run()
             offset = 0
             while offset < cfg.run_duration_us:
@@ -339,10 +382,10 @@ class Engine:
                     self.registry.heartbeat(service.name, t_us)
 
                 sample = self.monitor.tick(t_us)
-                emit(run_index, t_us, "monitor", upload_mbps=sample.upload_mbps, ok=sample.ok)
+                emit(("monitor", t_us, sample.upload_mbps, sample.ok))
 
                 condition = self.analyzer.evaluate(sample)
-                emit(run_index, t_us, "analyze", condition=condition.kind)
+                emit(("analyze", t_us, condition.kind))
 
                 current = self.stream.effective_config.name
                 strategy = None
@@ -358,60 +401,50 @@ class Engine:
                 elif adaptive:
                     strategy = plan(condition, self.space, current, next_id)
                 if strategy is None:
-                    emit(run_index, t_us, "plan", action="keep")
+                    emit(("plan", t_us, "keep"))
                 else:
-                    emit(
-                        run_index, t_us, "plan",
-                        action="strategy", target=strategy.target, reason=strategy.reason,
-                    )
+                    emit(("plan", t_us, "strategy", strategy.target, strategy.reason))
 
                 registry_available = not cfg.faults.active("registry-unavailable", t_us)
                 if strategy is not None:
                     if registry_available:
                         self.kb.register_strategy(strategy)
                         next_id += 1
-                        emit(
-                            run_index, t_us, "register",
-                            ok=True, strategy_id=strategy.id, target=strategy.target,
-                        )
+                        emit(("register", t_us, True, strategy.id, strategy.target))
                     else:
                         # Strategy dropped: the registry cannot store it.
-                        emit(
-                            run_index, t_us, "register",
-                            ok=False, strategy_id=None, target=strategy.target,
-                        )
+                        emit(("register", t_us, False, None, strategy.target))
 
                 outcome = self.executor.execute(self.kb, self.stream, registry_available)
-                emit(
-                    run_index, t_us, "execute",
-                    source=outcome.source, strategy_id=outcome.strategy_id,
-                    target=outcome.target, applied=outcome.applied,
-                )
+                emit((
+                    "execute", t_us,
+                    outcome.source, outcome.strategy_id, outcome.target, outcome.applied,
+                ))
 
                 dt_us = min(cfg.monitor_interval_us, cfg.run_duration_us - offset)
                 step_outcome = self.stream.step(dt_us)
-                emit(
-                    run_index, t_us, "step",
-                    dt_us=dt_us, reconfig_us=step_outcome.reconfig_us,
-                    segments=[[name, us] for name, us in step_outcome.segments],
-                    active=self.stream.active.name,
-                )
+                emit((
+                    "step", t_us,
+                    dt_us, step_outcome.reconfig_us, step_outcome.segments, self.stream.active.name,
+                ))
                 offset += dt_us
 
             record = self.stream.finalize_run(cfg.scenario, run_index, cfg.run_duration_us)
             records.append(record)
             self.kb.append_run_record(record)
+            sink.write_run(run_index, seq, events)
+            seq += len(events)
 
         return EngineResult(
             records=tuple(records),
-            events=events,
             kb=self.kb,
             threshold_mbps=self.threshold_mbps,
             space=self.space,
             config=cfg,
+            events=collector.events if collector is not None else [],
         )
 
 
-def run_loop(config: ScenarioConfig) -> EngineResult:
+def run_loop(config: ScenarioConfig, sink: EventSink | None = None) -> EngineResult:
     """Build an engine for the scenario and run it to completion."""
-    return Engine(config).run()
+    return Engine(config).run(sink)

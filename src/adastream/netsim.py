@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean
 
@@ -68,9 +69,17 @@ class FaultWindow:
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """Fault windows, non-overlapping per kind."""
+    """Fault windows, non-overlapping per kind.
+
+    Each kind's windows are indexed once as sorted start and end arrays, so
+    a lookup is a bisect rather than a scan over every window.
+    """
 
     windows: tuple[FaultWindow, ...] = ()
+    # kind -> (starts, ends); both ascending because windows never overlap
+    _index: dict[str, tuple[list[int], list[int]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         for kind in FAULT_KINDS:
@@ -80,9 +89,16 @@ class FaultSchedule:
             for (_, prev_end), (start, _) in zip(spans, spans[1:]):
                 if start < prev_end:
                     raise ValueError(f"overlapping {kind} fault windows")
+            if spans:
+                self._index[kind] = ([s for s, _ in spans], [e for _, e in spans])
 
     def active(self, kind: str, t_us: int) -> bool:
-        return any(w.kind == kind and w.start_us <= t_us < w.end_us for w in self.windows)
+        spans = self._index.get(kind)
+        if spans is None:
+            return False
+        starts, ends = spans
+        i = bisect_right(starts, t_us) - 1
+        return i >= 0 and t_us < ends[i]
 
 
 @dataclass(frozen=True)

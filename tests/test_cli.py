@@ -86,3 +86,26 @@ def test_compare_full_pipeline(tmp_path, capsys):
 
 def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y"), str(tmp_path / "z")]) == 2
+
+
+def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, capsys):
+    # The clamped trace is 0 Mbps over the whole warmup window.
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 2,
+        "run_duration_s": 10.0,
+        "trace": {"mean_mbps": 1.0, "amplitude_mbps": 5.0, "period_s": 100.0},
+        "warmup": {"duration_s": 100.0, "start_s": 60.0, "end_s": 90.0},
+        "seed": 1,
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "warmup window [60, 90)" in err and "threshold of 0 Mbps" in err
+    assert list(out.iterdir()) == []
