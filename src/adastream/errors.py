@@ -31,14 +31,6 @@ class InvalidTraceError(SimulationError):
     """Trace generator parameters are out of their valid domain."""
 
 
-class DuplicateServiceError(SimulationError):
-    """A service name is already registered."""
-
-
-class UnknownServiceError(SimulationError):
-    """Deregister/heartbeat named a service that is not registered."""
-
-
 class ScenarioError(SimulationError):
     """A scenario config failed validation; carries every violation found."""
 

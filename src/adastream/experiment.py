@@ -37,6 +37,8 @@ from .units import format_seconds, to_us
 
 logger = logging.getLogger(__name__)
 
+ARTIFACTS = ("events.jsonl", "runs.csv", "report.csv", "report.txt")
+
 RUNS_CSV_FIXED_COLUMNS = ["run", "scenario", "duration_s", "reconfig_s", "switches"]
 
 
@@ -183,27 +185,30 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     """Run the scenario and write runs.csv, events.jsonl, report.csv, report.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Events stream to a temp file that replaces events.jsonl only once the
-    # loop has finished, so a crash never leaves a truncated events.jsonl.
-    partial = out / "events.jsonl.partial"
+    # Each artifact is written to <name>.partial, and the partials replace
+    # the previous artifacts only once all four are complete, so a crash
+    # never leaves a truncated file or a mix of old and new artifacts.
+    partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
     try:
-        with partial.open("w", encoding="utf-8", newline="") as f:
+        with partials["events.jsonl"].open("w", encoding="utf-8", newline="") as f:
             result = run_loop(config, JsonlFileSink(f))
         report = aggregate(result.records, result.space)
-        os.replace(partial, out / "events.jsonl")
+        partials["runs.csv"].write_text(
+            runs_csv_text(result.records, result.space.names), encoding="utf-8", newline=""
+        )
+        partials["report.csv"].write_text(render_report_csv(report), encoding="utf-8", newline="")
+        partials["report.txt"].write_text(
+            render_report_text(report, extra_lines=_selection_lines(result, report)),
+            encoding="utf-8",
+            newline="",
+        )
+        for name, partial in partials.items():
+            os.replace(partial, out / name)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial in partials.values():
+            partial.unlink(missing_ok=True)
         raise
 
-    (out / "runs.csv").write_text(
-        runs_csv_text(result.records, result.space.names), encoding="utf-8", newline=""
-    )
-    (out / "report.csv").write_text(render_report_csv(report), encoding="utf-8", newline="")
-    (out / "report.txt").write_text(
-        render_report_text(report, extra_lines=_selection_lines(result, report)),
-        encoding="utf-8",
-        newline="",
-    )
     logger.info(
         "scenario %s: %d runs, threshold %.3f Mbps, tp_mean %.4f",
         config.scenario, config.runs, result.threshold_mbps, report.tp_mean,

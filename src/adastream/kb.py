@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InvalidRunError, MalformedStoreError, NonMonotonicIdError
@@ -57,23 +58,41 @@ class AdaptationSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"config names must be unique, got {names}")
 
+    # The planner's two targets and the name lookup are read every tick.
+    # configs is frozen, so each is computed once on first use; ties go to
+    # the first such config in order, as max/min pick it.
+    @cached_property
+    def highest_rate_config(self) -> StreamConfig:
+        return max(self.configs, key=lambda c: c.frame_rate)
+
+    @cached_property
+    def lowest_rate_config(self) -> StreamConfig:
+        return min(self.configs, key=lambda c: c.frame_rate)
+
+    @cached_property
+    def _by_name(self) -> dict[str, StreamConfig]:
+        return {c.name: c for c in self.configs}
+
     @property
     def max_frame_rate(self) -> int:
-        # Recomputed on every access; never stored, so it cannot go stale.
-        return max(c.frame_rate for c in self.configs)
+        # The cached highest-rate config's; configs is frozen, so it cannot go stale.
+        return self.highest_rate_config.frame_rate
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.configs)
 
     def config(self, name: str) -> StreamConfig:
-        for c in self.configs:
-            if c.name == name:
-                return c
-        raise ValueError(f"unknown config {name!r}; space has {list(self.names)}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown config {name!r}; space has {list(self.names)}") from None
 
     def __contains__(self, name: object) -> bool:
-        return any(c.name == name for c in self.configs)
+        try:
+            return name in self._by_name
+        except TypeError:  # unhashable, so equal to no name
+            return False
 
 
 def default_space() -> AdaptationSpace:

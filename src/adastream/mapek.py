@@ -1,5 +1,5 @@
 """The autonomic controller: Monitor, Analyzer, Planner, Executor over a
-shared knowledge base, plus the service registry.
+shared knowledge base.
 
 The engine drives the components in-process on a discrete clock, one
 message hop per pipeline stage per monitoring tick:
@@ -23,27 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import DuplicateServiceError, SimulationError, UnknownServiceError
+from .errors import SimulationError
 from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
-from .netsim import BandwidthTrace, FaultSchedule, compute_threshold, generate_trace, probe
-from .scenario import ScenarioConfig
+from .netsim import (
+    BandwidthTrace,
+    FaultSchedule,
+    SpeedSample,
+    compute_threshold,
+    generate_trace,
+    probe,
+)
+from .scenario import ScenarioConfig, TraceParams
 from .stream import StreamState
 from .units import to_seconds
 
 CONDITION_KINDS = ("above-threshold", "below-threshold", "unknown")
-
-SERVICE_KINDS = ("monitor", "analyzer", "planner", "executor", "stream")
-
-MAPE_SERVICE_KINDS = ("monitor", "analyzer", "planner", "executor")
-
-
-@dataclass(frozen=True)
-class MonitoredSample:
-    """A speed-test reading as reported into the control loop."""
-
-    t_us: int
-    upload_mbps: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -58,71 +52,14 @@ class Condition:
             raise ValueError(f"condition kind must be one of {CONDITION_KINDS}, got {self.kind!r}")
 
 
-@dataclass
-class ServiceRecord:
-    name: str
-    kind: str
-    registered: bool = True
-    last_heartbeat_us: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SERVICE_KINDS:
-            raise ValueError(f"service kind must be one of {SERVICE_KINDS}, got {self.kind!r}")
-
-
-class ServiceRegistry:
-    """Tracks which service instances are registered and recently alive."""
-
-    def __init__(self) -> None:
-        self._records: dict[str, ServiceRecord] = {}
-
-    def register(self, record: ServiceRecord) -> None:
-        existing = self._records.get(record.name)
-        if existing is not None and existing.registered:
-            raise DuplicateServiceError(f"service {record.name!r} already registered")
-        record.registered = True
-        self._records[record.name] = record
-
-    def deregister(self, name: str) -> None:
-        record = self._records.get(name)
-        if record is None or not record.registered:
-            raise UnknownServiceError(f"cannot deregister unknown service {name!r}")
-        record.registered = False
-
-    def heartbeat(self, name: str, t_us: int) -> None:
-        record = self._records.get(name)
-        if record is None or not record.registered:
-            raise UnknownServiceError(f"cannot heartbeat unknown service {name!r}")
-        record.last_heartbeat_us = t_us
-
-    def list_available(self, now_us: int, ttl_us: int) -> list[ServiceRecord]:
-        """Registered services whose heartbeat is within ttl of now."""
-        return [
-            r
-            for r in self._records.values()
-            if r.registered and now_us - r.last_heartbeat_us <= ttl_us
-        ]
-
-
-def analyze(sample: MonitoredSample, threshold: float) -> Condition:
-    """Classify a sample against the threshold; faulted samples are unknown.
-
-    Ties go above-threshold (prefer the higher quality of service).
-    """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    if not sample.ok:
-        return Condition(kind="unknown", at_us=sample.t_us)
-    kind = "above-threshold" if sample.upload_mbps >= threshold else "below-threshold"
-    return Condition(kind=kind, at_us=sample.t_us)
-
-
 class Analyzer:
-    """Stateful analysis service: bare threshold plus an optional hysteresis band.
+    """Analysis service: classifies samples against the threshold.
 
-    With band == 0 (the default) this is exactly `analyze`. With a band,
-    readings inside [threshold - band, threshold + band) keep the previous
-    classification, suppressing flip-flop near the boundary.
+    Faulted samples are unknown. Ties go above-threshold (prefer the higher
+    quality of service). With a hysteresis band, readings inside
+    [threshold - band, threshold + band) keep the previous classification,
+    suppressing flip-flop near the boundary; with band == 0 (the default)
+    the bare threshold decides.
     """
 
     def __init__(self, threshold: float, hysteresis_band: float = 0.0):
@@ -131,24 +68,24 @@ class Analyzer:
         if hysteresis_band < 0:
             raise ValueError(f"hysteresis band must be non-negative, got {hysteresis_band}")
         self.threshold = threshold
-        self.band = hysteresis_band
+        self._above = threshold + hysteresis_band
+        self._below = threshold - hysteresis_band
         self._last_kind: str | None = None
 
-    def evaluate(self, sample: MonitoredSample) -> Condition:
+    def evaluate(self, sample: SpeedSample) -> Condition:
         if not sample.ok:
             return Condition(kind="unknown", at_us=sample.t_us)
-        if self.band == 0.0:
-            condition = analyze(sample, self.threshold)
-        elif sample.upload_mbps >= self.threshold + self.band:
-            condition = Condition(kind="above-threshold", at_us=sample.t_us)
-        elif sample.upload_mbps < self.threshold - self.band:
-            condition = Condition(kind="below-threshold", at_us=sample.t_us)
+        upload = sample.upload_mbps
+        if upload >= self._above:
+            kind = "above-threshold"
+        elif upload < self._below:
+            kind = "below-threshold"
         elif self._last_kind is not None:
-            condition = Condition(kind=self._last_kind, at_us=sample.t_us)
+            kind = self._last_kind
         else:
-            condition = analyze(sample, self.threshold)
-        self._last_kind = condition.kind
-        return condition
+            kind = "above-threshold" if upload >= self.threshold else "below-threshold"
+        self._last_kind = kind
+        return Condition(kind=kind, at_us=sample.t_us)
 
 
 def plan(
@@ -165,9 +102,9 @@ def plan(
     if condition.kind == "unknown":
         return None
     if condition.kind == "above-threshold":
-        target = max(space.configs, key=lambda c: c.frame_rate)
+        target = space.highest_rate_config
     else:
-        target = min(space.configs, key=lambda c: c.frame_rate)
+        target = space.lowest_rate_config
     if target.name == current:
         return None
     return AdaptationStrategy(
@@ -194,15 +131,14 @@ class Monitor:
         self._probe_seed = probe_seed
         self._interval_us = interval_us
 
-    def tick(self, t_us: int) -> MonitoredSample:
+    def tick(self, t_us: int) -> SpeedSample:
         if t_us % self._interval_us != 0:
             raise ValueError(
                 f"monitor tick at {t_us}us is off the {self._interval_us}us grid"
             )
-        sample = probe(
+        return probe(
             self._trace, self._faults, to_seconds(t_us), self._probe_noise_sd, self._probe_seed
         )
-        return MonitoredSample(t_us=sample.t_us, upload_mbps=sample.upload_mbps, ok=sample.ok)
 
 
 @dataclass(frozen=True)
@@ -284,40 +220,36 @@ class EngineResult:
     events: list[dict] = field(default_factory=list)
 
 
+def trace_for(shape: TraceParams, duration_s: float, seed: str) -> BandwidthTrace:
+    """The scenario's bandwidth trace model over [0, duration_s) on one seed stream."""
+    return generate_trace(
+        mean=shape.mean_mbps,
+        amplitude=shape.amplitude_mbps,
+        period=shape.period_s,
+        noise_sd=shape.noise_sd_mbps,
+        duration=duration_s,
+        step=shape.step_s,
+        seed=seed,
+    )
+
+
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.space = config.space
-        total_s = to_seconds(config.total_duration_us)
-        shape = config.trace
-        self.trace = generate_trace(
-            mean=shape.mean_mbps,
-            amplitude=shape.amplitude_mbps,
-            period=shape.period_s,
-            noise_sd=shape.noise_sd_mbps,
-            duration=total_s,
-            step=shape.step_s,
-            seed=f"{config.seed}/trace",
-        )
+        shape, warmup, seed = config.trace, config.warmup, config.seed
+        self.trace = trace_for(shape, to_seconds(config.total_duration_us), f"{seed}/trace")
         # Same trace model, disjoint seed stream: the measurement period
-        # preceding the experiment.
-        warmup_trace = generate_trace(
-            mean=shape.mean_mbps,
-            amplitude=shape.amplitude_mbps,
-            period=shape.period_s,
-            noise_sd=shape.noise_sd_mbps,
-            duration=config.warmup.duration_s,
-            step=shape.step_s,
-            seed=f"{config.seed}/warmup",
-        )
-        self.threshold_mbps = compute_threshold(
-            warmup_trace, config.warmup.start_s, config.warmup.end_s
-        )
+        # preceding the experiment. The threshold averages only [start, end),
+        # and a shorter trace is a prefix of a longer one on the same seed,
+        # so the warmup trace stops at the window's end.
+        warmup_trace = trace_for(shape, max(warmup.end_s, shape.step_s), f"{seed}/warmup")
+        self.threshold_mbps = compute_threshold(warmup_trace, warmup.start_s, warmup.end_s)
         if self.threshold_mbps <= 0:
             raise SimulationError(
-                f"warmup window [{config.warmup.start_s:g}, {config.warmup.end_s:g}) s "
+                f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s "
                 f"gives a threshold of 0 Mbps (the clamped trace is zero there); "
                 f"move the window or raise trace.mean_mbps"
             )
@@ -325,20 +257,11 @@ class Engine:
             threshold_mbps=self.threshold_mbps, last_applied=config.initial_config
         )
         self.stream = StreamState(self.space.config(config.initial_config))
-        self.registry = ServiceRegistry()
-        for name, kind in (
-            ("speed-test", "monitor"),
-            ("runtime-analysis", "analyzer"),
-            ("video-adaptation", "planner"),
-            ("video-streaming-control", "executor"),
-            ("video-streaming", "stream"),
-        ):
-            self.registry.register(ServiceRecord(name=name, kind=kind))
         self.monitor = Monitor(
             trace=self.trace,
             faults=config.faults,
             probe_noise_sd=config.probe_noise_sd_mbps,
-            probe_seed=f"{config.seed}/probe",
+            probe_seed=f"{seed}/probe",
             interval_us=config.monitor_interval_us,
         )
         self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
@@ -353,12 +276,6 @@ class Engine:
         if self._ran:
             raise SimulationError("engine already ran; build a fresh Engine to replay")
         self._ran = True
-        available_kinds = {
-            r.kind for r in self.registry.list_available(now_us=0, ttl_us=self.config.monitor_interval_us)
-        }
-        missing = [k for k in MAPE_SERVICE_KINDS if k not in available_kinds]
-        if missing:
-            raise SimulationError(f"cannot start loop; unregistered services: {missing}")
         collector = None
         if sink is None:
             sink = collector = CollectingSink()
@@ -378,9 +295,6 @@ class Engine:
             offset = 0
             while offset < cfg.run_duration_us:
                 t_us = run_index * cfg.run_duration_us + offset
-                for service in self.registry.list_available(t_us, ttl_us=cfg.monitor_interval_us * 2):
-                    self.registry.heartbeat(service.name, t_us)
-
                 sample = self.monitor.tick(t_us)
                 emit(("monitor", t_us, sample.upload_mbps, sample.ok))
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adastream import experiment
 from adastream.experiment import QuotedNames, events_jsonl_text, run_experiment
 from adastream.mapek import CollectingSink, Engine, run_loop
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
@@ -174,6 +175,27 @@ def test_crash_mid_loop_keeps_previous_events_file(tmp_path, scenario_factory, m
         run_experiment(config, tmp_path)
     assert (tmp_path / "events.jsonl").read_bytes() == previous
     assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
+
+
+def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, scenario_factory, monkeypatch):
+    previous = {
+        name: f"previous {name}\n".encode()
+        for name in ("events.jsonl", "runs.csv", "report.csv", "report.txt")
+    }
+    for name, data in previous.items():
+        (tmp_path / name).write_bytes(data)
+
+    def failing_render(*args, **kwargs):
+        # the other three partials are on disk by now
+        assert sorted(p.name for p in tmp_path.glob("*.partial")) == [
+            "events.jsonl.partial", "report.csv.partial", "runs.csv.partial",
+        ]
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(experiment, "render_report_text", failing_render)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_experiment(scenario_factory(runs=2), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
 
 
 def test_event_memory_does_not_grow_with_run_count(tmp_path):

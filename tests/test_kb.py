@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adastream.errors import InvalidRunError, MalformedStoreError, NonMonotonicIdError
 from adastream.kb import (
@@ -72,6 +74,32 @@ def test_space_max_frame_rate_is_recomputed():
     assert "A" in space and "C" not in space
     with pytest.raises(ValueError):
         space.config("C")
+
+
+@given(
+    st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True).flatmap(
+        lambda names: st.tuples(
+            st.just(names), st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names))
+        )
+    )
+)
+def test_space_cached_lookups_match_scans(names_and_rates):
+    # rates drawn from 1..3 force frame-rate ties, which go to the first config
+    names, rates = names_and_rates
+    configs = tuple(StreamConfig(n, r, 100, 100, 0.5) for n, r in zip(names, rates))
+    space = AdaptationSpace(configs=configs)
+    for _ in range(2):  # the second pass reads the cached values
+        assert space.highest_rate_config is max(configs, key=lambda c: c.frame_rate)
+        assert space.lowest_rate_config is min(configs, key=lambda c: c.frame_rate)
+        assert space.max_frame_rate == max(rates)
+        for name in "ABCDEF":
+            assert (name in space) == any(c.name == name for c in configs)
+            if name in space:
+                assert space.config(name) is next(c for c in configs if c.name == name)
+            else:
+                with pytest.raises(ValueError):
+                    space.config(name)
+    assert [] not in space
 
 
 def test_strategy_rejects_unknown_reason():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from adastream.errors import DuplicateServiceError, SimulationError, UnknownServiceError
+from adastream.errors import SimulationError
 from adastream.kb import AdaptationStrategy, KnowledgeBase, default_space
 from adastream.mapek import (
     Analyzer,
@@ -10,14 +10,10 @@ from adastream.mapek import (
     Engine,
     Executor,
     Monitor,
-    MonitoredSample,
-    ServiceRecord,
-    ServiceRegistry,
-    analyze,
     plan,
     run_loop,
 )
-from adastream.netsim import FaultSchedule, FaultWindow, generate_trace
+from adastream.netsim import FaultSchedule, FaultWindow, SpeedSample, generate_trace
 from adastream.stream import StreamState
 from adastream.units import to_us
 
@@ -25,33 +21,37 @@ SPACE = default_space()
 
 
 def sample(upload, ok=True, t_us=0):
-    return MonitoredSample(t_us=t_us, upload_mbps=upload, ok=ok)
+    return SpeedSample(t_us=t_us, upload_mbps=upload, ok=ok)
 
 
 # -- analysis ------------------------------------------------------------
 
 
 def test_analyze_tie_goes_above():
-    assert analyze(sample(4.0), threshold=4.0).kind == "above-threshold"
+    assert Analyzer(threshold=4.0).evaluate(sample(4.0)).kind == "above-threshold"
 
 
 def test_analyze_below():
-    assert analyze(sample(4.0 - 1e-9), threshold=4.0).kind == "below-threshold"
+    assert Analyzer(threshold=4.0).evaluate(sample(4.0 - 1e-9)).kind == "below-threshold"
 
 
 def test_analyze_faulted_sample_is_unknown():
-    assert analyze(sample(0.0, ok=False), threshold=4.0).kind == "unknown"
+    assert Analyzer(threshold=4.0).evaluate(sample(0.0, ok=False)).kind == "unknown"
 
 
 def test_analyze_rejects_non_positive_threshold():
     with pytest.raises(ValueError):
-        analyze(sample(4.0), threshold=0.0)
+        Analyzer(threshold=0.0)
+    with pytest.raises(ValueError):
+        Analyzer(threshold=4.0, hysteresis_band=-0.1)
 
 
 def test_analyzer_with_zero_band_matches_bare_threshold():
     analyzer = Analyzer(threshold=4.0)
-    for upload in (3.0, 3.999, 4.0, 4.5):
-        assert analyzer.evaluate(sample(upload)).kind == analyze(sample(upload), 4.0).kind
+    # a bare threshold keeps no state: each reading is classified on its own
+    for upload in (3.0, 4.5, 3.999, 4.0, 3.0):
+        expected = "above-threshold" if upload >= 4.0 else "below-threshold"
+        assert analyzer.evaluate(sample(upload, t_us=7)) == Condition(expected, at_us=7)
 
 
 def test_analyzer_band_suppresses_flip_flop():
@@ -109,7 +109,7 @@ def test_monitor_healthy_tick_reports_bandwidth():
     trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=30, step=1, seed=0)
     monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1, interval_us=to_us(1))
     s = monitor.tick(to_us(10))
-    assert s == MonitoredSample(t_us=to_us(10), upload_mbps=5.0, ok=True)
+    assert s == SpeedSample(t_us=to_us(10), upload_mbps=5.0, ok=True)
 
 
 def test_monitor_tick_inside_fault_window():
@@ -183,47 +183,6 @@ def test_execute_compares_against_pending_target():
     outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "LR"
     assert stream.pending == SPACE.config("LR")
-
-
-# -- service registry ------------------------------------------------------------
-
-
-def test_register_then_list():
-    reg = ServiceRegistry()
-    reg.register(ServiceRecord(name="A", kind="monitor"))
-    available = reg.list_available(now_us=0, ttl_us=to_us(5))
-    assert [r.name for r in available] == ["A"]
-
-
-def test_stale_heartbeat_excluded():
-    reg = ServiceRegistry()
-    reg.register(ServiceRecord(name="A", kind="monitor"))
-    reg.heartbeat("A", to_us(10))
-    assert [r.name for r in reg.list_available(now_us=to_us(12), ttl_us=to_us(5))] == ["A"]
-    assert reg.list_available(now_us=to_us(30), ttl_us=to_us(5)) == []
-
-
-def test_duplicate_register_rejected():
-    reg = ServiceRegistry()
-    reg.register(ServiceRecord(name="A", kind="monitor"))
-    with pytest.raises(DuplicateServiceError):
-        reg.register(ServiceRecord(name="A", kind="analyzer"))
-
-
-def test_deregister_unknown_rejected():
-    reg = ServiceRegistry()
-    with pytest.raises(UnknownServiceError):
-        reg.deregister("B")
-
-
-def test_deregister_removes_from_listing_and_frees_name():
-    reg = ServiceRegistry()
-    reg.register(ServiceRecord(name="A", kind="monitor"))
-    reg.deregister("A")
-    assert reg.list_available(now_us=0, ttl_us=to_us(5)) == []
-    with pytest.raises(UnknownServiceError):
-        reg.heartbeat("A", 0)
-    reg.register(ServiceRecord(name="A", kind="monitor"))  # name reusable
 
 
 # -- the loop ------------------------------------------------------------------
@@ -332,13 +291,6 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
     assert revert.issued_at_us == to_us(11)
     applied = [e for e in result.events if e["event"] == "execute" and e["applied"]]
     assert [e["strategy_id"] for e in applied] == [s.id for s in result.kb.strategies]
-
-
-def test_engine_requires_registered_mape_services(scenario_factory):
-    engine = Engine(scenario_factory(runs=1))
-    engine.registry.deregister("video-adaptation")
-    with pytest.raises(SimulationError):
-        engine.run()
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):

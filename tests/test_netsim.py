@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adastream.errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
 from adastream.netsim import (
@@ -143,6 +145,35 @@ def test_threshold_empty_window_errors():
         compute_threshold(trace, 2, 1)
     with pytest.raises(EmptyWindowError):
         compute_threshold(trace, 0, 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mean=st.floats(0.1, 20.0),
+    amplitude=st.floats(0.0, 25.0),
+    period=st.floats(0.5, 5000.0),
+    noise_sd=st.sampled_from([0.0, 0.05, 1.0, 8.0]),
+    seed=st.one_of(st.integers(-5, 10**6), st.text(max_size=6)),
+    step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]),
+    window=st.tuples(st.integers(0, 1200), st.integers(1, 800), st.integers(0, 400)),
+)
+def test_warmup_prefix_gives_the_full_trace_threshold(
+    mean, amplitude, period, noise_sd, seed, step, window
+):
+    # The engine generates its warmup trace only up to max(end, step).
+    start_ds, width_ds, tail_ds = window
+    start, end = start_ds / 10, (start_ds + width_ds) / 10
+    shape = dict(mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step=step, seed=seed)
+    full = generate_trace(duration=max(end + tail_ds / 10, step), **shape)
+    prefix = generate_trace(duration=max(end, step), **shape)
+    assert prefix.uploads == full.uploads[: len(prefix.uploads)]
+    try:
+        expected = compute_threshold(full, start, end)
+    except EmptyWindowError:
+        with pytest.raises(EmptyWindowError):
+            compute_threshold(prefix, start, end)
+    else:
+        assert compute_threshold(prefix, start, end) == expected
 
 
 def test_below_threshold_time_grows_with_amplitude():
