@@ -15,10 +15,6 @@ class InvalidRunError(SimulationError):
     """A run record violates its accounting contract (e.g. duration <= 0)."""
 
 
-class MalformedStoreError(SimulationError):
-    """A knowledge-base store file is unreadable, truncated, or has the wrong schema."""
-
-
 class OutOfRangeError(SimulationError):
     """A timestamp falls outside the trace it is being looked up in."""
 

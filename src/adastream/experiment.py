@@ -23,11 +23,14 @@ from .errors import SimulationError
 from .kb import RunRecord
 from .mapek import EngineResult, run_loop
 from .metrics import (
+    GRID_WIDTH,
     QUALITY_PRESETS,
     REPORT_METRICS,
     PerformanceReport,
     aggregate,
     config_quality_score,
+    format_selection,
+    grid_row,
     render_report_csv,
     render_report_text,
     selection_fractions,
@@ -162,12 +165,9 @@ def _selection_lines(result: EngineResult, report: PerformanceReport) -> list[st
     lines = [f"threshold_mbps: {result.threshold_mbps:.6f}"]
     seconds_fractions = {}
     for name in result.space.names:
-        run_frac, sec_frac = selection_fractions(result.records, result.space, name)
+        run_frac, sec_frac = selection_fractions(result.records, result.space.names, name)
         seconds_fractions[name] = sec_frac
-        lines.append(
-            f"selection {name}: {100 * run_frac:.1f}% of runs (dominant), "
-            f"{100 * sec_frac:.1f}% of streamed seconds"
-        )
+        lines.append(f"selection {name}: {format_selection(run_frac, sec_frac)}")
     if result.config.mode == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
@@ -279,42 +279,25 @@ def compare(artifact_dirs: list[str | Path]) -> Comparison:
             winners = [a.label for a in artifacts if a.grid[metric][preset] == best]
             verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
 
-    adaptive_selection: dict[str, tuple[float, float]] = {}
-    for art in artifacts:
-        if art.label != "adaptive":
-            continue
-        total_runs = len(art.records)
-        streamed_total = sum(r.streamed_total_us for r in art.records)
-        for name in art.config_names:
-            dominated = sum(
-                1
-                for r in art.records
-                if max(art.config_names, key=lambda n: (r.streamed_us.get(n, 0), -art.config_names.index(n))) == name
-            )
-            at_name = sum(r.streamed_us.get(name, 0) for r in art.records)
-            adaptive_selection[name] = (
-                dominated / total_runs,
-                at_name / streamed_total if streamed_total else 0.0,
-            )
+    adaptive_selection = {
+        name: selection_fractions(art.records, art.config_names, name)
+        for art in artifacts
+        if art.label == "adaptive"
+        for name in art.config_names
+    }
     return Comparison(artifacts=artifacts, verdicts=verdicts, adaptive_selection=adaptive_selection)
 
 
 def render_comparison(cmp: Comparison) -> str:
     presets = list(cmp.artifacts[0].grid["tp"].keys())
-    width = 8
-    out = []
-    header1 = "metric".ljust(width)
-    header2 = " " * width
+    header1 = "metric".ljust(GRID_WIDTH)
+    header2 = " " * GRID_WIDTH
     for art in cmp.artifacts:
-        header1 += art.label.rjust(width * len(presets))
-        header2 += "".join(p.rjust(width) for p in presets)
-    out.append(header1)
-    out.append(header2)
+        header1 += art.label.rjust(GRID_WIDTH * len(presets))
+        header2 += "".join(p.rjust(GRID_WIDTH) for p in presets)
+    out = [header1, header2]
     for metric in REPORT_METRICS:
-        row = metric.ljust(width)
-        for art in cmp.artifacts:
-            row += "".join(f"{art.grid[metric][p]:.2f}".rjust(width) for p in presets)
-        out.append(row)
+        out.append(grid_row(metric, [art.grid[metric][p] for art in cmp.artifacts for p in presets]))
     out.append("")
     out.append("best scenario per combined-performance cell:")
     for metric in ("p1", "p2", "p3"):
@@ -324,8 +307,5 @@ def render_comparison(cmp: Comparison) -> str:
         out.append("")
         out.append("adaptive selection:")
         for name, (run_frac, sec_frac) in cmp.adaptive_selection.items():
-            out.append(
-                f"  {name}: {100 * run_frac:.1f}% of runs (dominant), "
-                f"{100 * sec_frac:.1f}% of streamed seconds"
-            )
+            out.append(f"  {name}: {format_selection(run_frac, sec_frac)}")
     return "\n".join(out) + "\n"

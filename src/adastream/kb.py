@@ -1,22 +1,17 @@
-"""Domain types, the adaptation-strategy registry, and the knowledge base.
+"""Domain types and the knowledge base, the adaptation-strategy registry.
 
-The knowledge base is the one mutable store in the system. Everything it
-holds (strategies, run records) is an immutable value, appended in order
-and never rewritten, so any reader observes only fully-constructed
-entries. A single coordinator owns the instance; components reach it
-through that coordinator only.
+The knowledge base is the one mutable store in the system. The strategies
+it holds are immutable values, appended in order and never rewritten, so
+any reader observes only fully-constructed entries. A single coordinator
+owns the instance; components reach it through that coordinator only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
-from .errors import InvalidRunError, MalformedStoreError, NonMonotonicIdError
-
-STORE_SCHEMA_VERSION = 1
+from .errors import InvalidRunError, NonMonotonicIdError
 
 STRATEGY_REASONS = ("below-threshold", "above-threshold", "user-config")
 
@@ -155,21 +150,15 @@ class RunRecord:
 
 
 class KnowledgeBase:
-    """Append-only store of strategies, run records, and shared loop state."""
+    """Append-only strategy registry, plus the last applied config for fallback."""
 
-    def __init__(self, threshold_mbps: float | None = None, last_applied: str | None = None):
+    def __init__(self, last_applied: str | None = None):
         self._strategies: list[AdaptationStrategy] = []
-        self._run_records: list[RunRecord] = []
-        self.threshold_mbps = threshold_mbps
         self.last_applied = last_applied
 
     @property
     def strategies(self) -> tuple[AdaptationStrategy, ...]:
         return tuple(self._strategies)
-
-    @property
-    def run_records(self) -> tuple[RunRecord, ...]:
-        return tuple(self._run_records)
 
     def register_strategy(self, strategy: AdaptationStrategy) -> None:
         """Append a strategy. Ids must strictly increase in insertion order."""
@@ -186,94 +175,3 @@ class KnowledgeBase:
         the registry holds at least one entry, and absence is a value.
         """
         return self._strategies[-1] if self._strategies else None
-
-    def append_run_record(self, record: RunRecord) -> None:
-        if record.duration_us <= 0:
-            raise InvalidRunError(f"run duration must be positive, got {record.duration_us}")
-        self._run_records.append(record)
-
-    # -- persistence ---------------------------------------------------
-
-    def to_document(self) -> dict:
-        return {
-            "schema_version": STORE_SCHEMA_VERSION,
-            "threshold_mbps": self.threshold_mbps,
-            "last_applied": self.last_applied,
-            "strategies": [
-                {"id": s.id, "issued_at_us": s.issued_at_us, "target": s.target, "reason": s.reason}
-                for s in self._strategies
-            ],
-            "run_records": [
-                {
-                    "run_index": r.run_index,
-                    "scenario": r.scenario,
-                    "duration_us": r.duration_us,
-                    "reconfig_us": r.reconfig_us,
-                    "switches": r.switches,
-                    "streamed_us": dict(r.streamed_us),
-                }
-                for r in self._run_records
-            ],
-        }
-
-    def persist(self, path: str | Path) -> None:
-        """Write the store as a single self-describing JSON document."""
-        Path(path).write_text(
-            json.dumps(self.to_document(), indent=2) + "\n", encoding="utf-8"
-        )
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "KnowledgeBase":
-        try:
-            version = doc["schema_version"]
-            if version != STORE_SCHEMA_VERSION:
-                raise MalformedStoreError(
-                    f"unsupported store schema version {version!r}, expected {STORE_SCHEMA_VERSION}"
-                )
-            kb = cls(threshold_mbps=doc["threshold_mbps"], last_applied=doc["last_applied"])
-            for s in doc["strategies"]:
-                kb.register_strategy(
-                    AdaptationStrategy(
-                        id=s["id"], issued_at_us=s["issued_at_us"], target=s["target"], reason=s["reason"]
-                    )
-                )
-            for r in doc["run_records"]:
-                kb.append_run_record(
-                    RunRecord(
-                        run_index=r["run_index"],
-                        scenario=r["scenario"],
-                        duration_us=r["duration_us"],
-                        reconfig_us=r["reconfig_us"],
-                        switches=r["switches"],
-                        streamed_us=dict(r["streamed_us"]),
-                    )
-                )
-            return kb
-        except MalformedStoreError:
-            raise
-        except (KeyError, TypeError, ValueError, InvalidRunError, NonMonotonicIdError) as exc:
-            raise MalformedStoreError(f"malformed store document: {exc}") from exc
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeBase":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise MalformedStoreError(f"cannot read store file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedStoreError(f"store file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise MalformedStoreError(f"store file {path} does not hold a JSON object")
-        return cls.from_document(doc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return (
-            self._strategies == other._strategies
-            and self._run_records == other._run_records
-            and self.threshold_mbps == other.threshold_mbps
-            and self.last_applied == other.last_applied
-        )

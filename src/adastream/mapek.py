@@ -253,9 +253,7 @@ class Engine:
                 f"gives a threshold of 0 Mbps (the clamped trace is zero there); "
                 f"move the window or raise trace.mean_mbps"
             )
-        self.kb = KnowledgeBase(
-            threshold_mbps=self.threshold_mbps, last_applied=config.initial_config
-        )
+        self.kb = KnowledgeBase(last_applied=config.initial_config)
         self.stream = StreamState(self.space.config(config.initial_config))
         self.monitor = Monitor(
             trace=self.trace,
@@ -343,9 +341,7 @@ class Engine:
                 ))
                 offset += dt_us
 
-            record = self.stream.finalize_run(cfg.scenario, run_index, cfg.run_duration_us)
-            records.append(record)
-            self.kb.append_run_record(record)
+            records.append(self.stream.finalize_run(cfg.scenario, run_index, cfg.run_duration_us))
             sink.write_run(run_index, seq, events)
             seq += len(events)
 

@@ -17,6 +17,7 @@ the combined p values are computed from those means.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from statistics import fmean
@@ -68,6 +69,9 @@ PERFORMANCE_PRESETS: dict[str, PerformanceWeights] = {
 }
 
 REPORT_METRICS = ("tp", "qp", "p1", "p2", "p3")
+
+# column width of the aligned text grids (report.txt and the comparison)
+GRID_WIDTH = 8
 
 
 def time_performance(record: RunRecord) -> float:
@@ -159,25 +163,33 @@ def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: Adaptatio
     )
 
 
-def dominant_config(record: RunRecord, space: AdaptationSpace) -> str:
-    """The config that streamed the most seconds in the run (space order breaks ties)."""
-    return max(space.names, key=lambda name: (record.streamed_us.get(name, 0), -space.names.index(name)))
+def dominant_config(record: RunRecord, names: tuple[str, ...]) -> str:
+    """The config that streamed the most seconds in the run (`names` order breaks ties)."""
+    return max(names, key=lambda name: (record.streamed_us.get(name, 0), -names.index(name)))
 
 
 def selection_fractions(
-    records: list[RunRecord] | tuple[RunRecord, ...], space: AdaptationSpace, name: str
+    records: list[RunRecord] | tuple[RunRecord, ...], names: tuple[str, ...], name: str
 ) -> tuple[float, float]:
     """(fraction of runs dominated by `name`, fraction of streamed seconds at `name`)."""
     if not records:
         raise ValueError("cannot compute selection fractions over zero records")
-    if name not in space:
-        raise ValueError(f"config {name!r} not in adaptation space")
-    dominated = sum(1 for r in records if dominant_config(r, space) == name)
+    if name not in names:
+        raise ValueError(f"config {name!r} not in adaptation space {list(names)}")
+    dominated = sum(1 for r in records if dominant_config(r, names) == name)
     streamed_at = sum(r.streamed_us.get(name, 0) for r in records)
     streamed_total = sum(r.streamed_total_us for r in records)
     run_fraction = dominated / len(records)
     seconds_fraction = streamed_at / streamed_total if streamed_total else 0.0
     return run_fraction, seconds_fraction
+
+
+def format_selection(run_fraction: float, seconds_fraction: float) -> str:
+    """The report's and the comparison's wording of one config's selection_fractions."""
+    return (
+        f"{100 * run_fraction:.1f}% of runs (dominant), "
+        f"{100 * seconds_fraction:.1f}% of streamed seconds"
+    )
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -186,12 +198,22 @@ def round_half_up(value: float, places: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+def format_cell(value: float) -> str:
+    """A grid cell: half-up to 2 decimals."""
+    return f"{round_half_up(value):.2f}"
+
+
+def grid_row(label: str, values: Iterable[float]) -> str:
+    """One aligned grid line: the label, then each value as a right-aligned cell."""
+    return label.ljust(GRID_WIDTH) + "".join(format_cell(v).rjust(GRID_WIDTH) for v in values)
+
+
 def render_report_csv(report: PerformanceReport) -> str:
     """Report grid as CSV: metric rows by quality-preset columns, 2-decimal cells."""
     preset_names = list(QUALITY_PRESETS)
     lines = ["metric," + ",".join(preset_names)]
     for metric in REPORT_METRICS:
-        cells = [f"{round_half_up(report.cell(metric, p)):.2f}" for p in preset_names]
+        cells = [format_cell(report.cell(metric, p)) for p in preset_names]
         lines.append(metric + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -199,7 +221,6 @@ def render_report_csv(report: PerformanceReport) -> str:
 def render_report_text(report: PerformanceReport, extra_lines: list[str] | None = None) -> str:
     """Human-readable aligned table of the same grid."""
     preset_names = list(QUALITY_PRESETS)
-    width = 8
     out = [
         f"scenario: {report.scenario}",
         f"runs:     {report.run_count}",
@@ -207,10 +228,7 @@ def render_report_text(report: PerformanceReport, extra_lines: list[str] | None 
     if extra_lines:
         out.extend(extra_lines)
     out.append("")
-    out.append("metric".ljust(width) + "".join(p.rjust(width) for p in preset_names))
+    out.append("metric".ljust(GRID_WIDTH) + "".join(p.rjust(GRID_WIDTH) for p in preset_names))
     for metric in REPORT_METRICS:
-        row = metric.ljust(width)
-        for preset in preset_names:
-            row += f"{round_half_up(report.cell(metric, preset)):.2f}".rjust(width)
-        out.append(row)
+        out.append(grid_row(metric, [report.cell(metric, p) for p in preset_names]))
     return "\n".join(out) + "\n"

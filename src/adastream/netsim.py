@@ -12,20 +12,16 @@ instant does not depend on call order.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 from statistics import fmean
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
-from .units import format_seconds, to_us
+from .units import to_us
 
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
-
-TRACE_CSV_HEADER = ["t_seconds", "upload_mbps"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,6 @@ class BandwidthTrace:
 
     uploads: tuple[float, ...]
     step_us: int
-    seed: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.step_us <= 0:
@@ -147,7 +142,7 @@ def generate_trace(
         if noise_sd > 0:
             value += rng.gauss(0.0, noise_sd)
         uploads.append(max(0.0, value))
-    return BandwidthTrace(uploads=tuple(uploads), step_us=step_us, seed=seed)
+    return BandwidthTrace(uploads=tuple(uploads), step_us=step_us)
 
 
 def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
@@ -201,34 +196,3 @@ def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: fl
         )
     return fmean(values)
 
-
-def trace_to_csv(trace: BandwidthTrace, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(TRACE_CSV_HEADER)
-        for t_us, upload in trace.samples():
-            writer.writerow([format_seconds(t_us), f"{upload:.6f}"])
-
-
-def trace_from_csv(path: str | Path) -> BandwidthTrace:
-    with Path(path).open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != TRACE_CSV_HEADER:
-            raise InvalidTraceError(f"unexpected trace CSV header {header!r}")
-        times_us: list[int] = []
-        uploads: list[float] = []
-        for row in reader:
-            if not row:
-                continue
-            times_us.append(to_us(float(row[0])))
-            uploads.append(float(row[1]))
-    if not uploads:
-        raise InvalidTraceError(f"trace CSV {path} holds no samples")
-    step_us = times_us[1] - times_us[0] if len(times_us) > 1 else to_us(1.0)
-    for i, t_us in enumerate(times_us):
-        if t_us != i * step_us:
-            raise InvalidTraceError(
-                f"trace CSV times must advance by a constant step; row {i} has t={t_us}us"
-            )
-    return BandwidthTrace(uploads=tuple(uploads), step_us=step_us, seed=None)

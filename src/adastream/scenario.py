@@ -303,7 +303,7 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
                 initial = pinned
             else:
                 # Adaptive runs boot at the highest-frame-rate config.
-                initial = max(space.configs, key=lambda c: c.frame_rate).name
+                initial = space.highest_rate_config.name
         elif initial not in space:
             diags.append(f"initial_config {initial!r} not in the adaptation space")
         elif pinned is not None and initial != pinned:
@@ -337,9 +337,12 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
         diags.append("user_overrides require the adaptive scenario")
 
     if runs is not None and run_duration is not None and trace is not None:
-        samples = runs * to_us(run_duration) // to_us(trace.step_s)
+        # what Engine generates: ceil(duration / step) samples for the runs,
+        # and for the warmup only up to max(end_s, step_s)
+        step_us = to_us(trace.step_s)
+        samples = -(-runs * to_us(run_duration) // step_us)
         if warmup is not None:
-            samples += to_us(warmup.duration_s) // to_us(trace.step_s)
+            samples += -(-to_us(max(warmup.end_s, trace.step_s)) // step_us)
         if samples > _MAX_TRACE_SAMPLES:
             diags.append(
                 f"experiment needs {samples} trace samples; limit is {_MAX_TRACE_SAMPLES} "

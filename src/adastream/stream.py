@@ -6,8 +6,8 @@ nothing is streamed, so every elapsed microsecond lands in exactly one
 bucket (streamed at some config, or reconfiguring).
 
 Runs are measurement windows, not adaptation boundaries: a reconfiguration
-may straddle a run boundary, in which case the open interval is clipped at
-the boundary and reopened in the next run's ledger.
+may straddle a run boundary, in which case each run's ledger is charged
+only the part of the delay that elapsed inside it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class StreamState:
         self.reconfig_remaining_us = 0
         self.clock_us = 0
         self.streamed_us: dict[str, int] = {}
-        self.intervals: list[tuple[int, int]] = []
-        self._open_interval_start: int | None = None
+        self.reconfig_us = 0
         self.switches = 0
 
     @property
@@ -63,14 +62,11 @@ class StreamState:
         if target.name == self.active.name:
             return False
         if reconfig_delay_us == 0:
-            # Instant switch: zero-length interval keeps the 1:1 interval/switch mapping.
-            self.intervals.append((self.clock_us, self.clock_us))
             self.active = target
             self.switches += 1
             return True
         self.pending = target
         self.reconfig_remaining_us = reconfig_delay_us
-        self._open_interval_start = self.clock_us
         return True
 
     def step(self, dt_us: int) -> StepOutcome:
@@ -83,12 +79,11 @@ class StreamState:
         if self.reconfig_remaining_us > 0:
             reconfig_used = min(self.reconfig_remaining_us, remaining)
             self.reconfig_remaining_us -= reconfig_used
+            self.reconfig_us += reconfig_used
             self.clock_us += reconfig_used
             remaining -= reconfig_used
             if self.reconfig_remaining_us == 0:
-                assert self.pending is not None and self._open_interval_start is not None
-                self.intervals.append((self._open_interval_start, self.clock_us))
-                self._open_interval_start = None
+                assert self.pending is not None
                 if self.pending.name != self.active.name:
                     self.switches += 1
                 self.active = self.pending
@@ -101,13 +96,6 @@ class StreamState:
             self.clock_us += remaining
             segments = ((name, remaining),)
         return StepOutcome(reconfig_us=reconfig_used, segments=segments, completed_switch=completed)
-
-    def reconfig_total_us(self) -> int:
-        """Closed intervals plus the open one clipped at the current clock."""
-        total = sum(end - start for start, end in self.intervals)
-        if self._open_interval_start is not None:
-            total += self.clock_us - self._open_interval_start
-        return total
 
     def finalize_run(self, scenario: str, run_index: int, expected_duration_us: int) -> RunRecord:
         """Close out the current measurement window as a RunRecord.
@@ -124,7 +112,7 @@ class StreamState:
             run_index=run_index,
             scenario=scenario,
             duration_us=self.clock_us,
-            reconfig_us=self.reconfig_total_us(),
+            reconfig_us=self.reconfig_us,
             switches=self.switches,
             streamed_us=dict(self.streamed_us),
         )
@@ -133,6 +121,5 @@ class StreamState:
         """Reset per-run accounting, carrying the in-flight switch across the boundary."""
         self.clock_us = 0
         self.streamed_us = {}
-        self.intervals = []
+        self.reconfig_us = 0
         self.switches = 0
-        self._open_interval_start = 0 if self.pending is not None else None

@@ -101,7 +101,7 @@ def test_criterion_3_adaptive_selection_rate(bundled_outputs):
     with criterion(3, "low-rate config dominates 26%-36% of adaptive runs"):
         config = load_scenario(bundled_config_path("table3-adaptive"))
         result = run_loop(config)
-        run_fraction, _ = selection_fractions(result.records, result.space, "LR")
+        run_fraction, _ = selection_fractions(result.records, result.space.names, "LR")
         assert 0.26 <= run_fraction <= 0.36, f"LR run fraction {run_fraction:.3f}"
 
 

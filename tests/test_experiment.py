@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -14,7 +15,7 @@ from adastream.experiment import (
     run_experiment,
 )
 from adastream.mapek import run_loop
-from adastream.metrics import round_half_up
+from adastream.metrics import round_half_up, selection_fractions
 
 
 def test_run_experiment_writes_all_artifacts(tmp_path, scenario_factory):
@@ -75,18 +76,38 @@ def test_compare_three_scenarios(tmp_path, scenario_factory):
 
 
 def test_compare_identical_reports_tie(tmp_path, scenario_factory):
-    # same artifacts under three labels: every verdict must tie
+    # one static-LR run copied under three labels: every verdict must tie
     run_experiment(scenario_factory(scenario="static-LR", runs=2), tmp_path / "a")
-    arts = [ScenarioArtifacts.load(tmp_path / "a") for _ in range(3)]
-    for i, art in enumerate(arts):
-        art.label = f"s{i}"  # distinct labels, identical numbers
-    verdicts = {}
-    for metric in ("p1", "p2", "p3"):
-        for preset in arts[0].grid[metric]:
-            best = max(a.grid[metric][preset] for a in arts)
-            winners = [a.label for a in arts if a.grid[metric][preset] == best]
-            verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
-    assert set(verdicts.values()) == {"tie"}
+    runs_lines = (tmp_path / "a" / "runs.csv").read_text().splitlines(keepends=True)
+    dirs = []
+    for i in range(3):
+        copy = tmp_path / f"s{i}"
+        shutil.copytree(tmp_path / "a", copy)
+        relabelled = [runs_lines[0]]
+        for line in runs_lines[1:]:
+            cells = line.split(",")
+            cells[1] = f"s{i}"
+            relabelled.append(",".join(cells))
+        (copy / "runs.csv").write_text("".join(relabelled))
+        dirs.append(copy)
+    result = compare(dirs)
+    assert [a.label for a in result.artifacts] == ["s0", "s1", "s2"]
+    assert len(result.verdicts) == 9
+    assert set(result.verdicts.values()) == {"tie"}
+
+
+def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory):
+    config = scenario_factory(runs=20)
+    result = run_loop(config)
+    run_experiment(config, tmp_path / "adaptive")
+    for label in ("static-LR", "static-HR"):
+        run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
+    cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
+    assert list(cmp.adaptive_selection) == list(result.space.names)
+    for name in result.space.names:
+        assert cmp.adaptive_selection[name] == selection_fractions(
+            result.records, result.space.names, name
+        )
 
 
 def test_compare_rejects_duplicate_scenarios(tmp_path, scenario_factory):

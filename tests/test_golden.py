@@ -1,8 +1,9 @@
 """Golden digests: the bundled Table-3 configs at seed 42 produce pinned bytes.
 
 Every artifact is a pure function of (config, seed), so any change to a
-writer, the event encoder or the loop that moves a single byte fails here.
-Re-pin only on purpose, together with `perfbench/golden.json`.
+writer, the event encoder, the loop or the comparison text that moves a
+single byte fails here. Re-pin only on purpose, together with
+`perfbench/golden.json`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 
 import pytest
 
-from adastream.experiment import run_experiment
+from adastream.experiment import compare, render_comparison, run_experiment
 from adastream.scenario import bundled_config_path, load_scenario
 
 GOLDEN_SHA256 = {
@@ -35,6 +36,10 @@ GOLDEN_SHA256 = {
     },
 }
 
+# `render_comparison(compare([static-LR, static-HR, adaptive]))` over the
+# three configs above, as `adastream compare` prints it.
+GOLDEN_COMPARE_SHA256 = "84e255911410551020f797d7bcc1a4a67f024c085e879875082d0fb14fbaffe7"
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_bundled_config_artifacts_match_golden_digests(tmp_path, name):
@@ -47,3 +52,12 @@ def test_bundled_config_artifacts_match_golden_digests(tmp_path, name):
     }
     assert digests == GOLDEN_SHA256[name]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(GOLDEN_SHA256[name])
+
+
+def test_bundled_comparison_matches_golden_digest(tmp_path):
+    dirs = []
+    for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive"):
+        run_experiment(load_scenario(bundled_config_path(name)), tmp_path / name)
+        dirs.append(tmp_path / name)
+    text = render_comparison(compare(dirs))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_COMPARE_SHA256

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.errors import InvalidRunError, MalformedStoreError, NonMonotonicIdError
+from adastream.errors import InvalidRunError, NonMonotonicIdError
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
@@ -178,74 +176,11 @@ def test_latest_wins_after_every_register():
         assert kb.latest_strategy() == s
 
 
-def test_append_run_record_counts():
-    kb = KnowledgeBase()
-    kb.append_run_record(record(0))
-    assert len(kb.run_records) == 1
-    for i in range(1, 99):
-        kb.append_run_record(record(i))
-    kb.append_run_record(record(99))
-    assert len(kb.run_records) == 100
-
-
 def test_append_only_never_mutates_existing():
     kb = KnowledgeBase()
     for sid in range(1, 6):
         kb.register_strategy(strategy(sid))
     snapshot = kb.strategies
     kb.register_strategy(strategy(6))
-    kb.append_run_record(record(0))
     assert kb.strategies[:5] == snapshot
 
-
-# -- persistence ---------------------------------------------------------
-
-
-def test_round_trip_empty(tmp_path):
-    kb = KnowledgeBase()
-    kb.persist(tmp_path / "kb.json")
-    assert KnowledgeBase.load(tmp_path / "kb.json") == kb
-
-
-def test_round_trip_populated(tmp_path):
-    kb = KnowledgeBase(threshold_mbps=4.0543, last_applied="HR")
-    kb.register_strategy(strategy(1))
-    kb.register_strategy(strategy(2, target="HR", reason="above-threshold"))
-    kb.register_strategy(strategy(5, target="LR", at_us=3_000_000))
-    kb.append_run_record(record(0))
-    kb.append_run_record(record(1, reconfig_us=2_700_000))
-    path = tmp_path / "kb.json"
-    kb.persist(path)
-    loaded = KnowledgeBase.load(path)
-    assert loaded == kb
-    assert loaded.strategies == kb.strategies
-    assert loaded.run_records == kb.run_records
-
-
-def test_load_truncated_file_is_malformed(tmp_path):
-    kb = KnowledgeBase()
-    kb.register_strategy(strategy(1))
-    path = tmp_path / "kb.json"
-    kb.persist(path)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.raises(MalformedStoreError):
-        KnowledgeBase.load(path)
-
-
-def test_load_rejects_wrong_schema_version(tmp_path):
-    path = tmp_path / "kb.json"
-    doc = KnowledgeBase().to_document()
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedStoreError):
-        KnowledgeBase.load(path)
-
-
-def test_load_rejects_missing_file_and_non_object(tmp_path):
-    with pytest.raises(MalformedStoreError):
-        KnowledgeBase.load(tmp_path / "absent.json")
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(MalformedStoreError):
-        KnowledgeBase.load(path)

@@ -279,9 +279,9 @@ def test_dominant_config_and_fractions():
         record(30, 0, lr_s=5, hr_s=25, run_index=1),
         record(30, 0, lr_s=1, hr_s=29, run_index=2),
     ]
-    assert dominant_config(records[0], SPACE) == "LR"
-    assert dominant_config(records[1], SPACE) == "HR"
-    run_frac, sec_frac = selection_fractions(records, SPACE, "LR")
+    assert dominant_config(records[0], SPACE.names) == "LR"
+    assert dominant_config(records[1], SPACE.names) == "HR"
+    run_frac, sec_frac = selection_fractions(records, SPACE.names, "LR")
     assert run_frac == pytest.approx(1 / 3)
     assert sec_frac == pytest.approx(26 / 90)
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +13,6 @@ from adastream.netsim import (
     compute_threshold,
     generate_trace,
     probe,
-    trace_from_csv,
-    trace_to_csv,
 )
 
 NO_FAULTS = FaultSchedule()
@@ -193,22 +189,3 @@ def test_below_threshold_time_grows_with_amplitude():
     for lo, hi in zip(mean_fraction, mean_fraction[1:]):
         assert hi >= lo - 0.01
 
-
-def test_trace_csv_round_trip(tmp_path):
-    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0.5, duration=50, step=1, seed=11)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    loaded = trace_from_csv(path)
-    assert loaded.step_us == trace.step_us
-    assert len(loaded.uploads) == len(trace.uploads)
-    # 6-decimal fixed formatting bounds the round-trip error
-    assert all(math.isclose(a, b, abs_tol=5e-7) for a, b in zip(loaded.uploads, trace.uploads))
-    header = path.read_text().splitlines()[0]
-    assert header == "t_seconds,upload_mbps"
-
-
-def test_trace_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("time,upload\n0,5\n")
-    with pytest.raises(InvalidTraceError):
-        trace_from_csv(path)

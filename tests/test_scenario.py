@@ -189,3 +189,19 @@ def test_implausibly_large_experiments_are_rejected():
     assert any("trace samples" in d for d in diags)
     config, diags = parse_scenario(doc(run_duration_s=1e9))
     assert config is None
+
+
+def test_size_cap_counts_only_the_warmup_prefix_the_engine_generates():
+    # The engine generates the warmup trace only up to max(end_s, step_s):
+    # 19,990,000 run samples + 65 warmup samples fit under the 20M cap,
+    # although the whole 10,800 s warmup duration would not.
+    warmup = {"duration_s": 10800.0, "start_s": 27.0, "end_s": 65.0}
+    config, diags = parse_scenario(doc(runs=9_995_000, run_duration_s=2.0, warmup=warmup))
+    assert diags == []
+    assert config.runs == 9_995_000
+    config, diags = parse_scenario(doc(runs=10_000_000, run_duration_s=2.0, warmup=warmup))
+    assert config is None
+    assert diags == [
+        "experiment needs 20000065 trace samples; limit is 20000000 "
+        "(reduce runs/run_duration_s or raise trace.step_s)"
+    ]

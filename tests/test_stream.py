@@ -31,7 +31,7 @@ def test_apply_same_config_is_free():
     assert state.pending is None
     assert state.reconfig_remaining_us == 0
     state.step(to_us(1))
-    assert state.reconfig_total_us() == 0
+    assert state.reconfig_us == 0
 
 
 def test_apply_new_config_opens_reconfiguration():
@@ -67,7 +67,7 @@ def test_replace_pending_mid_flight_keeps_deadline():
     # reconfiguration completed on the original deadline, landing on LR
     assert state.active == LR and state.pending is None
     assert state.switches == 0  # no net config change
-    assert state.reconfig_total_us() == 2_700_000
+    assert state.reconfig_us == 2_700_000
 
 
 def test_step_streams_at_active_config():
@@ -113,7 +113,7 @@ def test_zero_delay_switch_is_instant():
     assert changed
     assert state.active == HR and state.pending is None
     assert state.switches == 1
-    assert state.reconfig_total_us() == 0
+    assert state.reconfig_us == 0
 
 
 def test_static_run_finalizes_with_full_streaming():
@@ -150,7 +150,7 @@ def test_run_ending_mid_reconfiguration_clips_open_interval():
     state.start_run()
     state.step(to_us(2))
     assert state.active == HR
-    assert state.reconfig_total_us() == 1_700_000
+    assert state.reconfig_us == 1_700_000
     assert state.streamed_us == {"HR": 300_000}
 
 
@@ -173,11 +173,11 @@ def test_time_conservation_over_random_interleavings():
                 state.apply_config(target, to_us(rng.choice([0, 1.3, 2.7, 5.0])))
             else:
                 state.step(rng.randint(1, 3_000_000))
-            assert sum(state.streamed_us.values()) + state.reconfig_total_us() == state.clock_us
+            assert sum(state.streamed_us.values()) + state.reconfig_us == state.clock_us
             assert state.switches >= switches_seen
-            assert state.reconfig_total_us() >= reconfig_seen
+            assert state.reconfig_us >= reconfig_seen
             switches_seen = state.switches
-            reconfig_seen = state.reconfig_total_us()
+            reconfig_seen = state.reconfig_us
 
 
 def test_static_scenario_always_tp_one():
