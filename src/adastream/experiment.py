@@ -73,45 +73,49 @@ class QuotedNames(dict):
 
 
 def events_jsonl_text(
-    run_index: int, first_seq: int, events: list[tuple], quoted: QuotedNames
+    run_index: int, first_seq: int, ticks: list[tuple], quoted: QuotedNames
 ) -> str:
-    """One run's events as JSON lines, per the schema in `mapek.EVENT_FIELDS`.
+    """One run's events as JSON lines, from the tick records laid out in `mapek`.
 
     Byte for byte what `json.dumps(event, separators=(",", ":"))` gives
     for each event dict, without building the dicts.
     """
     lines = []
     add = lines.append
-    for seq, event in enumerate(events, first_seq):
-        kind = event[0]
-        head = f'{{"seq":{seq},"run":{run_index},"t_us":{event[1]},"event":"{kind}",'
-        if kind == "monitor":
-            add(f'{head}"upload_mbps":{event[2]!r},"ok":{_JSON_BOOL[event[3]]}}}\n')
-        elif kind == "analyze":
-            add(f'{head}"condition":"{event[2]}"}}\n')
-        elif kind == "plan":
-            if len(event) == 3:
-                add(f'{head}"action":"{event[2]}"}}\n')
-            else:
-                add(f'{head}"action":"{event[2]}","target":{quoted[event[3]]},"reason":"{event[4]}"}}\n')
-        elif kind == "register":
-            strategy_id = "null" if event[3] is None else event[3]
-            add(
-                f'{head}"ok":{_JSON_BOOL[event[2]]},"strategy_id":{strategy_id},'
-                f'"target":{quoted[event[4]]}}}\n'
-            )
-        elif kind == "execute":
-            strategy_id = "null" if event[3] is None else event[3]
-            add(
-                f'{head}"source":"{event[2]}","strategy_id":{strategy_id},'
-                f'"target":{quoted[event[4]]},"applied":{_JSON_BOOL[event[5]]}}}\n'
-            )
+    seq = first_seq
+    for (
+        t_us, upload, ok, condition, planned, registered,
+        source, strategy_id, target, applied,
+        dt_us, reconfig_us, segments, active,
+    ) in ticks:
+        tail = f',"run":{run_index},"t_us":{t_us},"event":'
+        if planned is None:
+            decision = f'{{"seq":{seq + 2}{tail}"plan","action":"keep"}}\n'
+            after = seq + 3
         else:
-            segments = ",".join([f"[{quoted[name]},{us}]" for name, us in event[4]])
-            add(
-                f'{head}"dt_us":{event[2]},"reconfig_us":{event[3]},'
-                f'"segments":[{segments}],"active":{quoted[event[5]]}}}\n'
+            planned_target, reason = planned
+            registered_ok, registered_id, registered_target = registered
+            decision = (
+                f'{{"seq":{seq + 2}{tail}"plan","action":"strategy",'
+                f'"target":{quoted[planned_target]},"reason":"{reason}"}}\n'
+                f'{{"seq":{seq + 3}{tail}"register","ok":{_JSON_BOOL[registered_ok]},'
+                f'"strategy_id":{"null" if registered_id is None else registered_id},'
+                f'"target":{quoted[registered_target]}}}\n'
             )
+            after = seq + 4
+        segment_text = ",".join([f"[{quoted[name]},{us}]" for name, us in segments])
+        # the tick's five or six lines in one string
+        add(
+            f'{{"seq":{seq}{tail}"monitor","upload_mbps":{upload!r},"ok":{_JSON_BOOL[ok]}}}\n'
+            f'{{"seq":{seq + 1}{tail}"analyze","condition":"{condition}"}}\n'
+            f"{decision}"
+            f'{{"seq":{after}{tail}"execute","source":"{source}",'
+            f'"strategy_id":{"null" if strategy_id is None else strategy_id},'
+            f'"target":{quoted[target]},"applied":{_JSON_BOOL[applied]}}}\n'
+            f'{{"seq":{after + 1}{tail}"step","dt_us":{dt_us},"reconfig_us":{reconfig_us},'
+            f'"segments":[{segment_text}],"active":{quoted[active]}}}\n'
+        )
+        seq = after + 2
     return "".join(lines)
 
 
@@ -122,8 +126,8 @@ class JsonlFileSink:
         self._file = file
         self._quoted = QuotedNames()
 
-    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
-        self._file.write(events_jsonl_text(run_index, first_seq, events, self._quoted))
+    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
+        self._file.write(events_jsonl_text(run_index, first_seq, ticks, self._quoted))
 
 
 def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:

@@ -21,7 +21,7 @@ running.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import SimulationError
 from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
@@ -40,16 +40,21 @@ from .units import to_seconds
 CONDITION_KINDS = ("above-threshold", "below-threshold", "unknown")
 
 
-@dataclass(frozen=True)
-class Condition:
-    """The analyzer's model of the operating conditions at one instant."""
-
+# Checked in a subclass's __new__, as netsim's SpeedSample is.
+class _ConditionFields(NamedTuple):
     kind: str
     at_us: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in CONDITION_KINDS:
-            raise ValueError(f"condition kind must be one of {CONDITION_KINDS}, got {self.kind!r}")
+
+class Condition(_ConditionFields):
+    """The analyzer's model of the operating conditions at one instant."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, at_us: int) -> Condition:
+        if kind not in CONDITION_KINDS:
+            raise ValueError(f"condition kind must be one of {CONDITION_KINDS}, got {kind!r}")
+        return tuple.__new__(cls, (kind, at_us))
 
 
 class Analyzer:
@@ -74,7 +79,7 @@ class Analyzer:
 
     def evaluate(self, sample: SpeedSample) -> Condition:
         if not sample.ok:
-            return Condition(kind="unknown", at_us=sample.t_us)
+            return Condition("unknown", sample.t_us)
         upload = sample.upload_mbps
         if upload >= self._above:
             kind = "above-threshold"
@@ -85,7 +90,7 @@ class Analyzer:
         else:
             kind = "above-threshold" if upload >= self.threshold else "below-threshold"
         self._last_kind = kind
-        return Condition(kind=kind, at_us=sample.t_us)
+        return Condition(kind, sample.t_us)
 
 
 def plan(
@@ -141,8 +146,7 @@ class Monitor:
         )
 
 
-@dataclass(frozen=True)
-class ExecuteOutcome:
+class ExecuteOutcome(NamedTuple):
     source: str  # "registry" | "fallback"
     strategy_id: int | None
     target: str | None
@@ -159,26 +163,28 @@ class Executor:
     def execute(self, kb: KnowledgeBase, stream: StreamState, registry_available: bool) -> ExecuteOutcome:
         if not registry_available:
             # Degraded mode: hold the last-known configuration; never halt the stream.
-            return ExecuteOutcome(
-                source="fallback", strategy_id=None, target=kb.last_applied, applied=False
-            )
+            return ExecuteOutcome("fallback", None, kb.last_applied, False)
         latest = kb.latest_strategy()
         if latest is None:
-            return ExecuteOutcome(source="registry", strategy_id=None, target=None, applied=False)
+            return ExecuteOutcome("registry", None, None, False)
         if latest.target == stream.effective_config.name:
-            return ExecuteOutcome(
-                source="registry", strategy_id=latest.id, target=latest.target, applied=False
-            )
+            return ExecuteOutcome("registry", latest.id, latest.target, False)
         stream.apply_config(self._space.config(latest.target), self._reconfig_delay_us)
         kb.last_applied = latest.target
-        return ExecuteOutcome(
-            source="registry", strategy_id=latest.id, target=latest.target, applied=True
-        )
+        return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
 # Field names after (seq, run, t_us, event) for each event kind, in line
-# order. The engine hands a run's events to its sink as tuples
-# (kind, t_us, *values); a plan "keep" carries only the action.
+# order. The engine hands a run's ticks to its sink as one record per tick:
+#
+#     (t_us, upload_mbps, ok, condition, planned, registered,
+#      source, strategy_id, target, applied,
+#      dt_us, reconfig_us, segments, active)
+#
+# planned is None for a plan "keep", else (target, reason) of the planned
+# strategy; registered is None exactly when planned is, else the register
+# event's (ok, strategy_id, target). A tick is five events in the order
+# above, or six with a register after the plan.
 EVENT_FIELDS = {
     "monitor": ("upload_mbps", "ok"),
     "analyze": ("condition",),
@@ -190,8 +196,8 @@ EVENT_FIELDS = {
 
 
 class EventSink(Protocol):
-    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
-        """Take one run's events in order; their seq numbers start at first_seq."""
+    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
+        """Take one run's tick records in order; their first event's seq is first_seq."""
 
 
 class CollectingSink:
@@ -200,13 +206,23 @@ class CollectingSink:
     def __init__(self) -> None:
         self.events: list[dict] = []
 
-    def write_run(self, run_index: int, first_seq: int, events: list[tuple]) -> None:
-        for seq, (kind, t_us, *values) in enumerate(events, first_seq):
-            event = {"seq": seq, "run": run_index, "t_us": t_us, "event": kind}
-            event.update(zip(EVENT_FIELDS[kind], values))
-            if kind == "step":
-                event["segments"] = [list(segment) for segment in event["segments"]]
-            self.events.append(event)
+    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
+        seq = first_seq
+        for record in ticks:
+            planned = record[4]
+            events = [("monitor", record[1:3]), ("analyze", record[3:4])]
+            if planned is None:
+                events.append(("plan", ("keep",)))
+            else:
+                events += [("plan", ("strategy", *planned)), ("register", record[5])]
+            events += [("execute", record[6:10]), ("step", record[10:14])]
+            for kind, values in events:
+                event = {"seq": seq, "run": run_index, "t_us": record[0], "event": kind}
+                event.update(zip(EVENT_FIELDS[kind], values))
+                if kind == "step":
+                    event["segments"] = [list(segment) for segment in event["segments"]]
+                self.events.append(event)
+                seq += 1
 
 
 @dataclass
@@ -267,7 +283,7 @@ class Engine:
         self._ran = False
 
     def run(self, sink: EventSink | None = None) -> EngineResult:
-        """Run every tick, handing each run's events to `sink` as the run ends.
+        """Run every tick, handing each run's tick records to `sink` as the run ends.
 
         Without a sink the events are collected into `EngineResult.events`.
         """
@@ -285,21 +301,32 @@ class Engine:
         next_id = 1
         seq = 0
         records: list[RunRecord] = []
+        # Looked up here, once per run, and not when the engine is built: a
+        # stage rebound on its class or module after construction (as a
+        # tracer or a test does) is still the one called.
+        space, kb, stream = self.space, self.kb, self.stream
+        tick = self.monitor.tick
+        evaluate = self.analyzer.evaluate
+        execute = self.executor.execute
+        register = kb.register_strategy
+        step = stream.step
+        fault_active = cfg.faults.active
+        interval_us = cfg.monitor_interval_us
+        run_duration_us = cfg.run_duration_us
 
         for run_index in range(cfg.runs):
-            events: list[tuple] = []
-            emit = events.append
-            self.stream.start_run()
+            ticks: list[tuple] = []
+            add = ticks.append
+            strategies = 0
+            stream.start_run()
+            run_start_us = run_index * run_duration_us
             offset = 0
-            while offset < cfg.run_duration_us:
-                t_us = run_index * cfg.run_duration_us + offset
-                sample = self.monitor.tick(t_us)
-                emit(("monitor", t_us, sample.upload_mbps, sample.ok))
+            while offset < run_duration_us:
+                t_us = run_start_us + offset
+                sample = tick(t_us)
+                condition = evaluate(sample)
 
-                condition = self.analyzer.evaluate(sample)
-                emit(("analyze", t_us, condition.kind))
-
-                current = self.stream.effective_config.name
+                current = stream.effective_config.name
                 strategy = None
                 forced_target: str | None = None
                 while next_override < len(overrides) and overrides[next_override].at_us <= t_us:
@@ -311,39 +338,35 @@ class Engine:
                             id=next_id, issued_at_us=t_us, target=forced_target, reason="user-config"
                         )
                 elif adaptive:
-                    strategy = plan(condition, self.space, current, next_id)
-                if strategy is None:
-                    emit(("plan", t_us, "keep"))
-                else:
-                    emit(("plan", t_us, "strategy", strategy.target, strategy.reason))
+                    strategy = plan(condition, space, current, next_id)
 
-                registry_available = not cfg.faults.active("registry-unavailable", t_us)
+                registry_available = not fault_active("registry-unavailable", t_us)
+                planned = registered = None
                 if strategy is not None:
+                    strategies += 1
+                    planned = (strategy.target, strategy.reason)
                     if registry_available:
-                        self.kb.register_strategy(strategy)
+                        register(strategy)
                         next_id += 1
-                        emit(("register", t_us, True, strategy.id, strategy.target))
+                        registered = (True, strategy.id, strategy.target)
                     else:
                         # Strategy dropped: the registry cannot store it.
-                        emit(("register", t_us, False, None, strategy.target))
+                        registered = (False, None, strategy.target)
 
-                outcome = self.executor.execute(self.kb, self.stream, registry_available)
-                emit((
-                    "execute", t_us,
-                    outcome.source, outcome.strategy_id, outcome.target, outcome.applied,
-                ))
-
-                dt_us = min(cfg.monitor_interval_us, cfg.run_duration_us - offset)
-                step_outcome = self.stream.step(dt_us)
-                emit((
-                    "step", t_us,
-                    dt_us, step_outcome.reconfig_us, step_outcome.segments, self.stream.active.name,
+                outcome = execute(kb, stream, registry_available)
+                dt_us = min(interval_us, run_duration_us - offset)
+                step_outcome = step(dt_us)
+                add((
+                    t_us, sample.upload_mbps, sample.ok, condition.kind, planned, registered,
+                    *outcome,
+                    dt_us, step_outcome.reconfig_us, step_outcome.segments, stream.active.name,
                 ))
                 offset += dt_us
 
-            records.append(self.stream.finalize_run(cfg.scenario, run_index, cfg.run_duration_us))
-            sink.write_run(run_index, seq, events)
-            seq += len(events)
+            records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
+            sink.write_run(run_index, seq, ticks)
+            # five events a tick, and a register event for each strategy
+            seq += 5 * len(ticks) + strategies
 
         return EngineResult(
             records=tuple(records),

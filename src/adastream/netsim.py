@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import math
 import random
+from _random import Random as _MersenneTwister
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from statistics import fmean
+from typing import NamedTuple
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
 from .units import to_us
+
+try:
+    # as random.py does: hashlib is heavy to load, the internal module is lean
+    from _sha512 import sha512 as _sha512
+except ImportError:
+    from hashlib import sha512 as _sha512
 
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
 
@@ -96,17 +104,24 @@ class FaultSchedule:
         return i >= 0 and t_us < ends[i]
 
 
-@dataclass(frozen=True)
-class SpeedSample:
-    """One probe result; ok=False means the probe itself was unavailable."""
-
+# A NamedTuple body may not define __new__, so the checked message type
+# subclasses a plain one. A tuple is built and read faster than a frozen
+# dataclass, and the loop makes one of these per tick.
+class _SpeedSampleFields(NamedTuple):
     t_us: int
     upload_mbps: float
     ok: bool
 
-    def __post_init__(self) -> None:
-        if self.ok and self.upload_mbps < 0:
+
+class SpeedSample(_SpeedSampleFields):
+    """One probe result; ok=False means the probe itself was unavailable."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_us: int, upload_mbps: float, ok: bool) -> SpeedSample:
+        if ok and upload_mbps < 0:
             raise ValueError("upload must be non-negative on a healthy probe")
+        return tuple.__new__(cls, (t_us, upload_mbps, ok))
 
 
 def generate_trace(
@@ -155,6 +170,27 @@ def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
     return trace.uploads[t_us // trace.step_us]
 
 
+# Reseeded in full before every draw, so no state carries from one call to
+# the next; only the generator object itself is reused. Like the loop that
+# calls it, this is not safe to share between threads.
+_noise_rng = _MersenneTwister()
+
+
+def _keyed_gauss(key: str, sd: float) -> float:
+    """Bit for bit `random.Random(key).gauss(0.0, sd)`, at a fraction of the cost.
+
+    It builds no `random.Random` and skips its Python-level seed and gauss
+    wrappers: the seed is the int `Random.seed` derives from a str, and the
+    draw is gauss's first value from a fresh state.
+    """
+    data = key.encode()
+    rng = _noise_rng
+    rng.seed(int.from_bytes(data + _sha512(data).digest(), "big"))
+    x2pi = rng.random() * math.tau
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    return 0.0 + math.cos(x2pi) * g2rad * sd
+
+
 def probe(
     trace: BandwidthTrace,
     faults: FaultSchedule,
@@ -175,9 +211,8 @@ def probe(
         return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
     upload = trace.uploads[t_us // trace.step_us]
     if probe_noise_sd > 0:
-        noise = random.Random(f"{seed}:{t_us}").gauss(0.0, probe_noise_sd)
-        upload = max(0.0, upload + noise)
-    return SpeedSample(t_us=t_us, upload_mbps=upload, ok=True)
+        upload = max(0.0, upload + _keyed_gauss(f"{seed}:{t_us}", probe_noise_sd))
+    return SpeedSample(t_us, upload, True)
 
 
 def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: float) -> float:

@@ -12,14 +12,13 @@ only the part of the delay that elapsed inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidRunError
 from .kb import RunRecord, StreamConfig
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """How one step's dt was spent: reconfiguring, then streaming segments."""
 
     reconfig_us: int
@@ -95,7 +94,7 @@ class StreamState:
             self.streamed_us[name] = self.streamed_us.get(name, 0) + remaining
             self.clock_us += remaining
             segments = ((name, remaining),)
-        return StepOutcome(reconfig_us=reconfig_used, segments=segments, completed_switch=completed)
+        return StepOutcome(reconfig_used, segments, completed)
 
     def finalize_run(self, scenario: str, run_index: int, expected_duration_us: int) -> RunRecord:
         """Close out the current measurement window as a RunRecord.

@@ -8,13 +8,14 @@ from adastream.mapek import (
     Analyzer,
     Condition,
     Engine,
+    ExecuteOutcome,
     Executor,
     Monitor,
     plan,
     run_loop,
 )
 from adastream.netsim import FaultSchedule, FaultWindow, SpeedSample, generate_trace
-from adastream.stream import StreamState
+from adastream.stream import StepOutcome, StreamState
 from adastream.units import to_us
 
 SPACE = default_space()
@@ -22,6 +23,45 @@ SPACE = default_space()
 
 def sample(upload, ok=True, t_us=0):
     return SpeedSample(t_us=t_us, upload_mbps=upload, ok=ok)
+
+
+# -- messages ------------------------------------------------------------
+
+
+def test_healthy_sample_upload_must_be_non_negative():
+    with pytest.raises(ValueError, match="non-negative"):
+        SpeedSample(t_us=0, upload_mbps=-1.0, ok=True)
+    faulted = SpeedSample(t_us=0, upload_mbps=0.0, ok=False)
+    assert not faulted.ok and faulted.upload_mbps == 0.0
+
+
+def test_condition_kind_must_be_valid():
+    with pytest.raises(ValueError, match="condition kind"):
+        Condition("bogus", 0)
+
+
+@pytest.mark.parametrize(
+    "message, fields",
+    [
+        (SpeedSample(t_us=5, upload_mbps=1.5, ok=True), ("t_us", "upload_mbps", "ok")),
+        (Condition(kind="below-threshold", at_us=5), ("kind", "at_us")),
+        (
+            ExecuteOutcome(source="registry", strategy_id=1, target="LR", applied=True),
+            ("source", "strategy_id", "target", "applied"),
+        ),
+        (
+            StepOutcome(reconfig_us=2, segments=(("LR", 3),), completed_switch=True),
+            ("reconfig_us", "segments", "completed_switch"),
+        ),
+    ],
+    ids=["SpeedSample", "Condition", "ExecuteOutcome", "StepOutcome"],
+)
+def test_loop_messages_are_immutable_values(message, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(message, name, getattr(message, name))
+    copy = type(message)(**{name: getattr(message, name) for name in fields})
+    assert copy == message
 
 
 # -- analysis ------------------------------------------------------------
@@ -291,6 +331,33 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
     assert revert.issued_at_us == to_us(11)
     applied = [e for e in result.events if e["event"] == "execute" and e["applied"]]
     assert [e["strategy_id"] for e in applied] == [s.id for s in result.kb.strategies]
+
+
+def test_override_during_registry_outage_is_reported_not_retried(scenario_factory):
+    config = scenario_factory(
+        runs=2,
+        trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+        probe_noise_sd_mbps=0.0,
+        warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+        faults=[{"start_s": 10.0, "end_s": 20.0, "kind": "registry-unavailable"}],
+        user_overrides=[{"at_s": 12.0, "target": "LR"}],
+    )
+    result = run_loop(config)
+    strategy_events = [
+        e for e in result.events
+        if (e["event"] == "plan" and e["action"] == "strategy") or e["event"] == "register"
+    ]
+    # One plan and one dropped registration at the override's tick, and no
+    # retry once the registry is back at t=20.
+    assert strategy_events == [
+        {"seq": 12 * 5 + 2, "run": 0, "t_us": to_us(12), "event": "plan",
+         "action": "strategy", "target": "LR", "reason": "user-config"},
+        {"seq": 12 * 5 + 3, "run": 0, "t_us": to_us(12), "event": "register",
+         "ok": False, "strategy_id": None, "target": "LR"},
+    ]
+    assert result.kb.strategies == ()
+    assert [r.switches for r in result.records] == [0, 0]
+    assert all(r.streamed_us == {"HR": to_us(30)} for r in result.records)
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,30 @@ def test_probe_deterministic_per_instant_regardless_of_call_order():
     second = probe(trace, NO_FAULTS, 12, probe_noise_sd=0.4, seed=9)
     assert first == second
     assert probe(trace, NO_FAULTS, 12, probe_noise_sd=0.4, seed=10) != first
+
+
+def reference_noisy_upload(upload: float, seed: int | str, t_us: int, sd: float) -> float:
+    """The probe's noisy reading by definition: a fresh Random per (seed, t)."""
+    return max(0.0, upload + random.Random(f"{seed}:{t_us}").gauss(0.0, sd))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.one_of(st.integers(), st.text(max_size=12)),  # text covers non-ASCII
+    grid_us=st.sampled_from([1, 500_000, 1_000_000]),
+    ticks=st.integers(0, 10**13),
+    upload=st.floats(0.0, 1e6),
+    sd=st.floats(1e-300, 1e6),
+)
+def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, upload, sd):
+    t_us = ticks // grid_us * grid_us  # up to 1e13 us, on the monitoring grid
+    trace = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
+    sample = probe(trace, NO_FAULTS, t_us / 1e6, probe_noise_sd=sd, seed=seed)
+    expected = reference_noisy_upload(upload, seed, t_us, sd)
+    assert sample.t_us == t_us
+    # repr and copysign tell 0.0 from -0.0, which == does not
+    assert repr(sample.upload_mbps) == repr(expected)
+    assert math.copysign(1.0, sample.upload_mbps) == math.copysign(1.0, expected)
 
 
 def test_probe_out_of_range():

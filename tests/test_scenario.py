@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from adastream.errors import ScenarioError
+from adastream.experiment import ARTIFACTS, run_experiment
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
 
 
@@ -205,3 +207,26 @@ def test_size_cap_counts_only_the_warmup_prefix_the_engine_generates():
         "experiment needs 20000065 trace samples; limit is 20000000 "
         "(reduce runs/run_duration_s or raise trace.step_s)"
     ]
+
+
+def test_warmup_duration_bounds_end_s_and_changes_no_artifact(tmp_path):
+    # Only [0, end_s) of the warmup trace is generated, so with end_s given,
+    # duration_s is a bound on end_s and nothing else.
+    bundled = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    digests = []
+    for duration in (65.0, 10800.0, 1e6):
+        document = dict(bundled, runs=3, warmup=dict(bundled["warmup"], duration_s=duration))
+        config, diags = parse_scenario(document)
+        assert diags == []
+        out = tmp_path / str(duration)
+        run_experiment(config, out)
+        digests.append(
+            {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+        )
+    assert digests[0] == digests[1] == digests[2]
+
+
+def test_warmup_end_s_defaults_to_duration_s():
+    config, diags = parse_scenario(doc(warmup={"duration_s": 90.0, "start_s": 10.0}))
+    assert diags == []
+    assert config.warmup.end_s == config.warmup.duration_s == 90.0
