@@ -10,13 +10,12 @@ Exit codes: 0 success, 1 config error, 2 runtime/IO error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ScenarioError, SimulationError
 from .experiment import compare, render_comparison, run_experiment
-from .scenario import load_scenario, parse_scenario
+from .scenario import load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,20 +58,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.config)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    config, diagnostics = parse_scenario(doc)
-    if config is None:
-        for diag in diagnostics:
-            print(f"invalid: {diag}", file=sys.stderr)
-        return 1
+    config = load_scenario(args.config)
     print(f"valid: scenario {config.scenario}, {config.runs} runs, seed {config.seed}")
     return 0
 

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ScenarioError
 from .kb import AdaptationSpace, StreamConfig, default_space
@@ -18,42 +19,21 @@ from .units import to_us
 
 SCENARIO_SCHEMA_VERSION = 1
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "scenario",
-    "runs",
-    "run_duration_s",
-    "monitor_interval_s",
-    "reconfig_delay_s",
-    "trace",
-    "probe_noise_sd_mbps",
-    "warmup",
-    "faults",
-    "adaptation_space",
-    "initial_config",
-    "hysteresis_mbps",
-    "user_overrides",
-    "seed",
-}
-
-_TRACE_KEYS = {"mean_mbps", "amplitude_mbps", "period_s", "noise_sd_mbps", "step_s"}
-_WARMUP_KEYS = {"duration_s", "start_s", "end_s"}
-
 
 @dataclass(frozen=True)
 class TraceParams:
-    mean_mbps: float = 5.0
-    amplitude_mbps: float = 0.0
-    period_s: float = 600.0
-    noise_sd_mbps: float = 0.0
-    step_s: float = 1.0
+    mean_mbps: float
+    amplitude_mbps: float
+    period_s: float
+    noise_sd_mbps: float
+    step_s: float
 
 
 @dataclass(frozen=True)
 class WarmupParams:
-    duration_s: float = 10800.0
-    start_s: float = 0.0
-    end_s: float = 10800.0
+    duration_s: float
+    start_s: float
+    end_s: float
 
 
 @dataclass(frozen=True)
@@ -93,58 +73,132 @@ class ScenarioConfig:
         return replace(self, seed=seed)
 
 
-# generous sanity ceiling for every time/speed field, in its own unit
+# generous sanity ceiling for every number, in its own unit, unless its field sets one
 _NUMBER_CAP = 1e8
+
+# the clock's resolution: a shorter positive duration rounds to 0 µs
+_MIN_DURATION_S = 1e-6
 
 # keeps a typo'd config from allocating a trace with billions of samples
 _MAX_TRACE_SAMPLES = 20_000_000
 
 
-def _get_number(doc: dict, key: str, diags: list[str], default=None, minimum=None, strict_min=False):
-    value = doc.get(key, default)
-    if value is None:
-        diags.append(f"{key} is required")
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        diags.append(f"{key} must be a finite number, got {value!r}")
-        return None
-    if minimum is not None:
-        if strict_min and value <= minimum:
-            diags.append(f"{key} must be > {minimum}, got {value}")
-            return None
-        if not strict_min and value < minimum:
-            diags.append(f"{key} must be >= {minimum}, got {value}")
-            return None
-    if abs(value) > _NUMBER_CAP:
-        diags.append(f"{key} is implausibly large ({value!r}); limit is {_NUMBER_CAP:g}")
-        return None
-    return value
+class _Field(NamedTuple):
+    """One key of a scenario object: its JSON type, default and accepted range."""
+
+    name: str
+    type: type  # int, float (any finite number), str, dict or list
+    default: object = ...  # ... marks a required key, None an optional one with no default
+    ge: float | None = None  # the bounds apply to int and float fields
+    gt: float | None = None
+    le: float | None = _NUMBER_CAP
 
 
-def _parse_space(raw, diags: list[str]) -> AdaptationSpace | None:
+_TOP_FIELDS = (
+    _Field("schema_version", int, ge=SCENARIO_SCHEMA_VERSION, le=SCENARIO_SCHEMA_VERSION),
+    _Field("scenario", str),
+    _Field("runs", int, ge=1, le=10_000_000),
+    _Field("run_duration_s", float, ge=_MIN_DURATION_S),
+    _Field("monitor_interval_s", float, 1.0, ge=_MIN_DURATION_S),
+    _Field("reconfig_delay_s", float, 2.7, ge=0),
+    _Field("trace", dict, {}),
+    _Field("probe_noise_sd_mbps", float, 0.0, ge=0),
+    _Field("warmup", dict, {}),
+    _Field("faults", list, []),
+    _Field("adaptation_space", list, None),
+    _Field("initial_config", str, None),
+    _Field("hysteresis_mbps", float, 0.0, ge=0),
+    _Field("user_overrides", list, []),
+    _Field("seed", int, le=None),
+)
+_TRACE_FIELDS = (
+    _Field("mean_mbps", float, 5.0, gt=0),
+    _Field("amplitude_mbps", float, 0.0, ge=0),
+    _Field("period_s", float, 600.0, ge=_MIN_DURATION_S),
+    _Field("noise_sd_mbps", float, 0.0, ge=0),
+    _Field("step_s", float, 1.0, ge=_MIN_DURATION_S),
+)
+_WARMUP_FIELDS = (
+    _Field("duration_s", float, 10800.0, gt=0),
+    _Field("start_s", float, 0.0, ge=0),
+    _Field("end_s", float, None, ge=0),  # absent: duration_s
+)
+_FAULT_FIELDS = (
+    _Field("start_s", float, ge=0),
+    _Field("end_s", float, ge=0),
+    _Field("kind", str),
+)
+_OVERRIDE_FIELDS = (
+    _Field("at_s", float, ge=0),
+    _Field("target", str),
+)
+_SPACE_FIELDS = (
+    _Field("name", str),
+    _Field("frame_rate", int, ge=1),
+    _Field("scale_w", int, ge=1),
+    _Field("scale_h", int, ge=1),
+    _Field("quality_score", float, ge=0, le=1),
+)
+
+# the Python types json.loads gives for each field type, and the type's name
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    list: ((list,), "a list"),
+}
+
+
+def _read(obj, where: str, fields: tuple[_Field, ...], diags: list[str]) -> tuple[dict, bool]:
+    """Read one JSON object by its field table, with a diagnostic per violation.
+
+    Returns the values that passed, defaults filled in, and whether every
+    field and key did.
+    """
+    if type(obj) is not dict:
+        diags.append(f"{where or 'scenario config'} must be an object, got {obj!r}")
+        return {}, False
+    prefix = f"{where}." if where else ""
+    count = len(diags)
+    values = {}
+    present = 0
+    for name, kind, default, ge, gt, le in fields:
+        if name not in obj:
+            if default is ...:
+                diags.append(f"{prefix}{name} is required")
+            else:
+                values[name] = default
+            continue
+        present += 1
+        value = obj[name]
+        accepted, noun = _JSON_TYPES[kind]
+        if type(value) not in accepted or (type(value) is float and not math.isfinite(value)):
+            diags.append(f"{prefix}{name} must be {noun}, got {value!r}")
+        elif kind is not int and kind is not float:
+            values[name] = value
+        elif ge is not None and value < ge:
+            diags.append(f"{prefix}{name} must be >= {ge:g}, got {value!r}")
+        elif gt is not None and value <= gt:
+            diags.append(f"{prefix}{name} must be > {gt:g}, got {value!r}")
+        elif le is not None and value > le:
+            diags.append(f"{prefix}{name} must be <= {le:g}, got {value!r}")
+        else:
+            values[name] = value
+    if present < len(obj):
+        for key in sorted(obj.keys() - {field.name for field in fields}):
+            diags.append(f"unknown key {prefix + key!r}")
+    return values, len(diags) == count
+
+
+def _parse_space(raw: list | None, diags: list[str]) -> AdaptationSpace | None:
     if raw is None:
         return default_space()
-    if not isinstance(raw, list) or not raw:
-        diags.append("adaptation_space must be a non-empty list of config objects")
-        return None
     configs = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            diags.append(f"adaptation_space[{i}] must be an object")
-            continue
-        try:
-            configs.append(
-                StreamConfig(
-                    name=str(entry["name"]),
-                    frame_rate=int(entry["frame_rate"]),
-                    scale_w=int(entry["scale_w"]),
-                    scale_h=int(entry["scale_h"]),
-                    quality_score=float(entry["quality_score"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            diags.append(f"adaptation_space[{i}] invalid: {exc}")
-    if not configs:
+        values, ok = _read(entry, f"adaptation_space[{i}]", _SPACE_FIELDS, diags)
+        configs.append(StreamConfig(**values) if ok else None)
+    if None in configs:
         return None
     try:
         return AdaptationSpace(configs=tuple(configs))
@@ -153,34 +207,23 @@ def _parse_space(raw, diags: list[str]) -> AdaptationSpace | None:
         return None
 
 
-def _parse_faults(raw, diags: list[str]) -> FaultSchedule:
+def _parse_faults(raw: list, diags: list[str]) -> FaultSchedule:
     windows = []
-    if raw is None:
-        raw = []
-    if not isinstance(raw, list):
-        diags.append("faults must be a list of window objects")
-        raw = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            diags.append(f"faults[{i}] must be an object")
+        where = f"faults[{i}]"
+        values, ok = _read(entry, where, _FAULT_FIELDS, diags)
+        if not ok:
             continue
-        kind = entry.get("kind")
+        start, end, kind = values["start_s"], values["end_s"], values["kind"]
         if kind not in FAULT_KINDS:
-            diags.append(f"faults[{i}].kind must be one of {list(FAULT_KINDS)}, got {kind!r}")
+            diags.append(f"{where}.kind must be one of {list(FAULT_KINDS)}, got {kind!r}")
             continue
-        try:
-            start = float(entry["start_s"])
-            end = float(entry["end_s"])
-        except (KeyError, TypeError, ValueError):
-            diags.append(f"faults[{i}] needs numeric start_s and end_s")
+        # compared on the engine's microsecond clock, where 1e-7 and 2e-7 s are both 0
+        start_us, end_us = to_us(start), to_us(end)
+        if start_us >= end_us:
+            diags.append(f"{where} needs start_s < end_s, at least 1 µs apart, got [{start}, {end})")
             continue
-        if not (math.isfinite(start) and math.isfinite(end)) or abs(end) > _NUMBER_CAP:
-            diags.append(f"faults[{i}] bounds must be finite and below {_NUMBER_CAP:g}")
-            continue
-        if start < 0 or start >= end:
-            diags.append(f"faults[{i}] needs 0 <= start_s < end_s, got [{start}, {end})")
-            continue
-        windows.append(FaultWindow(start_us=to_us(start), end_us=to_us(end), kind=kind))
+        windows.append(FaultWindow(start_us=start_us, end_us=end_us, kind=kind))
     try:
         return FaultSchedule(windows=tuple(windows))
     except ValueError as exc:
@@ -188,48 +231,28 @@ def _parse_faults(raw, diags: list[str]) -> FaultSchedule:
         return FaultSchedule()
 
 
-def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
+def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     """Validate a scenario document, collecting all violations."""
     diags: list[str] = []
-    if not isinstance(doc, dict):
-        return None, ["scenario config must be a JSON object"]
+    top, _ = _read(doc, "", _TOP_FIELDS, diags)
 
-    for key in sorted(set(doc) - _TOP_LEVEL_KEYS):
-        diags.append(f"unknown key {key!r}")
+    # a sub-object or list whose own type is wrong is left out of `top`
+    space = _parse_space(top["adaptation_space"], diags) if "adaptation_space" in top else None
 
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
-        diags.append(f"schema_version must be {SCENARIO_SCHEMA_VERSION}, got {version!r}")
-
-    space = _parse_space(doc.get("adaptation_space"), diags)
-
-    scenario = doc.get("scenario")
+    scenario = top.get("scenario")
     pinned: str | None = None
-    if not isinstance(scenario, str):
-        diags.append(f"scenario must be a string label, got {scenario!r}")
-        scenario = None
-    elif scenario == "adaptive":
-        pass
-    elif scenario.startswith("static-"):
+    if scenario is not None and scenario.startswith("static-"):
         pinned = scenario[len("static-"):]
         if space is not None and pinned not in space:
             diags.append(
                 f"scenario {scenario!r} pins config {pinned!r}, which is not in the adaptation space"
             )
-    else:
+    elif scenario not in (None, "adaptive"):
         diags.append(f"scenario must be 'adaptive' or 'static-<config>', got {scenario!r}")
-        scenario = None
 
-    runs = doc.get("runs")
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-        diags.append(f"runs must be >= 1, got {runs!r}")
-        runs = None
-    elif runs > 10_000_000:
-        diags.append(f"runs is implausibly large ({runs})")
-        runs = None
-
-    run_duration = _get_number(doc, "run_duration_s", diags, minimum=0, strict_min=True)
-    interval = _get_number(doc, "monitor_interval_s", diags, default=1.0, minimum=0, strict_min=True)
+    runs = top.get("runs")
+    run_duration = top.get("run_duration_s")
+    interval = top.get("monitor_interval_s")
     if run_duration is not None and interval is not None:
         # runs execute back-to-back on one clock, so the per-run tick grid
         # must line up with the global monitoring grid
@@ -238,65 +261,33 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
                 f"run_duration_s ({run_duration}) must be a whole multiple of "
                 f"monitor_interval_s ({interval})"
             )
-    delay = _get_number(doc, "reconfig_delay_s", diags, default=2.7, minimum=0)
-    probe_noise = _get_number(doc, "probe_noise_sd_mbps", diags, default=0.0, minimum=0)
-    hysteresis = _get_number(doc, "hysteresis_mbps", diags, default=0.0, minimum=0)
 
-    seed = doc.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        diags.append(f"seed must be an integer, got {seed!r}")
-        seed = None
-
-    raw_trace = doc.get("trace", {})
     trace = None
-    if not isinstance(raw_trace, dict):
-        diags.append("trace must be an object")
-    else:
-        for key in sorted(set(raw_trace) - _TRACE_KEYS):
-            diags.append(f"unknown trace key {key!r}")
-        tdiags: list[str] = []
-        mean = _get_number(raw_trace, "mean_mbps", tdiags, default=5.0, minimum=0, strict_min=True)
-        amplitude = _get_number(raw_trace, "amplitude_mbps", tdiags, default=0.0, minimum=0)
-        period = _get_number(raw_trace, "period_s", tdiags, default=600.0, minimum=0, strict_min=True)
-        noise = _get_number(raw_trace, "noise_sd_mbps", tdiags, default=0.0, minimum=0)
-        step = _get_number(raw_trace, "step_s", tdiags, default=1.0, minimum=0, strict_min=True)
-        diags.extend(f"trace.{d}" for d in tdiags)
-        if not tdiags:
-            trace = TraceParams(
-                mean_mbps=mean, amplitude_mbps=amplitude, period_s=period,
-                noise_sd_mbps=noise, step_s=step,
-            )
+    if "trace" in top:
+        values, ok = _read(top["trace"], "trace", _TRACE_FIELDS, diags)
+        if ok:
+            trace = TraceParams(**values)
 
-    raw_warmup = doc.get("warmup", {})
     warmup = None
-    if not isinstance(raw_warmup, dict):
-        diags.append("warmup must be an object")
-    else:
-        for key in sorted(set(raw_warmup) - _WARMUP_KEYS):
-            diags.append(f"unknown warmup key {key!r}")
-        wdiags: list[str] = []
-        w_duration = _get_number(raw_warmup, "duration_s", wdiags, default=10800.0, minimum=0, strict_min=True)
-        w_start = _get_number(raw_warmup, "start_s", wdiags, default=0.0, minimum=0)
-        w_end = _get_number(raw_warmup, "end_s", wdiags, default=w_duration if w_duration else 10800.0)
-        diags.extend(f"warmup.{d}" for d in wdiags)
-        if not wdiags:
+    if "warmup" in top:
+        values, ok = _read(top["warmup"], "warmup", _WARMUP_FIELDS, diags)
+        if ok:
+            w_duration, w_start, w_end = values["duration_s"], values["start_s"], values["end_s"]
+            if w_end is None:
+                w_end = w_duration
             if w_start >= w_end or w_end > w_duration:
                 diags.append(
                     f"warmup window needs 0 <= start_s < end_s <= duration_s, "
                     f"got [{w_start}, {w_end}) over {w_duration}"
                 )
+            elif trace is not None and w_duration < trace.step_s:
+                diags.append("warmup.duration_s must cover at least one trace step")
             else:
                 warmup = WarmupParams(duration_s=w_duration, start_s=w_start, end_s=w_end)
-        if trace is not None and warmup is not None and warmup.duration_s < trace.step_s:
-            diags.append("warmup.duration_s must cover at least one trace step")
-            warmup = None
 
-    faults = _parse_faults(doc.get("faults"), diags)
+    faults = _parse_faults(top.get("faults", []), diags)
 
-    initial = doc.get("initial_config")
-    if initial is not None and not isinstance(initial, str):
-        diags.append(f"initial_config must be a string, got {initial!r}")
-        initial = None
+    initial = top.get("initial_config")
     if space is not None:
         if initial is None:
             if pinned is not None:
@@ -312,27 +303,15 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
             )
 
     overrides: list[UserOverride] = []
-    raw_overrides = doc.get("user_overrides", [])
-    if not isinstance(raw_overrides, list):
-        diags.append("user_overrides must be a list")
-        raw_overrides = []
-    for i, entry in enumerate(raw_overrides):
-        if not isinstance(entry, dict) or "at_s" not in entry or "target" not in entry:
-            diags.append(f"user_overrides[{i}] needs at_s and target")
+    for i, entry in enumerate(top.get("user_overrides", [])):
+        values, ok = _read(entry, f"user_overrides[{i}]", _OVERRIDE_FIELDS, diags)
+        if not ok:
             continue
-        try:
-            at_s = float(entry["at_s"])
-        except (TypeError, ValueError):
-            diags.append(f"user_overrides[{i}].at_s must be a number")
-            continue
-        target = entry["target"]
-        if not math.isfinite(at_s) or not 0 <= at_s <= _NUMBER_CAP:
-            diags.append(f"user_overrides[{i}].at_s must be in [0, {_NUMBER_CAP:g}]")
-            continue
+        target = values["target"]
         if space is not None and target not in space:
             diags.append(f"user_overrides[{i}].target {target!r} not in the adaptation space")
             continue
-        overrides.append(UserOverride(at_us=to_us(at_s), target=str(target)))
+        overrides.append(UserOverride(at_us=to_us(values["at_s"]), target=target))
     if overrides and pinned is not None:
         diags.append("user_overrides require the adaptive scenario")
 
@@ -357,16 +336,16 @@ def parse_scenario(doc: dict) -> tuple[ScenarioConfig | None, list[str]]:
         runs=runs,
         run_duration_us=to_us(run_duration),
         monitor_interval_us=to_us(interval),
-        reconfig_delay_us=to_us(delay),
+        reconfig_delay_us=to_us(top["reconfig_delay_s"]),
         trace=trace,
-        probe_noise_sd_mbps=probe_noise,
+        probe_noise_sd_mbps=top["probe_noise_sd_mbps"],
         warmup=warmup,
         faults=faults,
         space=space,
         initial_config=initial,
-        hysteresis_mbps=hysteresis,
+        hysteresis_mbps=top["hysteresis_mbps"],
         user_overrides=tuple(sorted(overrides, key=lambda o: o.at_us)),
-        seed=seed,
+        seed=top["seed"],
     )
     return config, []
 
@@ -384,12 +363,10 @@ def bundled_config_path(name: str) -> Path:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError on any violation."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long int, deep nesting
         raise ScenarioError([f"{path} is not valid JSON: {exc}"]) from exc
     config, diags = parse_scenario(doc)
     if config is None:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from adastream.cli import main
-from adastream.scenario import bundled_config_path
+from adastream.scenario import bundled_config_path, parse_scenario
 
 
 def test_run_and_compare_round_trip(tmp_path, capsys):
@@ -109,3 +111,48 @@ def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, ca
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "warmup window [60, 90)" in err and "threshold of 0 Mbps" in err
     assert list(out.iterdir()) == []
+
+
+def test_validate_rejects_a_trace_period_below_the_clock_resolution(tmp_path, capsys):
+    # `run` once died in generate_trace's sin with a math domain error
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 1000,
+        "run_duration_s": 30000,
+        "monitor_interval_s": 30000,
+        "trace": {"period_s": 1e-300, "step_s": 100},
+        "warmup": {"start_s": 0, "end_s": 600},
+        "seed": 1,
+    }
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    _, diags = parse_scenario(config)
+    assert err.splitlines() == [f"config error: {d}" for d in diags]
+    assert "trace.period_s" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps({"schema_version": 1, "scenario": "adaptive", "runs": 0, "extra": 1}).encode(),
+        b"{oops",
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"runs": 1' + b"0" * 5000 + b"}",  # an integer too long for int()
+        b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the decoder recurses
+        None,  # no file at all
+    ],
+    ids=["invalid", "malformed", "not-utf8", "long-int", "deep", "missing"],
+)
+def test_validate_and_run_print_the_same_errors_for_one_bad_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    validate_err = capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    run_err = capsys.readouterr().err
+    assert validate_err == run_err
+    assert validate_err and all(line.startswith("config error: ") for line in validate_err.splitlines())

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adastream import scenario
 from adastream.errors import ScenarioError
 from adastream.experiment import ARTIFACTS, run_experiment
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
@@ -230,3 +237,130 @@ def test_warmup_end_s_defaults_to_duration_s():
     config, diags = parse_scenario(doc(warmup={"duration_s": 90.0, "start_s": 10.0}))
     assert diags == []
     assert config.warmup.end_s == config.warmup.duration_s == 90.0
+
+
+def adaptive_doc_with_entries():
+    """The bundled adaptive document with one entry in each list it may hold."""
+    document = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    document["faults"] = [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}]
+    document["user_overrides"] = [{"at_s": 150.0, "target": "HR"}]
+    document["adaptation_space"] = [
+        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
+    ]
+    return document
+
+
+def key_paths(node, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from key_paths(child, path + (key,))
+
+
+DELETE = object()
+
+
+def mutated(document, path, value):
+    """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+BASE = adaptive_doc_with_entries()
+PATHS = list(key_paths(BASE))
+ODD_VALUES = st.one_of(
+    st.sampled_from([
+        DELETE, None, True, False, "", "90", [], [1.0], {}, {"x": 1},
+        math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-7, 2e-7, 4e-7, 0, 0.0, -1, -0.5,
+    ]),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(PATHS), ODD_VALUES), min_size=1, max_size=3))
+def test_any_document_gives_a_config_or_diagnostics_never_an_exception(mutations):
+    document = BASE
+    for path, value in mutations:
+        try:
+            document = mutated(document, path, value)
+        except (KeyError, IndexError, TypeError):  # an earlier mutation removed or replaced the path
+            pass
+    config, diags = parse_scenario(document)
+    assert (config is None and diags and all(isinstance(d, str) for d in diags)) or (
+        isinstance(config, scenario.ScenarioConfig) and diags == []
+    )
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("monitor_interval_s",), 1e-7, "monitor_interval_s"),
+        (("trace", "step_s"), 1e-7, "trace.step_s"),
+        (("faults", 0), {"start_s": 1e-7, "end_s": 2e-7, "kind": "probe-unavailable"}, "faults[0]"),
+    ],
+)
+def test_durations_below_the_clock_resolution_are_one_diagnostic(path, value, where):
+    # each rounds to 0 us, which once raised ZeroDivisionError or ValueError
+    config, diags = parse_scenario(mutated(BASE, path, value))
+    assert config is None
+    assert len(diags) == 1 and diags[0].startswith(where)
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("adaptation_space", 0, "frame_rate"), 30.9, "adaptation_space[0].frame_rate"),
+        (("adaptation_space", 0, "frame_rate"), 30.0, "adaptation_space[0].frame_rate"),
+        (("adaptation_space", 0, "frame_rate"), True, "adaptation_space[0].frame_rate"),
+        (("adaptation_space", 0, "frame_rate"), "30", "adaptation_space[0].frame_rate"),
+        (("adaptation_space", 0, "quality_score"), "0.5", "adaptation_space[0].quality_score"),
+        (("adaptation_space", 0, "name"), None, "adaptation_space[0].name"),
+        (("adaptation_space", 0, "extra"), 1, "adaptation_space[0].extra"),
+        (("faults", 0, "start_s"), "90", "faults[0].start_s"),
+        (("faults", 0, "start_s"), True, "faults[0].start_s"),
+        (("faults", 0, "extra"), 1, "faults[0].extra"),
+        (("user_overrides", 0, "at_s"), True, "user_overrides[0].at_s"),
+        (("user_overrides", 0, "extra"), 1, "user_overrides[0].extra"),
+    ],
+)
+def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, where):
+    config, diags = parse_scenario(mutated(BASE, path, value))
+    assert config is None
+    assert any(where in d for d in diags), diags
+
+
+def readme_schema():
+    """README's jsonc schema block with its // comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def test_readme_schema_validates_and_names_every_accepted_key():
+    document = readme_schema()
+    config, diags = parse_scenario(document)
+    assert diags == [] and config is not None
+    levels = {
+        "top": (document, scenario._TOP_FIELDS),
+        "trace": (document["trace"], scenario._TRACE_FIELDS),
+        "warmup": (document["warmup"], scenario._WARMUP_FIELDS),
+        "fault": (document["faults"][0], scenario._FAULT_FIELDS),
+        "override": (document["user_overrides"][0], scenario._OVERRIDE_FIELDS),
+        "space entry": (document["adaptation_space"][0], scenario._SPACE_FIELDS),
+    }
+    for level, (documented, fields) in levels.items():
+        assert set(documented) == {f.name for f in fields}, level
