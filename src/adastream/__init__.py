@@ -26,7 +26,6 @@ from .netsim import (
     FaultSchedule,
     FaultWindow,
     SpeedSample,
-    bandwidth_at,
     compute_threshold,
     generate_trace,
     probe,
@@ -55,7 +54,6 @@ __all__ = [
     "StreamConfig",
     "StreamState",
     "aggregate",
-    "bandwidth_at",
     "compare",
     "compute_threshold",
     "config_quality_score",

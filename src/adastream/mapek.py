@@ -35,7 +35,7 @@ from .netsim import (
 )
 from .scenario import ScenarioConfig, TraceParams
 from .stream import StreamState
-from .units import to_seconds
+from .units import to_us
 
 CONDITION_KINDS = ("above-threshold", "below-threshold", "unknown")
 
@@ -138,12 +138,8 @@ class Monitor:
 
     def tick(self, t_us: int) -> SpeedSample:
         if t_us % self._interval_us != 0:
-            raise ValueError(
-                f"monitor tick at {t_us}us is off the {self._interval_us}us grid"
-            )
-        return probe(
-            self._trace, self._faults, to_seconds(t_us), self._probe_noise_sd, self._probe_seed
-        )
+            raise ValueError(f"monitor tick at {t_us}us is off the {self._interval_us}us grid")
+        return probe(self._trace, self._faults, t_us, self._probe_noise_sd, self._probe_seed)
 
 
 class ExecuteOutcome(NamedTuple):
@@ -236,15 +232,15 @@ class EngineResult:
     events: list[dict] = field(default_factory=list)
 
 
-def trace_for(shape: TraceParams, duration_s: float, seed: str) -> BandwidthTrace:
-    """The scenario's bandwidth trace model over [0, duration_s) on one seed stream."""
+def trace_for(shape: TraceParams, duration_us: int, seed: str) -> BandwidthTrace:
+    """The scenario's bandwidth trace model over [0, duration_us) on one seed stream."""
     return generate_trace(
         mean=shape.mean_mbps,
         amplitude=shape.amplitude_mbps,
         period=shape.period_s,
         noise_sd=shape.noise_sd_mbps,
-        duration=duration_s,
-        step=shape.step_s,
+        duration_us=duration_us,
+        step_us=shape.step_us,
         seed=seed,
     )
 
@@ -256,12 +252,12 @@ class Engine:
         self.config = config
         self.space = config.space
         shape, warmup, seed = config.trace, config.warmup, config.seed
-        self.trace = trace_for(shape, to_seconds(config.total_duration_us), f"{seed}/trace")
+        self.trace = trace_for(shape, config.total_duration_us, f"{seed}/trace")
         # Same trace model, disjoint seed stream: the measurement period
         # preceding the experiment. The threshold averages only [start, end),
         # and a shorter trace is a prefix of a longer one on the same seed,
         # so the warmup trace stops at the window's end.
-        warmup_trace = trace_for(shape, max(warmup.end_s, shape.step_s), f"{seed}/warmup")
+        warmup_trace = trace_for(shape, max(to_us(warmup.end_s), shape.step_us), f"{seed}/warmup")
         self.threshold_mbps = compute_threshold(warmup_trace, warmup.start_s, warmup.end_s)
         if self.threshold_mbps <= 0:
             raise SimulationError(

@@ -51,11 +51,6 @@ class BandwidthTrace:
     def duration_us(self) -> int:
         return len(self.uploads) * self.step_us
 
-    def samples(self):
-        """Yield (t_us, upload_mbps) pairs in time order."""
-        for i, upload in enumerate(self.uploads):
-            yield i * self.step_us, upload
-
 
 @dataclass(frozen=True)
 class FaultWindow:
@@ -129,24 +124,22 @@ def generate_trace(
     amplitude: float,
     period: float,
     noise_sd: float,
-    duration: float,
-    step: float,
+    duration_us: int,
+    step_us: int,
     seed: int | str,
 ) -> BandwidthTrace:
-    """Generate a seeded bandwidth trace covering [0, duration) at a fixed step."""
+    """Generate a seeded bandwidth trace covering [0, duration_us) at a fixed step."""
     if mean <= 0:
         raise InvalidTraceError(f"mean must be positive, got {mean}")
-    if step <= 0:
-        raise InvalidTraceError(f"step must be positive, got {step}")
-    if duration < step:
-        raise InvalidTraceError(f"duration {duration} must be at least one step {step}")
+    if step_us <= 0:
+        raise InvalidTraceError(f"step must be positive, got {step_us} us")
+    if duration_us < step_us:
+        raise InvalidTraceError(f"duration {duration_us} us must be at least one step {step_us} us")
     if period <= 0:
         raise InvalidTraceError(f"period must be positive, got {period}")
     if noise_sd < 0:
         raise InvalidTraceError(f"noise_sd must be non-negative, got {noise_sd}")
 
-    step_us = to_us(step)
-    duration_us = to_us(duration)
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
     rng = random.Random(seed)
     two_pi = 2.0 * math.pi
@@ -158,16 +151,6 @@ def generate_trace(
             value += rng.gauss(0.0, noise_sd)
         uploads.append(max(0.0, value))
     return BandwidthTrace(uploads=tuple(uploads), step_us=step_us)
-
-
-def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
-    """Upload speed at time t (seconds): the enclosing step's sample, left-closed."""
-    t_us = to_us(t)
-    if not 0 <= t_us < trace.duration_us:
-        raise OutOfRangeError(
-            f"t={t}s outside trace [0, {trace.duration_us / 1e6}s)"
-        )
-    return trace.uploads[t_us // trace.step_us]
 
 
 # Reseeded in full before every draw, so no state carries from one call to
@@ -194,19 +177,18 @@ def _keyed_gauss(key: str, sd: float) -> float:
 def probe(
     trace: BandwidthTrace,
     faults: FaultSchedule,
-    t: float,
+    t_us: int,
     probe_noise_sd: float,
     seed: int | str,
 ) -> SpeedSample:
-    """Run the speed-test probe at time t.
+    """Run the speed-test probe at time t_us.
 
     Inside a probe-unavailable fault window the result is ok=False. The
-    measurement noise stream is keyed on (seed, t), so the same instant
+    measurement noise stream is keyed on (seed, t_us), so the same instant
     always yields the same sample.
     """
-    t_us = to_us(t)
     if not 0 <= t_us < trace.duration_us:
-        raise OutOfRangeError(f"t={t}s outside trace [0, {trace.duration_us / 1e6}s)")
+        raise OutOfRangeError(f"t={t_us}us outside trace [0, {trace.duration_us}us)")
     if faults.active("probe-unavailable", t_us):
         return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
     upload = trace.uploads[t_us // trace.step_us]
@@ -215,8 +197,13 @@ def probe(
     return SpeedSample(t_us, upload, True)
 
 
+def sample_indices(start_us: int, end_us: int, step_us: int) -> range:
+    """The indices i of the sample instants i * step_us in [start_us, end_us)."""
+    return range(-(-start_us // step_us), -(-end_us // step_us))
+
+
 def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: float) -> float:
-    """Mean upload speed over samples with warmup_start <= t < warmup_end."""
+    """Mean upload speed over samples with warmup_start <= t < warmup_end, in seconds."""
     start_us = to_us(warmup_start)
     end_us = to_us(warmup_end)
     if not 0 <= start_us < end_us <= trace.duration_us:
@@ -224,10 +211,9 @@ def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: fl
             f"warmup window [{warmup_start}, {warmup_end}) invalid for trace of "
             f"{trace.duration_us / 1e6}s"
         )
-    values = [u for t_us, u in trace.samples() if start_us <= t_us < end_us]
+    span = sample_indices(start_us, end_us, trace.step_us)
+    values = trace.uploads[span.start:span.stop]
     if not values:
-        raise EmptyWindowError(
-            f"warmup window [{warmup_start}, {warmup_end}) selects no samples"
-        )
+        raise EmptyWindowError(f"warmup window [{warmup_start}, {warmup_end}) selects no samples")
     return fmean(values)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import ScenarioError
 from .kb import AdaptationSpace, StreamConfig, default_space
-from .netsim import FAULT_KINDS, FaultSchedule, FaultWindow
+from .netsim import FAULT_KINDS, FaultSchedule, FaultWindow, sample_indices
 from .units import to_us
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -26,12 +26,11 @@ class TraceParams:
     amplitude_mbps: float
     period_s: float
     noise_sd_mbps: float
-    step_s: float
+    step_us: int
 
 
 @dataclass(frozen=True)
 class WarmupParams:
-    duration_s: float
     start_s: float
     end_s: float
 
@@ -250,40 +249,44 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     elif scenario not in (None, "adaptive"):
         diags.append(f"scenario must be 'adaptive' or 'static-<config>', got {scenario!r}")
 
+    # past this point the clock runs in microseconds: each value is converted once
     runs = top.get("runs")
-    run_duration = top.get("run_duration_s")
-    interval = top.get("monitor_interval_s")
-    if run_duration is not None and interval is not None:
-        # runs execute back-to-back on one clock, so the per-run tick grid
-        # must line up with the global monitoring grid
-        if to_us(run_duration) % to_us(interval) != 0:
-            diags.append(
-                f"run_duration_s ({run_duration}) must be a whole multiple of "
-                f"monitor_interval_s ({interval})"
-            )
+    run_duration, interval = top.get("run_duration_s"), top.get("monitor_interval_s")
+    run_duration_us = None if run_duration is None else to_us(run_duration)
+    interval_us = None if interval is None else to_us(interval)
+    # runs execute back-to-back on one clock, so the per-run tick grid
+    # must line up with the global monitoring grid
+    if None not in (run_duration_us, interval_us) and run_duration_us % interval_us != 0:
+        diags.append(
+            f"run_duration_s ({run_duration}) must be a whole multiple of "
+            f"monitor_interval_s ({interval})"
+        )
 
     trace = None
     if "trace" in top:
         values, ok = _read(top["trace"], "trace", _TRACE_FIELDS, diags)
         if ok:
-            trace = TraceParams(**values)
+            trace = TraceParams(step_us=to_us(values.pop("step_s")), **values)
 
     warmup = None
     if "warmup" in top:
         values, ok = _read(top["warmup"], "warmup", _WARMUP_FIELDS, diags)
         if ok:
-            w_duration, w_start, w_end = values["duration_s"], values["start_s"], values["end_s"]
-            if w_end is None:
-                w_end = w_duration
+            w_duration, w_start = values["duration_s"], values["start_s"]
+            w_end = w_duration if values["end_s"] is None else values["end_s"]
             if w_start >= w_end or w_end > w_duration:
                 diags.append(
                     f"warmup window needs 0 <= start_s < end_s <= duration_s, "
                     f"got [{w_start}, {w_end}) over {w_duration}"
                 )
-            elif trace is not None and w_duration < trace.step_s:
+            elif trace is not None and to_us(w_duration) < trace.step_us:
                 diags.append("warmup.duration_s must cover at least one trace step")
+            elif trace is not None and not sample_indices(
+                to_us(w_start), to_us(w_end), trace.step_us
+            ):
+                diags.append(f"warmup window [{w_start}, {w_end}) selects no trace samples")
             else:
-                warmup = WarmupParams(duration_s=w_duration, start_s=w_start, end_s=w_end)
+                warmup = WarmupParams(start_s=w_start, end_s=w_end)
 
     faults = _parse_faults(top.get("faults", []), diags)
 
@@ -315,13 +318,15 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     if overrides and pinned is not None:
         diags.append("user_overrides require the adaptive scenario")
 
-    if runs is not None and run_duration is not None and trace is not None:
+    if None not in (runs, run_duration_us, trace):
+        step_us = trace.step_us
+        if runs * run_duration_us < step_us:
+            diags.append(f"runs * run_duration_s ({runs} * {run_duration}) is below one trace.step_s")
         # what Engine generates: ceil(duration / step) samples for the runs,
         # and for the warmup only up to max(end_s, step_s)
-        step_us = to_us(trace.step_s)
-        samples = -(-runs * to_us(run_duration) // step_us)
+        samples = -(-runs * run_duration_us // step_us)
         if warmup is not None:
-            samples += -(-to_us(max(warmup.end_s, trace.step_s)) // step_us)
+            samples += -(-max(to_us(warmup.end_s), step_us) // step_us)
         if samples > _MAX_TRACE_SAMPLES:
             diags.append(
                 f"experiment needs {samples} trace samples; limit is {_MAX_TRACE_SAMPLES} "
@@ -334,8 +339,8 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     config = ScenarioConfig(
         scenario=scenario,
         runs=runs,
-        run_duration_us=to_us(run_duration),
-        monitor_interval_us=to_us(interval),
+        run_duration_us=run_duration_us,
+        monitor_interval_us=interval_us,
         reconfig_delay_us=to_us(top["reconfig_delay_s"]),
         trace=trace,
         probe_noise_sd_mbps=top["probe_noise_sd_mbps"],

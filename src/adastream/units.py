@@ -2,8 +2,8 @@
 
 All internal bookkeeping runs on integer microseconds so that time
 accounting is exact (streamed + reconfiguring == elapsed, always).
-Float seconds appear only at the boundaries: config files, CSV exports,
-and the public helpers below.
+Float seconds appear only at the boundaries: config files and CSV
+exports, each converted by one of the helpers below.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ US_PER_SECOND = 1_000_000
 def to_us(seconds: float) -> int:
     """Convert seconds to integer microseconds (nearest)."""
     return round(seconds * US_PER_SECOND)
-
-
-def to_seconds(us: int) -> float:
-    """Convert integer microseconds back to float seconds."""
-    return us / US_PER_SECOND
 
 
 def format_seconds(us: int) -> str:

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line. Tolerances are fixed here and nowhere else."""
+pass/fail line, and a property that generated documents keep criterion 7's
+invariants. Tolerances are fixed here and nowhere else."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from adastream.errors import SimulationError
 from adastream.experiment import run_experiment
 from adastream.kb import default_space
 from adastream.mapek import run_loop
@@ -266,50 +270,141 @@ def _fault_sweep_scenario(rng: random.Random):
     return config
 
 
+def assert_loop_invariants(config, result) -> None:
+    """Criterion 7: exact time accounting, an append-only registry, register -> apply causality."""
+    # fail-safe: every run completed and accounts for all elapsed time
+    assert len(result.records) == config.runs
+    for record in result.records:
+        assert record.streamed_total_us + record.reconfig_us == record.duration_us
+
+    # per-step accounting is exact too
+    per_run_elapsed: dict[int, int] = {}
+    for event in result.events:
+        if event["event"] != "step":
+            continue
+        segment_us = sum(us for _, us in event["segments"])
+        assert event["reconfig_us"] + segment_us == event["dt_us"]
+        per_run_elapsed[event["run"]] = per_run_elapsed.get(event["run"], 0) + event["dt_us"]
+    assert per_run_elapsed == dict.fromkeys(range(config.runs), config.run_duration_us)
+
+    # append-only registry with strictly increasing ids
+    ids = [s.id for s in result.kb.strategies]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    # consecutive strategies never repeat a target
+    targets = [s.target for s in result.kb.strategies]
+    assert all(a != b for a, b in zip(targets, targets[1:]))
+
+    # causality: each applied change maps 1:1 to an earlier registration
+    registered = {
+        e["strategy_id"]: e["seq"]
+        for e in result.events
+        if e["event"] == "register" and e["ok"]
+    }
+    seen: set[int] = set()
+    for event in result.events:
+        if event["event"] == "execute" and event["applied"]:
+            sid = event["strategy_id"]
+            assert sid in registered and registered[sid] < event["seq"]
+            assert sid not in seen
+            seen.add(sid)
+    assert len(seen) == len(registered)  # every registered strategy got executed
+
+
 def test_criterion_7_invariant_sweep():
     with criterion(7, "loop invariants hold over a 100-seed fault sweep"):
         rng = random.Random(42424242)
         for sweep in range(100):
             config = _fault_sweep_scenario(rng)
-            result = run_loop(config)
+            assert_loop_invariants(config, run_loop(config))
 
-            # fail-safe: every run completed and accounts for all elapsed time
-            assert len(result.records) == config.runs
-            for record in result.records:
-                assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
-            # per-step accounting is exact too
-            per_run_elapsed: dict[int, int] = {}
-            for event in result.events:
-                if event["event"] != "step":
-                    continue
-                segment_us = sum(us for _, us in event["segments"])
-                assert event["reconfig_us"] + segment_us == event["dt_us"]
-                per_run_elapsed[event["run"]] = per_run_elapsed.get(event["run"], 0) + event["dt_us"]
-            assert all(v == config.run_duration_us for v in per_run_elapsed.values())
+# Bounds on a generated document: its loop ticks and its trace samples.
+_MAX_TICKS = 20_000
+_MAX_SAMPLES = 50_000
 
-            # append-only registry with strictly increasing ids
-            ids = [s.id for s in result.kb.strategies]
-            assert all(a < b for a, b in zip(ids, ids[1:]))
 
-            # consecutive strategies never repeat a target
-            targets = [s.target for s in result.kb.strategies]
-            assert all(a != b for a, b in zip(targets, targets[1:]))
+@st.composite
+def bounded_documents(draw):
+    """A scenario document of at most _MAX_TICKS ticks and _MAX_SAMPLES trace samples.
 
-            # causality: each applied change maps 1:1 to an earlier registration
-            registered = {
-                e["strategy_id"]: e["seq"]
-                for e in result.events
-                if e["event"] == "register" and e["ok"]
-            }
-            seen: set[int] = set()
-            for event in result.events:
-                if event["event"] == "execute" and event["applied"]:
-                    sid = event["strategy_id"]
-                    assert sid in registered and registered[sid] < event["seq"]
-                    assert sid not in seen
-                    seen.add(sid)
-            assert len(seen) == len(registered)  # every registered strategy got executed
+    Times are drawn in whole microseconds, so each seconds value in the
+    document converts back exactly. Some documents hold a total run time
+    below one trace step, or a warmup window between two sample instants.
+    """
+    runs = draw(st.integers(1, 4))
+    step_us = draw(st.sampled_from([1, 1_000, 250_000, 1_000_000, 3_000_000, 60_000_000]))
+    interval_us = draw(st.sampled_from(
+        [us for us in (1, 1_000, 250_000, 1_000_000, 3_000_000) if runs * us <= _MAX_SAMPLES * step_us]
+    ))
+    run_limit_us = min(_MAX_TICKS * interval_us, _MAX_SAMPLES * step_us) // runs
+    run_us = interval_us * draw(st.integers(1, max(1, run_limit_us // interval_us)))
+    total_us = runs * run_us
+
+    def instant(steps):
+        """On, or just off, one of the first `steps` sample instants."""
+        nudge = draw(st.sampled_from([0, 1, -1, step_us // 2]))
+        return max(0, draw(st.integers(0, steps)) * step_us + nudge)
+
+    start_us, end_us = instant(30), instant(60)
+    if end_us <= start_us:
+        end_us = start_us + draw(st.integers(1, step_us))
+    warmup = {"start_s": start_us / 1e6, "end_s": end_us / 1e6}
+    warmup["duration_s"] = max(end_us, step_us) / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
+
+    faults = []
+    for kind in ("probe-unavailable", "registry-unavailable"):
+        cursor = 0
+        for _ in range(draw(st.integers(0, 2))):
+            start = cursor + draw(st.integers(0, total_us))
+            cursor = start + draw(st.integers(1, total_us))
+            faults.append({"start_s": start / 1e6, "end_s": cursor / 1e6, "kind": kind})
+
+    scenario = draw(st.sampled_from(["adaptive", "adaptive", "static-LR", "static-HR"]))
+    overrides = []
+    if scenario == "adaptive":
+        overrides = [
+            {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(["LR", "HR"]))}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    return {
+        "schema_version": 1,
+        "scenario": scenario,
+        "runs": runs,
+        "run_duration_s": run_us / 1e6,
+        "monitor_interval_s": interval_us / 1e6,
+        "reconfig_delay_s": draw(st.sampled_from([0.0, 1e-6, 0.5, 2.7, 100.0])),
+        # amplitudes above the mean clamp the trace to 0 Mbps for part of each period
+        "trace": {
+            "mean_mbps": draw(st.sampled_from([0.5, 5.0])),
+            "amplitude_mbps": draw(st.sampled_from([0.0, 2.0, 8.0])),
+            "period_s": draw(st.sampled_from([1e-6, 0.5, 7.0, 61.0])),
+            "noise_sd_mbps": draw(st.sampled_from([0.0, 0.3])),
+            "step_s": step_us / 1e6,
+        },
+        "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
+        "warmup": warmup,
+        "faults": faults,
+        "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
+        "user_overrides": overrides,
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(bounded_documents())
+def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(document):
+    # ROADMAP 2's second property: what validate accepts, run finishes
+    config, _ = parse_scenario(document)
+    if config is None:
+        return
+    try:
+        result = run_loop(config)
+    except SimulationError as exc:
+        # the one failure only the generated warmup trace shows
+        assert "threshold of 0 Mbps" in str(exc)
+        return
+    assert_loop_invariants(config, result)
 
 
 def test_criterion_8_byte_identical_replays(tmp_path, bundled_outputs):
@@ -342,7 +437,7 @@ def test_criterion_9_fault_tolerant_streaming():
                 "amplitude_mbps": base.trace.amplitude_mbps,
                 "period_s": base.trace.period_s,
                 "noise_sd_mbps": base.trace.noise_sd_mbps,
-                "step_s": base.trace.step_s,
+                "step_s": base.trace.step_us / 1e6,
             },
             "probe_noise_sd_mbps": base.probe_noise_sd_mbps,
             "warmup": {"duration_s": 10800.0, "start_s": 27.0, "end_s": 65.0},

@@ -135,6 +135,42 @@ def test_validate_rejects_a_trace_period_below_the_clock_resolution(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "changes, diagnostic",
+    [
+        (
+            {"run_duration_s": 0.001, "monitor_interval_s": 1e-6},
+            "runs * run_duration_s (2 * 0.001) is below one trace.step_s",
+        ),
+        (
+            {"warmup": {"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}},
+            "warmup window [0.3, 0.6) selects no trace samples",
+        ),
+    ],
+    ids=["runs-below-one-step", "warmup-between-samples"],
+)
+def test_validate_and_run_reject_a_config_whose_trace_cannot_serve_it(tmp_path, capsys, changes, diagnostic):
+    # `run` used to accept both and stop with exit 2 once the trace was generated
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 2,
+        "run_duration_s": 10.0,
+        "trace": {"step_s": 1.0},
+        "warmup": {"duration_s": 60.0, "start_s": 0.0, "end_s": 60.0},
+        "seed": 1,
+        **changes,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "content",
     [
         json.dumps({"schema_version": 1, "scenario": "adaptive", "runs": 0, "extra": 1}).encode(),

@@ -145,15 +145,21 @@ def test_plan_rejects_unknown_current():
 # -- monitoring ------------------------------------------------------------
 
 
+def thirty_second_trace(amplitude):
+    return generate_trace(
+        mean=5, amplitude=amplitude, period=60, noise_sd=0, duration_us=to_us(30), step_us=to_us(1), seed=0
+    )
+
+
 def test_monitor_healthy_tick_reports_bandwidth():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=30, step=1, seed=0)
+    trace = thirty_second_trace(amplitude=0)
     monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1, interval_us=to_us(1))
     s = monitor.tick(to_us(10))
     assert s == SpeedSample(t_us=to_us(10), upload_mbps=5.0, ok=True)
 
 
 def test_monitor_tick_inside_fault_window():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=30, step=1, seed=0)
+    trace = thirty_second_trace(amplitude=0)
     faults = FaultSchedule(windows=(FaultWindow(to_us(5), to_us(15), "probe-unavailable"),))
     monitor = Monitor(trace, faults, probe_noise_sd=0, probe_seed=1, interval_us=to_us(1))
     s = monitor.tick(to_us(10))
@@ -161,13 +167,13 @@ def test_monitor_tick_inside_fault_window():
 
 
 def test_monitor_tick_deterministic():
-    trace = generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration=30, step=1, seed=0)
+    trace = thirty_second_trace(amplitude=1)
     monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0.5, probe_seed=9, interval_us=to_us(1))
     assert monitor.tick(to_us(4)) == monitor.tick(to_us(4))
 
 
 def test_monitor_rejects_off_grid_tick():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=30, step=1, seed=0)
+    trace = thirty_second_trace(amplitude=0)
     monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1, interval_us=to_us(1))
     with pytest.raises(ValueError):
         monitor.tick(to_us(1.5))

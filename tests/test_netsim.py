@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +13,23 @@ from adastream.netsim import (
     BandwidthTrace,
     FaultSchedule,
     FaultWindow,
-    bandwidth_at,
     compute_threshold,
     generate_trace,
     probe,
 )
+from adastream.units import US_PER_SECOND as S
 
 NO_FAULTS = FaultSchedule()
 
 
 def test_degenerate_sinusoid_is_constant():
-    trace = generate_trace(mean=5, amplitude=0, period=600, noise_sd=0, duration=20, step=1, seed=0)
+    trace = generate_trace(mean=5, amplitude=0, period=600, noise_sd=0, duration_us=20 * S, step_us=S, seed=0)
     assert all(u == 5.0 for u in trace.uploads)
     assert len(trace.uploads) == 20
 
 
 def test_same_seed_same_trace():
-    kwargs = dict(mean=5, amplitude=2, period=60, noise_sd=0.5, duration=100, step=1)
+    kwargs = dict(mean=5, amplitude=2, period=60, noise_sd=0.5, duration_us=100 * S, step_us=S)
     a = generate_trace(**kwargs, seed=7)
     b = generate_trace(**kwargs, seed=7)
     assert a.uploads == b.uploads
@@ -38,66 +39,64 @@ def test_same_seed_same_trace():
 
 def test_clamped_at_zero():
     # period 4 at step 1 hits sin = -1 at t=3, where 2 + 3*(-1) < 0
-    trace = generate_trace(mean=2, amplitude=3, period=4, noise_sd=0, duration=4, step=1, seed=0)
+    trace = generate_trace(mean=2, amplitude=3, period=4, noise_sd=0, duration_us=4 * S, step_us=S, seed=0)
     assert trace.uploads[3] == 0.0
     assert all(u >= 0 for u in trace.uploads)
 
 
 def test_clamping_holds_under_heavy_noise():
     for seed in range(10):
-        trace = generate_trace(mean=1, amplitude=2, period=30, noise_sd=3, duration=200, step=1, seed=seed)
+        trace = generate_trace(
+            mean=1, amplitude=2, period=30, noise_sd=3, duration_us=200 * S, step_us=S, seed=seed
+        )
         assert all(u >= 0 for u in trace.uploads)
 
 
 def test_generate_rejects_bad_parameters():
     with pytest.raises(InvalidTraceError):
-        generate_trace(mean=0, amplitude=1, period=60, noise_sd=0, duration=10, step=1, seed=0)
+        generate_trace(mean=0, amplitude=1, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
     with pytest.raises(InvalidTraceError):
-        generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration=10, step=0, seed=0)
+        generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=10 * S, step_us=0, seed=0)
     with pytest.raises(InvalidTraceError):
-        generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration=0.5, step=1, seed=0)
+        generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=S // 2, step_us=S, seed=0)
     with pytest.raises(InvalidTraceError):
-        generate_trace(mean=5, amplitude=1, period=0, noise_sd=0, duration=10, step=1, seed=0)
+        generate_trace(mean=5, amplitude=1, period=0, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
 
 
-def test_bandwidth_at_first_sample_and_piecewise_constant():
-    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0, duration=10, step=1, seed=0)
-    assert bandwidth_at(trace, 0) == trace.uploads[0]
-    assert bandwidth_at(trace, 2.5) == bandwidth_at(trace, 2.0)
-    assert bandwidth_at(trace, 2.999999) == trace.uploads[2]
+def test_noiseless_probe_reads_the_enclosing_step_left_closed():
+    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
 
+    def read(t_us):
+        return probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1).upload_mbps
 
-def test_bandwidth_at_out_of_range():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=10, step=1, seed=0)
-    with pytest.raises(OutOfRangeError):
-        bandwidth_at(trace, 10.0)
-    with pytest.raises(OutOfRangeError):
-        bandwidth_at(trace, -0.5)
+    assert read(0) == trace.uploads[0]
+    assert read(2_500_000) == read(2 * S)
+    assert read(2_999_999) == trace.uploads[2]
 
 
 def test_noiseless_probe_equals_bandwidth():
-    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0.3, duration=30, step=1, seed=3)
-    for t in (0, 7, 29.5):
-        sample = probe(trace, NO_FAULTS, t, probe_noise_sd=0, seed=1)
+    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0.3, duration_us=30 * S, step_us=S, seed=3)
+    for t_us in (0, 7 * S, 29_500_000):
+        sample = probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1)
         assert sample.ok
-        assert sample.upload_mbps == bandwidth_at(trace, t)
+        assert sample.upload_mbps == trace.uploads[t_us // S]
 
 
 def test_probe_inside_fault_window_is_not_ok():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=30, step=1, seed=0)
+    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=30 * S, step_us=S, seed=0)
     faults = FaultSchedule(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
-    assert not probe(trace, faults, 7, 0, seed=1).ok
-    assert probe(trace, faults, 4, 0, seed=1).ok
-    assert probe(trace, faults, 10, 0, seed=1).ok  # window is half-open
+    assert not probe(trace, faults, 7 * S, 0, seed=1).ok
+    assert probe(trace, faults, 4 * S, 0, seed=1).ok
+    assert probe(trace, faults, 10 * S, 0, seed=1).ok  # window is half-open
 
 
 def test_probe_deterministic_per_instant_regardless_of_call_order():
-    trace = generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration=30, step=1, seed=0)
-    first = probe(trace, NO_FAULTS, 12, probe_noise_sd=0.4, seed=9)
-    probe(trace, NO_FAULTS, 3, probe_noise_sd=0.4, seed=9)  # interleaved other call
-    second = probe(trace, NO_FAULTS, 12, probe_noise_sd=0.4, seed=9)
+    trace = generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=30 * S, step_us=S, seed=0)
+    first = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
+    probe(trace, NO_FAULTS, 3 * S, probe_noise_sd=0.4, seed=9)  # interleaved other call
+    second = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
     assert first == second
-    assert probe(trace, NO_FAULTS, 12, probe_noise_sd=0.4, seed=10) != first
+    assert probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=10) != first
 
 
 def reference_noisy_upload(upload: float, seed: int | str, t_us: int, sd: float) -> float:
@@ -116,7 +115,7 @@ def reference_noisy_upload(upload: float, seed: int | str, t_us: int, sd: float)
 def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, upload, sd):
     t_us = ticks // grid_us * grid_us  # up to 1e13 us, on the monitoring grid
     trace = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
-    sample = probe(trace, NO_FAULTS, t_us / 1e6, probe_noise_sd=sd, seed=seed)
+    sample = probe(trace, NO_FAULTS, t_us, probe_noise_sd=sd, seed=seed)
     expected = reference_noisy_upload(upload, seed, t_us, sd)
     assert sample.t_us == t_us
     # repr and copysign tell 0.0 from -0.0, which == does not
@@ -125,9 +124,11 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
 
 
 def test_probe_out_of_range():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=10, step=1, seed=0)
-    with pytest.raises(OutOfRangeError):
-        probe(trace, NO_FAULTS, 10.5, 0, seed=1)
+    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
+    for t_us in (trace.duration_us, 10_500_000, -1, -500_000):
+        with pytest.raises(OutOfRangeError):
+            probe(trace, NO_FAULTS, t_us, 0, seed=1)
+    assert probe(trace, NO_FAULTS, trace.duration_us - 1, 0, seed=1).ok
 
 
 def test_fault_schedule_rejects_overlap_same_kind():
@@ -148,7 +149,7 @@ def test_fault_schedule_rejects_overlap_same_kind():
 
 
 def test_threshold_of_constant_trace_is_the_constant():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration=100, step=1, seed=0)
+    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=100 * S, step_us=S, seed=0)
     for window in ((0, 100), (0, 1), (37, 64), (99, 100)):
         assert compute_threshold(trace, *window) == 5.0
 
@@ -170,6 +171,25 @@ def test_threshold_empty_window_errors():
         compute_threshold(trace, 0, 4)
 
 
+@pytest.mark.parametrize("step_us", [1, 250_000, 3 * S])
+def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
+    # windows at 1 us granularity starting or ending on, or just off, a sample instant
+    rng = random.Random(step_us)
+    trace = BandwidthTrace(uploads=tuple(rng.uniform(0.0, 9.0) for _ in range(12)), step_us=step_us)
+    edges = sorted({
+        min(max(0, i * step_us + nudge), trace.duration_us) for i in range(13) for nudge in (-1, 0, 1)
+    })
+    for start_us in edges:
+        for end_us in (e for e in edges if e > start_us):
+            scanned = [u for i, u in enumerate(trace.uploads) if start_us <= i * step_us < end_us]
+            window = (start_us / 1e6, end_us / 1e6)
+            if scanned:
+                assert repr(compute_threshold(trace, *window)) == repr(fmean(scanned))
+            else:
+                with pytest.raises(EmptyWindowError, match="selects no samples"):
+                    compute_threshold(trace, *window)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     mean=st.floats(0.1, 20.0),
@@ -177,18 +197,21 @@ def test_threshold_empty_window_errors():
     period=st.floats(0.5, 5000.0),
     noise_sd=st.sampled_from([0.0, 0.05, 1.0, 8.0]),
     seed=st.one_of(st.integers(-5, 10**6), st.text(max_size=6)),
-    step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]),
+    step_us=st.sampled_from([100_000, 250_000, 500_000, S, 3 * S]),
     window=st.tuples(st.integers(0, 1200), st.integers(1, 800), st.integers(0, 400)),
 )
 def test_warmup_prefix_gives_the_full_trace_threshold(
-    mean, amplitude, period, noise_sd, seed, step, window
+    mean, amplitude, period, noise_sd, seed, step_us, window
 ):
     # The engine generates its warmup trace only up to max(end, step).
     start_ds, width_ds, tail_ds = window
     start, end = start_ds / 10, (start_ds + width_ds) / 10
-    shape = dict(mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step=step, seed=seed)
-    full = generate_trace(duration=max(end + tail_ds / 10, step), **shape)
-    prefix = generate_trace(duration=max(end, step), **shape)
+    shape = dict(
+        mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step_us=step_us, seed=seed
+    )
+    end_us = (start_ds + width_ds) * 100_000
+    full = generate_trace(duration_us=max(end_us + tail_ds * 100_000, step_us), **shape)
+    prefix = generate_trace(duration_us=max(end_us, step_us), **shape)
     assert prefix.uploads == full.uploads[: len(prefix.uploads)]
     try:
         expected = compute_threshold(full, start, end)
@@ -208,7 +231,7 @@ def test_below_threshold_time_grows_with_amplitude():
         for seed in range(8):
             trace = generate_trace(
                 mean=5, amplitude=amplitude, period=97, noise_sd=0.4,
-                duration=4000, step=1, seed=seed,
+                duration_us=4000 * S, step_us=S, seed=seed,
             )
             threshold = compute_threshold(trace, 0, 4000)
             fractions.append(sum(1 for u in trace.uploads if u < threshold) / len(trace.uploads))
