@@ -123,11 +123,18 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
     assert math.copysign(1.0, sample.upload_mbps) == math.copysign(1.0, expected)
 
 
-def test_probe_out_of_range():
+def test_bandwidth_at_out_of_range():
+    # the trace covers [0, duration): its end instant and any negative instant have no sample
     trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
-    for t_us in (trace.duration_us, 10_500_000, -1, -500_000):
+    for t_us in (trace.duration_us, -1, -500_000):
         with pytest.raises(OutOfRangeError):
             probe(trace, NO_FAULTS, t_us, 0, seed=1)
+
+
+def test_probe_out_of_range():
+    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
+    with pytest.raises(OutOfRangeError):
+        probe(trace, NO_FAULTS, 10_500_000, 0, seed=1)
     assert probe(trace, NO_FAULTS, trace.duration_us - 1, 0, seed=1).ok
 
 
