@@ -130,10 +130,18 @@ class JsonlFileSink:
         self._file.write(events_jsonl_text(run_index, first_seq, ticks, self._quoted))
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's non-empty lines; a file that is not UTF-8 is a SimulationError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SimulationError(f"{path} is not UTF-8 text: {exc}") from exc
+    return [line for line in text.splitlines() if line]
+
+
 def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
     """Rebuild run records (and the config-name column order) from runs.csv."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line]
+    lines = _read_lines(path)
     if not lines:
         raise SimulationError(f"{path} is empty")
     header = lines[0].split(",")
@@ -166,21 +174,18 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
 
 
 def _selection_lines(result: EngineResult, report: PerformanceReport) -> list[str]:
+    selection = selection_fractions(result.records, result.space.names)
     lines = [f"threshold_mbps: {result.threshold_mbps:.6f}"]
-    seconds_fractions = {}
-    for name in result.space.names:
-        run_frac, sec_frac = selection_fractions(result.records, result.space.names, name)
-        seconds_fractions[name] = sec_frac
-        lines.append(f"selection {name}: {format_selection(run_frac, sec_frac)}")
+    lines += [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
     if result.config.mode == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
         for preset, qw in QUALITY_PRESETS.items():
             model = sum(
-                frac * config_quality_score(result.space.config(name), result.space, qw)
-                for name, frac in seconds_fractions.items()
+                sec_frac * config_quality_score(result.space.config(name), result.space, qw)
+                for name, (_, sec_frac) in selection.items()
             )
-            measured = report.presets[preset].qp_mean
+            measured = report.grid["qp"][preset]
             lines.append(f"qp {preset}: mix-model {model:.4f}, measured {measured:.4f}")
     return lines
 
@@ -215,20 +220,23 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
 
     logger.info(
         "scenario %s: %d runs, threshold %.3f Mbps, tp_mean %.4f",
-        config.scenario, config.runs, result.threshold_mbps, report.tp_mean,
+        config.scenario, config.runs, result.threshold_mbps,
+        next(iter(report.grid["tp"].values())),  # the same in every preset column
     )
     return report
 
 
 def parse_report_csv(path: str | Path) -> dict[str, dict[str, float]]:
     """Read a report grid back as {metric: {preset: value}}."""
-    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("metric,"):
         raise SimulationError(f"{path} is not a report grid")
     presets = lines[0].split(",")[1:]
     grid: dict[str, dict[str, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(presets) + 1:
+            raise SimulationError(f"{path}:{lineno}: {len(cells) - 1} cells for {len(presets)} presets")
         try:
             grid[cells[0]] = {p: float(v) for p, v in zip(presets, cells[1:])}
         except ValueError as exc:
@@ -283,12 +291,10 @@ def compare(artifact_dirs: list[str | Path]) -> Comparison:
             winners = [a.label for a in artifacts if a.grid[metric][preset] == best]
             verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
 
-    adaptive_selection = {
-        name: selection_fractions(art.records, art.config_names, name)
-        for art in artifacts
-        if art.label == "adaptive"
-        for name in art.config_names
-    }
+    adaptive_selection = next(
+        (selection_fractions(a.records, a.config_names) for a in artifacts if a.label == "adaptive"),
+        {},
+    )
     return Comparison(artifacts=artifacts, verdicts=verdicts, adaptive_selection=adaptive_selection)
 
 
@@ -302,14 +308,11 @@ def render_comparison(cmp: Comparison) -> str:
     out = [header1, header2]
     for metric in REPORT_METRICS:
         out.append(grid_row(metric, [art.grid[metric][p] for art in cmp.artifacts for p in presets]))
-    out.append("")
-    out.append("best scenario per combined-performance cell:")
+    out += ["", "best scenario per combined-performance cell:"]
     for metric in ("p1", "p2", "p3"):
         cells = "  ".join(f"{p}={cmp.verdicts[(metric, p)]}" for p in presets)
         out.append(f"  {metric}: {cells}")
     if cmp.adaptive_selection:
-        out.append("")
-        out.append("adaptive selection:")
-        for name, (run_frac, sec_frac) in cmp.adaptive_selection.items():
-            out.append(f"  {name}: {format_selection(run_frac, sec_frac)}")
+        out += ["", "adaptive selection:"]
+        out += [f"  {name}: {format_selection(*fracs)}" for name, fracs in cmp.adaptive_selection.items()]
     return "\n".join(out) + "\n"

@@ -140,8 +140,8 @@ class RunRecord:
         streamed = sum(self.streamed_us.values())
         if streamed != self.duration_us - self.reconfig_us:
             raise InvalidRunError(
-                f"time accounting broken: streamed {streamed} + reconfig {self.reconfig_us} "
-                f"!= duration {self.duration_us}"
+                f"run {self.run_index}: time accounting broken: streamed {streamed} + reconfig "
+                f"{self.reconfig_us} != duration {self.duration_us}"
             )
 
     @property

@@ -76,8 +76,6 @@ GRID_WIDTH = 8
 
 def time_performance(record: RunRecord) -> float:
     """Fraction of the run not spent reconfiguring."""
-    if record.duration_us <= 0:
-        raise InvalidRunError(f"duration must be positive, got {record.duration_us}")
     return 1.0 - record.reconfig_us / record.duration_us
 
 
@@ -115,29 +113,16 @@ def system_performance(tp: float, qp: float, pw: PerformanceWeights) -> float:
 
 
 @dataclass(frozen=True)
-class PresetPerformance:
-    """One quality-preset column of the report."""
-
-    qp_mean: float
-    p1: float
-    p2: float
-    p3: float
-
-
-@dataclass(frozen=True)
 class PerformanceReport:
-    """Aggregated results for one scenario: tp plus per-preset qp/p1/p2/p3."""
+    """Aggregated results for one scenario as `grid[metric][preset]`.
+
+    Rows follow REPORT_METRICS and columns QUALITY_PRESETS; the tp row holds
+    the same mean in every column.
+    """
 
     scenario: str
     run_count: int
-    tp_mean: float
-    presets: dict[str, PresetPerformance]
-
-    def cell(self, metric: str, preset: str) -> float:
-        if metric == "tp":
-            return self.tp_mean
-        column = self.presets[preset]
-        return {"qp": column.qp_mean, "p1": column.p1, "p2": column.p2, "p3": column.p3}[metric]
+    grid: dict[str, dict[str, float]]
 
 
 def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: AdaptationSpace) -> PerformanceReport:
@@ -148,40 +133,39 @@ def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: Adaptatio
     if len(scenarios) > 1:
         raise ValueError(f"records mix scenarios {sorted(scenarios)}")
     tp_mean = fmean(time_performance(r) for r in records)
-    presets: dict[str, PresetPerformance] = {}
-    for preset_name, qw in QUALITY_PRESETS.items():
+    grid: dict[str, dict[str, float]] = {metric: {} for metric in REPORT_METRICS}
+    for preset, qw in QUALITY_PRESETS.items():
         qp_mean = fmean(quality_performance(r, space, qw) for r in records)
-        p_values = {
-            p_name: system_performance(tp_mean, qp_mean, pw)
-            for p_name, pw in PERFORMANCE_PRESETS.items()
-        }
-        presets[preset_name] = PresetPerformance(
-            qp_mean=qp_mean, p1=p_values["p1"], p2=p_values["p2"], p3=p_values["p3"]
-        )
-    return PerformanceReport(
-        scenario=scenarios.pop(), run_count=len(records), tp_mean=tp_mean, presets=presets
-    )
-
-
-def dominant_config(record: RunRecord, names: tuple[str, ...]) -> str:
-    """The config that streamed the most seconds in the run (`names` order breaks ties)."""
-    return max(names, key=lambda name: (record.streamed_us.get(name, 0), -names.index(name)))
+        grid["tp"][preset] = tp_mean
+        grid["qp"][preset] = qp_mean
+        for p_name, pw in PERFORMANCE_PRESETS.items():
+            grid[p_name][preset] = system_performance(tp_mean, qp_mean, pw)
+    return PerformanceReport(scenario=scenarios.pop(), run_count=len(records), grid=grid)
 
 
 def selection_fractions(
-    records: list[RunRecord] | tuple[RunRecord, ...], names: tuple[str, ...], name: str
-) -> tuple[float, float]:
-    """(fraction of runs dominated by `name`, fraction of streamed seconds at `name`)."""
+    records: list[RunRecord] | tuple[RunRecord, ...], names: tuple[str, ...]
+) -> dict[str, tuple[float, float]]:
+    """{name: (fraction of runs it dominated, fraction of streamed seconds at it)}.
+
+    A run's dominant config is the one that streamed the most seconds in it;
+    a tie goes to the config first in `names`.
+    """
     if not records:
         raise ValueError("cannot compute selection fractions over zero records")
-    if name not in names:
-        raise ValueError(f"config {name!r} not in adaptation space {list(names)}")
-    dominated = sum(1 for r in records if dominant_config(r, names) == name)
-    streamed_at = sum(r.streamed_us.get(name, 0) for r in records)
-    streamed_total = sum(r.streamed_total_us for r in records)
-    run_fraction = dominated / len(records)
-    seconds_fraction = streamed_at / streamed_total if streamed_total else 0.0
-    return run_fraction, seconds_fraction
+    dominated = dict.fromkeys(names, 0)
+    streamed_at = dict.fromkeys(names, 0)
+    streamed_total = 0
+    for r in records:
+        streamed = r.streamed_us
+        for name in names:
+            streamed_at[name] += streamed.get(name, 0)
+        if names:
+            # max returns the first of several equal keys
+            dominated[max(names, key=lambda name: streamed.get(name, 0))] += 1
+        streamed_total += r.streamed_total_us
+    total = streamed_total or 1  # nothing streamed: every seconds fraction is 0
+    return {name: (dominated[name] / len(records), streamed_at[name] / total) for name in names}
 
 
 def format_selection(run_fraction: float, seconds_fraction: float) -> str:
@@ -210,25 +194,20 @@ def grid_row(label: str, values: Iterable[float]) -> str:
 
 def render_report_csv(report: PerformanceReport) -> str:
     """Report grid as CSV: metric rows by quality-preset columns, 2-decimal cells."""
-    preset_names = list(QUALITY_PRESETS)
-    lines = ["metric," + ",".join(preset_names)]
-    for metric in REPORT_METRICS:
-        cells = [format_cell(report.cell(metric, p)) for p in preset_names]
-        lines.append(metric + "," + ",".join(cells))
+    lines = ["metric," + ",".join(QUALITY_PRESETS)]
+    for metric, row in report.grid.items():
+        lines.append(metric + "," + ",".join(format_cell(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
 def render_report_text(report: PerformanceReport, extra_lines: list[str] | None = None) -> str:
     """Human-readable aligned table of the same grid."""
-    preset_names = list(QUALITY_PRESETS)
     out = [
         f"scenario: {report.scenario}",
         f"runs:     {report.run_count}",
+        *(extra_lines or ()),
+        "",
+        "metric".ljust(GRID_WIDTH) + "".join(p.rjust(GRID_WIDTH) for p in QUALITY_PRESETS),
     ]
-    if extra_lines:
-        out.extend(extra_lines)
-    out.append("")
-    out.append("metric".ljust(GRID_WIDTH) + "".join(p.rjust(GRID_WIDTH) for p in preset_names))
-    for metric in REPORT_METRICS:
-        out.append(grid_row(metric, [report.cell(metric, p) for p in preset_names]))
+    out += [grid_row(metric, row.values()) for metric, row in report.grid.items()]
     return "\n".join(out) + "\n"

@@ -84,10 +84,10 @@ def test_criterion_1_static_metric_reconstruction(bundled_outputs):
             report, elapsed, _ = bundled_outputs[scenario]
             assert report.run_count == 100
             assert elapsed < 5.0, f"{scenario} took {elapsed:.2f}s"
-            assert report.tp_mean == 1.0, f"{scenario} tp {report.tp_mean}"
+            assert set(report.grid["tp"].values()) == {1.0}, f"{scenario} tp {report.grid['tp']}"
             for metric, row in expected.items():
                 for preset, value in row.items():
-                    got = report.cell(metric, preset)
+                    got = report.grid[metric][preset]
                     assert abs(got - value) <= 0.01, (
                         f"{scenario} {metric}/{preset}: {got:.4f} vs {value}"
                     )
@@ -98,14 +98,15 @@ def test_criterion_2_adaptive_time_performance(bundled_outputs):
         config = load_scenario(bundled_config_path("table3-adaptive"))
         assert config.reconfig_delay_us == to_us(2.7)
         report, _, _ = bundled_outputs["adaptive"]
-        assert 0.88 <= report.tp_mean <= 0.94, f"tp_mean {report.tp_mean:.4f}"
+        tp_mean = report.grid["tp"]["5r5q"]
+        assert 0.88 <= tp_mean <= 0.94, f"tp_mean {tp_mean:.4f}"
 
 
 def test_criterion_3_adaptive_selection_rate(bundled_outputs):
     with criterion(3, "low-rate config dominates 26%-36% of adaptive runs"):
         config = load_scenario(bundled_config_path("table3-adaptive"))
         result = run_loop(config)
-        run_fraction, _ = selection_fractions(result.records, result.space.names, "LR")
+        run_fraction, _ = selection_fractions(result.records, result.space.names)["LR"]
         assert 0.26 <= run_fraction <= 0.36, f"LR run fraction {run_fraction:.3f}"
 
 
@@ -118,7 +119,7 @@ def test_criterion_4_mixture_bound_over_seeds():
             for preset, qw in QUALITY_PRESETS.items():
                 scores = [config_quality_score(c, result.space, qw) for c in result.space.configs]
                 lo, hi = min(scores), max(scores)
-                qp = report.presets[preset].qp_mean
+                qp = report.grid["qp"][preset]
                 assert lo - 1e-9 <= qp <= hi + 1e-9, (
                     f"seed {1000 + offset} {preset}: qp {qp:.4f} outside [{lo:.4f}, {hi:.4f}]"
                 )

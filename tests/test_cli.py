@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shutil
 
 import pytest
 
@@ -61,25 +63,27 @@ def test_run_with_invalid_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_compare_full_pipeline(tmp_path, capsys):
-    for name, label in (("lr", "table3-static-lr"), ("hr", "table3-static-hr")):
+@pytest.fixture(scope="module")
+def table3_dirs(tmp_path_factory):
+    """Out dirs of 2-run static-LR, static-HR and adaptive experiments, in that order."""
+    root = tmp_path_factory.mktemp("table3")
+    dirs = []
+    for name, label in (("lr", "table3-static-lr"), ("hr", "table3-static-hr"), ("ad", "table3-adaptive")):
         small = json.loads(bundled_config_path(label).read_text())
         small["runs"] = 2
-        small["warmup"] = {"duration_s": 60.0, "start_s": 0.0, "end_s": 60.0}
-        p = tmp_path / f"{name}.json"
+        if name != "ad":
+            small["warmup"] = {"duration_s": 60.0, "start_s": 0.0, "end_s": 60.0}
+        p = root / f"{name}.json"
         p.write_text(json.dumps(small))
-        assert main(["run", str(p), "--out", str(tmp_path / name)]) == 0
-    adaptive = json.loads(bundled_config_path("table3-adaptive").read_text())
-    adaptive["runs"] = 2
-    p = tmp_path / "ad.json"
-    p.write_text(json.dumps(adaptive))
-    assert main(["run", str(p), "--out", str(tmp_path / "ad")]) == 0
+        assert main(["run", str(p), "--out", str(root / name)]) == 0
+        dirs.append(root / name)
+    return dirs
+
+
+def test_compare_full_pipeline(table3_dirs, tmp_path, capsys):
     capsys.readouterr()
     out_file = tmp_path / "comparison.txt"
-    code = main([
-        "compare", str(tmp_path / "lr"), str(tmp_path / "hr"), str(tmp_path / "ad"),
-        "--out", str(out_file),
-    ])
+    code = main(["compare", *map(str, table3_dirs), "--out", str(out_file)])
     assert code == 0
     table = capsys.readouterr().out
     assert "static-LR" in table and "adaptive" in table
@@ -88,6 +92,29 @@ def test_compare_full_pipeline(tmp_path, capsys):
 
 def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y"), str(tmp_path / "z")]) == 2
+
+
+@pytest.mark.parametrize(
+    "artifact, damage, message",
+    [
+        ("report.csv", lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,0.78", data), "report.csv:4: 1 cells for 3 presets"),
+        ("runs.csv", lambda data: b"\xff\xfe", "runs.csv is not UTF-8 text"),
+        ("report.csv", lambda data: b"\xff\xfe", "report.csv is not UTF-8 text"),
+    ],
+    ids=["report-row-too-short", "runs-csv-not-utf8", "report-csv-not-utf8"],
+)
+def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
+    table3_dirs, tmp_path, capsys, artifact, damage, message
+):
+    dirs = [tmp_path / d.name for d in table3_dirs]
+    for src, dst in zip(table3_dirs, dirs):
+        shutil.copytree(src, dst)
+    path = dirs[2] / artifact
+    path.write_bytes(damage(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["compare", *map(str, dirs)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, capsys):

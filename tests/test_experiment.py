@@ -60,7 +60,7 @@ def test_report_csv_grid_matches_report(tmp_path, scenario_factory):
     assert set(grid) == {"tp", "qp", "p1", "p2", "p3"}
     for metric, row in grid.items():
         for preset, value in row.items():
-            assert value == round_half_up(report.cell(metric, preset))
+            assert value == round_half_up(report.grid[metric][preset])
 
 
 def test_compare_three_scenarios(tmp_path, scenario_factory):
@@ -104,10 +104,7 @@ def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory)
         run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
     cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
     assert list(cmp.adaptive_selection) == list(result.space.names)
-    for name in result.space.names:
-        assert cmp.adaptive_selection[name] == selection_fractions(
-            result.records, result.space.names, name
-        )
+    assert cmp.adaptive_selection == selection_fractions(result.records, result.space.names)
 
 
 def test_compare_rejects_duplicate_scenarios(tmp_path, scenario_factory):
@@ -138,8 +135,8 @@ def test_parse_runs_csv_rejects_foreign_files(tmp_path):
 
 def test_single_run_static_hr_report(tmp_path, scenario_factory):
     report = run_experiment(scenario_factory(scenario="static-HR", runs=1), tmp_path)
-    assert report.tp_mean == 1.0
-    assert abs(report.presets["9r1q"].qp_mean - 0.92) < 1e-9
+    assert set(report.grid["tp"].values()) == {1.0}
+    assert abs(report.grid["qp"]["9r1q"] - 0.92) < 1e-9
 
 
 def test_runs_csv_header_for_default_space(tmp_path, scenario_factory):

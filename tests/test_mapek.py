@@ -50,8 +50,8 @@ def test_condition_kind_must_be_valid():
             ("source", "strategy_id", "target", "applied"),
         ),
         (
-            StepOutcome(reconfig_us=2, segments=(("LR", 3),), completed_switch=True),
-            ("reconfig_us", "segments", "completed_switch"),
+            StepOutcome(reconfig_us=2, segments=(("LR", 3),)),
+            ("reconfig_us", "segments"),
         ),
     ],
     ids=["SpeedSample", "Condition", "ExecuteOutcome", "StepOutcome"],
@@ -364,6 +364,26 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
     assert result.kb.strategies == ()
     assert [r.switches for r in result.records] == [0, 0]
     assert all(r.streamed_us == {"HR": to_us(30)} for r in result.records)
+
+
+def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factory):
+    config = scenario_factory(
+        runs=1,
+        trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+        probe_noise_sd_mbps=0.0,
+        warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+        user_overrides=[{"at_s": 12.2, "target": "LR"}, {"at_s": 12.7, "target": "HR"}],
+    )
+    result = run_loop(config)
+    # Both fall due at the 13 s tick. The HR one acts, and as the stream is
+    # already on HR it plans nothing; the LR one leaves no event at all.
+    plans = [e for e in result.events if e["event"] == "plan" and e["t_us"] == to_us(13)]
+    assert plans == [
+        {"seq": 13 * 5 + 2, "run": 0, "t_us": to_us(13), "event": "plan", "action": "keep"},
+    ]
+    assert all(e.get("target") != "LR" for e in result.events)
+    assert result.kb.strategies == ()
+    assert result.records[0].streamed_us == {"HR": to_us(30)}
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):

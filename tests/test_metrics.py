@@ -6,15 +6,15 @@ from statistics import fmean
 import pytest
 
 from adastream.errors import InvalidRunError
-from adastream.kb import RunRecord, default_space
+from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     QUALITY_PRESETS,
     PerformanceWeights,
     QualityWeights,
     aggregate,
+    REPORT_METRICS,
     config_quality_score,
-    dominant_config,
     quality_performance,
     render_report_csv,
     render_report_text,
@@ -198,18 +198,18 @@ def test_aggregate_constant_runs_equals_single_run():
     records = [record(30, 0, hr_s=30, scenario="static-HR", run_index=i) for i in range(100)]
     report = aggregate(records, SPACE)
     assert report.run_count == 100
-    assert report.tp_mean == 1.0
+    assert list(report.grid["tp"].values()) == [1.0] * len(QUALITY_PRESETS)
     for preset, qw in QUALITY_PRESETS.items():
         single = quality_performance(records[0], SPACE, qw)
-        assert abs(report.presets[preset].qp_mean - single) < 1e-12
+        assert abs(report.grid["qp"][preset] - single) < 1e-12
 
 
 def test_aggregate_static_lr_row():
     records = [record(30, 0, lr_s=30, scenario="static-LR", run_index=i) for i in range(10)]
     report = aggregate(records, SPACE)
-    assert abs(report.presets["5r5q"].qp_mean - 0.745) < 0.01
-    assert abs(report.presets["9r1q"].qp_mean - 0.55) < 0.01
-    assert abs(report.presets["1r9q"].qp_mean - 0.94) < 0.01
+    assert abs(report.grid["qp"]["5r5q"] - 0.745) < 0.01
+    assert abs(report.grid["qp"]["9r1q"] - 0.55) < 0.01
+    assert abs(report.grid["qp"]["1r9q"] - 0.94) < 0.01
 
 
 def test_aggregate_means_match_explicit_oracle():
@@ -221,14 +221,14 @@ def test_aggregate_means_match_explicit_oracle():
         hr = 30 - reconfig - lr
         records.append(record(30, reconfig, lr_s=lr, hr_s=hr, run_index=i))
     report = aggregate(records, SPACE)
-    assert abs(report.tp_mean - fmean(time_performance(r) for r in records)) < 1e-12
+    tp_mean = report.grid["tp"]["9r1q"]
+    assert abs(tp_mean - fmean(time_performance(r) for r in records)) < 1e-12
     qw = QUALITY_PRESETS["9r1q"]
-    assert abs(
-        report.presets["9r1q"].qp_mean - fmean(quality_performance(r, SPACE, qw) for r in records)
-    ) < 1e-12
+    qp_mean = report.grid["qp"]["9r1q"]
+    assert abs(qp_mean - fmean(quality_performance(r, SPACE, qw) for r in records)) < 1e-12
     # p cells derive from the means, not from per-run p values
-    expected_p2 = system_performance(report.tp_mean, report.presets["9r1q"].qp_mean, PERFORMANCE_PRESETS["p2"])
-    assert report.presets["9r1q"].p2 == expected_p2
+    expected_p2 = system_performance(tp_mean, qp_mean, PERFORMANCE_PRESETS["p2"])
+    assert report.grid["p2"]["9r1q"] == expected_p2
 
 
 def test_aggregate_all_cells_bounded():
@@ -246,9 +246,10 @@ def test_aggregate_all_cells_bounded():
             )
         )
     report = aggregate(records, SPACE)
-    for metric in ("tp", "qp", "p1", "p2", "p3"):
-        for preset in QUALITY_PRESETS:
-            assert 0.0 <= report.cell(metric, preset) <= 1.0
+    assert list(report.grid) == list(REPORT_METRICS)
+    for row in report.grid.values():
+        assert list(row) == list(QUALITY_PRESETS)
+        assert all(0.0 <= value <= 1.0 for value in row.values())
 
 
 def test_aggregate_rejects_empty_and_mixed():
@@ -279,11 +280,62 @@ def test_dominant_config_and_fractions():
         record(30, 0, lr_s=5, hr_s=25, run_index=1),
         record(30, 0, lr_s=1, hr_s=29, run_index=2),
     ]
-    assert dominant_config(records[0], SPACE.names) == "LR"
-    assert dominant_config(records[1], SPACE.names) == "HR"
-    run_frac, sec_frac = selection_fractions(records, SPACE.names, "LR")
+    assert selection_fractions(records[:1], SPACE.names)["LR"][0] == 1.0
+    assert selection_fractions(records[1:2], SPACE.names)["HR"][0] == 1.0
+    fractions = selection_fractions(records, SPACE.names)
+    assert list(fractions) == list(SPACE.names)
+    run_frac, sec_frac = fractions["LR"]
     assert run_frac == pytest.approx(1 / 3)
     assert sec_frac == pytest.approx(26 / 90)
+    assert fractions["HR"] == (pytest.approx(2 / 3), pytest.approx(64 / 90))
+    with pytest.raises(ValueError):
+        selection_fractions([], SPACE.names)
+
+
+def test_selection_ties_go_to_the_first_config_in_space_order():
+    space = AdaptationSpace((
+        StreamConfig("HR", 30, 1280, 720, 0.2),
+        StreamConfig("MR", 20, 960, 540, 0.5),
+        StreamConfig("LR", 5, 640, 360, 0.9),
+    ))
+
+    def run(run_index, reconfig_s=0, **seconds):
+        return RunRecord(
+            run_index=run_index, scenario="adaptive", duration_us=to_us(30),
+            reconfig_us=to_us(reconfig_s), switches=0,
+            streamed_us={name: to_us(s) for name, s in seconds.items()},
+        )
+
+    records = [
+        run(0, MR=15, LR=15),
+        run(1, HR=10, MR=10, LR=10),
+        run(2, LR=15, HR=15),
+        run(3, LR=20, MR=10),
+        run(4, reconfig_s=30),  # streamed nothing: every config ties at 0
+    ]
+
+    def oracle(names, name):
+        def dominant(r):
+            best = names[0]
+            for other in names[1:]:
+                if r.streamed_us.get(other, 0) > r.streamed_us.get(best, 0):
+                    best = other
+            return best
+
+        streamed_total = sum(r.streamed_total_us for r in records)
+        return (
+            sum(dominant(r) == name for r in records) / len(records),
+            sum(r.streamed_us.get(name, 0) for r in records) / streamed_total,
+        )
+
+    for names in (space.names, space.names[::-1]):
+        assert selection_fractions(records, names) == {name: oracle(names, name) for name in names}
+    in_order = selection_fractions(records, space.names)
+    assert [run_frac for run_frac, _ in in_order.values()] == [3 / 5, 1 / 5, 1 / 5]
+    reversed_order = selection_fractions(records, space.names[::-1])
+    assert {name: fracs[0] for name, fracs in reversed_order.items()} == {
+        "LR": 1.0, "MR": 0.0, "HR": 0.0,
+    }
 
 
 def test_round_half_up_matches_display_rule():
