@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = config._replace(seed=args.seed)
     report = run_experiment(config, args.out)
     print(f"wrote {args.out}: scenario {report.scenario}, {report.run_count} runs")
     return 0

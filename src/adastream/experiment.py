@@ -13,11 +13,10 @@ Every byte of these artifacts is a pure function of (config, seed).
 from __future__ import annotations
 
 import json
-import logging
+import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import SimulationError
 from .kb import RunRecord
@@ -37,8 +36,6 @@ from .metrics import (
 )
 from .scenario import ScenarioConfig
 from .units import format_seconds, to_us
-
-logger = logging.getLogger(__name__)
 
 ARTIFACTS = ("events.jsonl", "runs.csv", "report.csv", "report.txt")
 
@@ -151,6 +148,12 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise SimulationError(f"{path}:{lineno}: {len(cells)} cells for {len(header)} columns")
+        if records and cells[1] != records[0].scenario:
+            raise SimulationError(
+                f"{path}:{lineno}: scenario {cells[1]!r} differs from {records[0].scenario!r} on line 2"
+            )
         try:
             # zero columns are padding for configs the run never streamed
             streamed = {
@@ -217,12 +220,6 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
         for partial in partials.values():
             partial.unlink(missing_ok=True)
         raise
-
-    logger.info(
-        "scenario %s: %d runs, threshold %.3f Mbps, tp_mean %.4f",
-        config.scenario, config.runs, result.threshold_mbps,
-        next(iter(report.grid["tp"].values())),  # the same in every preset column
-    )
     return report
 
 
@@ -234,21 +231,29 @@ def parse_report_csv(path: str | Path) -> dict[str, dict[str, float]]:
     presets = lines[0].split(",")[1:]
     grid: dict[str, dict[str, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(presets) + 1:
-            raise SimulationError(f"{path}:{lineno}: {len(cells) - 1} cells for {len(presets)} presets")
+        metric, *cells = line.split(",")
+        if len(cells) != len(presets):
+            raise SimulationError(f"{path}:{lineno}: {len(cells)} cells for {len(presets)} presets")
+        if metric not in REPORT_METRICS:
+            raise SimulationError(
+                f"{path}:{lineno}: unknown metric row {metric!r}, not one of {list(REPORT_METRICS)}"
+            )
+        if metric in grid:
+            raise SimulationError(f"{path}:{lineno}: repeated metric row {metric!r}")
         try:
-            grid[cells[0]] = {p: float(v) for p, v in zip(presets, cells[1:])}
+            values = [float(v) for v in cells]
         except ValueError as exc:
             raise SimulationError(f"{path}:{lineno}: malformed report cell: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise SimulationError(f"{path}:{lineno}: non-finite report cell in {line!r}")
+        grid[metric] = dict(zip(presets, values))
     missing = [m for m in REPORT_METRICS if m not in grid]
     if missing:
         raise SimulationError(f"{path} is missing metric rows {missing}")
     return grid
 
 
-@dataclass
-class ScenarioArtifacts:
+class ScenarioArtifacts(NamedTuple):
     """One experiment's outputs, as read back from its out directory."""
 
     label: str
@@ -266,8 +271,7 @@ class ScenarioArtifacts:
         return cls(label=records[0].scenario, grid=grid, records=records, config_names=names)
 
 
-@dataclass
-class Comparison:
+class Comparison(NamedTuple):
     artifacts: list[ScenarioArtifacts]
     # (p-metric, preset) -> winning scenario label, or "tie"
     verdicts: dict[tuple[str, str], str]

@@ -8,8 +8,7 @@ owns the instance; components reach it through that coordinator only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidRunError, NonMonotonicIdError
 
@@ -21,56 +20,79 @@ LR_QUALITY_SCORE = 0.99
 HR_QUALITY_SCORE = 0.20
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    """One point in the adaptation space: a (frame rate, scale, quality) setting."""
-
+# Each checked value type is a NamedTuple of its fields plus a subclass whose
+# __new__ validates them, as netsim's SpeedSample is: a NamedTuple body may
+# not define __new__, and a tuple class is far cheaper to build at import
+# than a frozen dataclass.
+class _StreamConfigFields(NamedTuple):
     name: str
     frame_rate: int
     scale_w: int
     scale_h: int
     quality_score: float
 
-    def __post_init__(self) -> None:
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        if self.scale_w <= 0 or self.scale_h <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale_w}x{self.scale_h}")
-        if not 0.0 <= self.quality_score <= 1.0:
-            raise ValueError(f"quality_score must be in [0, 1], got {self.quality_score}")
+
+class StreamConfig(_StreamConfigFields):
+    """One point in the adaptation space: a (frame rate, scale, quality) setting."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, frame_rate: int, scale_w: int, scale_h: int, quality_score: float
+    ) -> StreamConfig:
+        if frame_rate <= 0:
+            raise ValueError(f"frame_rate must be positive, got {frame_rate}")
+        if scale_w <= 0 or scale_h <= 0:
+            raise ValueError(f"scale must be positive, got {scale_w}x{scale_h}")
+        if not 0.0 <= quality_score <= 1.0:
+            raise ValueError(f"quality_score must be in [0, 1], got {quality_score}")
+        return tuple.__new__(cls, (name, frame_rate, scale_w, scale_h, quality_score))
 
 
-@dataclass(frozen=True)
 class AdaptationSpace:
-    """The finite, ordered set of configurations the planner may select among."""
+    """The finite, ordered set of configurations the planner may select among.
 
-    configs: tuple[StreamConfig, ...]
+    An immutable value, equal by `configs`. The planner's two targets and the
+    name lookup are read every tick, so they are computed once here; ties go
+    to the first such config in order, as max/min pick it.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.configs:
+    __slots__ = ("configs", "highest_rate_config", "lowest_rate_config", "_by_name")
+
+    def __init__(self, configs: tuple[StreamConfig, ...]):
+        if not configs:
             raise ValueError("adaptation space must not be empty")
-        names = [c.name for c in self.configs]
+        names = [c.name for c in configs]
         if len(set(names)) != len(names):
             raise ValueError(f"config names must be unique, got {names}")
+        init = object.__setattr__
+        init(self, "configs", configs)
+        init(self, "highest_rate_config", max(configs, key=lambda c: c.frame_rate))
+        init(self, "lowest_rate_config", min(configs, key=lambda c: c.frame_rate))
+        init(self, "_by_name", {c.name: c for c in configs})
 
-    # The planner's two targets and the name lookup are read every tick.
-    # configs is frozen, so each is computed once on first use; ties go to
-    # the first such config in order, as max/min pick it.
-    @cached_property
-    def highest_rate_config(self) -> StreamConfig:
-        return max(self.configs, key=lambda c: c.frame_rate)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    @cached_property
-    def lowest_rate_config(self) -> StreamConfig:
-        return min(self.configs, key=lambda c: c.frame_rate)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
-    @cached_property
-    def _by_name(self) -> dict[str, StreamConfig]:
-        return {c.name: c for c in self.configs}
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AdaptationSpace:
+            return NotImplemented
+        return self.configs == other.configs
+
+    def __hash__(self) -> int:
+        return hash(self.configs)
+
+    def __repr__(self) -> str:
+        return f"AdaptationSpace(configs={self.configs!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return AdaptationSpace, (self.configs,)
 
     @property
     def max_frame_rate(self) -> int:
-        # The cached highest-rate config's; configs is frozen, so it cannot go stale.
         return self.highest_rate_config.frame_rate
 
     @property
@@ -100,22 +122,34 @@ def default_space() -> AdaptationSpace:
     )
 
 
-@dataclass(frozen=True)
-class AdaptationStrategy:
-    """A timestamped decision to move the stream to a target configuration."""
-
+class _AdaptationStrategyFields(NamedTuple):
     id: int
     issued_at_us: int
     target: str
     reason: str
 
-    def __post_init__(self) -> None:
-        if self.reason not in STRATEGY_REASONS:
-            raise ValueError(f"reason must be one of {STRATEGY_REASONS}, got {self.reason!r}")
+
+class AdaptationStrategy(_AdaptationStrategyFields):
+    """A timestamped decision to move the stream to a target configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, issued_at_us: int, target: str, reason: str) -> AdaptationStrategy:
+        if reason not in STRATEGY_REASONS:
+            raise ValueError(f"reason must be one of {STRATEGY_REASONS}, got {reason!r}")
+        return tuple.__new__(cls, (id, issued_at_us, target, reason))
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class _RunRecordFields(NamedTuple):
+    run_index: int
+    scenario: str
+    duration_us: int
+    reconfig_us: int
+    switches: int
+    streamed_us: dict[str, int]
+
+
+class RunRecord(_RunRecordFields):
     """Per-run ledger: how the run's elapsed time was spent.
 
     All durations are integer microseconds. The constructor enforces the
@@ -123,26 +157,28 @@ class RunRecord:
     reconfiguration time must equal the run duration exactly.
     """
 
-    run_index: int
-    scenario: str
-    duration_us: int
-    reconfig_us: int
-    switches: int
-    streamed_us: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.duration_us <= 0:
-            raise InvalidRunError(f"run duration must be positive, got {self.duration_us} us")
-        if not 0 <= self.reconfig_us <= self.duration_us:
+    def __new__(
+        cls,
+        run_index: int,
+        scenario: str,
+        duration_us: int,
+        reconfig_us: int,
+        switches: int,
+        streamed_us: dict[str, int],
+    ) -> RunRecord:
+        if duration_us <= 0:
+            raise InvalidRunError(f"run duration must be positive, got {duration_us} us")
+        if not 0 <= reconfig_us <= duration_us:
+            raise InvalidRunError(f"reconfig time {reconfig_us} us outside [0, {duration_us}] us")
+        streamed = sum(streamed_us.values())
+        if streamed != duration_us - reconfig_us:
             raise InvalidRunError(
-                f"reconfig time {self.reconfig_us} us outside [0, {self.duration_us}] us"
+                f"run {run_index}: time accounting broken: streamed {streamed} + reconfig "
+                f"{reconfig_us} != duration {duration_us}"
             )
-        streamed = sum(self.streamed_us.values())
-        if streamed != self.duration_us - self.reconfig_us:
-            raise InvalidRunError(
-                f"run {self.run_index}: time accounting broken: streamed {streamed} + reconfig "
-                f"{self.reconfig_us} != duration {self.duration_us}"
-            )
+        return tuple.__new__(cls, (run_index, scenario, duration_us, reconfig_us, switches, streamed_us))
 
     @property
     def streamed_total_us(self) -> int:

@@ -20,7 +20,6 @@ running.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol
 
 from .errors import SimulationError
@@ -221,15 +220,14 @@ class CollectingSink:
                 seq += 1
 
 
-@dataclass
-class EngineResult:
+class EngineResult(NamedTuple):
     records: tuple[RunRecord, ...]
     kb: KnowledgeBase
     threshold_mbps: float
     space: AdaptationSpace
     config: ScenarioConfig
     # filled only when the run used the default collecting sink
-    events: list[dict] = field(default_factory=list)
+    events: list[dict]
 
 
 def trace_for(shape: TraceParams, duration_us: int, seed: str) -> BandwidthTrace:

@@ -17,10 +17,10 @@ the combined p values are computed from those means.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from statistics import fmean
+from typing import NamedTuple
 
 from .errors import InvalidRunError
 from .kb import AdaptationSpace, RunRecord, StreamConfig
@@ -28,32 +28,51 @@ from .kb import AdaptationSpace, RunRecord, StreamConfig
 _BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class QualityWeights:
-    """Weighting of frame rate vs frame quality inside a run's quality score."""
+def fmean(values: Sequence[float]) -> float:
+    """Arithmetic mean of a non-empty sequence, correctly rounded sum first.
 
+    Bit for bit what the standard library's `fmean` returns for a sized input.
+    """
+    return math.fsum(values) / len(values)
+
+
+# Checked in a subclass's __new__, as kb's value types are.
+class _QualityWeightsFields(NamedTuple):
     w_rate: float
     w_frame: float
 
-    def __post_init__(self) -> None:
-        if self.w_rate < 0 or self.w_frame < 0:
+
+class QualityWeights(_QualityWeightsFields):
+    """Weighting of frame rate vs frame quality inside a run's quality score."""
+
+    __slots__ = ()
+
+    def __new__(cls, w_rate: float, w_frame: float) -> QualityWeights:
+        self = tuple.__new__(cls, (w_rate, w_frame))
+        if w_rate < 0 or w_frame < 0:
             raise ValueError(f"quality weights must be non-negative, got {self}")
-        if abs(self.w_rate + self.w_frame - 1.0) > _BOUND_SLACK:
+        if abs(w_rate + w_frame - 1.0) > _BOUND_SLACK:
             raise ValueError(f"quality weights must sum to 1, got {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class PerformanceWeights:
-    """Weighting of time performance vs quality performance in the combined metric."""
-
+class _PerformanceWeightsFields(NamedTuple):
     w_t: float
     w_q: float
 
-    def __post_init__(self) -> None:
-        if self.w_t < 0 or self.w_q < 0:
+
+class PerformanceWeights(_PerformanceWeightsFields):
+    """Weighting of time performance vs quality performance in the combined metric."""
+
+    __slots__ = ()
+
+    def __new__(cls, w_t: float, w_q: float) -> PerformanceWeights:
+        self = tuple.__new__(cls, (w_t, w_q))
+        if w_t < 0 or w_q < 0:
             raise ValueError(f"performance weights must be non-negative, got {self}")
-        if abs(self.w_t + self.w_q - 1.0) > _BOUND_SLACK:
+        if abs(w_t + w_q - 1.0) > _BOUND_SLACK:
             raise ValueError(f"performance weights must sum to 1, got {self}")
+        return self
 
 
 QUALITY_PRESETS: dict[str, QualityWeights] = {
@@ -112,8 +131,7 @@ def system_performance(tp: float, qp: float, pw: PerformanceWeights) -> float:
     return pw.w_t * tp + pw.w_q * qp
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """Aggregated results for one scenario as `grid[metric][preset]`.
 
     Rows follow REPORT_METRICS and columns QUALITY_PRESETS; the tp row holds
@@ -132,10 +150,10 @@ def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: Adaptatio
     scenarios = {r.scenario for r in records}
     if len(scenarios) > 1:
         raise ValueError(f"records mix scenarios {sorted(scenarios)}")
-    tp_mean = fmean(time_performance(r) for r in records)
+    tp_mean = fmean([time_performance(r) for r in records])
     grid: dict[str, dict[str, float]] = {metric: {} for metric in REPORT_METRICS}
     for preset, qw in QUALITY_PRESETS.items():
-        qp_mean = fmean(quality_performance(r, space, qw) for r in records)
+        qp_mean = fmean([quality_performance(r, space, qw) for r in records])
         grid["tp"][preset] = tp_mean
         grid["qp"][preset] = qp_mean
         for p_name, pw in PERFORMANCE_PRESETS.items():

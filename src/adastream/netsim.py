@@ -16,11 +16,10 @@ import math
 import random
 from _random import Random as _MersenneTwister
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from statistics import fmean
 from typing import NamedTuple
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
+from .metrics import fmean
 from .units import to_us
 
 try:
@@ -32,63 +31,90 @@ except ImportError:
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
 
 
-@dataclass(frozen=True)
-class BandwidthTrace:
-    """Piecewise-constant upload speed: uploads[i] covers [i*step, (i+1)*step)."""
-
+# Each checked value type subclasses a NamedTuple of its fields and
+# validates them in __new__, as kb's types do.
+class _BandwidthTraceFields(NamedTuple):
     uploads: tuple[float, ...]
     step_us: int
 
-    def __post_init__(self) -> None:
-        if self.step_us <= 0:
-            raise InvalidTraceError(f"step must be positive, got {self.step_us} us")
-        if not self.uploads:
+
+class BandwidthTrace(_BandwidthTraceFields):
+    """Piecewise-constant upload speed: uploads[i] covers [i*step, (i+1)*step)."""
+
+    __slots__ = ()
+
+    def __new__(cls, uploads: tuple[float, ...], step_us: int) -> BandwidthTrace:
+        if step_us <= 0:
+            raise InvalidTraceError(f"step must be positive, got {step_us} us")
+        if not uploads:
             raise InvalidTraceError("trace must hold at least one sample")
-        if any(u < 0 for u in self.uploads):
+        if any(u < 0 for u in uploads):
             raise InvalidTraceError("trace uploads must be non-negative")
+        return tuple.__new__(cls, (uploads, step_us))
 
     @property
     def duration_us(self) -> int:
         return len(self.uploads) * self.step_us
 
 
-@dataclass(frozen=True)
-class FaultWindow:
+class _FaultWindowFields(NamedTuple):
     start_us: int
     end_us: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}")
-        if self.start_us >= self.end_us:
-            raise ValueError(f"fault window start {self.start_us} must precede end {self.end_us}")
+
+class FaultWindow(_FaultWindowFields):
+    __slots__ = ()
+
+    def __new__(cls, start_us: int, end_us: int, kind: str) -> FaultWindow:
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"fault kind must be one of {FAULT_KINDS}, got {kind!r}")
+        if start_us >= end_us:
+            raise ValueError(f"fault window start {start_us} must precede end {end_us}")
+        return tuple.__new__(cls, (start_us, end_us, kind))
 
 
-@dataclass(frozen=True)
 class FaultSchedule:
-    """Fault windows, non-overlapping per kind.
+    """Fault windows, non-overlapping per kind; an immutable value, equal by `windows`.
 
     Each kind's windows are indexed once as sorted start and end arrays, so
     a lookup is a bisect rather than a scan over every window.
     """
 
-    windows: tuple[FaultWindow, ...] = ()
-    # kind -> (starts, ends); both ascending because windows never overlap
-    _index: dict[str, tuple[list[int], list[int]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("windows", "_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, windows: tuple[FaultWindow, ...] = ()):
+        # kind -> (starts, ends); both ascending because windows never overlap
+        index: dict[str, tuple[list[int], list[int]]] = {}
         for kind in FAULT_KINDS:
-            spans = sorted(
-                (w.start_us, w.end_us) for w in self.windows if w.kind == kind
-            )
+            spans = sorted((w.start_us, w.end_us) for w in windows if w.kind == kind)
             for (_, prev_end), (start, _) in zip(spans, spans[1:]):
                 if start < prev_end:
                     raise ValueError(f"overlapping {kind} fault windows")
             if spans:
-                self._index[kind] = ([s for s, _ in spans], [e for _, e in spans])
+                index[kind] = ([s for s, _ in spans], [e for _, e in spans])
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FaultSchedule:
+            return NotImplemented
+        return self.windows == other.windows
+
+    def __hash__(self) -> int:
+        return hash(self.windows)
+
+    def __repr__(self) -> str:
+        return f"FaultSchedule(windows={self.windows!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return FaultSchedule, (self.windows,)
 
     def active(self, kind: str, t_us: int) -> bool:
         spans = self._index.get(kind)
@@ -99,9 +125,7 @@ class FaultSchedule:
         return i >= 0 and t_us < ends[i]
 
 
-# A NamedTuple body may not define __new__, so the checked message type
-# subclasses a plain one. A tuple is built and read faster than a frozen
-# dataclass, and the loop makes one of these per tick.
+# The loop makes one of these per tick.
 class _SpeedSampleFields(NamedTuple):
     t_us: int
     upload_mbps: float
@@ -187,11 +211,14 @@ def probe(
     measurement noise stream is keyed on (seed, t_us), so the same instant
     always yields the same sample.
     """
-    if not 0 <= t_us < trace.duration_us:
+    # each field read once: a tuple field costs more to read than an attribute
+    uploads = trace.uploads
+    i = t_us // trace.step_us
+    if t_us < 0 or i >= len(uploads):  # i < len exactly when t_us < duration_us
         raise OutOfRangeError(f"t={t_us}us outside trace [0, {trace.duration_us}us)")
     if faults.active("probe-unavailable", t_us):
         return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
-    upload = trace.uploads[t_us // trace.step_us]
+    upload = uploads[i]
     if probe_noise_sd > 0:
         upload = max(0.0, upload + _keyed_gauss(f"{seed}:{t_us}", probe_noise_sd))
     return SpeedSample(t_us, upload, True)

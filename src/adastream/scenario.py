@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,8 +19,7 @@ from .units import to_us
 SCENARIO_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TraceParams:
+class TraceParams(NamedTuple):
     mean_mbps: float
     amplitude_mbps: float
     period_s: float
@@ -29,22 +27,19 @@ class TraceParams:
     step_us: int
 
 
-@dataclass(frozen=True)
-class WarmupParams:
+class WarmupParams(NamedTuple):
     start_s: float
     end_s: float
 
 
-@dataclass(frozen=True)
-class UserOverride:
+class UserOverride(NamedTuple):
     """Scheduled user configuration command: force `target` at time `at_us`."""
 
     at_us: int
     target: str
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     scenario: str
     runs: int
     run_duration_us: int
@@ -67,9 +62,6 @@ class ScenarioConfig:
     @property
     def total_duration_us(self) -> int:
         return self.runs * self.run_duration_us
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
 
 
 # generous sanity ceiling for every number, in its own unit, unless its field sets one

@@ -114,7 +114,7 @@ def test_criterion_4_mixture_bound_over_seeds():
     with criterion(4, "adaptive qp between the static bounds for 20 seeds x 3 presets"):
         base = load_scenario(bundled_config_path("table3-adaptive"))
         for offset in range(20):
-            result = run_loop(base.with_seed(1000 + offset))
+            result = run_loop(base._replace(seed=1000 + offset))
             report = aggregate(result.records, result.space)
             for preset, qw in QUALITY_PRESETS.items():
                 scores = [config_quality_score(c, result.space, qw) for c in result.space.configs]

@@ -1,13 +1,37 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from adastream.cli import main
 from adastream.scenario import bundled_config_path, parse_scenario
+
+
+# Each of these costs a CLI child milliseconds to import and nothing needs it.
+_HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib"}
+
+
+def test_cli_import_loads_no_heavy_module():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import adastream.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout.split()
+    assert "adastream.cli" in loaded
+    assert _HEAVY_MODULES.isdisjoint(loaded), sorted(_HEAVY_MODULES.intersection(loaded))
 
 
 def test_run_and_compare_round_trip(tmp_path, capsys):
@@ -100,8 +124,34 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
         ("report.csv", lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,0.78", data), "report.csv:4: 1 cells for 3 presets"),
         ("runs.csv", lambda data: b"\xff\xfe", "runs.csv is not UTF-8 text"),
         ("report.csv", lambda data: b"\xff\xfe", "report.csv is not UTF-8 text"),
+        ("report.csv", lambda data: data + b"tp,0.10,0.10,0.10\n", "report.csv:7: repeated metric row 'tp'"),
+        (
+            "report.csv",
+            lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,nan,nan,nan", data),
+            "report.csv:4: non-finite report cell in 'p1,nan,nan,nan'",
+        ),
+        ("report.csv", lambda data: data + b"zz,0.10,0.10,0.10\n", "report.csv:7: unknown metric row 'zz'"),
+        (
+            "runs.csv",
+            lambda data: re.sub(rb"(?m)^(0,adaptive,.*)$", rb"\1,9", data),
+            "runs.csv:2: 8 cells for 7 columns",
+        ),
+        (
+            "runs.csv",
+            lambda data: re.sub(rb"(?m)^1,adaptive,", b"1,static-LR,", data),
+            "runs.csv:3: scenario 'static-LR' differs from 'adaptive' on line 2",
+        ),
     ],
-    ids=["report-row-too-short", "runs-csv-not-utf8", "report-csv-not-utf8"],
+    ids=[
+        "report-row-too-short",
+        "runs-csv-not-utf8",
+        "report-csv-not-utf8",
+        "report-metric-repeated",
+        "report-cell-not-finite",
+        "report-metric-unknown",
+        "runs-row-too-long",
+        "runs-scenario-mixed",
+    ],
 )
 def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
     table3_dirs, tmp_path, capsys, artifact, damage, message

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -212,7 +211,7 @@ def test_event_memory_does_not_grow_with_run_count(tmp_path):
         out = tmp_path / str(runs)
         tracemalloc.start()
         try:
-            run_experiment(dataclasses.replace(base, runs=runs), out)
+            run_experiment(base._replace(runs=runs), out)
             peaks[runs] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

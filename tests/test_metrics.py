@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adastream.errors import InvalidRunError
 from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
@@ -15,6 +18,7 @@ from adastream.metrics import (
     aggregate,
     REPORT_METRICS,
     config_quality_score,
+    fmean as mean,
     quality_performance,
     render_report_csv,
     render_report_text,
@@ -44,6 +48,31 @@ def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, scenario="adap
         run_index=run_index, scenario=scenario, duration_us=duration,
         reconfig_us=reconfig, switches=0, streamed_us=streamed,
     )
+
+
+# -- means ---------------------------------------------------------------
+
+_LARGEST = sys.float_info.max
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and their neighbours
+    st.floats(min_value=1e307, max_value=_LARGEST),
+    st.floats(min_value=-_LARGEST, max_value=-1e307),
+    st.sampled_from([5e-324, -5e-324, _LARGEST, -_LARGEST, 0.0, -0.0, 0.1, -0.1]),
+)
+
+
+def _outcome(mean_of, values):
+    try:
+        return repr(mean_of(values))
+    except OverflowError as exc:  # fsum's sum left the float range
+        return f"OverflowError: {exc}"
+
+
+@settings(max_examples=400)
+@given(st.lists(_FLOATS, min_size=1, max_size=500))
+def test_mean_is_exactly_the_standard_library_fmean(values):
+    assert _outcome(mean, values) == _outcome(fmean, values)
 
 
 # -- weights -------------------------------------------------------------

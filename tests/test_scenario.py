@@ -158,9 +158,9 @@ def test_load_scenario_bad_file(tmp_path):
     assert any("runs" in d for d in err.value.diagnostics)
 
 
-def test_with_seed_replaces_only_the_seed():
+def test_replace_seed_changes_only_the_seed():
     config, _ = parse_scenario(doc())
-    reseeded = config.with_seed(99)
+    reseeded = config._replace(seed=99)
     assert reseeded.seed == 99
     assert reseeded.runs == config.runs
     assert reseeded.trace == config.trace
