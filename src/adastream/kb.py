@@ -23,7 +23,8 @@ HR_QUALITY_SCORE = 0.20
 # Each checked value type is a NamedTuple of its fields plus a subclass whose
 # __new__ validates them, as netsim's SpeedSample is: a NamedTuple body may
 # not define __new__, and a tuple class is far cheaper to build at import
-# than a frozen dataclass.
+# than a frozen dataclass. Its _make builds through __new__ too, since
+# _replace calls _make and NamedTuple's own _make skips __new__.
 class _StreamConfigFields(NamedTuple):
     name: str
     frame_rate: int
@@ -36,6 +37,10 @@ class StreamConfig(_StreamConfigFields):
     """One point in the adaptation space: a (frame rate, scale, quality) setting."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> StreamConfig:
+        return cls(*iterable)
 
     def __new__(
         cls, name: str, frame_rate: int, scale_w: int, scale_h: int, quality_score: float
@@ -134,6 +139,10 @@ class AdaptationStrategy(_AdaptationStrategyFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable) -> AdaptationStrategy:
+        return cls(*iterable)
+
     def __new__(cls, id: int, issued_at_us: int, target: str, reason: str) -> AdaptationStrategy:
         if reason not in STRATEGY_REASONS:
             raise ValueError(f"reason must be one of {STRATEGY_REASONS}, got {reason!r}")
@@ -158,6 +167,10 @@ class RunRecord(_RunRecordFields):
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> RunRecord:
+        return cls(*iterable)
 
     def __new__(
         cls,

@@ -50,6 +50,10 @@ class Condition(_ConditionFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable) -> Condition:
+        return cls(*iterable)
+
     def __new__(cls, kind: str, at_us: int) -> Condition:
         if kind not in CONDITION_KINDS:
             raise ValueError(f"condition kind must be one of {CONDITION_KINDS}, got {kind!r}")

@@ -47,6 +47,10 @@ class QualityWeights(_QualityWeightsFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable) -> QualityWeights:
+        return cls(*iterable)
+
     def __new__(cls, w_rate: float, w_frame: float) -> QualityWeights:
         self = tuple.__new__(cls, (w_rate, w_frame))
         if w_rate < 0 or w_frame < 0:
@@ -65,6 +69,10 @@ class PerformanceWeights(_PerformanceWeightsFields):
     """Weighting of time performance vs quality performance in the combined metric."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> PerformanceWeights:
+        return cls(*iterable)
 
     def __new__(cls, w_t: float, w_q: float) -> PerformanceWeights:
         self = tuple.__new__(cls, (w_t, w_q))

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
-from .metrics import fmean
 from .units import to_us
 
 try:
@@ -43,6 +42,10 @@ class BandwidthTrace(_BandwidthTraceFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable) -> BandwidthTrace:
+        return cls(*iterable)
+
     def __new__(cls, uploads: tuple[float, ...], step_us: int) -> BandwidthTrace:
         if step_us <= 0:
             raise InvalidTraceError(f"step must be positive, got {step_us} us")
@@ -65,6 +68,10 @@ class _FaultWindowFields(NamedTuple):
 
 class FaultWindow(_FaultWindowFields):
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> FaultWindow:
+        return cls(*iterable)
 
     def __new__(cls, start_us: int, end_us: int, kind: str) -> FaultWindow:
         if kind not in FAULT_KINDS:
@@ -137,6 +144,10 @@ class SpeedSample(_SpeedSampleFields):
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable) -> SpeedSample:
+        return cls(*iterable)
+
     def __new__(cls, t_us: int, upload_mbps: float, ok: bool) -> SpeedSample:
         if ok and upload_mbps < 0:
             raise ValueError("upload must be non-negative on a healthy probe")
@@ -165,15 +176,31 @@ def generate_trace(
         raise InvalidTraceError(f"noise_sd must be non-negative, got {noise_sd}")
 
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
-    rng = random.Random(seed)
-    two_pi = 2.0 * math.pi
-    uploads = []
-    for i in range(n):
-        t = i * step_us / 1e6
-        value = mean + amplitude * math.sin(two_pi * t / period)
-        if noise_sd > 0:
-            value += rng.gauss(0.0, noise_sd)
-        uploads.append(max(0.0, value))
+    two_pi, sin = 2.0 * math.pi, math.sin
+    # Sample i is mean + amplitude * sin(two_pi * t / period) at t = i * step_us / 1e6,
+    # plus its noise, clamped at 0. Both loops spell it out inline.
+    uploads: list[float] = []
+    append = uploads.append
+    if noise_sd > 0:
+        # Bit for bit one random.Random(seed).gauss(0.0, noise_sd) per sample: gauss
+        # makes a pair from two random() calls, hands out its cos value, then the
+        # cached sin value. An odd count makes one sample too many and drops it.
+        random_, cos, sqrt, log = random.Random(seed).random, math.cos, math.sqrt, math.log
+        for i in range(0, n, 2):
+            x2pi = random_() * two_pi
+            g2rad = sqrt(-2.0 * log(1.0 - random_()))
+            value = mean + amplitude * sin(two_pi * (i * step_us / 1e6) / period)
+            value += 0.0 + cos(x2pi) * g2rad * noise_sd
+            append(value if value > 0.0 else 0.0)
+            value = mean + amplitude * sin(two_pi * ((i + 1) * step_us / 1e6) / period)
+            value += 0.0 + sin(x2pi) * g2rad * noise_sd
+            append(value if value > 0.0 else 0.0)
+        if n % 2:
+            uploads.pop()
+    else:
+        for i in range(n):
+            value = mean + amplitude * sin(two_pi * (i * step_us / 1e6) / period)
+            append(value if value > 0.0 else 0.0)
     return BandwidthTrace(uploads=tuple(uploads), step_us=step_us)
 
 
@@ -242,5 +269,5 @@ def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: fl
     values = trace.uploads[span.start:span.stop]
     if not values:
         raise EmptyWindowError(f"warmup window [{warmup_start}, {warmup_end}) selects no samples")
-    return fmean(values)
+    return math.fsum(values) / len(values)  # metrics.fmean, bit for bit
 

@@ -70,7 +70,8 @@ _NUMBER_CAP = 1e8
 # the clock's resolution: a shorter positive duration rounds to 0 µs
 _MIN_DURATION_S = 1e-6
 
-# keeps a typo'd config from allocating a trace with billions of samples
+# keeps a typo'd config from allocating a trace with billions of samples, or
+# from running as many loop ticks
 _MAX_TRACE_SAMPLES = 20_000_000
 
 
@@ -323,6 +324,13 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
             diags.append(
                 f"experiment needs {samples} trace samples; limit is {_MAX_TRACE_SAMPLES} "
                 f"(reduce runs/run_duration_s or raise trace.step_s)"
+            )
+    if None not in (runs, run_duration_us, interval_us):
+        ticks = runs * -(-run_duration_us // interval_us)
+        if ticks > _MAX_TRACE_SAMPLES:
+            diags.append(
+                f"experiment needs {ticks} loop ticks; limit is {_MAX_TRACE_SAMPLES} "
+                f"(reduce runs/run_duration_s or raise monitor_interval_s)"
             )
 
     if diags:

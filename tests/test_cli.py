@@ -18,20 +18,69 @@ from adastream.scenario import bundled_config_path, parse_scenario
 _HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib"}
 
 
-def test_cli_import_loads_no_heavy_module():
+def modules_loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import adastream.cli\n"
+        f"{code}\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout.split()
+
+
+def test_cli_import_loads_no_heavy_module():
+    loaded = modules_loaded_by("import adastream.cli")
     assert "adastream.cli" in loaded
     assert _HEAVY_MODULES.isdisjoint(loaded), sorted(_HEAVY_MODULES.intersection(loaded))
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = modules_loaded_by("import adastream")
+    assert "adastream" in loaded
+    assert [m for m in loaded if m.startswith("adastream.")] == []
+
+
+def test_engine_setup_path_loads_no_report_code():
+    # what a set-up child runs before its first tick
+    loaded = modules_loaded_by(
+        "import adastream\n"
+        "from adastream.mapek import Engine\n"
+        "from adastream.scenario import load_scenario"
+    )
+    assert {"adastream.mapek", "adastream.scenario", "adastream.netsim"} <= set(loaded)
+    unwanted = {"adastream.experiment", "adastream.metrics", "adastream.cli", "decimal", "argparse"}
+    assert unwanted.isdisjoint(loaded), sorted(unwanted.intersection(loaded))
+
+
+def test_cli_import_loads_every_module_the_tracer_wraps():
+    # perfbench/layers.py install() rebinds names only in modules already loaded
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import layers
+    finally:
+        sys.path.pop(0)
+    loaded = modules_loaded_by("import adastream.cli")
+    assert {module for _, module, _, _ in layers.TARGETS} <= set(loaded)
+
+
+def test_every_exported_name_is_its_home_module_binding():
+    import importlib
+
+    import adastream
+
+    for name in adastream.__all__:
+        home = importlib.import_module(f"adastream.{adastream._HOME[name]}")
+        assert getattr(adastream, name) is vars(home)[name], name
+    assert set(adastream.__all__) <= set(dir(adastream))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        adastream.no_such_name
+    with pytest.raises(ImportError):
+        exec("from adastream import no_such_name", {})
 
 
 def test_run_and_compare_round_trip(tmp_path, capsys):
@@ -244,6 +293,32 @@ def test_validate_and_run_reject_a_config_whose_trace_cannot_serve_it(tmp_path, 
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out.exists()
+
+
+def test_validate_and_run_reject_a_config_with_too_many_loop_ticks(tmp_path, capsys):
+    # 300M ticks and 10M run records on only 300,001 trace samples:
+    # `validate` used to accept it
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 10_000_000,
+        "run_duration_s": 30,
+        "trace": {"step_s": 1000},
+        "warmup": {"duration_s": 10800, "start_s": 0, "end_s": 1000},
+        "seed": 1,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    line = (
+        "config error: experiment needs 300000000 loop ticks; limit is 20000000 "
+        "(reduce runs/run_duration_s or raise monitor_interval_s)\n"
+    )
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == line
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
     assert not out.exists()
 
 

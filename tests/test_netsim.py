@@ -52,6 +52,44 @@ def test_clamping_holds_under_heavy_noise():
         assert all(u >= 0 for u in trace.uploads)
 
 
+def reference_trace(mean, amplitude, period, noise_sd, duration_us, step_us, seed) -> list[float]:
+    """The trace by definition: one `Random(seed).gauss` call per noisy sample."""
+    rng = random.Random(seed)
+    uploads = []
+    for i in range(-(-duration_us // step_us)):
+        t = i * step_us / 1e6
+        value = mean + amplitude * math.sin(2.0 * math.pi * t / period)
+        if noise_sd > 0:
+            value += rng.gauss(0.0, noise_sd)
+        uploads.append(max(0.0, value))
+    return uploads
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean=st.floats(0.01, 50.0),
+    amplitude=st.floats(0.0, 100.0),  # above the mean, the trace clamps at 0
+    period=st.floats(1e-3, 1e4),
+    noise_sd=st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+    samples=st.integers(1, 257),  # odd and even counts: gauss draws its values in pairs
+    step_us=st.sampled_from([1, 250_000, S, 7 * S]),
+    short=st.integers(1, 257),
+    seed=st.one_of(st.integers(), st.text(max_size=12)),
+)
+def test_trace_matches_one_gauss_call_per_sample(
+    mean, amplitude, period, noise_sd, samples, step_us, short, seed
+):
+    shape = dict(mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step_us=step_us, seed=seed)
+    trace = generate_trace(duration_us=samples * step_us, **shape)
+    expected = reference_trace(duration_us=samples * step_us, **shape)
+    assert list(trace.uploads) == expected
+    # repr tells 0.0 from -0.0, which == does not
+    assert [repr(u) for u in trace.uploads] == [repr(u) for u in expected]
+    # Engine's warmup trace relies on this: a shorter trace is a prefix of a longer one
+    prefix = generate_trace(duration_us=min(short, samples) * step_us, **shape)
+    assert prefix.uploads == trace.uploads[: len(prefix.uploads)]
+
+
 def test_generate_rejects_bad_parameters():
     with pytest.raises(InvalidTraceError):
         generate_trace(mean=0, amplitude=1, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)

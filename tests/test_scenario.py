@@ -216,6 +216,21 @@ def test_size_cap_counts_only_the_warmup_prefix_the_engine_generates():
     ]
 
 
+def test_size_cap_counts_loop_ticks_too():
+    # 5M runs of 4 s at a 1-s interval are 20M ticks, exactly the cap, on only
+    # 5M trace samples at a 4-s step; one run more is over it
+    trace = {"step_s": 4.0}
+    config, diags = parse_scenario(doc(runs=5_000_000, run_duration_s=4.0, trace=trace))
+    assert diags == []
+    assert config.runs == 5_000_000
+    config, diags = parse_scenario(doc(runs=5_000_001, run_duration_s=4.0, trace=trace))
+    assert config is None
+    assert diags == [
+        "experiment needs 20000004 loop ticks; limit is 20000000 "
+        "(reduce runs/run_duration_s or raise monitor_interval_s)"
+    ]
+
+
 def test_warmup_duration_bounds_end_s_and_changes_no_artifact(tmp_path):
     # Only [0, end_s) of the warmup trace is generated, so with end_s given,
     # duration_s is a bound on end_s and nothing else.

@@ -22,9 +22,9 @@ from adastream.kb import (
     StreamConfig,
     default_space,
 )
-from adastream.mapek import EngineResult
+from adastream.mapek import Condition, EngineResult
 from adastream.metrics import PerformanceReport, PerformanceWeights, QualityWeights
-from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow
+from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample
 from adastream.scenario import (
     ScenarioConfig,
     TraceParams,
@@ -127,6 +127,23 @@ CASES = [
         ],
     ),
     (
+        SpeedSample,
+        {"t_us": 3_000_000, "upload_mbps": 4.5, "ok": True},
+        [({"upload_mbps": -0.5}, ValueError, "upload must be non-negative on a healthy probe")],
+    ),
+    (
+        Condition,
+        {"kind": "below-threshold", "at_us": 3_000_000},
+        [
+            (
+                {"kind": "calm"},
+                ValueError,
+                "condition kind must be one of ('above-threshold', 'below-threshold', 'unknown'), "
+                "got 'calm'",
+            ),
+        ],
+    ),
+    (
         TraceParams,
         {
             "mean_mbps": 5.0, "amplitude_mbps": 2.0, "period_s": 600.0, "noise_sd_mbps": 0.1,
@@ -208,4 +225,20 @@ def test_value_type_contract(cls, fields, invalid):
     for changes, error, message in invalid:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             cls(**{**fields, **changes})
+        assert type(raised.value) is error
+
+
+# The tuple types with checks: _replace must run them as the constructor does.
+CHECKED_TUPLES = [case for case in CASES if issubclass(case[0], tuple) and case[2]]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, invalid", CHECKED_TUPLES, ids=[case[0].__name__ for case in CHECKED_TUPLES]
+)
+def test_replace_runs_the_constructor_checks(cls, fields, invalid):
+    value = cls(**fields)
+    assert type(value._replace()) is cls and value._replace() == value
+    for changes, error, message in invalid:
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            value._replace(**changes)
         assert type(raised.value) is error
