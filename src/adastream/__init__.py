@@ -17,7 +17,7 @@ _EXPORTS = {
         "AdaptationSpace", "AdaptationStrategy", "KnowledgeBase", "RunRecord", "StreamConfig",
         "default_space",
     ),
-    "mapek": ("Engine", "EngineResult", "run_loop"),
+    "mapek": ("Engine", "EngineResult"),
     "metrics": (
         "PERFORMANCE_PRESETS", "QUALITY_PRESETS", "PerformanceReport", "aggregate",
         "config_quality_score", "quality_performance", "system_performance", "time_performance",

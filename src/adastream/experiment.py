@@ -20,7 +20,7 @@ from typing import NamedTuple, TextIO
 
 from .errors import SimulationError
 from .kb import RunRecord
-from .mapek import EngineResult, run_loop
+from .mapek import Engine, EngineResult
 from .metrics import (
     GRID_WIDTH,
     QUALITY_PRESETS,
@@ -177,7 +177,8 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
 
 
 def _selection_lines(result: EngineResult, report: PerformanceReport) -> list[str]:
-    selection = selection_fractions(result.records, result.space.names)
+    space = result.config.space
+    selection = selection_fractions(result.records, space.names)
     lines = [f"threshold_mbps: {result.threshold_mbps:.6f}"]
     lines += [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
     if result.config.mode == "adaptive":
@@ -185,7 +186,7 @@ def _selection_lines(result: EngineResult, report: PerformanceReport) -> list[st
         # the measured mean (mean-of-ratios); they agree only approximately
         for preset, qw in QUALITY_PRESETS.items():
             model = sum(
-                sec_frac * config_quality_score(result.space.config(name), result.space, qw)
+                sec_frac * config_quality_score(space.config(name), space, qw)
                 for name, (_, sec_frac) in selection.items()
             )
             measured = report.grid["qp"][preset]
@@ -203,10 +204,10 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
     try:
         with partials["events.jsonl"].open("w", encoding="utf-8", newline="") as f:
-            result = run_loop(config, JsonlFileSink(f))
-        report = aggregate(result.records, result.space)
+            result = Engine(config).run(JsonlFileSink(f))
+        report = aggregate(result.records, config.space)
         partials["runs.csv"].write_text(
-            runs_csv_text(result.records, result.space.names), encoding="utf-8", newline=""
+            runs_csv_text(result.records, config.space.names), encoding="utf-8", newline=""
         )
         partials["report.csv"].write_text(render_report_csv(report), encoding="utf-8", newline="")
         partials["report.txt"].write_text(

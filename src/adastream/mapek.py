@@ -173,8 +173,7 @@ class Executor:
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
-# Field names after (seq, run, t_us, event) for each event kind, in line
-# order. The engine hands a run's ticks to its sink as one record per tick:
+# The engine hands a run's ticks to its sink as one record per tick:
 #
 #     (t_us, upload_mbps, ok, condition, planned, registered,
 #      source, strategy_id, target, applied,
@@ -182,56 +181,18 @@ class Executor:
 #
 # planned is None for a plan "keep", else (target, reason) of the planned
 # strategy; registered is None exactly when planned is, else the register
-# event's (ok, strategy_id, target). A tick is five events in the order
-# above, or six with a register after the plan.
-EVENT_FIELDS = {
-    "monitor": ("upload_mbps", "ok"),
-    "analyze": ("condition",),
-    "plan": ("action", "target", "reason"),
-    "register": ("ok", "strategy_id", "target"),
-    "execute": ("source", "strategy_id", "target", "applied"),
-    "step": ("dt_us", "reconfig_us", "segments", "active"),
-}
-
-
+# event's (ok, strategy_id, target). A tick is five events (monitor,
+# analyze, plan, execute, step), or six with a register after the plan.
 class EventSink(Protocol):
     def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
         """Take one run's tick records in order; their first event's seq is first_seq."""
-
-
-class CollectingSink:
-    """Keeps every event as the dict its events.jsonl line parses to."""
-
-    def __init__(self) -> None:
-        self.events: list[dict] = []
-
-    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
-        seq = first_seq
-        for record in ticks:
-            planned = record[4]
-            events = [("monitor", record[1:3]), ("analyze", record[3:4])]
-            if planned is None:
-                events.append(("plan", ("keep",)))
-            else:
-                events += [("plan", ("strategy", *planned)), ("register", record[5])]
-            events += [("execute", record[6:10]), ("step", record[10:14])]
-            for kind, values in events:
-                event = {"seq": seq, "run": run_index, "t_us": record[0], "event": kind}
-                event.update(zip(EVENT_FIELDS[kind], values))
-                if kind == "step":
-                    event["segments"] = [list(segment) for segment in event["segments"]]
-                self.events.append(event)
-                seq += 1
 
 
 class EngineResult(NamedTuple):
     records: tuple[RunRecord, ...]
     kb: KnowledgeBase
     threshold_mbps: float
-    space: AdaptationSpace
     config: ScenarioConfig
-    # filled only when the run used the default collecting sink
-    events: list[dict]
 
 
 def trace_for(shape: TraceParams, duration_us: int, seed: str) -> BandwidthTrace:
@@ -252,7 +213,6 @@ class Engine:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.space = config.space
         shape, warmup, seed = config.trace, config.warmup, config.seed
         self.trace = trace_for(shape, config.total_duration_us, f"{seed}/trace")
         # Same trace model, disjoint seed stream: the measurement period
@@ -268,7 +228,7 @@ class Engine:
                 f"move the window or raise trace.mean_mbps"
             )
         self.kb = KnowledgeBase(last_applied=config.initial_config)
-        self.stream = StreamState(self.space.config(config.initial_config))
+        self.stream = StreamState(config.space.config(config.initial_config))
         self.monitor = Monitor(
             trace=self.trace,
             faults=config.faults,
@@ -277,20 +237,14 @@ class Engine:
             interval_us=config.monitor_interval_us,
         )
         self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
-        self.executor = Executor(self.space, config.reconfig_delay_us)
+        self.executor = Executor(config.space, config.reconfig_delay_us)
         self._ran = False
 
-    def run(self, sink: EventSink | None = None) -> EngineResult:
-        """Run every tick, handing each run's tick records to `sink` as the run ends.
-
-        Without a sink the events are collected into `EngineResult.events`.
-        """
+    def run(self, sink: EventSink) -> EngineResult:
+        """Run every tick, handing each run's tick records to `sink` as the run ends."""
         if self._ran:
             raise SimulationError("engine already ran; build a fresh Engine to replay")
         self._ran = True
-        collector = None
-        if sink is None:
-            sink = collector = CollectingSink()
 
         cfg = self.config
         adaptive = cfg.mode == "adaptive"
@@ -302,7 +256,7 @@ class Engine:
         # Looked up here, once per run, and not when the engine is built: a
         # stage rebound on its class or module after construction (as a
         # tracer or a test does) is still the one called.
-        space, kb, stream = self.space, self.kb, self.stream
+        space, kb, stream = cfg.space, self.kb, self.stream
         tick = self.monitor.tick
         evaluate = self.analyzer.evaluate
         execute = self.executor.execute
@@ -367,15 +321,5 @@ class Engine:
             seq += 5 * len(ticks) + strategies
 
         return EngineResult(
-            records=tuple(records),
-            kb=self.kb,
-            threshold_mbps=self.threshold_mbps,
-            space=self.space,
-            config=cfg,
-            events=collector.events if collector is not None else [],
+            records=tuple(records), kb=self.kb, threshold_mbps=self.threshold_mbps, config=cfg
         )
-
-
-def run_loop(config: ScenarioConfig, sink: EventSink | None = None) -> EngineResult:
-    """Build an engine for the scenario and run it to completion."""
-    return Engine(config).run(sink)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
+from adastream.experiment import JsonlFileSink
+from adastream.mapek import Engine, EngineResult
 from adastream.scenario import parse_scenario
 
 
@@ -35,3 +40,31 @@ def make_scenario(**overrides):
 @pytest.fixture
 def scenario_factory():
     return make_scenario
+
+
+class DroppingSink:
+    """An event sink that drops each run, for tests that read only records or the KB."""
+
+    def write_run(self, run_index, first_seq, ticks):
+        pass
+
+
+def run_dropping_events(config) -> EngineResult:
+    return Engine(config).run(DroppingSink())
+
+
+def run_into_jsonl(config) -> tuple[EngineResult, str]:
+    """Run the engine into events.jsonl's encoder: the result and the text it wrote."""
+    file = io.StringIO()
+    return Engine(config).run(JsonlFileSink(file)), file.getvalue()
+
+
+def run_with_events(config) -> tuple[EngineResult, list[dict]]:
+    """Run the engine and parse the events.jsonl lines it wrote.
+
+    The lines are parsed as one JSON array, in one call, which takes half
+    the time of a json.loads per line; test_event_sink checks each line on
+    its own.
+    """
+    result, text = run_into_jsonl(config)
+    return result, json.loads("[" + ",".join(text.splitlines()) + "]")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from adastream.errors import SimulationError
 from adastream.experiment import run_experiment
 from adastream.kb import default_space
-from adastream.mapek import run_loop
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     QUALITY_PRESETS,
@@ -29,6 +28,8 @@ from adastream.metrics import (
 from adastream.kb import RunRecord
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
 from adastream.units import to_us
+
+from conftest import run_dropping_events, run_with_events
 
 SPACE = default_space()
 LR = SPACE.config("LR")
@@ -105,26 +106,27 @@ def test_criterion_2_adaptive_time_performance(bundled_outputs):
 def test_criterion_3_adaptive_selection_rate(bundled_outputs):
     with criterion(3, "low-rate config dominates 26%-36% of adaptive runs"):
         config = load_scenario(bundled_config_path("table3-adaptive"))
-        result = run_loop(config)
-        run_fraction, _ = selection_fractions(result.records, result.space.names)["LR"]
+        result = run_dropping_events(config)
+        run_fraction, _ = selection_fractions(result.records, config.space.names)["LR"]
         assert 0.26 <= run_fraction <= 0.36, f"LR run fraction {run_fraction:.3f}"
 
 
 def test_criterion_4_mixture_bound_over_seeds():
     with criterion(4, "adaptive qp between the static bounds for 20 seeds x 3 presets"):
         base = load_scenario(bundled_config_path("table3-adaptive"))
+        space = base.space
         for offset in range(20):
-            result = run_loop(base._replace(seed=1000 + offset))
-            report = aggregate(result.records, result.space)
+            result = run_dropping_events(base._replace(seed=1000 + offset))
+            report = aggregate(result.records, space)
             for preset, qw in QUALITY_PRESETS.items():
-                scores = [config_quality_score(c, result.space, qw) for c in result.space.configs]
+                scores = [config_quality_score(c, space, qw) for c in space.configs]
                 lo, hi = min(scores), max(scores)
                 qp = report.grid["qp"][preset]
                 assert lo - 1e-9 <= qp <= hi + 1e-9, (
                     f"seed {1000 + offset} {preset}: qp {qp:.4f} outside [{lo:.4f}, {hi:.4f}]"
                 )
                 for record in result.records:
-                    per_run = quality_performance(record, result.space, qw)
+                    per_run = quality_performance(record, space, qw)
                     assert lo - 1e-9 <= per_run <= hi + 1e-9
 
 
@@ -210,14 +212,14 @@ def test_criterion_6_oracle_equivalence():
         checked = 0
         for _ in range(50):
             config = _random_scenario(rng)
-            result = run_loop(config)
+            result, events = run_with_events(config)
             scores = {
-                preset: {c.name: config_quality_score(c, result.space, qw) for c in result.space.configs}
+                preset: {c.name: config_quality_score(c, config.space, qw) for c in config.space.configs}
                 for preset, qw in QUALITY_PRESETS.items()
             }
             for record in result.records:
                 steps = [
-                    e for e in result.events
+                    e for e in events
                     if e["event"] == "step" and e["run"] == record.run_index
                 ]
                 for preset, qw in QUALITY_PRESETS.items():
@@ -229,7 +231,7 @@ def test_criterion_6_oracle_equivalence():
                             streamed += us / 1e6
                     assert streamed > 0, "random scenarios must always stream"
                     brute = achieved / streamed
-                    closed = quality_performance(record, result.space, qw)
+                    closed = quality_performance(record, config.space, qw)
                     assert abs(closed - brute) <= 1e-9, (
                         f"run {record.run_index} {preset}: closed {closed!r} vs brute {brute!r}"
                     )
@@ -271,7 +273,7 @@ def _fault_sweep_scenario(rng: random.Random):
     return config
 
 
-def assert_loop_invariants(config, result) -> None:
+def assert_loop_invariants(config, result, events) -> None:
     """Criterion 7: exact time accounting, an append-only registry, register -> apply causality."""
     # fail-safe: every run completed and accounts for all elapsed time
     assert len(result.records) == config.runs
@@ -280,7 +282,7 @@ def assert_loop_invariants(config, result) -> None:
 
     # per-step accounting is exact too
     per_run_elapsed: dict[int, int] = {}
-    for event in result.events:
+    for event in events:
         if event["event"] != "step":
             continue
         segment_us = sum(us for _, us in event["segments"])
@@ -299,11 +301,11 @@ def assert_loop_invariants(config, result) -> None:
     # causality: each applied change maps 1:1 to an earlier registration
     registered = {
         e["strategy_id"]: e["seq"]
-        for e in result.events
+        for e in events
         if e["event"] == "register" and e["ok"]
     }
     seen: set[int] = set()
-    for event in result.events:
+    for event in events:
         if event["event"] == "execute" and event["applied"]:
             sid = event["strategy_id"]
             assert sid in registered and registered[sid] < event["seq"]
@@ -317,7 +319,7 @@ def test_criterion_7_invariant_sweep():
         rng = random.Random(42424242)
         for sweep in range(100):
             config = _fault_sweep_scenario(rng)
-            assert_loop_invariants(config, run_loop(config))
+            assert_loop_invariants(config, *run_with_events(config))
 
 
 # Bounds on a generated document: its loop ticks and its trace samples.
@@ -400,12 +402,12 @@ def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(docu
     if config is None:
         return
     try:
-        result = run_loop(config)
+        result, events = run_with_events(config)
     except SimulationError as exc:
         # the one failure only the generated warmup trace shows
         assert "threshold of 0 Mbps" in str(exc)
         return
-    assert_loop_invariants(config, result)
+    assert_loop_invariants(config, result, events)
 
 
 def test_criterion_8_byte_identical_replays(tmp_path, bundled_outputs):
@@ -450,20 +452,20 @@ def test_criterion_9_fault_tolerant_streaming():
         window_us = (to_us(90.0), to_us(180.0))
         assert (window_us[1] - window_us[0]) * 10 == config.total_duration_us * 3  # 30%
 
-        result = run_loop(config)
+        result, events = run_with_events(config)
         # 100% of elapsed time is streamed-or-reconfiguring, every run
         for record in result.records:
             assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
-        in_window = [e for e in result.events if window_us[0] <= e["t_us"] < window_us[1]]
+        in_window = [e for e in events if window_us[0] <= e["t_us"] < window_us[1]]
         executes = [e for e in in_window if e["event"] == "execute"]
         assert executes
         # only last-known strategies during the outage: fallback source, no new applies
         assert all(e["source"] == "fallback" and not e["applied"] for e in executes)
         assert all(not e["ok"] for e in in_window if e["event"] == "register")
         # the stream kept an active config through every step of the outage
-        assert all(e["active"] in result.space for e in in_window if e["event"] == "step")
+        assert all(e["active"] in config.space for e in in_window if e["event"] == "step")
         # sanity: the loop did adapt outside the outage
         assert any(
-            e["event"] == "execute" and e["applied"] for e in result.events
+            e["event"] == "execute" and e["applied"] for e in events
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import QuotedNames, events_jsonl_text, run_experiment
-from adastream.mapek import CollectingSink, Engine, run_loop
+from adastream.experiment import run_experiment
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
 from adastream.stream import StreamState
+
+from conftest import run_into_jsonl
 
 # Quote, backslash, control characters, and non-ASCII (BMP and astral).
 NAME_CHARS = st.sampled_from(list('"\\\x00\x01\x1f\x7f\n\t/,é€😀ab'))
@@ -76,36 +78,51 @@ def scenario_docs(draw):
     }
 
 
-def _dumps_lines(events: list[dict]) -> str:
-    return "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events)
+# Each line's keys after seq, run, t_us, event, in line order, by kind; a
+# plan line's by its action.
+LINE_KEYS = {
+    "monitor": ("upload_mbps", "ok"),
+    "analyze": ("condition",),
+    "plan keep": ("action",),
+    "plan strategy": ("action", "target", "reason"),
+    "register": ("ok", "strategy_id", "target"),
+    "execute": ("source", "strategy_id", "target", "applied"),
+    "step": ("dt_us", "reconfig_us", "segments", "active"),
+}
+TICK_SHAPE = re.compile(r"(monitor,analyze,(plan keep|plan strategy,register),execute,step,)*")
 
 
-class TeeSink:
-    """Feeds each run to a collecting sink and to the per-kind encoder."""
-
-    def __init__(self) -> None:
-        self.collector = CollectingSink()
-        self.quoted = QuotedNames()
-        self.text: list[str] = []
-
-    def write_run(self, run_index, first_seq, events):
-        self.collector.write_run(run_index, first_seq, events)
-        self.text.append(events_jsonl_text(run_index, first_seq, events, self.quoted))
+def parse_checked_lines(config, text: str) -> list[dict]:
+    """Parse events.jsonl text, checking each line's bytes, keys and names; return the events."""
+    names = set(config.space.names) | {None}
+    events = []
+    kinds = []
+    for line in text.splitlines():
+        event = json.loads(line)
+        assert line == json.dumps(event, separators=(",", ":"))
+        kind = event["event"]
+        if kind == "plan":
+            kind = f"plan {event['action']}"
+        assert list(event) == ["seq", "run", "t_us", "event", *LINE_KEYS[kind]], line
+        named = [event.get("target"), event.get("active"), *(n for n, _ in event.get("segments", []))]
+        assert set(named) <= names, line
+        events.append(event)
+        kinds.append(kind)
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert TICK_SHAPE.fullmatch("".join(f"{kind}," for kind in kinds))
+    return events
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_docs())
-def test_encoder_matches_json_dumps_of_collected_events(doc):
+def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    sink = TeeSink()
-    run_loop(config, sink)
-    events = sink.collector.events
-    assert "".join(sink.text) == _dumps_lines(events)
-    assert events == run_loop(config).events
+    _, text = run_into_jsonl(config)
+    parse_checked_lines(config, text)
     with tempfile.TemporaryDirectory() as out:
         run_experiment(config, out)
-        assert (Path(out) / "events.jsonl").read_text(encoding="utf-8") == _dumps_lines(events)
+        assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")
 
 
 def test_encoder_matches_json_dumps_on_every_event_shape():
@@ -133,10 +150,8 @@ def test_encoder_matches_json_dumps_on_every_event_shape():
     }
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    sink = TeeSink()
-    run_loop(config, sink)
-    events = sink.collector.events
-    assert "".join(sink.text) == _dumps_lines(events)
+    _, text = run_into_jsonl(config)
+    events = parse_checked_lines(config, text)
     kinds = {e["event"] for e in events}
     assert kinds == {"monitor", "analyze", "plan", "register", "execute", "step"}
     assert any(e["event"] == "monitor" and e["upload_mbps"] == 0.0 and e["ok"] for e in events)
@@ -144,15 +159,6 @@ def test_encoder_matches_json_dumps_on_every_event_shape():
     assert any(e["event"] == "execute" and e["source"] == "fallback" for e in events)
     assert any(e["event"] == "plan" and e.get("reason") == "user-config" for e in events)
     assert any(e["event"] == "step" and e["segments"] == [] for e in events)
-
-
-def test_engine_without_sink_collects_and_with_sink_does_not(scenario_factory):
-    config = scenario_factory(runs=2)
-    sink = CollectingSink()
-    result = Engine(config).run(sink)
-    assert result.events == []
-    assert sink.events == run_loop(config).events
-    assert [e["seq"] for e in sink.events] == list(range(len(sink.events)))
 
 
 def test_crash_mid_loop_keeps_previous_events_file(tmp_path, scenario_factory, monkeypatch):

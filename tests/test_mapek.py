@@ -12,11 +12,12 @@ from adastream.mapek import (
     Executor,
     Monitor,
     plan,
-    run_loop,
 )
 from adastream.netsim import FaultSchedule, FaultWindow, SpeedSample, generate_trace
 from adastream.stream import StepOutcome, StreamState
 from adastream.units import to_us
+
+from conftest import DroppingSink, run_dropping_events, run_with_events
 
 SPACE = default_space()
 
@@ -235,7 +236,7 @@ def test_execute_compares_against_pending_target():
 
 
 def test_static_scenario_registers_nothing(scenario_factory):
-    result = run_loop(scenario_factory(scenario="static-LR", runs=5))
+    result = run_dropping_events(scenario_factory(scenario="static-LR", runs=5))
     assert len(result.records) == 5
     assert all(r.reconfig_us == 0 for r in result.records)
     assert all(r.streamed_us == {"LR": to_us(30)} for r in result.records)
@@ -243,28 +244,28 @@ def test_static_scenario_registers_nothing(scenario_factory):
 
 
 def test_loop_is_deterministic(scenario_factory):
-    a = run_loop(scenario_factory(runs=3))
-    b = run_loop(scenario_factory(runs=3))
+    a = run_dropping_events(scenario_factory(runs=3))
+    b = run_dropping_events(scenario_factory(runs=3))
     assert a.records == b.records
-    assert a.events == b.events
+    assert a.kb.strategies == b.kb.strategies
     assert a.threshold_mbps == b.threshold_mbps
 
 
 def test_seed_changes_the_event_log(scenario_factory):
-    a = run_loop(scenario_factory(runs=3))
-    b = run_loop(scenario_factory(runs=3, seed=43))
-    assert a.events != b.events
+    _, a = run_with_events(scenario_factory(runs=3))
+    _, b = run_with_events(scenario_factory(runs=3, seed=43))
+    assert a != b
 
 
 def test_adaptive_loop_adapts_and_accounts_exactly(scenario_factory):
-    result = run_loop(scenario_factory(runs=10))
+    result = run_dropping_events(scenario_factory(runs=10))
     assert len(result.kb.strategies) > 0
     for record in result.records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
 
 def test_no_redundant_strategies(scenario_factory):
-    result = run_loop(scenario_factory(runs=10))
+    result = run_dropping_events(scenario_factory(runs=10))
     targets = [s.target for s in result.kb.strategies]
     assert all(a != b for a, b in zip(targets, targets[1:]))
     ids = [s.id for s in result.kb.strategies]
@@ -272,11 +273,11 @@ def test_no_redundant_strategies(scenario_factory):
 
 
 def test_every_applied_change_traces_to_one_earlier_registration(scenario_factory):
-    result = run_loop(scenario_factory(runs=10))
+    _, events = run_with_events(scenario_factory(runs=10))
     registered = {
-        e["strategy_id"]: e["seq"] for e in result.events if e["event"] == "register" and e["ok"]
+        e["strategy_id"]: e["seq"] for e in events if e["event"] == "register" and e["ok"]
     }
-    applied = [e for e in result.events if e["event"] == "execute" and e["applied"]]
+    applied = [e for e in events if e["event"] == "execute" and e["applied"]]
     assert applied, "adaptive scenario should reconfigure at least once"
     seen: set[int] = set()
     for event in applied:
@@ -293,8 +294,8 @@ def test_probe_fault_window_freezes_planning(scenario_factory):
         {"start_s": 30.0, "end_s": 60.0, "kind": "probe-unavailable"},
     ])
     assert config.faults.windows == (window,)
-    result = run_loop(config)
-    in_window = [e for e in result.events if window.start_us <= e["t_us"] < window.end_us]
+    result, events = run_with_events(config)
+    in_window = [e for e in events if window.start_us <= e["t_us"] < window.end_us]
     assert all(e["condition"] == "unknown" for e in in_window if e["event"] == "analyze")
     assert all(e["action"] == "keep" for e in in_window if e["event"] == "plan")
     for record in result.records:  # the stream never halted
@@ -305,9 +306,9 @@ def test_registry_fault_window_uses_fallback_only(scenario_factory):
     config = scenario_factory(runs=4, faults=[
         {"start_s": 30.0, "end_s": 66.0, "kind": "registry-unavailable"},
     ])
-    result = run_loop(config)
+    result, events = run_with_events(config)
     start, end = to_us(30), to_us(66)
-    in_window = [e for e in result.events if start <= e["t_us"] < end]
+    in_window = [e for e in events if start <= e["t_us"] < end]
     executes = [e for e in in_window if e["event"] == "execute"]
     assert executes
     assert all(e["source"] == "fallback" and not e["applied"] for e in executes)
@@ -325,7 +326,7 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
         user_overrides=[{"at_s": 10.0, "target": "LR"}],
     )
-    result = run_loop(config)
+    result, events = run_with_events(config)
     # the override fires once at t=10; threshold planning resumes next tick
     # and reverts (constant trace ties at the threshold, i.e. above)
     user_strategies = [s for s in result.kb.strategies if s.reason == "user-config"]
@@ -335,7 +336,7 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
     revert = result.kb.strategies[1]
     assert revert.reason == "above-threshold" and revert.target == "HR"
     assert revert.issued_at_us == to_us(11)
-    applied = [e for e in result.events if e["event"] == "execute" and e["applied"]]
+    applied = [e for e in events if e["event"] == "execute" and e["applied"]]
     assert [e["strategy_id"] for e in applied] == [s.id for s in result.kb.strategies]
 
 
@@ -348,9 +349,9 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
         faults=[{"start_s": 10.0, "end_s": 20.0, "kind": "registry-unavailable"}],
         user_overrides=[{"at_s": 12.0, "target": "LR"}],
     )
-    result = run_loop(config)
+    result, events = run_with_events(config)
     strategy_events = [
-        e for e in result.events
+        e for e in events
         if (e["event"] == "plan" and e["action"] == "strategy") or e["event"] == "register"
     ]
     # One plan and one dropped registration at the override's tick, and no
@@ -374,14 +375,14 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
         user_overrides=[{"at_s": 12.2, "target": "LR"}, {"at_s": 12.7, "target": "HR"}],
     )
-    result = run_loop(config)
+    result, events = run_with_events(config)
     # Both fall due at the 13 s tick. The HR one acts, and as the stream is
     # already on HR it plans nothing; the LR one leaves no event at all.
-    plans = [e for e in result.events if e["event"] == "plan" and e["t_us"] == to_us(13)]
+    plans = [e for e in events if e["event"] == "plan" and e["t_us"] == to_us(13)]
     assert plans == [
         {"seq": 13 * 5 + 2, "run": 0, "t_us": to_us(13), "event": "plan", "action": "keep"},
     ]
-    assert all(e.get("target") != "LR" for e in result.events)
+    assert all(e.get("target") != "LR" for e in events)
     assert result.kb.strategies == ()
     assert result.records[0].streamed_us == {"HR": to_us(30)}
 
@@ -393,21 +394,21 @@ def test_hysteresis_band_reduces_switching(scenario_factory):
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
         probe_noise_sd_mbps=0.3,
     )
-    bare = run_loop(scenario_factory(**noisy))
-    banded = run_loop(scenario_factory(**noisy, hysteresis_mbps=1.5))
+    bare = run_dropping_events(scenario_factory(**noisy))
+    banded = run_dropping_events(scenario_factory(**noisy, hysteresis_mbps=1.5))
     assert len(banded.kb.strategies) < len(bare.kb.strategies)
 
 
 def test_engine_refuses_to_run_twice(scenario_factory):
     engine = Engine(scenario_factory(runs=1))
-    engine.run()
+    engine.run(DroppingSink())
     with pytest.raises(SimulationError):
-        engine.run()
+        engine.run(DroppingSink())
 
 
 def test_sub_second_monitor_interval(scenario_factory):
-    result = run_loop(scenario_factory(runs=2, monitor_interval_s=0.5))
-    steps = [e for e in result.events if e["event"] == "step"]
+    result, events = run_with_events(scenario_factory(runs=2, monitor_interval_s=0.5))
+    steps = [e for e in events if e["event"] == "step"]
     assert len(steps) == 2 * 60
     assert all(e["dt_us"] == 500_000 for e in steps)
     for record in result.records:

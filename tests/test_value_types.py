@@ -193,10 +193,7 @@ CASES = [
     (PerformanceReport, {"scenario": "adaptive", "run_count": 1, "grid": GRID}, []),
     (
         EngineResult,
-        {
-            "records": (RECORD,), "kb": KnowledgeBase(), "threshold_mbps": 5.0, "space": SPACE,
-            "config": CONFIG, "events": [],
-        },
+        {"records": (RECORD,), "kb": KnowledgeBase(), "threshold_mbps": 5.0, "config": CONFIG},
         [],
     ),
     (
