@@ -122,9 +122,12 @@ class JsonlFileSink:
     def __init__(self, file: TextIO):
         self._file = file
         self._quoted = QuotedNames()
+        self._seq = 0  # the next line's seq: seq counts the lines from 0
 
-    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
-        self._file.write(events_jsonl_text(run_index, first_seq, ticks, self._quoted))
+    def write_run(self, run_index: int, ticks: list[tuple]) -> None:
+        text = events_jsonl_text(run_index, self._seq, ticks, self._quoted)
+        self._file.write(text)
+        self._seq += text.count("\n")
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -145,6 +148,11 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
     if header[: len(RUNS_CSV_FIXED_COLUMNS)] != RUNS_CSV_FIXED_COLUMNS:
         raise SimulationError(f"{path} has unexpected header {header!r}")
     names = tuple(col[len("seconds_"):] for col in header[len(RUNS_CSV_FIXED_COLUMNS):])
+    for col, name in zip(header[len(RUNS_CSV_FIXED_COLUMNS):], names):
+        if not col.startswith("seconds_") or not name:
+            raise SimulationError(f"{path}: column {col!r} is not seconds_<config>")
+        if names.count(name) > 1:
+            raise SimulationError(f"{path}: repeated column {col!r}")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

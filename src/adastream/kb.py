@@ -20,11 +20,54 @@ LR_QUALITY_SCORE = 0.99
 HR_QUALITY_SCORE = 0.20
 
 
-# Each checked value type is a NamedTuple of its fields plus a subclass whose
-# __new__ validates them, as netsim's SpeedSample is: a NamedTuple body may
-# not define __new__, and a tuple class is far cheaper to build at import
-# than a frozen dataclass. Its _make builds through __new__ too, since
-# _replace calls _make and NamedTuple's own _make skips __new__.
+class Checked:
+    """Base of a checked value type, listed before the NamedTuple of its fields.
+
+    A NamedTuple body may not define __new__, so the type's subclass checks
+    its fields there; a tuple class is far cheaper to build at import than a
+    frozen dataclass. This _make builds through __new__ too, since _replace
+    calls _make and NamedTuple's own _make skips __new__.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Frozen:
+    """Base of an immutable value checked and built in __init__, through slots.
+
+    Read-only, equal, hashed and shown by its first slot, and copied or
+    pickled by rebuilding through __init__ from that slot.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self.__slots__[0]
+        return getattr(self, key) == getattr(other, key)
+
+    def __hash__(self) -> int:
+        return hash(getattr(self, self.__slots__[0]))
+
+    def __repr__(self) -> str:
+        key = self.__slots__[0]
+        return f"{type(self).__name__}({key}={getattr(self, key)!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+
 class _StreamConfigFields(NamedTuple):
     name: str
     frame_rate: int
@@ -33,14 +76,10 @@ class _StreamConfigFields(NamedTuple):
     quality_score: float
 
 
-class StreamConfig(_StreamConfigFields):
+class StreamConfig(Checked, _StreamConfigFields):
     """One point in the adaptation space: a (frame rate, scale, quality) setting."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> StreamConfig:
-        return cls(*iterable)
 
     def __new__(
         cls, name: str, frame_rate: int, scale_w: int, scale_h: int, quality_score: float
@@ -54,7 +93,7 @@ class StreamConfig(_StreamConfigFields):
         return tuple.__new__(cls, (name, frame_rate, scale_w, scale_h, quality_score))
 
 
-class AdaptationSpace:
+class AdaptationSpace(Frozen):
     """The finite, ordered set of configurations the planner may select among.
 
     An immutable value, equal by `configs`. The planner's two targets and the
@@ -75,26 +114,6 @@ class AdaptationSpace:
         init(self, "highest_rate_config", max(configs, key=lambda c: c.frame_rate))
         init(self, "lowest_rate_config", min(configs, key=lambda c: c.frame_rate))
         init(self, "_by_name", {c.name: c for c in configs})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not AdaptationSpace:
-            return NotImplemented
-        return self.configs == other.configs
-
-    def __hash__(self) -> int:
-        return hash(self.configs)
-
-    def __repr__(self) -> str:
-        return f"AdaptationSpace(configs={self.configs!r})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return AdaptationSpace, (self.configs,)
 
     @property
     def max_frame_rate(self) -> int:
@@ -134,14 +153,10 @@ class _AdaptationStrategyFields(NamedTuple):
     reason: str
 
 
-class AdaptationStrategy(_AdaptationStrategyFields):
+class AdaptationStrategy(Checked, _AdaptationStrategyFields):
     """A timestamped decision to move the stream to a target configuration."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> AdaptationStrategy:
-        return cls(*iterable)
 
     def __new__(cls, id: int, issued_at_us: int, target: str, reason: str) -> AdaptationStrategy:
         if reason not in STRATEGY_REASONS:
@@ -158,7 +173,7 @@ class _RunRecordFields(NamedTuple):
     streamed_us: dict[str, int]
 
 
-class RunRecord(_RunRecordFields):
+class RunRecord(Checked, _RunRecordFields):
     """Per-run ledger: how the run's elapsed time was spent.
 
     All durations are integer microseconds. The constructor enforces the
@@ -167,10 +182,6 @@ class RunRecord(_RunRecordFields):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> RunRecord:
-        return cls(*iterable)
 
     def __new__(
         cls,

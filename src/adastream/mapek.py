@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Protocol
 
 from .errors import SimulationError
-from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
+from .kb import AdaptationSpace, AdaptationStrategy, Checked, KnowledgeBase, RunRecord
 from .netsim import (
     BandwidthTrace,
     FaultSchedule,
@@ -39,20 +39,15 @@ from .units import to_us
 CONDITION_KINDS = ("above-threshold", "below-threshold", "unknown")
 
 
-# Checked in a subclass's __new__, as netsim's SpeedSample is.
 class _ConditionFields(NamedTuple):
     kind: str
     at_us: int
 
 
-class Condition(_ConditionFields):
+class Condition(Checked, _ConditionFields):
     """The analyzer's model of the operating conditions at one instant."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> Condition:
-        return cls(*iterable)
 
     def __new__(cls, kind: str, at_us: int) -> Condition:
         if kind not in CONDITION_KINDS:
@@ -153,7 +148,12 @@ class ExecuteOutcome(NamedTuple):
 
 
 class Executor:
-    """Adaptation execution service: turns the latest strategy into a stream command."""
+    """Adaptation execution service: turns the latest strategy into a stream command.
+
+    Only the executor commands the stream, and it records each command in
+    `kb.last_applied`: the config the stream is committed to, the pending
+    one while a switch is in flight.
+    """
 
     def __init__(self, space: AdaptationSpace, reconfig_delay_us: int):
         self._space = space
@@ -166,14 +166,14 @@ class Executor:
         latest = kb.latest_strategy()
         if latest is None:
             return ExecuteOutcome("registry", None, None, False)
-        if latest.target == stream.effective_config.name:
+        if latest.target == kb.last_applied:
             return ExecuteOutcome("registry", latest.id, latest.target, False)
         stream.apply_config(self._space.config(latest.target), self._reconfig_delay_us)
         kb.last_applied = latest.target
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
-# The engine hands a run's ticks to its sink as one record per tick:
+# The engine hands each run's ticks to its sink as one record per tick:
 #
 #     (t_us, upload_mbps, ok, condition, planned, registered,
 #      source, strategy_id, target, applied,
@@ -181,11 +181,11 @@ class Executor:
 #
 # planned is None for a plan "keep", else (target, reason) of the planned
 # strategy; registered is None exactly when planned is, else the register
-# event's (ok, strategy_id, target). A tick is five events (monitor,
-# analyze, plan, execute, step), or six with a register after the plan.
+# event's (ok, strategy_id, target). How a record becomes events, and how
+# they are numbered, is the sink's to decide.
 class EventSink(Protocol):
-    def write_run(self, run_index: int, first_seq: int, ticks: list[tuple]) -> None:
-        """Take one run's tick records in order; their first event's seq is first_seq."""
+    def write_run(self, run_index: int, ticks: list[tuple]) -> None:
+        """Take one run's tick records in order, runs in order."""
 
 
 class EngineResult(NamedTuple):
@@ -251,7 +251,6 @@ class Engine:
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
-        seq = 0
         records: list[RunRecord] = []
         # Looked up here, once per run, and not when the engine is built: a
         # stage rebound on its class or module after construction (as a
@@ -269,7 +268,6 @@ class Engine:
         for run_index in range(cfg.runs):
             ticks: list[tuple] = []
             add = ticks.append
-            strategies = 0
             stream.start_run()
             run_start_us = run_index * run_duration_us
             offset = 0
@@ -278,7 +276,7 @@ class Engine:
                 sample = tick(t_us)
                 condition = evaluate(sample)
 
-                current = stream.effective_config.name
+                current = kb.last_applied
                 strategy = None
                 forced_target: str | None = None
                 while next_override < len(overrides) and overrides[next_override].at_us <= t_us:
@@ -295,7 +293,6 @@ class Engine:
                 registry_available = not fault_active("registry-unavailable", t_us)
                 planned = registered = None
                 if strategy is not None:
-                    strategies += 1
                     planned = (strategy.target, strategy.reason)
                     if registry_available:
                         register(strategy)
@@ -316,9 +313,7 @@ class Engine:
                 offset += dt_us
 
             records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
-            sink.write_run(run_index, seq, ticks)
-            # five events a tick, and a register event for each strategy
-            seq += 5 * len(ticks) + strategies
+            sink.write_run(run_index, ticks)
 
         return EngineResult(
             records=tuple(records), kb=self.kb, threshold_mbps=self.threshold_mbps, config=cfg

@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import InvalidRunError
-from .kb import AdaptationSpace, RunRecord, StreamConfig
+from .kb import AdaptationSpace, Checked, RunRecord, StreamConfig
 
 _BOUND_SLACK = 1e-9
 
@@ -36,20 +36,15 @@ def fmean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-# Checked in a subclass's __new__, as kb's value types are.
 class _QualityWeightsFields(NamedTuple):
     w_rate: float
     w_frame: float
 
 
-class QualityWeights(_QualityWeightsFields):
+class QualityWeights(Checked, _QualityWeightsFields):
     """Weighting of frame rate vs frame quality inside a run's quality score."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> QualityWeights:
-        return cls(*iterable)
 
     def __new__(cls, w_rate: float, w_frame: float) -> QualityWeights:
         self = tuple.__new__(cls, (w_rate, w_frame))
@@ -65,14 +60,10 @@ class _PerformanceWeightsFields(NamedTuple):
     w_q: float
 
 
-class PerformanceWeights(_PerformanceWeightsFields):
+class PerformanceWeights(Checked, _PerformanceWeightsFields):
     """Weighting of time performance vs quality performance in the combined metric."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> PerformanceWeights:
-        return cls(*iterable)
 
     def __new__(cls, w_t: float, w_q: float) -> PerformanceWeights:
         self = tuple.__new__(cls, (w_t, w_q))

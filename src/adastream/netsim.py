@@ -16,35 +16,25 @@ import math
 import random
 from _random import Random as _MersenneTwister
 from bisect import bisect_right
+from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
+from .kb import Checked, Frozen
 from .units import to_us
-
-try:
-    # as random.py does: hashlib is heavy to load, the internal module is lean
-    from _sha512 import sha512 as _sha512
-except ImportError:
-    from hashlib import sha512 as _sha512
 
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
 
 
-# Each checked value type subclasses a NamedTuple of its fields and
-# validates them in __new__, as kb's types do.
 class _BandwidthTraceFields(NamedTuple):
     uploads: tuple[float, ...]
     step_us: int
 
 
-class BandwidthTrace(_BandwidthTraceFields):
+class BandwidthTrace(Checked, _BandwidthTraceFields):
     """Piecewise-constant upload speed: uploads[i] covers [i*step, (i+1)*step)."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> BandwidthTrace:
-        return cls(*iterable)
 
     def __new__(cls, uploads: tuple[float, ...], step_us: int) -> BandwidthTrace:
         if step_us <= 0:
@@ -66,12 +56,8 @@ class _FaultWindowFields(NamedTuple):
     kind: str
 
 
-class FaultWindow(_FaultWindowFields):
+class FaultWindow(Checked, _FaultWindowFields):
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> FaultWindow:
-        return cls(*iterable)
 
     def __new__(cls, start_us: int, end_us: int, kind: str) -> FaultWindow:
         if kind not in FAULT_KINDS:
@@ -81,7 +67,7 @@ class FaultWindow(_FaultWindowFields):
         return tuple.__new__(cls, (start_us, end_us, kind))
 
 
-class FaultSchedule:
+class FaultSchedule(Frozen):
     """Fault windows, non-overlapping per kind; an immutable value, equal by `windows`.
 
     Each kind's windows are indexed once as sorted start and end arrays, so
@@ -103,26 +89,6 @@ class FaultSchedule:
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "_index", index)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not FaultSchedule:
-            return NotImplemented
-        return self.windows == other.windows
-
-    def __hash__(self) -> int:
-        return hash(self.windows)
-
-    def __repr__(self) -> str:
-        return f"FaultSchedule(windows={self.windows!r})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return FaultSchedule, (self.windows,)
-
     def active(self, kind: str, t_us: int) -> bool:
         spans = self._index.get(kind)
         if spans is None:
@@ -139,14 +105,10 @@ class _SpeedSampleFields(NamedTuple):
     ok: bool
 
 
-class SpeedSample(_SpeedSampleFields):
+class SpeedSample(Checked, _SpeedSampleFields):
     """One probe result; ok=False means the probe itself was unavailable."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> SpeedSample:
-        return cls(*iterable)
 
     def __new__(cls, t_us: int, upload_mbps: float, ok: bool) -> SpeedSample:
         if ok and upload_mbps < 0:

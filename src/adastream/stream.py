@@ -35,11 +35,6 @@ class StreamState:
         self.reconfig_us = 0
         self.switches = 0
 
-    @property
-    def effective_config(self) -> StreamConfig:
-        """The configuration the stream is committed to: pending if a switch is in flight."""
-        return self.pending if self.pending is not None else self.active
-
     def apply_config(self, target: StreamConfig, reconfig_delay_us: int) -> None:
         """Command the stream to move to `target`.
 

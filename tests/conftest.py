@@ -45,7 +45,7 @@ def scenario_factory():
 class DroppingSink:
     """An event sink that drops each run, for tests that read only records or the KB."""
 
-    def write_run(self, run_index, first_seq, ticks):
+    def write_run(self, run_index, ticks):
         pass
 
 

@@ -190,6 +190,16 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
             lambda data: re.sub(rb"(?m)^1,adaptive,", b"1,static-LR,", data),
             "runs.csv:3: scenario 'static-LR' differs from 'adaptive' on line 2",
         ),
+        (
+            "runs.csv",
+            lambda data: data.replace(b",seconds_HR", b",rate_HR", 1),
+            "runs.csv: column 'rate_HR' is not seconds_<config>",
+        ),
+        (
+            "runs.csv",
+            lambda data: data.replace(b",seconds_HR", b",seconds_LR", 1),
+            "runs.csv: repeated column 'seconds_LR'",
+        ),
     ],
     ids=[
         "report-row-too-short",
@@ -200,6 +210,8 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
         "report-metric-unknown",
         "runs-row-too-long",
         "runs-scenario-mixed",
+        "runs-config-column-misnamed",
+        "runs-config-column-repeated",
     ],
 )
 def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(

@@ -367,6 +367,33 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
     assert all(r.streamed_us == {"HR": to_us(30)} for r in result.records)
 
 
+def test_registry_outage_during_a_switch_falls_back_to_the_pending_target(scenario_factory):
+    config = scenario_factory(
+        runs=1,
+        reconfig_delay_s=5.5,
+        trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+        probe_noise_sd_mbps=0.0,
+        warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+        faults=[{"start_s": 13.0, "end_s": 20.0, "kind": "registry-unavailable"}],
+        user_overrides=[{"at_s": 12.0, "target": "LR"}],
+    )
+    result, events = run_with_events(config)
+    # The switch to LR starts at 12 s and drains during the 17 s tick; the
+    # outage from 13 s drops every HR strategy the planner issues meanwhile.
+    fallbacks = [e for e in events if e["event"] == "execute" and e["source"] == "fallback"]
+    assert [e["t_us"] for e in fallbacks] == [to_us(t) for t in range(13, 20)]
+    assert all(e["target"] == "LR" and not e["applied"] for e in fallbacks)
+    active = {e["t_us"]: e["active"] for e in events if e["event"] == "step"}
+    assert [active[to_us(t)] for t in range(11, 18)] == ["HR"] * 6 + ["LR"]
+    # The planner reads the committed LR too, so it asks for HR at every tick.
+    registers = [(e["t_us"], e["ok"], e["target"]) for e in events if e["event"] == "register"]
+    assert registers == [
+        (to_us(12), True, "LR"),
+        *[(to_us(t), False, "HR") for t in range(13, 20)],
+        (to_us(20), True, "HR"),
+    ]
+
+
 def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factory):
     config = scenario_factory(
         runs=1,

@@ -39,7 +39,6 @@ def test_apply_new_config_opens_reconfiguration():
     state.apply_config(HR, DELAY_US)
     assert state.pending == HR
     assert state.reconfig_remaining_us == 2_700_000
-    assert state.effective_config == HR
     assert state.active == LR
 
 

@@ -8,15 +8,19 @@ each invalid value with the error type and text it has always used.
 from __future__ import annotations
 
 import copy
+import pickle
 import re
 
 import pytest
 
+from adastream import kb, mapek, metrics, netsim
 from adastream.errors import InvalidRunError, InvalidTraceError
 from adastream.experiment import Comparison, ScenarioArtifacts
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
+    Checked,
+    Frozen,
     KnowledgeBase,
     RunRecord,
     StreamConfig,
@@ -239,3 +243,31 @@ def test_replace_runs_the_constructor_checks(cls, fields, invalid):
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             value._replace(**changes)
         assert type(raised.value) is error
+
+
+# The types built on kb's two bases, whose _make, dunders and checks are shared.
+BASED = [case for case in CASES if issubclass(case[0], (Checked, Frozen))]
+
+
+def test_every_based_type_is_in_cases():
+    based = {
+        obj
+        for module in (kb, netsim, mapek, metrics)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, (Checked, Frozen)) and obj not in (Checked, Frozen)
+    }
+    assert based and based <= {case[0] for case in BASED}
+
+
+@pytest.mark.parametrize("cls, fields, invalid", BASED, ids=[case[0].__name__ for case in BASED])
+def test_based_type_hashes_by_value_and_survives_pickle(cls, fields, invalid):
+    value = cls(**fields)
+    try:
+        hash(tuple(fields.values()))
+    except TypeError:  # a field holds a dict, so the value is not hashable either
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(**fields))
+    copied = pickle.loads(pickle.dumps(value))
+    assert type(copied) is cls and copied == value
