@@ -81,26 +81,25 @@ def events_jsonl_text(
     add = lines.append
     seq = first_seq
     for (
-        t_us, upload, ok, condition, planned, registered,
-        source, strategy_id, target, applied,
-        dt_us, reconfig_us, segments, active,
+        (t_us, upload, ok), (condition, _), strategy, (source, strategy_id, target, applied),
+        dt_us, (reconfig_us, streamed_us, active),
     ) in ticks:
         tail = f',"run":{run_index},"t_us":{t_us},"event":'
-        if planned is None:
+        if strategy is None:
             decision = f'{{"seq":{seq + 2}{tail}"plan","action":"keep"}}\n'
             after = seq + 3
         else:
-            planned_target, reason = planned
-            registered_ok, registered_id, registered_target = registered
+            # registered exactly when the registry is up, as the execute source says
+            registered = source == "registry"
+            planned_target = quoted[strategy.target]
             decision = (
                 f'{{"seq":{seq + 2}{tail}"plan","action":"strategy",'
-                f'"target":{quoted[planned_target]},"reason":"{reason}"}}\n'
-                f'{{"seq":{seq + 3}{tail}"register","ok":{_JSON_BOOL[registered_ok]},'
-                f'"strategy_id":{"null" if registered_id is None else registered_id},'
-                f'"target":{quoted[registered_target]}}}\n'
+                f'"target":{planned_target},"reason":"{strategy.reason}"}}\n'
+                f'{{"seq":{seq + 3}{tail}"register","ok":{_JSON_BOOL[registered]},'
+                f'"strategy_id":{strategy.id if registered else "null"},'
+                f'"target":{planned_target}}}\n'
             )
             after = seq + 4
-        segment_text = ",".join([f"[{quoted[name]},{us}]" for name, us in segments])
         # the tick's five or six lines in one string
         add(
             f'{{"seq":{seq}{tail}"monitor","upload_mbps":{upload!r},"ok":{_JSON_BOOL[ok]}}}\n'
@@ -110,7 +109,8 @@ def events_jsonl_text(
             f'"strategy_id":{"null" if strategy_id is None else strategy_id},'
             f'"target":{quoted[target]},"applied":{_JSON_BOOL[applied]}}}\n'
             f'{{"seq":{after + 1}{tail}"step","dt_us":{dt_us},"reconfig_us":{reconfig_us},'
-            f'"segments":[{segment_text}],"active":{quoted[active]}}}\n'
+            f'"segments":[{f"[{quoted[active]},{streamed_us}]" if streamed_us else ""}],'
+            f'"active":{quoted[active]}}}\n'
         )
         seq = after + 2
     return "".join(lines)
@@ -184,12 +184,12 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
     return records, names
 
 
-def _selection_lines(result: EngineResult, report: PerformanceReport) -> list[str]:
-    space = result.config.space
+def _selection_lines(config: ScenarioConfig, result: EngineResult, report: PerformanceReport) -> list[str]:
+    space = config.space
     selection = selection_fractions(result.records, space.names)
     lines = [f"threshold_mbps: {result.threshold_mbps:.6f}"]
     lines += [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
-    if result.config.mode == "adaptive":
+    if config.mode == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
         for preset, qw in QUALITY_PRESETS.items():
@@ -219,7 +219,7 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
         )
         partials["report.csv"].write_text(render_report_csv(report), encoding="utf-8", newline="")
         partials["report.txt"].write_text(
-            render_report_text(report, extra_lines=_selection_lines(result, report)),
+            render_report_text(report, extra_lines=_selection_lines(config, result, report)),
             encoding="utf-8",
             newline="",
         )
@@ -235,14 +235,14 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
 def parse_report_csv(path: str | Path) -> dict[str, dict[str, float]]:
     """Read a report grid back as {metric: {preset: value}}."""
     lines = _read_lines(path)
-    if not lines or not lines[0].startswith("metric,"):
-        raise SimulationError(f"{path} is not a report grid")
-    presets = lines[0].split(",")[1:]
+    header = "metric," + ",".join(QUALITY_PRESETS)
+    if not lines or lines[0] != header:
+        raise SimulationError(f"{path} is not a report grid: its header is not {header!r}")
     grid: dict[str, dict[str, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         metric, *cells = line.split(",")
-        if len(cells) != len(presets):
-            raise SimulationError(f"{path}:{lineno}: {len(cells)} cells for {len(presets)} presets")
+        if len(cells) != len(QUALITY_PRESETS):
+            raise SimulationError(f"{path}:{lineno}: {len(cells)} cells for {len(QUALITY_PRESETS)} presets")
         if metric not in REPORT_METRICS:
             raise SimulationError(
                 f"{path}:{lineno}: unknown metric row {metric!r}, not one of {list(REPORT_METRICS)}"
@@ -255,7 +255,9 @@ def parse_report_csv(path: str | Path) -> dict[str, dict[str, float]]:
             raise SimulationError(f"{path}:{lineno}: malformed report cell: {exc}") from exc
         if not all(map(math.isfinite, values)):
             raise SimulationError(f"{path}:{lineno}: non-finite report cell in {line!r}")
-        grid[metric] = dict(zip(presets, values))
+        if not all(0.0 <= v <= 1.0 for v in values):
+            raise SimulationError(f"{path}:{lineno}: report cell outside [0, 1] in {line!r}")
+        grid[metric] = dict(zip(QUALITY_PRESETS, values))
     missing = [m for m in REPORT_METRICS if m not in grid]
     if missing:
         raise SimulationError(f"{path} is missing metric rows {missing}")
@@ -291,15 +293,12 @@ class Comparison(NamedTuple):
 def compare(artifact_dirs: list[str | Path]) -> Comparison:
     """Side-by-side comparison of scenario outputs (canonically LR, HR, adaptive)."""
     artifacts = [ScenarioArtifacts.load(d) for d in artifact_dirs]
-    presets = [list(a.grid["tp"].keys()) for a in artifacts]
-    if any(p != presets[0] for p in presets):
-        raise SimulationError(f"reports use different quality presets: {presets}")
     if len({a.label for a in artifacts}) != len(artifacts):
         raise SimulationError("comparison needs distinct scenarios")
 
     verdicts: dict[tuple[str, str], str] = {}
     for metric in ("p1", "p2", "p3"):
-        for preset in presets[0]:
+        for preset in QUALITY_PRESETS:
             best = max(a.grid[metric][preset] for a in artifacts)
             winners = [a.label for a in artifacts if a.grid[metric][preset] == best]
             verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
@@ -312,7 +311,7 @@ def compare(artifact_dirs: list[str | Path]) -> Comparison:
 
 
 def render_comparison(cmp: Comparison) -> str:
-    presets = list(cmp.artifacts[0].grid["tp"].keys())
+    presets = QUALITY_PRESETS
     header1 = "metric".ljust(GRID_WIDTH)
     header2 = " " * GRID_WIDTH
     for art in cmp.artifacts:

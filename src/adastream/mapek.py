@@ -173,16 +173,7 @@ class Executor:
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
-# The engine hands each run's ticks to its sink as one record per tick:
-#
-#     (t_us, upload_mbps, ok, condition, planned, registered,
-#      source, strategy_id, target, applied,
-#      dt_us, reconfig_us, segments, active)
-#
-# planned is None for a plan "keep", else (target, reason) of the planned
-# strategy; registered is None exactly when planned is, else the register
-# event's (ok, strategy_id, target). How a record becomes events, and how
-# they are numbered, is the sink's to decide.
+# A tick record is the stages' messages: (sample, condition, strategy | None, outcome, dt_us, step).
 class EventSink(Protocol):
     def write_run(self, run_index: int, ticks: list[tuple]) -> None:
         """Take one run's tick records in order, runs in order."""
@@ -192,7 +183,6 @@ class EngineResult(NamedTuple):
     records: tuple[RunRecord, ...]
     kb: KnowledgeBase
     threshold_mbps: float
-    config: ScenarioConfig
 
 
 def trace_for(shape: TraceParams, duration_us: int, seed: str) -> BandwidthTrace:
@@ -268,7 +258,6 @@ class Engine:
         for run_index in range(cfg.runs):
             ticks: list[tuple] = []
             add = ticks.append
-            stream.start_run()
             run_start_us = run_index * run_duration_us
             offset = 0
             while offset < run_duration_us:
@@ -291,30 +280,17 @@ class Engine:
                     strategy = plan(condition, space, current, next_id)
 
                 registry_available = not fault_active("registry-unavailable", t_us)
-                planned = registered = None
-                if strategy is not None:
-                    planned = (strategy.target, strategy.reason)
-                    if registry_available:
-                        register(strategy)
-                        next_id += 1
-                        registered = (True, strategy.id, strategy.target)
-                    else:
-                        # Strategy dropped: the registry cannot store it.
-                        registered = (False, None, strategy.target)
+                # Dropped while the registry is down: the outcome's source says which.
+                if strategy is not None and registry_available:
+                    register(strategy)
+                    next_id += 1
 
                 outcome = execute(kb, stream, registry_available)
                 dt_us = min(interval_us, run_duration_us - offset)
-                step_outcome = step(dt_us)
-                add((
-                    t_us, sample.upload_mbps, sample.ok, condition.kind, planned, registered,
-                    *outcome,
-                    dt_us, step_outcome.reconfig_us, step_outcome.segments, stream.active.name,
-                ))
+                add((sample, condition, strategy, outcome, dt_us, step(dt_us)))
                 offset += dt_us
 
             records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
             sink.write_run(run_index, ticks)
 
-        return EngineResult(
-            records=tuple(records), kb=self.kb, threshold_mbps=self.threshold_mbps, config=cfg
-        )
+        return EngineResult(records=tuple(records), kb=self.kb, threshold_mbps=self.threshold_mbps)

@@ -189,6 +189,11 @@ def _parse_space(raw: list | None, diags: list[str]) -> AdaptationSpace | None:
     configs = []
     for i, entry in enumerate(raw):
         values, ok = _read(entry, f"adaptation_space[{i}]", _SPACE_FIELDS, diags)
+        name = values.get("name")
+        # a name heads a runs.csv column, seconds_<name>; "" splits into no lines
+        if name is not None and ("," in name or name.splitlines() != [name]):
+            diags.append(f"adaptation_space[{i}].name must be one line, non-empty, without ',', got {name!r}")
+            ok = False
         configs.append(StreamConfig(**values) if ok else None)
     if None in configs:
         return None

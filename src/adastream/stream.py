@@ -18,18 +18,19 @@ from .kb import RunRecord, StreamConfig
 
 
 class StepOutcome(NamedTuple):
-    """How one step's dt was spent: reconfiguring, then streaming segments."""
+    """How one step's dt was spent: reconfiguring, then streaming at `active`."""
 
     reconfig_us: int
-    segments: tuple[tuple[str, int], ...]
+    streamed_us: int
+    active: str
 
 
 class StreamState:
-    """Single-owner state of the streaming service. Not thread-safe."""
+    """Single-owner state of the streaming service, by config name. Not thread-safe."""
 
     def __init__(self, initial: StreamConfig):
-        self.active = initial
-        self.pending: StreamConfig | None = None
+        self.active = initial.name
+        self.pending: str | None = None
         self.reconfig_remaining_us = 0
         self.streamed_us: dict[str, int] = {}
         self.reconfig_us = 0
@@ -44,14 +45,15 @@ class StreamState:
         """
         if reconfig_delay_us < 0:
             raise ValueError(f"reconfig delay must be non-negative, got {reconfig_delay_us}")
+        name = target.name
         if self.pending is not None:
-            self.pending = target
-        elif target.name != self.active.name:
+            self.pending = name
+        elif name != self.active:
             if reconfig_delay_us == 0:
-                self.active = target
+                self.active = name
                 self.switches += 1
             else:
-                self.pending = target
+                self.pending = name
                 self.reconfig_remaining_us = reconfig_delay_us
 
     def step(self, dt_us: int) -> StepOutcome:
@@ -60,37 +62,37 @@ class StreamState:
             raise ValueError(f"dt must be positive, got {dt_us}")
         reconfig_used = 0
         remaining = dt_us
+        active = self.active
         if self.reconfig_remaining_us > 0:
             reconfig_used = min(self.reconfig_remaining_us, remaining)
             self.reconfig_remaining_us -= reconfig_used
             self.reconfig_us += reconfig_used
             remaining -= reconfig_used
             if self.reconfig_remaining_us == 0:
-                assert self.pending is not None
-                if self.pending.name != self.active.name:
+                pending = self.pending
+                assert pending is not None
+                if pending != active:
                     self.switches += 1
-                self.active = self.pending
+                self.active = active = pending
                 self.pending = None
-        segments: tuple[tuple[str, int], ...] = ()
         if remaining > 0:
-            name = self.active.name
-            self.streamed_us[name] = self.streamed_us.get(name, 0) + remaining
-            segments = ((name, remaining),)
-        return StepOutcome(reconfig_used, segments)
+            self.streamed_us[active] = self.streamed_us.get(active, 0) + remaining
+        return StepOutcome(reconfig_used, remaining, active)
 
     def finalize_run(self, scenario: str, run_index: int, duration_us: int) -> RunRecord:
-        """Close out the window as a RunRecord, which checks it adds up to `duration_us`."""
-        return RunRecord(
+        """Close the window as a RunRecord, which checks it adds up to `duration_us`.
+
+        The next window opens empty; a switch in flight carries across into it.
+        """
+        record = RunRecord(
             run_index=run_index,
             scenario=scenario,
             duration_us=duration_us,
             reconfig_us=self.reconfig_us,
             switches=self.switches,
-            streamed_us=dict(self.streamed_us),
+            streamed_us=self.streamed_us,
         )
-
-    def start_run(self) -> None:
-        """Reset per-run accounting, carrying the in-flight switch across the boundary."""
         self.streamed_us = {}
         self.reconfig_us = 0
         self.switches = 0
+        return record

@@ -181,6 +181,16 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
         ),
         ("report.csv", lambda data: data + b"zz,0.10,0.10,0.10\n", "report.csv:7: unknown metric row 'zz'"),
         (
+            "report.csv",
+            lambda data: data.replace(b"metric,5r5q,9r1q,1r9q", b"metric,5r5q,5r5q,1r9q", 1),
+            "report.csv is not a report grid: its header is not 'metric,5r5q,9r1q,1r9q'",
+        ),
+        (
+            "report.csv",
+            lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,1.50,0.10,0.10", data),
+            "report.csv:4: report cell outside [0, 1] in 'p1,1.50,0.10,0.10'",
+        ),
+        (
             "runs.csv",
             lambda data: re.sub(rb"(?m)^(0,adaptive,.*)$", rb"\1,9", data),
             "runs.csv:2: 8 cells for 7 columns",
@@ -208,6 +218,8 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
         "report-metric-repeated",
         "report-cell-not-finite",
         "report-metric-unknown",
+        "report-presets-misnamed",
+        "report-cell-out-of-range",
         "runs-row-too-long",
         "runs-scenario-mixed",
         "runs-config-column-misnamed",

@@ -51,8 +51,8 @@ def test_condition_kind_must_be_valid():
             ("source", "strategy_id", "target", "applied"),
         ),
         (
-            StepOutcome(reconfig_us=2, segments=(("LR", 3),)),
-            ("reconfig_us", "segments"),
+            StepOutcome(reconfig_us=2, streamed_us=3, active="LR"),
+            ("reconfig_us", "streamed_us", "active"),
         ),
     ],
     ids=["SpeedSample", "Condition", "ExecuteOutcome", "StepOutcome"],
@@ -189,7 +189,7 @@ def test_execute_applies_latest_strategy():
     stream = StreamState(SPACE.config("LR"))
     outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "HR" and outcome.strategy_id == 1
-    assert stream.pending == SPACE.config("HR")
+    assert stream.pending == "HR"
     assert kb.last_applied == "HR"
 
 
@@ -229,7 +229,7 @@ def test_execute_compares_against_pending_target():
     kb.register_strategy(AdaptationStrategy(2, 1_000_000, "LR", "below-threshold"))
     outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "LR"
-    assert stream.pending == SPACE.config("LR")
+    assert stream.pending == "LR"
 
 
 # -- the loop ------------------------------------------------------------------

@@ -358,6 +358,14 @@ def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, wher
     assert any(where in d for d in diags), diags
 
 
+@pytest.mark.parametrize("name", ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"])
+def test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic(name):
+    # each once ran to exit 0 and wrote a runs.csv header that compare rejected
+    config, diags = parse_scenario(mutated(BASE, ("adaptation_space", 0, "name"), name))
+    assert config is None
+    assert len(diags) == 1 and diags[0].startswith("adaptation_space[0].name "), diags
+
+
 def readme_schema():
     """README's jsonc schema block with its // comments stripped."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

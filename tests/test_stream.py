@@ -27,7 +27,7 @@ def test_delay_derivation():
 def test_apply_same_config_is_free():
     state = StreamState(LR)
     state.apply_config(LR, DELAY_US)
-    assert state.active == LR and state.switches == 0
+    assert state.active == "LR" and state.switches == 0
     assert state.pending is None
     assert state.reconfig_remaining_us == 0
     state.step(to_us(1))
@@ -37,9 +37,9 @@ def test_apply_same_config_is_free():
 def test_apply_new_config_opens_reconfiguration():
     state = StreamState(LR)
     state.apply_config(HR, DELAY_US)
-    assert state.pending == HR
+    assert state.pending == "HR"
     assert state.reconfig_remaining_us == 2_700_000
-    assert state.active == LR
+    assert state.active == "LR"
 
 
 def test_reapply_pending_does_not_extend_delay():
@@ -49,7 +49,7 @@ def test_reapply_pending_does_not_extend_delay():
     assert state.reconfig_remaining_us == 1_700_000
     state.apply_config(HR, DELAY_US)
     assert state.reconfig_remaining_us == 1_700_000
-    assert state.pending == HR
+    assert state.pending == "HR"
 
 
 def test_replace_pending_mid_flight_keeps_deadline():
@@ -57,11 +57,11 @@ def test_replace_pending_mid_flight_keeps_deadline():
     state.apply_config(HR, DELAY_US)
     state.step(to_us(1))
     state.apply_config(LR, DELAY_US)  # reverse course
-    assert state.pending == LR
+    assert state.pending == "LR"
     assert state.reconfig_remaining_us == 1_700_000
     state.step(to_us(2))
     # reconfiguration completed on the original deadline, landing on LR
-    assert state.active == LR and state.pending is None
+    assert state.active == "LR" and state.pending is None
     assert state.switches == 0  # no net config change
     assert state.reconfig_us == 2_700_000
 
@@ -70,8 +70,7 @@ def test_step_streams_at_active_config():
     state = StreamState(LR)
     out = state.step(to_us(1))
     assert state.streamed_us == {"LR": 1_000_000}
-    assert out.segments == (("LR", 1_000_000),)
-    assert out.reconfig_us == 0
+    assert out == (0, 1_000_000, "LR")
 
 
 def test_step_splits_across_switch_completion():
@@ -79,9 +78,8 @@ def test_step_splits_across_switch_completion():
     state.apply_config(HR, DELAY_US)
     out = state.step(to_us(3))
     # 2.7 s reconfiguring, then 0.3 s streamed at the new config
-    assert out.reconfig_us == 2_700_000
-    assert out.segments == (("HR", 300_000),)
-    assert state.active == HR and state.pending is None
+    assert out == (2_700_000, 300_000, "HR")
+    assert state.active == "HR" and state.pending is None
     assert state.switches == 1
 
 
@@ -90,7 +88,7 @@ def test_step_entirely_inside_reconfiguration():
     state.apply_config(HR, to_us(5))
     out = state.step(to_us(1))
     assert state.reconfig_remaining_us == to_us(4)
-    assert out.segments == ()
+    assert out == (1_000_000, 0, "LR")
     assert state.streamed_us == {}
 
 
@@ -105,7 +103,7 @@ def test_step_rejects_non_positive_dt():
 def test_zero_delay_switch_is_instant():
     state = StreamState(LR)
     state.apply_config(HR, 0)
-    assert state.active == HR and state.pending is None
+    assert state.active == "HR" and state.pending is None
     assert state.switches == 1
     assert state.reconfig_us == 0
 
@@ -140,12 +138,39 @@ def test_run_ending_mid_reconfiguration_clips_open_interval():
     record = state.finalize_run("adaptive", 0, RUN_US)
     assert record.reconfig_us == 1_000_000
     assert record.streamed_us == {"LR": 29_000_000}
-    # the switch carries into the next run
-    state.start_run()
-    state.step(to_us(2))
-    assert state.active == HR
+    # the switch carries into the next run, which finalize_run opened
+    assert state.step(to_us(2)) == (1_700_000, 300_000, "HR")
     assert state.reconfig_us == 1_700_000
     assert state.streamed_us == {"HR": 300_000}
+
+
+def test_finalized_record_keeps_its_ledger_after_later_steps():
+    state = StreamState(LR)
+    state.step(RUN_US)
+    record = state.finalize_run("static-LR", 0, RUN_US)
+    state.step(to_us(5))
+    state.apply_config(HR, 0)
+    state.step(to_us(5))
+    assert record.streamed_us == {"LR": RUN_US}
+    assert (record.reconfig_us, record.switches) == (0, 0)
+    assert (state.streamed_us, state.switches) == ({"LR": to_us(5), "HR": to_us(5)}, 1)
+
+
+def test_switch_in_flight_at_run_boundaries_charges_each_run_its_own_part():
+    # a 35 s delay that opens 1 s before the end of run 0 spans all of run 1
+    state = StreamState(LR)
+    state.step(to_us(29))
+    state.apply_config(HR, to_us(35))
+    state.step(to_us(1))
+    records = [state.finalize_run("adaptive", 0, RUN_US)]
+    state.step(RUN_US)
+    records.append(state.finalize_run("adaptive", 1, RUN_US))
+    state.step(RUN_US)
+    records.append(state.finalize_run("adaptive", 2, RUN_US))
+    assert [r.reconfig_us for r in records] == [to_us(1), RUN_US, to_us(4)]
+    assert [r.streamed_us for r in records] == [{"LR": to_us(29)}, {}, {"HR": to_us(26)}]
+    # the switch counts in the run where it completes
+    assert [r.switches for r in records] == [0, 0, 1]
 
 
 def test_finalize_rejects_clock_mismatch():

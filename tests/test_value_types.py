@@ -197,7 +197,7 @@ CASES = [
     (PerformanceReport, {"scenario": "adaptive", "run_count": 1, "grid": GRID}, []),
     (
         EngineResult,
-        {"records": (RECORD,), "kb": KnowledgeBase(), "threshold_mbps": 5.0, "config": CONFIG},
+        {"records": (RECORD,), "kb": KnowledgeBase(), "threshold_mbps": 5.0},
         [],
     ),
     (
