@@ -37,7 +37,7 @@ from .metrics import (
 from .scenario import ScenarioConfig
 from .units import format_seconds, to_us
 
-ARTIFACTS = ("events.jsonl", "runs.csv", "report.csv", "report.txt")
+ARTIFACTS = ("events.jsonl", "runs.csv", "report.txt", "report.csv")
 
 RUNS_CSV_FIXED_COLUMNS = ["run", "scenario", "duration_s", "reconfig_s", "switches"]
 
@@ -81,7 +81,7 @@ def events_jsonl_text(
     add = lines.append
     seq = first_seq
     for (
-        (t_us, upload, ok), (condition, _), strategy, (source, strategy_id, target, applied),
+        (t_us, upload, ok), condition, strategy, (source, strategy_id, target, applied),
         dt_us, (reconfig_us, streamed_us, active),
     ) in ticks:
         tail = f',"run":{run_index},"t_us":{t_us},"event":'
@@ -207,8 +207,9 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Each artifact is written to <name>.partial, and the partials replace
-    # the previous artifacts only once all four are complete, so a crash
-    # never leaves a truncated file or a mix of old and new artifacts.
+    # the previous artifacts only once all four are complete. The old
+    # report.csv goes first and the new one lands last, so a directory the
+    # replaces left half done has no report.csv, and `compare` refuses it.
     partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
     try:
         with partials["events.jsonl"].open("w", encoding="utf-8", newline="") as f:
@@ -223,6 +224,7 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
             encoding="utf-8",
             newline="",
         )
+        (out / "report.csv").unlink(missing_ok=True)
         for name, partial in partials.items():
             os.replace(partial, out / name)
     except BaseException:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Protocol
 
 from .errors import SimulationError
-from .kb import AdaptationSpace, AdaptationStrategy, Checked, KnowledgeBase, RunRecord
+from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
 from .netsim import (
     BandwidthTrace,
     FaultSchedule,
@@ -35,25 +35,6 @@ from .netsim import (
 from .scenario import ScenarioConfig, TraceParams
 from .stream import StreamState
 from .units import to_us
-
-CONDITION_KINDS = ("above-threshold", "below-threshold", "unknown")
-
-
-class _ConditionFields(NamedTuple):
-    kind: str
-    at_us: int
-
-
-class Condition(Checked, _ConditionFields):
-    """The analyzer's model of the operating conditions at one instant."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, at_us: int) -> Condition:
-        if kind not in CONDITION_KINDS:
-            raise ValueError(f"condition kind must be one of {CONDITION_KINDS}, got {kind!r}")
-        return tuple.__new__(cls, (kind, at_us))
-
 
 class Analyzer:
     """Analysis service: classifies samples against the threshold.
@@ -75,9 +56,10 @@ class Analyzer:
         self._below = threshold - hysteresis_band
         self._last_kind: str | None = None
 
-    def evaluate(self, sample: SpeedSample) -> Condition:
+    def evaluate(self, sample: SpeedSample) -> str:
+        """The condition kind: "above-threshold", "below-threshold" or "unknown"."""
         if not sample.ok:
-            return Condition("unknown", sample.t_us)
+            return "unknown"
         upload = sample.upload_mbps
         if upload >= self._above:
             kind = "above-threshold"
@@ -88,31 +70,20 @@ class Analyzer:
         else:
             kind = "above-threshold" if upload >= self.threshold else "below-threshold"
         self._last_kind = kind
-        return Condition(kind, sample.t_us)
+        return kind
 
 
-def plan(
-    condition: Condition, space: AdaptationSpace, current: str, next_id: int
-) -> AdaptationStrategy | None:
-    """Decide whether a new strategy is needed; None means keep the current config.
+def plan(condition: str, space: AdaptationSpace) -> str | None:
+    """The config a condition calls for; None for an unknown condition.
 
     Above-threshold selects the highest-frame-rate config, below-threshold
-    the lowest; unknown conditions never trigger adaptation. No strategy is
-    issued when the selected target already matches the current config.
+    the lowest; unknown conditions never trigger adaptation.
     """
-    if current not in space:
-        raise ValueError(f"current config {current!r} not in adaptation space")
-    if condition.kind == "unknown":
-        return None
-    if condition.kind == "above-threshold":
-        target = space.highest_rate_config
-    else:
-        target = space.lowest_rate_config
-    if target.name == current:
-        return None
-    return AdaptationStrategy(
-        id=next_id, issued_at_us=condition.at_us, target=target.name, reason=condition.kind
-    )
+    if condition == "above-threshold":
+        return space.highest_rate_config.name
+    if condition == "below-threshold":
+        return space.lowest_rate_config.name
+    return None
 
 
 class Monitor:
@@ -265,19 +236,16 @@ class Engine:
                 sample = tick(t_us)
                 condition = evaluate(sample)
 
-                current = kb.last_applied
-                strategy = None
-                forced_target: str | None = None
+                target = reason = None
                 while next_override < len(overrides) and overrides[next_override].at_us <= t_us:
-                    forced_target = overrides[next_override].target
+                    target, reason = overrides[next_override].target, "user-config"
                     next_override += 1
-                if forced_target is not None:
-                    if forced_target != current:
-                        strategy = AdaptationStrategy(
-                            id=next_id, issued_at_us=t_us, target=forced_target, reason="user-config"
-                        )
-                elif adaptive:
-                    strategy = plan(condition, space, current, next_id)
+                if reason is None and adaptive:
+                    target, reason = plan(condition, space), condition
+                # The one strategy rule, for overrides and threshold decisions alike.
+                strategy = None
+                if target is not None and target != kb.last_applied:
+                    strategy = AdaptationStrategy(next_id, t_us, target, reason)
 
                 registry_available = not fault_active("registry-unavailable", t_us)
                 # Dropped while the registry is down: the outcome's source says which.

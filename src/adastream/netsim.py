@@ -140,29 +140,25 @@ def generate_trace(
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
     two_pi, sin = 2.0 * math.pi, math.sin
     # Sample i is mean + amplitude * sin(two_pi * t / period) at t = i * step_us / 1e6,
-    # plus its noise, clamped at 0. Both loops spell it out inline.
+    # plus its noise, clamped at 0, spelled out inline. With noise_sd == 0 the
+    # noise term is +0.0, so every sample is the bare curve.
     uploads: list[float] = []
     append = uploads.append
-    if noise_sd > 0:
-        # Bit for bit one random.Random(seed).gauss(0.0, noise_sd) per sample: gauss
-        # makes a pair from two random() calls, hands out its cos value, then the
-        # cached sin value. An odd count makes one sample too many and drops it.
-        random_, cos, sqrt, log = random.Random(seed).random, math.cos, math.sqrt, math.log
-        for i in range(0, n, 2):
-            x2pi = random_() * two_pi
-            g2rad = sqrt(-2.0 * log(1.0 - random_()))
-            value = mean + amplitude * sin(two_pi * (i * step_us / 1e6) / period)
-            value += 0.0 + cos(x2pi) * g2rad * noise_sd
-            append(value if value > 0.0 else 0.0)
-            value = mean + amplitude * sin(two_pi * ((i + 1) * step_us / 1e6) / period)
-            value += 0.0 + sin(x2pi) * g2rad * noise_sd
-            append(value if value > 0.0 else 0.0)
-        if n % 2:
-            uploads.pop()
-    else:
-        for i in range(n):
-            value = mean + amplitude * sin(two_pi * (i * step_us / 1e6) / period)
-            append(value if value > 0.0 else 0.0)
+    # Bit for bit one random.Random(seed).gauss(0.0, noise_sd) per sample: gauss
+    # makes a pair from two random() calls, hands out its cos value, then the
+    # cached sin value. An odd count makes one sample too many and drops it.
+    random_, cos, sqrt, log = random.Random(seed).random, math.cos, math.sqrt, math.log
+    for i in range(0, n, 2):
+        x2pi = random_() * two_pi
+        g2rad = sqrt(-2.0 * log(1.0 - random_()))
+        value = mean + amplitude * sin(two_pi * (i * step_us / 1e6) / period)
+        value += 0.0 + cos(x2pi) * g2rad * noise_sd
+        append(value if value > 0.0 else 0.0)
+        value = mean + amplitude * sin(two_pi * ((i + 1) * step_us / 1e6) / period)
+        value += 0.0 + sin(x2pi) * g2rad * noise_sd
+        append(value if value > 0.0 else 0.0)
+    if n % 2:
+        uploads.pop()
     return BandwidthTrace(uploads=tuple(uploads), step_us=step_us)
 
 

@@ -240,6 +240,36 @@ def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+def test_a_run_cut_short_while_replacing_leaves_a_dir_compare_refuses(
+    table3_dirs, tmp_path, capsys, monkeypatch
+):
+    dirs = [tmp_path / d.name for d in table3_dirs]
+    for src, dst in zip(table3_dirs, dirs):
+        shutil.copytree(src, dst)
+    replace = os.replace
+    calls = 0
+
+    def failing_replace(src, dst):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise OSError("simulated failure")
+        replace(src, dst)
+
+    monkeypatch.setattr("adastream.experiment.os.replace", failing_replace)
+    config = str(table3_dirs[2].parent / "ad.json")
+    assert main(["run", config, "--out", str(dirs[2]), "--seed", "7"]) == 2
+    monkeypatch.undo()
+    # events.jsonl is the new run's, report.txt the old one's, and report.csv is gone
+    assert (dirs[2] / "events.jsonl").read_bytes() != (table3_dirs[2] / "events.jsonl").read_bytes()
+    assert (dirs[2] / "report.txt").read_bytes() == (table3_dirs[2] / "report.txt").read_bytes()
+    assert sorted(p.name for p in dirs[2].iterdir()) == ["events.jsonl", "report.txt", "runs.csv"]
+    capsys.readouterr()
+    assert main(["compare", *map(str, dirs)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("i/o error: ") and "report.csv" in err
+
+
 def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, capsys):
     # The clamped trace is 0 Mbps over the whole warmup window.
     config = {

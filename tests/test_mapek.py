@@ -6,7 +6,6 @@ from adastream.errors import SimulationError
 from adastream.kb import AdaptationStrategy, KnowledgeBase, default_space
 from adastream.mapek import (
     Analyzer,
-    Condition,
     Engine,
     ExecuteOutcome,
     Executor,
@@ -36,16 +35,10 @@ def test_healthy_sample_upload_must_be_non_negative():
     assert not faulted.ok and faulted.upload_mbps == 0.0
 
 
-def test_condition_kind_must_be_valid():
-    with pytest.raises(ValueError, match="condition kind"):
-        Condition("bogus", 0)
-
-
 @pytest.mark.parametrize(
     "message, fields",
     [
         (SpeedSample(t_us=5, upload_mbps=1.5, ok=True), ("t_us", "upload_mbps", "ok")),
-        (Condition(kind="below-threshold", at_us=5), ("kind", "at_us")),
         (
             ExecuteOutcome(source="registry", strategy_id=1, target="LR", applied=True),
             ("source", "strategy_id", "target", "applied"),
@@ -55,7 +48,7 @@ def test_condition_kind_must_be_valid():
             ("reconfig_us", "streamed_us", "active"),
         ),
     ],
-    ids=["SpeedSample", "Condition", "ExecuteOutcome", "StepOutcome"],
+    ids=["SpeedSample", "ExecuteOutcome", "StepOutcome"],
 )
 def test_loop_messages_are_immutable_values(message, fields):
     for name in fields:
@@ -69,15 +62,15 @@ def test_loop_messages_are_immutable_values(message, fields):
 
 
 def test_analyze_tie_goes_above():
-    assert Analyzer(threshold=4.0).evaluate(sample(4.0)).kind == "above-threshold"
+    assert Analyzer(threshold=4.0).evaluate(sample(4.0)) == "above-threshold"
 
 
 def test_analyze_below():
-    assert Analyzer(threshold=4.0).evaluate(sample(4.0 - 1e-9)).kind == "below-threshold"
+    assert Analyzer(threshold=4.0).evaluate(sample(4.0 - 1e-9)) == "below-threshold"
 
 
 def test_analyze_faulted_sample_is_unknown():
-    assert Analyzer(threshold=4.0).evaluate(sample(0.0, ok=False)).kind == "unknown"
+    assert Analyzer(threshold=4.0).evaluate(sample(0.0, ok=False)) == "unknown"
 
 
 def test_analyze_rejects_non_positive_threshold():
@@ -92,12 +85,12 @@ def test_analyzer_with_zero_band_matches_bare_threshold():
     # a bare threshold keeps no state: each reading is classified on its own
     for upload in (3.0, 4.5, 3.999, 4.0, 3.0):
         expected = "above-threshold" if upload >= 4.0 else "below-threshold"
-        assert analyzer.evaluate(sample(upload, t_us=7)) == Condition(expected, at_us=7)
+        assert analyzer.evaluate(sample(upload)) == expected
 
 
 def test_analyzer_band_suppresses_flip_flop():
     analyzer = Analyzer(threshold=4.0, hysteresis_band=0.5)
-    kinds = [analyzer.evaluate(sample(u)).kind for u in (5.0, 4.2, 3.8, 4.1, 3.3, 3.9, 4.6)]
+    kinds = [analyzer.evaluate(sample(u)) for u in (5.0, 4.2, 3.8, 4.1, 3.3, 3.9, 4.6)]
     # readings inside [3.5, 4.5) keep the previous classification
     assert kinds == [
         "above-threshold", "above-threshold", "above-threshold", "above-threshold",
@@ -107,40 +100,40 @@ def test_analyzer_band_suppresses_flip_flop():
 
 def test_analyzer_unknown_does_not_clear_state():
     analyzer = Analyzer(threshold=4.0, hysteresis_band=0.5)
-    assert analyzer.evaluate(sample(5.0)).kind == "above-threshold"
-    assert analyzer.evaluate(sample(0.0, ok=False)).kind == "unknown"
-    assert analyzer.evaluate(sample(4.0)).kind == "above-threshold"  # inside band, sticky
+    assert analyzer.evaluate(sample(5.0)) == "above-threshold"
+    assert analyzer.evaluate(sample(0.0, ok=False)) == "unknown"
+    assert analyzer.evaluate(sample(4.0)) == "above-threshold"  # inside band, sticky
 
 
 # -- planning --------------------------------------------------------------
 
 
 def test_plan_below_threshold_degrades_to_low_rate():
-    strategy = plan(Condition("below-threshold", at_us=5_000_000), SPACE, current="HR", next_id=3)
-    assert strategy is not None
-    assert strategy.target == "LR"
-    assert strategy.reason == "below-threshold"
-    assert strategy.id == 3
-    assert strategy.issued_at_us == 5_000_000
-
-
-def test_plan_above_threshold_keeps_high_rate():
-    assert plan(Condition("above-threshold", at_us=0), SPACE, current="HR", next_id=1) is None
+    assert plan("below-threshold", SPACE) == "LR"
 
 
 def test_plan_above_threshold_upgrades_from_low_rate():
-    strategy = plan(Condition("above-threshold", at_us=0), SPACE, current="LR", next_id=1)
-    assert strategy is not None and strategy.target == "HR"
+    assert plan("above-threshold", SPACE) == "HR"
 
 
 def test_plan_unknown_keeps_current():
-    assert plan(Condition("unknown", at_us=0), SPACE, current="LR", next_id=1) is None
-    assert plan(Condition("unknown", at_us=0), SPACE, current="HR", next_id=1) is None
+    assert plan("unknown", SPACE) is None
 
 
-def test_plan_rejects_unknown_current():
-    with pytest.raises(ValueError):
-        plan(Condition("above-threshold", at_us=0), SPACE, current="XX", next_id=1)
+def test_plan_above_threshold_keeps_high_rate(scenario_factory):
+    # A constant trace ties at the threshold, i.e. above, at every tick; the
+    # planner names the applied HR each time, so the engine issues nothing.
+    config = scenario_factory(
+        runs=1,
+        trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+        probe_noise_sd_mbps=0.0,
+        warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+    )
+    assert config.initial_config == "HR"
+    result, events = run_with_events(config)
+    assert {e["condition"] for e in events if e["event"] == "analyze"} == {"above-threshold"}
+    assert {e["action"] for e in events if e["event"] == "plan"} == {"keep"}
+    assert result.kb.strategies == ()
 
 
 # -- monitoring ------------------------------------------------------------
@@ -412,6 +405,30 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
     assert all(e.get("target") != "LR" for e in events)
     assert result.kb.strategies == ()
     assert result.records[0].streamed_us == {"HR": to_us(30)}
+
+
+def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenario_factory):
+    config = scenario_factory(
+        runs=1,
+        initial_config="LR",
+        trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+        probe_noise_sd_mbps=0.0,
+        warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+        faults=[{"start_s": 0.0, "end_s": 5.0, "kind": "probe-unavailable"}],
+        user_overrides=[{"at_s": 5.0, "target": "LR"}],
+    )
+    result, events = run_with_events(config)
+    # From 5 s the analyzer calls for HR, but at 5 s the override to the
+    # applied LR wins the tick and plans nothing; the planner acts at 6 s.
+    analyses = {e["t_us"]: e["condition"] for e in events if e["event"] == "analyze"}
+    assert analyses[to_us(5)] == "above-threshold"
+    plans = [e for e in events if e["event"] == "plan" and e["t_us"] in (to_us(5), to_us(6))]
+    assert plans == [
+        {"seq": 5 * 5 + 2, "run": 0, "t_us": to_us(5), "event": "plan", "action": "keep"},
+        {"seq": 6 * 5 + 2, "run": 0, "t_us": to_us(6), "event": "plan",
+         "action": "strategy", "target": "HR", "reason": "above-threshold"},
+    ]
+    assert result.kb.strategies == (AdaptationStrategy(1, to_us(6), "HR", "above-threshold"),)
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):

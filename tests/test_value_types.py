@@ -26,7 +26,7 @@ from adastream.kb import (
     StreamConfig,
     default_space,
 )
-from adastream.mapek import Condition, EngineResult
+from adastream.mapek import EngineResult
 from adastream.metrics import PerformanceReport, PerformanceWeights, QualityWeights
 from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample
 from adastream.scenario import (
@@ -134,18 +134,6 @@ CASES = [
         SpeedSample,
         {"t_us": 3_000_000, "upload_mbps": 4.5, "ok": True},
         [({"upload_mbps": -0.5}, ValueError, "upload must be non-negative on a healthy probe")],
-    ),
-    (
-        Condition,
-        {"kind": "below-threshold", "at_us": 3_000_000},
-        [
-            (
-                {"kind": "calm"},
-                ValueError,
-                "condition kind must be one of ('above-threshold', 'below-threshold', 'unknown'), "
-                "got 'calm'",
-            ),
-        ],
     ),
     (
         TraceParams,
