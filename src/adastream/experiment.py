@@ -18,7 +18,7 @@ import os
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import SimulationError
+from .errors import InvalidRunError, SimulationError
 from .kb import RunRecord
 from .mapek import Engine, EngineResult
 from .metrics import (
@@ -167,7 +167,7 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
             streamed = {
                 name: us
                 for i, name in enumerate(names)
-                if (us := to_us(float(cells[len(RUNS_CSV_FIXED_COLUMNS) + i]))) > 0
+                if (us := to_us(float(cells[len(RUNS_CSV_FIXED_COLUMNS) + i]))) != 0
             }
             records.append(
                 RunRecord(
@@ -179,7 +179,7 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
                     streamed_us=streamed,
                 )
             )
-        except (ValueError, IndexError, OverflowError) as exc:
+        except (ValueError, IndexError, OverflowError, InvalidRunError) as exc:
             raise SimulationError(f"{path}:{lineno}: malformed run row: {exc}") from exc
     return records, names
 

@@ -176,9 +176,9 @@ class _RunRecordFields(NamedTuple):
 class RunRecord(Checked, _RunRecordFields):
     """Per-run ledger: how the run's elapsed time was spent.
 
-    All durations are integer microseconds. The constructor enforces the
-    accounting identity: streamed seconds (summed over configs) plus
-    reconfiguration time must equal the run duration exactly.
+    All counts and durations (integer microseconds) are non-negative, and
+    streamed time (summed over configs) plus reconfiguration time equals the
+    run duration exactly: the constructor enforces both.
     """
 
     __slots__ = ()
@@ -192,10 +192,16 @@ class RunRecord(Checked, _RunRecordFields):
         switches: int,
         streamed_us: dict[str, int],
     ) -> RunRecord:
+        if run_index < 0 or switches < 0:
+            raise InvalidRunError(
+                f"run index and switches must be non-negative, got {run_index} and {switches}"
+            )
         if duration_us <= 0:
             raise InvalidRunError(f"run duration must be positive, got {duration_us} us")
         if not 0 <= reconfig_us <= duration_us:
             raise InvalidRunError(f"reconfig time {reconfig_us} us outside [0, {duration_us}] us")
+        if any(us < 0 for us in streamed_us.values()):
+            raise InvalidRunError(f"run {run_index}: negative streamed time in {streamed_us}")
         streamed = sum(streamed_us.values())
         if streamed != duration_us - reconfig_us:
             raise InvalidRunError(

@@ -197,6 +197,9 @@ class Engine:
             probe_seed=f"{seed}/probe",
             interval_us=config.monitor_interval_us,
         )
+        # parse_scenario rules this out: a run must end on a tick, or the next starts off the grid
+        if config.run_duration_us % config.monitor_interval_us:
+            raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
         self.executor = Executor(config.space, config.reconfig_delay_us)
         self._ran = False
@@ -230,9 +233,7 @@ class Engine:
             ticks: list[tuple] = []
             add = ticks.append
             run_start_us = run_index * run_duration_us
-            offset = 0
-            while offset < run_duration_us:
-                t_us = run_start_us + offset
+            for t_us in range(run_start_us, run_start_us + run_duration_us, interval_us):
                 sample = tick(t_us)
                 condition = evaluate(sample)
 
@@ -254,9 +255,7 @@ class Engine:
                     next_id += 1
 
                 outcome = execute(kb, stream, registry_available)
-                dt_us = min(interval_us, run_duration_us - offset)
-                add((sample, condition, strategy, outcome, dt_us, step(dt_us)))
-                offset += dt_us
+                add((sample, condition, strategy, outcome, interval_us, step(interval_us)))
 
             records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
             sink.write_run(run_index, ticks)

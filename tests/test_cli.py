@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -40,9 +41,29 @@ def test_cli_import_loads_no_heavy_module():
 
 
 def test_bare_package_import_loads_no_submodule():
-    loaded = modules_loaded_by("import adastream")
+    # the child's assert fails modules_loaded_by if the package binds a public name
+    loaded = modules_loaded_by(
+        "import adastream\n"
+        "assert adastream.__version__\n"
+        "assert [n for n in dir(adastream) if not n.startswith('_')] == [], dir(adastream)"
+    )
     assert "adastream" in loaded
     assert [m for m in loaded if m.startswith("adastream.")] == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy and pytest-benchmark are installed beside it, so an import of
+    # either would pass every other test
+    package = Path(__file__).resolve().parents[1] / "src" / "adastream"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = {node.module.split(".")[0]}
+            else:
+                continue
+            assert tops <= sys.stdlib_module_names, (path.name, sorted(tops))
 
 
 def test_engine_setup_path_loads_no_report_code():
@@ -66,21 +87,6 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
         sys.path.pop(0)
     loaded = modules_loaded_by("import adastream.cli")
     assert {module for _, module, _, _ in layers.TARGETS} <= set(loaded)
-
-
-def test_every_exported_name_is_its_home_module_binding():
-    import importlib
-
-    import adastream
-
-    for name in adastream.__all__:
-        home = importlib.import_module(f"adastream.{adastream._HOME[name]}")
-        assert getattr(adastream, name) is vars(home)[name], name
-    assert set(adastream.__all__) <= set(dir(adastream))
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        adastream.no_such_name
-    with pytest.raises(ImportError):
-        exec("from adastream import no_such_name", {})
 
 
 def test_run_and_compare_round_trip(tmp_path, capsys):
@@ -167,6 +173,10 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y"), str(tmp_path / "z")]) == 2
 
 
+# the adaptive table3_dirs runs.csv row on line 2, as the run writes it
+AD_ROW_2 = b"0,adaptive,30.000000,0.000000,0,0.000000,30.000000"
+
+
 @pytest.mark.parametrize(
     "artifact, damage, message",
     [
@@ -210,6 +220,29 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
             lambda data: data.replace(b",seconds_HR", b",seconds_LR", 1),
             "runs.csv: repeated column 'seconds_LR'",
         ),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"0,adaptive,30.000000,0.000000,0,-5.000000,35.000000", 1),
+            "runs.csv:2: malformed run row: run 0: negative streamed time in {'LR': -5000000, 'HR': 35000000}",
+        ),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"0,adaptive,30.000000,0.000000,-3,0.000000,30.000000", 1),
+            "runs.csv:2: malformed run row: run index and switches must be non-negative, got 0 and -3",
+        ),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"-1,adaptive,30.000000,0.000000,0,0.000000,30.000000", 1),
+            "runs.csv:2: malformed run row: run index and switches must be non-negative, got -1 and 0",
+        ),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"0,adaptive,30.000000,0.000000,0,0.000000,29.000000", 1),
+            "runs.csv:2: malformed run row: run 0: time accounting broken: "
+            "streamed 29000000 + reconfig 0 != duration 30000000",
+        ),
+        ("runs.csv", lambda data: data.split(b"\n", 1)[0] + b"\n", "holds no run records"),
+        ("report.csv", lambda data: re.sub(rb"(?m)^p1,.*\n", b"", data), "report.csv is missing metric rows ['p1']"),
     ],
     ids=[
         "report-row-too-short",
@@ -224,6 +257,12 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
         "runs-scenario-mixed",
         "runs-config-column-misnamed",
         "runs-config-column-repeated",
+        "runs-seconds-negative",
+        "runs-switches-negative",
+        "runs-index-negative",
+        "runs-seconds-unbalanced",
+        "runs-header-only",
+        "report-metric-missing",
     ],
 )
 def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(

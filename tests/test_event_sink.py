@@ -120,7 +120,8 @@ def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
     _, text = run_into_jsonl(config)
-    parse_checked_lines(config, text)
+    events = parse_checked_lines(config, text)
+    assert {e["dt_us"] for e in events if e["event"] == "step"} == {config.monitor_interval_us}
     with tempfile.TemporaryDirectory() as out:
         run_experiment(config, out)
         assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")

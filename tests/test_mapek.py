@@ -166,6 +166,12 @@ def test_monitor_tick_deterministic():
     assert monitor.tick(to_us(4)) == monitor.tick(to_us(4))
 
 
+def test_monitor_rejects_a_non_positive_interval():
+    trace = thirty_second_trace(amplitude=0)
+    with pytest.raises(ValueError, match="^monitor interval must be positive, got 0$"):
+        Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1, interval_us=0)
+
+
 def test_monitor_rejects_off_grid_tick():
     trace = thirty_second_trace(amplitude=0)
     monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1, interval_us=to_us(1))
@@ -448,6 +454,13 @@ def test_engine_refuses_to_run_twice(scenario_factory):
     engine.run(DroppingSink())
     with pytest.raises(SimulationError):
         engine.run(DroppingSink())
+
+
+def test_engine_refuses_a_run_that_is_not_a_whole_number_of_intervals(scenario_factory):
+    config = scenario_factory(runs=2)._replace(run_duration_us=2_500_000)
+    assert config.monitor_interval_us == 1_000_000
+    with pytest.raises(SimulationError, match="^run duration 2500000 us is not a whole number of ticks$"):
+        Engine(config)
 
 
 def test_sub_second_monitor_interval(scenario_factory):

@@ -99,6 +99,8 @@ def test_generate_rejects_bad_parameters():
         generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=S // 2, step_us=S, seed=0)
     with pytest.raises(InvalidTraceError):
         generate_trace(mean=5, amplitude=1, period=0, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
+    with pytest.raises(InvalidTraceError, match="^noise_sd must be non-negative, got -1$"):
+        generate_trace(mean=5, amplitude=1, period=60, noise_sd=-1, duration_us=10 * S, step_us=S, seed=0)
 
 
 def test_noiseless_probe_reads_the_enclosing_step_left_closed():

@@ -335,6 +335,39 @@ def test_durations_below_the_clock_resolution_are_one_diagnostic(path, value, wh
     assert len(diags) == 1 and diags[0].startswith(where)
 
 
+SPACE_DOC = BASE["adaptation_space"]
+
+
+@pytest.mark.parametrize(
+    "changes, diagnostic",
+    [
+        (
+            {"adaptation_space": [SPACE_DOC[0], {**SPACE_DOC[1], "name": "LR"}]},
+            "adaptation_space invalid: config names must be unique, got ['LR', 'LR']",
+        ),
+        ({"adaptation_space": []}, "adaptation_space invalid: adaptation space must not be empty"),
+        (
+            {
+                "faults": [
+                    {"start_s": 0.0, "end_s": 10.0, "kind": "probe-unavailable"},
+                    {"start_s": 5.0, "end_s": 20.0, "kind": "probe-unavailable"},
+                ]
+            },
+            "faults invalid: overlapping probe-unavailable fault windows",
+        ),
+        ({"warmup": {"duration_s": 0.5}}, "warmup.duration_s must cover at least one trace step"),
+        (
+            {"scenario": "static-LR", "initial_config": "HR", "user_overrides": []},
+            "initial_config 'HR' conflicts with pinned static config 'LR'",
+        ),
+    ],
+)
+def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(changes, diagnostic):
+    config, diags = parse_scenario({**BASE, **changes})
+    assert config is None
+    assert diags == [diagnostic]
+
+
 @pytest.mark.parametrize(
     "path, value, where",
     [

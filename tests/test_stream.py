@@ -100,6 +100,13 @@ def test_step_rejects_non_positive_dt():
         state.step(-5)
 
 
+def test_apply_rejects_a_negative_delay():
+    state = StreamState(LR)
+    with pytest.raises(ValueError, match="^reconfig delay must be non-negative, got -1$"):
+        state.apply_config(HR, -1)
+    assert (state.active, state.pending, state.switches) == ("LR", None, 0)
+
+
 def test_zero_delay_switch_is_instant():
     state = StreamState(LR)
     state.apply_config(HR, 0)

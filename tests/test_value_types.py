@@ -88,6 +88,13 @@ CASES = [
             "switches": 1, "streamed_us": {"LR": 90},
         },
         [
+            ({"run_index": -1}, InvalidRunError, "run index and switches must be non-negative, got -1 and 1"),
+            ({"switches": -3}, InvalidRunError, "run index and switches must be non-negative, got 0 and -3"),
+            (
+                {"streamed_us": {"LR": 100, "HR": -10}},
+                InvalidRunError,
+                "run 0: negative streamed time in {'LR': 100, 'HR': -10}",
+            ),
             ({"duration_us": 0}, InvalidRunError, "run duration must be positive, got 0 us"),
             ({"reconfig_us": 120}, InvalidRunError, "reconfig time 120 us outside [0, 100] us"),
             (
@@ -208,7 +215,10 @@ def test_value_type_contract(cls, fields, invalid):
         assert getattr(value, name) is field_value
         with pytest.raises(AttributeError):
             setattr(value, name, field_value)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
     assert value == cls(**fields) == copy.copy(value)
+    assert value != object()
     first = next(iter(fields))
     assert repr(value).startswith(f"{cls.__name__}({first}=")
     for changes, error, message in invalid:
