@@ -179,7 +179,7 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
                     streamed_us=streamed,
                 )
             )
-        except (ValueError, IndexError, OverflowError, InvalidRunError) as exc:
+        except (ValueError, OverflowError, InvalidRunError) as exc:
             raise SimulationError(f"{path}:{lineno}: malformed run row: {exc}") from exc
     return records, names
 

@@ -12,28 +12,10 @@ from typing import NamedTuple
 
 from .errors import InvalidRunError, NonMonotonicIdError
 
-STRATEGY_REASONS = ("below-threshold", "above-threshold", "user-config")
-
 # Stored model parameters for per-frame quality, one per default config.
 # Not derived from resolution; the metrics module consumes them as-is.
 LR_QUALITY_SCORE = 0.99
 HR_QUALITY_SCORE = 0.20
-
-
-class Checked:
-    """Base of a checked value type, listed before the NamedTuple of its fields.
-
-    A NamedTuple body may not define __new__, so the type's subclass checks
-    its fields there; a tuple class is far cheaper to build at import than a
-    frozen dataclass. This _make builds through __new__ too, since _replace
-    calls _make and NamedTuple's own _make skips __new__.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Frozen:
@@ -68,29 +50,14 @@ class Frozen:
         return type(self), (getattr(self, self.__slots__[0]),)
 
 
-class _StreamConfigFields(NamedTuple):
+class StreamConfig(NamedTuple):
+    """One point in the adaptation space: a (frame rate, scale, quality) setting."""
+
     name: str
     frame_rate: int
     scale_w: int
     scale_h: int
     quality_score: float
-
-
-class StreamConfig(Checked, _StreamConfigFields):
-    """One point in the adaptation space: a (frame rate, scale, quality) setting."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, name: str, frame_rate: int, scale_w: int, scale_h: int, quality_score: float
-    ) -> StreamConfig:
-        if frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {frame_rate}")
-        if scale_w <= 0 or scale_h <= 0:
-            raise ValueError(f"scale must be positive, got {scale_w}x{scale_h}")
-        if not 0.0 <= quality_score <= 1.0:
-            raise ValueError(f"quality_score must be in [0, 1], got {quality_score}")
-        return tuple.__new__(cls, (name, frame_rate, scale_w, scale_h, quality_score))
 
 
 class AdaptationSpace(Frozen):
@@ -146,22 +113,13 @@ def default_space() -> AdaptationSpace:
     )
 
 
-class _AdaptationStrategyFields(NamedTuple):
+class AdaptationStrategy(NamedTuple):
+    """A timestamped decision to move the stream to a target configuration."""
+
     id: int
     issued_at_us: int
     target: str
-    reason: str
-
-
-class AdaptationStrategy(Checked, _AdaptationStrategyFields):
-    """A timestamped decision to move the stream to a target configuration."""
-
-    __slots__ = ()
-
-    def __new__(cls, id: int, issued_at_us: int, target: str, reason: str) -> AdaptationStrategy:
-        if reason not in STRATEGY_REASONS:
-            raise ValueError(f"reason must be one of {STRATEGY_REASONS}, got {reason!r}")
-        return tuple.__new__(cls, (id, issued_at_us, target, reason))
+    reason: str  # "below-threshold", "above-threshold" or "user-config"
 
 
 class _RunRecordFields(NamedTuple):
@@ -173,15 +131,22 @@ class _RunRecordFields(NamedTuple):
     streamed_us: dict[str, int]
 
 
-class RunRecord(Checked, _RunRecordFields):
+class RunRecord(_RunRecordFields):
     """Per-run ledger: how the run's elapsed time was spent.
 
     All counts and durations (integer microseconds) are non-negative, and
     streamed time (summed over configs) plus reconfiguration time equals the
-    run duration exactly: the constructor enforces both.
+    run duration exactly: the constructor enforces both, since runs.csv rows
+    come back through it. A NamedTuple body may not define __new__, hence
+    the fields base; _make builds through __new__ too, since _replace calls
+    _make and NamedTuple's own _make skips __new__.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __new__(
         cls,

@@ -87,27 +87,17 @@ def plan(condition: str, space: AdaptationSpace) -> str | None:
 
 
 class Monitor:
-    """Connection speed-test service: wraps the probe on the monitoring grid."""
+    """Connection speed-test service: wraps the probe for the engine's ticks."""
 
     def __init__(
-        self,
-        trace: BandwidthTrace,
-        faults: FaultSchedule,
-        probe_noise_sd: float,
-        probe_seed: int | str,
-        interval_us: int,
+        self, trace: BandwidthTrace, faults: FaultSchedule, probe_noise_sd: float, probe_seed: int | str
     ):
-        if interval_us <= 0:
-            raise ValueError(f"monitor interval must be positive, got {interval_us}")
         self._trace = trace
         self._faults = faults
         self._probe_noise_sd = probe_noise_sd
         self._probe_seed = probe_seed
-        self._interval_us = interval_us
 
     def tick(self, t_us: int) -> SpeedSample:
-        if t_us % self._interval_us != 0:
-            raise ValueError(f"monitor tick at {t_us}us is off the {self._interval_us}us grid")
         return probe(self._trace, self._faults, t_us, self._probe_noise_sd, self._probe_seed)
 
 
@@ -173,6 +163,9 @@ class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
     def __init__(self, config: ScenarioConfig):
+        # parse_scenario rules this out: a run must end on a tick, or the next starts off the grid
+        if config.monitor_interval_us <= 0 or config.run_duration_us % config.monitor_interval_us:
+            raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         self.config = config
         shape, warmup, seed = config.trace, config.warmup, config.seed
         self.trace = trace_for(shape, config.total_duration_us, f"{seed}/trace")
@@ -195,11 +188,7 @@ class Engine:
             faults=config.faults,
             probe_noise_sd=config.probe_noise_sd_mbps,
             probe_seed=f"{seed}/probe",
-            interval_us=config.monitor_interval_us,
         )
-        # parse_scenario rules this out: a run must end on a tick, or the next starts off the grid
-        if config.run_duration_us % config.monitor_interval_us:
-            raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
         self.executor = Executor(config.space, config.reconfig_delay_us)
         self._ran = False

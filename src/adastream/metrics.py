@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import InvalidRunError
-from .kb import AdaptationSpace, Checked, RunRecord, StreamConfig
+from .kb import AdaptationSpace, RunRecord, StreamConfig
 
 _BOUND_SLACK = 1e-9
 
@@ -36,44 +36,21 @@ def fmean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-class _QualityWeightsFields(NamedTuple):
+class QualityWeights(NamedTuple):
+    """Weighting of frame rate vs frame quality inside a run's quality score."""
+
     w_rate: float
     w_frame: float
 
 
-class QualityWeights(Checked, _QualityWeightsFields):
-    """Weighting of frame rate vs frame quality inside a run's quality score."""
+class PerformanceWeights(NamedTuple):
+    """Weighting of time performance vs quality performance in the combined metric."""
 
-    __slots__ = ()
-
-    def __new__(cls, w_rate: float, w_frame: float) -> QualityWeights:
-        self = tuple.__new__(cls, (w_rate, w_frame))
-        if w_rate < 0 or w_frame < 0:
-            raise ValueError(f"quality weights must be non-negative, got {self}")
-        if abs(w_rate + w_frame - 1.0) > _BOUND_SLACK:
-            raise ValueError(f"quality weights must sum to 1, got {self}")
-        return self
-
-
-class _PerformanceWeightsFields(NamedTuple):
     w_t: float
     w_q: float
 
 
-class PerformanceWeights(Checked, _PerformanceWeightsFields):
-    """Weighting of time performance vs quality performance in the combined metric."""
-
-    __slots__ = ()
-
-    def __new__(cls, w_t: float, w_q: float) -> PerformanceWeights:
-        self = tuple.__new__(cls, (w_t, w_q))
-        if w_t < 0 or w_q < 0:
-            raise ValueError(f"performance weights must be non-negative, got {self}")
-        if abs(w_t + w_q - 1.0) > _BOUND_SLACK:
-            raise ValueError(f"performance weights must sum to 1, got {self}")
-        return self
-
-
+# Each weight pair below is non-negative and sums to 1.
 QUALITY_PRESETS: dict[str, QualityWeights] = {
     "5r5q": QualityWeights(0.5, 0.5),
     "9r1q": QualityWeights(0.9, 0.1),

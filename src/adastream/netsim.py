@@ -20,51 +20,27 @@ from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
 from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
-from .kb import Checked, Frozen
+from .kb import Frozen
 from .units import to_us
 
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
 
 
-class _BandwidthTraceFields(NamedTuple):
-    uploads: tuple[float, ...]
-    step_us: int
-
-
-class BandwidthTrace(Checked, _BandwidthTraceFields):
+class BandwidthTrace(NamedTuple):
     """Piecewise-constant upload speed: uploads[i] covers [i*step, (i+1)*step)."""
 
-    __slots__ = ()
-
-    def __new__(cls, uploads: tuple[float, ...], step_us: int) -> BandwidthTrace:
-        if step_us <= 0:
-            raise InvalidTraceError(f"step must be positive, got {step_us} us")
-        if not uploads:
-            raise InvalidTraceError("trace must hold at least one sample")
-        if any(u < 0 for u in uploads):
-            raise InvalidTraceError("trace uploads must be non-negative")
-        return tuple.__new__(cls, (uploads, step_us))
+    uploads: tuple[float, ...]
+    step_us: int
 
     @property
     def duration_us(self) -> int:
         return len(self.uploads) * self.step_us
 
 
-class _FaultWindowFields(NamedTuple):
+class FaultWindow(NamedTuple):
     start_us: int
     end_us: int
-    kind: str
-
-
-class FaultWindow(Checked, _FaultWindowFields):
-    __slots__ = ()
-
-    def __new__(cls, start_us: int, end_us: int, kind: str) -> FaultWindow:
-        if kind not in FAULT_KINDS:
-            raise ValueError(f"fault kind must be one of {FAULT_KINDS}, got {kind!r}")
-        if start_us >= end_us:
-            raise ValueError(f"fault window start {start_us} must precede end {end_us}")
-        return tuple.__new__(cls, (start_us, end_us, kind))
+    kind: str  # one of FAULT_KINDS
 
 
 class FaultSchedule(Frozen):
@@ -99,21 +75,12 @@ class FaultSchedule(Frozen):
 
 
 # The loop makes one of these per tick.
-class _SpeedSampleFields(NamedTuple):
+class SpeedSample(NamedTuple):
+    """One probe result; ok=False means the probe itself was unavailable."""
+
     t_us: int
     upload_mbps: float
     ok: bool
-
-
-class SpeedSample(Checked, _SpeedSampleFields):
-    """One probe result; ok=False means the probe itself was unavailable."""
-
-    __slots__ = ()
-
-    def __new__(cls, t_us: int, upload_mbps: float, ok: bool) -> SpeedSample:
-        if ok and upload_mbps < 0:
-            raise ValueError("upload must be non-negative on a healthy probe")
-        return tuple.__new__(cls, (t_us, upload_mbps, ok))
 
 
 def generate_trace(

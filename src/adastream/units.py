@@ -17,7 +17,6 @@ def to_us(seconds: float) -> int:
 
 
 def format_seconds(us: int) -> str:
-    """Fixed six-decimal rendering of a microsecond count, for CSV output."""
-    sign = "-" if us < 0 else ""
-    whole, frac = divmod(abs(us), US_PER_SECOND)
-    return f"{sign}{whole}.{frac:06d}"
+    """Fixed six-decimal rendering of a non-negative microsecond count, for CSV output."""
+    whole, frac = divmod(us, US_PER_SECOND)
+    return f"{whole}.{frac:06d}"

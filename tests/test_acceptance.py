@@ -313,6 +313,18 @@ def assert_loop_invariants(config, result, events) -> None:
             seen.add(sid)
     assert len(seen) == len(registered)  # every registered strategy got executed
 
+    # what the message types take on trust: a healthy probe reads >= 0 Mbps, and a
+    # strategy is a user override or follows the tick's own threshold condition
+    condition = None
+    for event in events:
+        if event["event"] == "monitor" and event["ok"]:
+            assert event["upload_mbps"] >= 0
+        elif event["event"] == "analyze":
+            condition = event["condition"]
+        elif event["event"] == "plan" and event["action"] == "strategy":
+            assert event["reason"] in ("below-threshold", "above-threshold", "user-config")
+            assert event["reason"] in ("user-config", condition)
+
 
 def test_criterion_7_invariant_sweep():
     with criterion(7, "loop invariants hold over a 100-seed fault sweep"):

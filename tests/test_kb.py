@@ -35,15 +35,6 @@ def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None, sc
 # -- domain types ------------------------------------------------------
 
 
-def test_stream_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        StreamConfig("X", frame_rate=0, scale_w=320, scale_h=240, quality_score=0.5)
-    with pytest.raises(ValueError):
-        StreamConfig("X", frame_rate=30, scale_w=0, scale_h=240, quality_score=0.5)
-    with pytest.raises(ValueError):
-        StreamConfig("X", frame_rate=30, scale_w=320, scale_h=240, quality_score=1.5)
-
-
 def test_default_space_matches_reference_settings():
     space = default_space()
     lr = space.config("LR")
@@ -98,11 +89,6 @@ def test_space_cached_lookups_match_scans(names_and_rates):
                 with pytest.raises(ValueError):
                     space.config(name)
     assert [] not in space
-
-
-def test_strategy_rejects_unknown_reason():
-    with pytest.raises(ValueError):
-        AdaptationStrategy(id=1, issued_at_us=0, target="LR", reason="panic")
 
 
 def test_run_record_enforces_accounting_identity():

@@ -368,6 +368,49 @@ def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(ch
     assert diags == [diagnostic]
 
 
+PROBE_DOWN = "probe-unavailable"
+
+
+# StreamConfig and FaultWindow check nothing: the parser is the one home of these rules.
+@pytest.mark.parametrize(
+    "path, value, diagnostic",
+    [
+        (("adaptation_space", 0, "frame_rate"), 0, "adaptation_space[0].frame_rate must be >= 1, got 0"),
+        (("adaptation_space", 0, "scale_w"), 0, "adaptation_space[0].scale_w must be >= 1, got 0"),
+        (("adaptation_space", 0, "scale_h"), -1, "adaptation_space[0].scale_h must be >= 1, got -1"),
+        (
+            ("adaptation_space", 0, "quality_score"),
+            1.5,
+            "adaptation_space[0].quality_score must be <= 1, got 1.5",
+        ),
+        (
+            ("adaptation_space", 0, "quality_score"),
+            -0.1,
+            "adaptation_space[0].quality_score must be >= 0, got -0.1",
+        ),
+        (
+            ("faults", 0, "kind"),
+            "outage",
+            "faults[0].kind must be one of ['probe-unavailable', 'registry-unavailable'], got 'outage'",
+        ),
+        (
+            ("faults", 0),
+            {"start_s": 5, "end_s": 5, "kind": PROBE_DOWN},
+            "faults[0] needs start_s < end_s, at least 1 µs apart, got [5, 5)",
+        ),
+        (
+            ("faults", 0),
+            {"start_s": 9, "end_s": 5, "kind": PROBE_DOWN},
+            "faults[0] needs start_s < end_s, at least 1 µs apart, got [9, 5)",
+        ),
+    ],
+)
+def test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic(path, value, diagnostic):
+    config, diags = parse_scenario(mutated(BASE, path, value))
+    assert config is None
+    assert diags == [diagnostic]
+
+
 @pytest.mark.parametrize(
     "path, value, where",
     [
