@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator: only those some caller names in an `except`."""
 
 from __future__ import annotations
 
@@ -7,24 +7,8 @@ class SimulationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonMonotonicIdError(SimulationError):
-    """A strategy id did not exceed every id already in the registry."""
-
-
 class InvalidRunError(SimulationError):
     """A run record violates its accounting contract (e.g. duration <= 0)."""
-
-
-class OutOfRangeError(SimulationError):
-    """A timestamp falls outside the trace it is being looked up in."""
-
-
-class EmptyWindowError(SimulationError):
-    """A threshold window selects no trace samples."""
-
-
-class InvalidTraceError(SimulationError):
-    """Trace generator parameters are out of their valid domain."""
 
 
 class ScenarioError(SimulationError):

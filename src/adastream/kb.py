@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidRunError, NonMonotonicIdError
+from .errors import InvalidRunError, SimulationError
 
 # Stored model parameters for per-frame quality, one per default config.
 # Not derived from resolution; the metrics module consumes them as-is.
@@ -63,9 +63,9 @@ class StreamConfig(NamedTuple):
 class AdaptationSpace(Frozen):
     """The finite, ordered set of configurations the planner may select among.
 
-    An immutable value, equal by `configs`. The planner's two targets and the
-    name lookup are read every tick, so they are computed once here; ties go
-    to the first such config in order, as max/min pick it.
+    An immutable value, equal by `configs`. The planner's two targets are read
+    every tick and the name lookup every run, so they are computed once here;
+    ties go to the first such config in order, as max/min pick it.
     """
 
     __slots__ = ("configs", "highest_rate_config", "lowest_rate_config", "_by_name")
@@ -83,24 +83,17 @@ class AdaptationSpace(Frozen):
         init(self, "_by_name", {c.name: c for c in configs})
 
     @property
-    def max_frame_rate(self) -> int:
-        return self.highest_rate_config.frame_rate
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.configs)
 
     def config(self, name: str) -> StreamConfig:
         try:
             return self._by_name[name]
-        except (KeyError, TypeError):
+        except KeyError:
             raise ValueError(f"unknown config {name!r}; space has {list(self.names)}") from None
 
-    def __contains__(self, name: object) -> bool:
-        try:
-            return name in self._by_name
-        except TypeError:  # unhashable, so equal to no name
-            return False
+    def __contains__(self, name: str) -> bool:
+        return name in self._by_name
 
 
 def default_space() -> AdaptationSpace:
@@ -194,7 +187,7 @@ class KnowledgeBase:
     def register_strategy(self, strategy: AdaptationStrategy) -> None:
         """Append a strategy. Ids must strictly increase in insertion order."""
         if self._strategies and strategy.id <= self._strategies[-1].id:
-            raise NonMonotonicIdError(
+            raise SimulationError(
                 f"strategy id {strategy.id} not greater than last id {self._strategies[-1].id}"
             )
         self._strategies.append(strategy)

@@ -116,8 +116,7 @@ class Executor:
     one while a switch is in flight.
     """
 
-    def __init__(self, space: AdaptationSpace, reconfig_delay_us: int):
-        self._space = space
+    def __init__(self, reconfig_delay_us: int):
         self._reconfig_delay_us = reconfig_delay_us
 
     def execute(self, kb: KnowledgeBase, stream: StreamState, registry_available: bool) -> ExecuteOutcome:
@@ -129,7 +128,7 @@ class Executor:
             return ExecuteOutcome("registry", None, None, False)
         if latest.target == kb.last_applied:
             return ExecuteOutcome("registry", latest.id, latest.target, False)
-        stream.apply_config(self._space.config(latest.target), self._reconfig_delay_us)
+        stream.apply_config(latest.target, self._reconfig_delay_us)
         kb.last_applied = latest.target
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
@@ -163,9 +162,12 @@ class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
     def __init__(self, config: ScenarioConfig):
-        # parse_scenario rules this out: a run must end on a tick, or the next starts off the grid
+        # parse_scenario rules these out: a run ends on a tick, and each config name is in the space
         if config.monitor_interval_us <= 0 or config.run_duration_us % config.monitor_interval_us:
             raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
+        for name in (config.initial_config, *(o.target for o in config.user_overrides)):
+            if name not in config.space:
+                raise SimulationError(f"config {name!r} is not in the adaptation space")
         self.config = config
         shape, warmup, seed = config.trace, config.warmup, config.seed
         self.trace = trace_for(shape, config.total_duration_us, f"{seed}/trace")
@@ -182,7 +184,7 @@ class Engine:
                 f"move the window or raise trace.mean_mbps"
             )
         self.kb = KnowledgeBase(last_applied=config.initial_config)
-        self.stream = StreamState(config.space.config(config.initial_config))
+        self.stream = StreamState(config.initial_config)
         self.monitor = Monitor(
             trace=self.trace,
             faults=config.faults,
@@ -190,7 +192,7 @@ class Engine:
             probe_seed=f"{seed}/probe",
         )
         self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
-        self.executor = Executor(config.space, config.reconfig_delay_us)
+        self.executor = Executor(config.reconfig_delay_us)
         self._ran = False
 
     def run(self, sink: EventSink) -> EngineResult:

@@ -78,7 +78,8 @@ def config_quality_score(config: StreamConfig, space: AdaptationSpace, qw: Quali
     """Per-second quality of streaming at `config`, in [0, 1]."""
     if config.name not in space:
         raise ValueError(f"config {config.name!r} not in adaptation space")
-    return qw.w_rate * (config.frame_rate / space.max_frame_rate) + qw.w_frame * config.quality_score
+    max_frame_rate = space.highest_rate_config.frame_rate
+    return qw.w_rate * (config.frame_rate / max_frame_rate) + qw.w_frame * config.quality_score
 
 
 def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWeights) -> float:
@@ -170,10 +171,9 @@ def format_selection(run_fraction: float, seconds_fraction: float) -> str:
     )
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    """Round half away from zero at `places` decimals (report display rule)."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """Round half away from zero at 2 decimals (report display rule)."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def format_cell(value: float) -> str:

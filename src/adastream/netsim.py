@@ -19,7 +19,7 @@ from bisect import bisect_right
 from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
-from .errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
+from .errors import SimulationError
 from .kb import Frozen
 from .units import to_us
 
@@ -94,15 +94,15 @@ def generate_trace(
 ) -> BandwidthTrace:
     """Generate a seeded bandwidth trace covering [0, duration_us) at a fixed step."""
     if mean <= 0:
-        raise InvalidTraceError(f"mean must be positive, got {mean}")
+        raise SimulationError(f"mean must be positive, got {mean}")
     if step_us <= 0:
-        raise InvalidTraceError(f"step must be positive, got {step_us} us")
+        raise SimulationError(f"step must be positive, got {step_us} us")
     if duration_us < step_us:
-        raise InvalidTraceError(f"duration {duration_us} us must be at least one step {step_us} us")
+        raise SimulationError(f"duration {duration_us} us must be at least one step {step_us} us")
     if period <= 0:
-        raise InvalidTraceError(f"period must be positive, got {period}")
+        raise SimulationError(f"period must be positive, got {period}")
     if noise_sd < 0:
-        raise InvalidTraceError(f"noise_sd must be non-negative, got {noise_sd}")
+        raise SimulationError(f"noise_sd must be non-negative, got {noise_sd}")
 
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
     two_pi, sin = 2.0 * math.pi, math.sin
@@ -167,7 +167,7 @@ def probe(
     uploads = trace.uploads
     i = t_us // trace.step_us
     if t_us < 0 or i >= len(uploads):  # i < len exactly when t_us < duration_us
-        raise OutOfRangeError(f"t={t_us}us outside trace [0, {trace.duration_us}us)")
+        raise SimulationError(f"t={t_us}us outside trace [0, {trace.duration_us}us)")
     if faults.active("probe-unavailable", t_us):
         return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
     upload = uploads[i]
@@ -186,13 +186,13 @@ def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: fl
     start_us = to_us(warmup_start)
     end_us = to_us(warmup_end)
     if not 0 <= start_us < end_us <= trace.duration_us:
-        raise EmptyWindowError(
+        raise SimulationError(
             f"warmup window [{warmup_start}, {warmup_end}) invalid for trace of "
             f"{trace.duration_us / 1e6}s"
         )
     span = sample_indices(start_us, end_us, trace.step_us)
     values = trace.uploads[span.start:span.stop]
     if not values:
-        raise EmptyWindowError(f"warmup window [{warmup_start}, {warmup_end}) selects no samples")
+        raise SimulationError(f"warmup window [{warmup_start}, {warmup_end}) selects no samples")
     return math.fsum(values) / len(values)  # metrics.fmean, bit for bit
 

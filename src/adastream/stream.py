@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .kb import RunRecord, StreamConfig
+from .kb import RunRecord
 
 
 class StepOutcome(NamedTuple):
@@ -28,16 +28,16 @@ class StepOutcome(NamedTuple):
 class StreamState:
     """Single-owner state of the streaming service, by config name. Not thread-safe."""
 
-    def __init__(self, initial: StreamConfig):
-        self.active = initial.name
+    def __init__(self, initial: str):
+        self.active = initial
         self.pending: str | None = None
         self.reconfig_remaining_us = 0
         self.streamed_us: dict[str, int] = {}
         self.reconfig_us = 0
         self.switches = 0
 
-    def apply_config(self, target: StreamConfig, reconfig_delay_us: int) -> None:
-        """Command the stream to move to `target`.
+    def apply_config(self, name: str, reconfig_delay_us: int) -> None:
+        """Command the stream to move to the config `name`.
 
         Applying the already-active config with no switch in flight is free.
         Applying during an in-flight switch replaces the pending target
@@ -45,7 +45,6 @@ class StreamState:
         """
         if reconfig_delay_us < 0:
             raise ValueError(f"reconfig delay must be non-negative, got {reconfig_delay_us}")
-        name = target.name
         if self.pending is not None:
             self.pending = name
         elif name != self.active:

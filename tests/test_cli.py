@@ -66,6 +66,24 @@ def test_the_package_imports_only_the_standard_library():
             assert tops <= sys.stdlib_module_names, (path.name, sorted(tops))
 
 
+def test_every_error_type_is_caught_by_name_somewhere():
+    # a type no `except` names tells no caller anything a SimulationError's message does not
+    package = Path(__file__).resolve().parents[1] / "src" / "adastream"
+    defined = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    caught = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+    assert "SimulationError" in defined
+    assert defined <= caught, sorted(defined - caught)
+
+
 def test_engine_setup_path_loads_no_report_code():
     # what a set-up child runs before its first tick
     loaded = modules_loaded_by(
@@ -329,6 +347,28 @@ def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "warmup window [60, 90)" in err and "threshold of 0 Mbps" in err
+    assert list(out.iterdir()) == []
+
+
+def test_run_that_streams_nothing_exits_two_without_traceback(tmp_path, capsys):
+    # 1 s runs against a 5 s switch: the first switch covers run 0 whole.
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 6,
+        "run_duration_s": 1.0,
+        "reconfig_delay_s": 5.0,
+        "trace": {"mean_mbps": 0.5, "amplitude_mbps": 6.0, "period_s": 7.0},
+        "warmup": {"duration_s": 21.0, "start_s": 0.0, "end_s": 21.0},
+        "seed": 3,
+    }
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: run 0 streamed nothing; quality performance undefined\n"
     assert list(out.iterdir()) == []
 
 

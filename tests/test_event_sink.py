@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import run_experiment
+from adastream.experiment import parse_runs_csv, run_experiment
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
 from adastream.stream import StreamState
 
@@ -119,12 +119,14 @@ def parse_checked_lines(config, text: str) -> list[dict]:
 def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    _, text = run_into_jsonl(config)
+    result, text = run_into_jsonl(config)
     events = parse_checked_lines(config, text)
     assert {e["dt_us"] for e in events if e["event"] == "step"} == {config.monitor_interval_us}
     with tempfile.TemporaryDirectory() as out:
         run_experiment(config, out)
         assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")
+        # the drawn names head runs.csv's columns and come back unchanged
+        assert parse_runs_csv(Path(out) / "runs.csv") == (list(result.records), config.space.names)
 
 
 def test_encoder_matches_json_dumps_on_every_event_shape():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.errors import InvalidRunError, NonMonotonicIdError
+from adastream.errors import InvalidRunError, SimulationError
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
@@ -41,7 +41,7 @@ def test_default_space_matches_reference_settings():
     hr = space.config("HR")
     assert (lr.frame_rate, lr.scale_w, lr.scale_h) == (30, 320, 240)
     assert (hr.frame_rate, hr.scale_w, hr.scale_h) == (60, 720, 480)
-    assert space.max_frame_rate == 60
+    assert space.highest_rate_config.frame_rate == 60
 
 
 def test_space_rejects_duplicates_and_empty():
@@ -59,7 +59,7 @@ def test_space_max_frame_rate_is_recomputed():
             StreamConfig("B", 25, 100, 100, 0.5),
         )
     )
-    assert space.max_frame_rate == 25
+    assert space.highest_rate_config.frame_rate == 25
     assert "A" in space and "C" not in space
     with pytest.raises(ValueError):
         space.config("C")
@@ -80,7 +80,7 @@ def test_space_cached_lookups_match_scans(names_and_rates):
     for _ in range(2):  # the second pass reads the cached values
         assert space.highest_rate_config is max(configs, key=lambda c: c.frame_rate)
         assert space.lowest_rate_config is min(configs, key=lambda c: c.frame_rate)
-        assert space.max_frame_rate == max(rates)
+        assert space.highest_rate_config.frame_rate == max(rates)
         for name in "ABCDEF":
             assert (name in space) == any(c.name == name for c in configs)
             if name in space:
@@ -88,7 +88,6 @@ def test_space_cached_lookups_match_scans(names_and_rates):
             else:
                 with pytest.raises(ValueError):
                     space.config(name)
-    assert [] not in space
 
 
 def test_run_record_enforces_accounting_identity():
@@ -128,9 +127,9 @@ def test_register_rejects_non_monotonic_id():
     kb = KnowledgeBase()
     kb.register_strategy(strategy(1))
     kb.register_strategy(strategy(2))
-    with pytest.raises(NonMonotonicIdError):
+    with pytest.raises(SimulationError, match="^strategy id 2 not greater than last id 2$"):
         kb.register_strategy(strategy(2))
-    with pytest.raises(NonMonotonicIdError):
+    with pytest.raises(SimulationError, match="^strategy id 1 not greater than last id 2$"):
         kb.register_strategy(strategy(1))
 
 

@@ -13,6 +13,7 @@ from adastream.mapek import (
     plan,
 )
 from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample, generate_trace, probe
+from adastream.scenario import UserOverride
 from adastream.stream import StepOutcome, StreamState
 from adastream.units import to_us
 
@@ -175,8 +176,8 @@ def test_monitor_tick_deterministic():
 def test_execute_applies_latest_strategy():
     kb = KnowledgeBase(last_applied="LR")
     kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
-    stream = StreamState(SPACE.config("LR"))
-    outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
+    stream = StreamState("LR")
+    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "HR" and outcome.strategy_id == 1
     assert stream.pending == "HR"
     assert kb.last_applied == "HR"
@@ -185,8 +186,8 @@ def test_execute_applies_latest_strategy():
 def test_execute_registry_unavailable_falls_back():
     kb = KnowledgeBase(last_applied="LR")
     kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
-    stream = StreamState(SPACE.config("LR"))
-    outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=False)
+    stream = StreamState("LR")
+    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=False)
     assert not outcome.applied
     assert outcome.source == "fallback" and outcome.target == "LR"
     assert stream.pending is None  # still streaming, unchanged
@@ -196,27 +197,27 @@ def test_execute_registry_unavailable_falls_back():
 def test_execute_matching_target_is_free():
     kb = KnowledgeBase(last_applied="LR")
     kb.register_strategy(AdaptationStrategy(1, 0, "LR", "below-threshold"))
-    stream = StreamState(SPACE.config("LR"))
-    outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
+    stream = StreamState("LR")
+    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
     assert not outcome.applied
     assert stream.reconfig_remaining_us == 0
 
 
 def test_execute_empty_registry_is_noop():
     kb = KnowledgeBase(last_applied="LR")
-    stream = StreamState(SPACE.config("LR"))
-    outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
+    stream = StreamState("LR")
+    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
     assert not outcome.applied and outcome.strategy_id is None
 
 
 def test_execute_compares_against_pending_target():
     # a switch to HR is in flight; the latest strategy reverses to LR
     kb = KnowledgeBase(last_applied="HR")
-    stream = StreamState(SPACE.config("LR"))
-    stream.apply_config(SPACE.config("HR"), to_us(2.7))
+    stream = StreamState("LR")
+    stream.apply_config("HR", to_us(2.7))
     kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
     kb.register_strategy(AdaptationStrategy(2, 1_000_000, "LR", "below-threshold"))
-    outcome = Executor(SPACE, to_us(2.7)).execute(kb, stream, registry_available=True)
+    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "LR"
     assert stream.pending == "LR"
 
@@ -456,6 +457,20 @@ def test_engine_refuses_a_run_that_is_not_a_whole_number_of_intervals(scenario_f
 def test_engine_rejects_a_non_positive_monitor_interval(scenario_factory):
     config = scenario_factory(runs=1)._replace(monitor_interval_us=0)
     with pytest.raises(SimulationError, match="^run duration 30000000 us is not a whole number of ticks$"):
+        Engine(config)
+
+
+def test_engine_rejects_an_initial_config_outside_the_space(scenario_factory):
+    config = scenario_factory(runs=1)._replace(initial_config="XX")
+    with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
+        Engine(config)
+
+
+def test_engine_rejects_an_override_target_outside_the_space(scenario_factory):
+    # the first override names a config in the space; only the second is unknown
+    overrides = (UserOverride(at_us=0, target="LR"), UserOverride(at_us=1_000_000, target="XX"))
+    config = scenario_factory(runs=1)._replace(user_overrides=overrides)
+    with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
         Engine(config)
 
 

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adastream.errors import EmptyWindowError, InvalidTraceError, OutOfRangeError
+from adastream.errors import SimulationError
 from adastream.netsim import (
     BandwidthTrace,
     FaultSchedule,
@@ -91,15 +92,15 @@ def test_trace_matches_one_gauss_call_per_sample(
 
 
 def test_generate_rejects_bad_parameters():
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(SimulationError, match="^mean must be positive, got 0$"):
         generate_trace(mean=0, amplitude=1, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(SimulationError, match="^step must be positive, got 0 us$"):
         generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=10 * S, step_us=0, seed=0)
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(SimulationError, match="^duration 500000 us must be at least one step 1000000 us$"):
         generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=S // 2, step_us=S, seed=0)
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(SimulationError, match="^period must be positive, got 0$"):
         generate_trace(mean=5, amplitude=1, period=0, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
-    with pytest.raises(InvalidTraceError, match="^noise_sd must be non-negative, got -1$"):
+    with pytest.raises(SimulationError, match="^noise_sd must be non-negative, got -1$"):
         generate_trace(mean=5, amplitude=1, period=60, noise_sd=-1, duration_us=10 * S, step_us=S, seed=0)
 
 
@@ -167,13 +168,14 @@ def test_bandwidth_at_out_of_range():
     # the trace covers [0, duration): its end instant and any negative instant have no sample
     trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
     for t_us in (trace.duration_us, -1, -500_000):
-        with pytest.raises(OutOfRangeError):
+        message = f"t={t_us}us outside trace [0, 10000000us)"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             probe(trace, NO_FAULTS, t_us, 0, seed=1)
 
 
 def test_probe_out_of_range():
     trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(SimulationError, match=f"^{re.escape('t=10500000us outside trace [0, 10000000us)')}$"):
         probe(trace, NO_FAULTS, 10_500_000, 0, seed=1)
     assert probe(trace, NO_FAULTS, trace.duration_us - 1, 0, seed=1).ok
 
@@ -210,12 +212,10 @@ def test_threshold_is_arithmetic_mean():
 
 def test_threshold_empty_window_errors():
     trace = BandwidthTrace(uploads=(2.0, 4.0, 6.0), step_us=1_000_000)
-    with pytest.raises(EmptyWindowError):
-        compute_threshold(trace, 1, 1)
-    with pytest.raises(EmptyWindowError):
-        compute_threshold(trace, 2, 1)
-    with pytest.raises(EmptyWindowError):
-        compute_threshold(trace, 0, 4)
+    for start, end in ((1, 1), (2, 1), (0, 4)):
+        message = f"warmup window [{start}, {end}) invalid for trace of 3.0s"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            compute_threshold(trace, start, end)
 
 
 @pytest.mark.parametrize("step_us", [1, 250_000, 3 * S])
@@ -233,7 +233,7 @@ def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
             if scanned:
                 assert repr(compute_threshold(trace, *window)) == repr(fmean(scanned))
             else:
-                with pytest.raises(EmptyWindowError, match="selects no samples"):
+                with pytest.raises(SimulationError, match="selects no samples"):
                     compute_threshold(trace, *window)
 
 
@@ -262,8 +262,10 @@ def test_warmup_prefix_gives_the_full_trace_threshold(
     assert prefix.uploads == full.uploads[: len(prefix.uploads)]
     try:
         expected = compute_threshold(full, start, end)
-    except EmptyWindowError:
-        with pytest.raises(EmptyWindowError):
+    except SimulationError as exc:
+        # the full trace covers the window, so only an empty one fails, with the same message
+        assert str(exc) == f"warmup window [{start}, {end}) selects no samples"
+        with pytest.raises(SimulationError, match=f"^{re.escape(str(exc))}$"):
             compute_threshold(prefix, start, end)
     else:
         assert compute_threshold(prefix, start, end) == expected
