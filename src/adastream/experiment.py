@@ -80,17 +80,34 @@ def events_jsonl_text(
     lines = []
     add = lines.append
     seq = first_seq
-    for (
-        (t_us, upload, ok), condition, strategy, (source, strategy_id, target, applied),
-        dt_us, (reconfig_us, streamed_us, active),
-    ) in ticks:
-        tail = f',"run":{run_index},"t_us":{t_us},"event":'
+    run_head = f',"run":{run_index},"t_us":'
+    # The execute and step bodies (the text after "event":) are pure functions of
+    # their messages, whose fields are str, int, bool or None. Each is rebuilt only
+    # when its message differs from the previous tick's: one memo entry per kind.
+    last_outcome = last_step = last_dt_us = None
+    for (t_us, upload, ok), condition, strategy, outcome, dt_us, stepped in ticks:
+        if outcome != last_outcome:
+            source, strategy_id, target, applied = last_outcome = outcome
+            execute = (
+                f'"execute","source":"{source}",'
+                f'"strategy_id":{"null" if strategy_id is None else strategy_id},'
+                f'"target":{quoted[target]},"applied":{_JSON_BOOL[applied]}}}\n'
+            )
+        if stepped != last_step or dt_us != last_dt_us:
+            reconfig_us, streamed_us, active = last_step = stepped
+            last_dt_us = dt_us
+            step = (
+                f'"step","dt_us":{dt_us},"reconfig_us":{reconfig_us},'
+                f'"segments":[{f"[{quoted[active]},{streamed_us}]" if streamed_us else ""}],'
+                f'"active":{quoted[active]}}}\n'
+            )
+        tail = f'{run_head}{t_us},"event":'
         if strategy is None:
             decision = f'{{"seq":{seq + 2}{tail}"plan","action":"keep"}}\n'
             after = seq + 3
         else:
             # registered exactly when the registry is up, as the execute source says
-            registered = source == "registry"
+            registered = outcome.source == "registry"
             planned_target = quoted[strategy.target]
             decision = (
                 f'{{"seq":{seq + 2}{tail}"plan","action":"strategy",'
@@ -105,12 +122,8 @@ def events_jsonl_text(
             f'{{"seq":{seq}{tail}"monitor","upload_mbps":{upload!r},"ok":{_JSON_BOOL[ok]}}}\n'
             f'{{"seq":{seq + 1}{tail}"analyze","condition":"{condition}"}}\n'
             f"{decision}"
-            f'{{"seq":{after}{tail}"execute","source":"{source}",'
-            f'"strategy_id":{"null" if strategy_id is None else strategy_id},'
-            f'"target":{quoted[target]},"applied":{_JSON_BOOL[applied]}}}\n'
-            f'{{"seq":{after + 1}{tail}"step","dt_us":{dt_us},"reconfig_us":{reconfig_us},'
-            f'"segments":[{f"[{quoted[active]},{streamed_us}]" if streamed_us else ""}],'
-            f'"active":{quoted[active]}}}\n'
+            f'{{"seq":{after}{tail}{execute}'
+            f'{{"seq":{after + 1}{tail}{step}'
         )
         seq = after + 2
     return "".join(lines)
@@ -125,9 +138,9 @@ class JsonlFileSink:
         self._seq = 0  # the next line's seq: seq counts the lines from 0
 
     def write_run(self, run_index: int, ticks: list[tuple]) -> None:
-        text = events_jsonl_text(run_index, self._seq, ticks, self._quoted)
-        self._file.write(text)
-        self._seq += text.count("\n")
+        self._file.write(events_jsonl_text(run_index, self._seq, ticks, self._quoted))
+        # five lines a tick, and a register line when the tick carries a strategy
+        self._seq += 5 * len(ticks) + sum(1 for tick in ticks if tick[2] is not None)
 
 
 def _read_lines(path: str | Path) -> list[str]:

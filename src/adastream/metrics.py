@@ -88,15 +88,19 @@ def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWe
     The normalizer is the streamed time itself (best per-second score is
     1.0), so a run that never streamed has no defined quality.
     """
+    return _quality_at(
+        record, {name: config_quality_score(space.config(name), space, qw) for name in record.streamed_us}
+    )
+
+
+def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
+    """`quality_performance` from each streamed config's score, looked up by name."""
     streamed_total = record.streamed_total_us
     if streamed_total <= 0:
         raise InvalidRunError(
             f"run {record.run_index} streamed nothing; quality performance undefined"
         )
-    achieved = sum(
-        streamed * config_quality_score(space.config(name), space, qw)
-        for name, streamed in record.streamed_us.items()
-    )
+    achieved = sum(streamed * scores[name] for name, streamed in record.streamed_us.items())
     return achieved / streamed_total
 
 
@@ -130,7 +134,9 @@ def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: Adaptatio
     tp_mean = fmean([time_performance(r) for r in records])
     grid: dict[str, dict[str, float]] = {metric: {} for metric in REPORT_METRICS}
     for preset, qw in QUALITY_PRESETS.items():
-        qp_mean = fmean([quality_performance(r, space, qw) for r in records])
+        # each config scored once per preset, not once per run
+        scores = {c.name: config_quality_score(c, space, qw) for c in space.configs}
+        qp_mean = fmean([_quality_at(r, scores) for r in records])
         grid["tp"][preset] = tp_mean
         grid["qp"][preset] = qp_mean
         for p_name, pw in PERFORMANCE_PRESETS.items():

@@ -133,6 +133,9 @@ def generate_trace(
 # the next; only the generator object itself is reused. Like the loop that
 # calls it, this is not safe to share between threads.
 _noise_rng = _MersenneTwister()
+# Bound once, so a draw looks up no attribute.
+_reseed, _draw = _noise_rng.seed, _noise_rng.random
+_tau, _cos, _sqrt, _log = math.tau, math.cos, math.sqrt, math.log
 
 
 def _keyed_gauss(key: str, sd: float) -> float:
@@ -143,11 +146,10 @@ def _keyed_gauss(key: str, sd: float) -> float:
     draw is gauss's first value from a fresh state.
     """
     data = key.encode()
-    rng = _noise_rng
-    rng.seed(int.from_bytes(data + _sha512(data).digest(), "big"))
-    x2pi = rng.random() * math.tau
-    g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-    return 0.0 + math.cos(x2pi) * g2rad * sd
+    _reseed(int.from_bytes(data + _sha512(data).digest(), "big"))
+    x2pi = _draw() * _tau
+    g2rad = _sqrt(-2.0 * _log(1.0 - _draw()))
+    return 0.0 + _cos(x2pi) * g2rad * sd
 
 
 def probe(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import tempfile
@@ -13,11 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import parse_runs_csv, run_experiment
+from adastream.experiment import JsonlFileSink, parse_runs_csv, run_experiment
+from adastream.mapek import Engine
 from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
 from adastream.stream import StreamState
-
-from conftest import run_into_jsonl
 
 # Quote, backslash, control characters, and non-ASCII (BMP and astral); no
 # ',' or line break, which a config name may not hold.
@@ -114,12 +114,73 @@ def parse_checked_lines(config, text: str) -> list[dict]:
     return events
 
 
+class RecordingSink(JsonlFileSink):
+    """The file sink, also keeping each run's tick records for the reference encoder."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.runs = []
+
+    def write_run(self, run_index, ticks):
+        self.runs.append((run_index, ticks))
+        super().write_run(run_index, ticks)
+
+
+def reference_jsonl(runs) -> str:
+    """events.jsonl built the plain way: one dict per event, each through json.dumps."""
+    lines = []
+    for run_index, ticks in runs:
+        for (t_us, upload, ok), condition, strategy, outcome, dt_us, stepped in ticks:
+            events = [
+                {"event": "monitor", "upload_mbps": upload, "ok": ok},
+                {"event": "analyze", "condition": condition},
+            ]
+            if strategy is None:
+                events.append({"event": "plan", "action": "keep"})
+            else:
+                registered = outcome.source == "registry"
+                events += [
+                    {"event": "plan", "action": "strategy", "target": strategy.target, "reason": strategy.reason},
+                    {
+                        "event": "register",
+                        "ok": registered,
+                        "strategy_id": strategy.id if registered else None,
+                        "target": strategy.target,
+                    },
+                ]
+            segments = [[stepped.active, stepped.streamed_us]] if stepped.streamed_us else []
+            events += [
+                {"event": "execute", **outcome._asdict()},
+                {
+                    "event": "step",
+                    "dt_us": dt_us,
+                    "reconfig_us": stepped.reconfig_us,
+                    "segments": segments,
+                    "active": stepped.active,
+                },
+            ]
+            for event in events:
+                head = {"seq": len(lines), "run": run_index, "t_us": t_us}
+                lines.append(json.dumps(head | event, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def run_against_reference(config) -> tuple:
+    """Run into the file sink, check its text against the reference encoder's; the result and text."""
+    file = io.StringIO()
+    sink = RecordingSink(file)
+    result = Engine(config).run(sink)
+    text = file.getvalue()
+    assert text == reference_jsonl(sink.runs)
+    return result, text
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_docs())
 def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    result, text = run_into_jsonl(config)
+    result, text = run_against_reference(config)
     events = parse_checked_lines(config, text)
     assert {e["dt_us"] for e in events if e["event"] == "step"} == {config.monitor_interval_us}
     with tempfile.TemporaryDirectory() as out:
@@ -154,7 +215,7 @@ def test_encoder_matches_json_dumps_on_every_event_shape():
     }
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    _, text = run_into_jsonl(config)
+    _, text = run_against_reference(config)
     events = parse_checked_lines(config, text)
     kinds = {e["event"] for e in events}
     assert kinds == {"monitor", "analyze", "plan", "register", "execute", "step"}

@@ -7,6 +7,7 @@ so renaming or folding away a traced stage breaks `perfbench/run.py
 
 from __future__ import annotations
 
+import io
 import sys
 from pathlib import Path
 
@@ -16,7 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 
-from adastream import mapek, netsim  # noqa: E402
+from adastream import experiment, mapek, netsim  # noqa: E402
+from adastream.mapek import Engine  # noqa: E402
+from adastream.scenario import bundled_config_path, load_scenario  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -32,3 +35,23 @@ def test_mapek_binds_the_stages_it_calls():
     for name in ("probe", "generate_trace", "compute_threshold"):
         assert vars(mapek)[name] is vars(netsim)[name]
     assert callable(vars(mapek)["plan"])
+
+
+def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch):
+    # The tracer's events_bytes observer counts len() of what
+    # events_jsonl_text returns, through the module binding the sink calls.
+    returned = []
+    original = experiment.events_jsonl_text
+
+    def recording(*args, **kwargs):
+        text = original(*args, **kwargs)
+        returned.append(text)
+        return text
+
+    monkeypatch.setattr(experiment, "events_jsonl_text", recording)
+    config = load_scenario(bundled_config_path("table3-adaptive"))._replace(runs=3)
+    file = io.StringIO()
+    Engine(config).run(experiment.JsonlFileSink(file))
+    assert len(returned) == config.runs
+    assert all(type(text) is str for text in returned)
+    assert "".join(returned) == file.getvalue()
