@@ -207,8 +207,8 @@ def _selection_lines(config: ScenarioConfig, result: EngineResult, report: Perfo
         # the measured mean (mean-of-ratios); they agree only approximately
         for preset, qw in QUALITY_PRESETS.items():
             model = sum(
-                sec_frac * config_quality_score(space.config(name), space, qw)
-                for name, (_, sec_frac) in selection.items()
+                sec_frac * config_quality_score(c, space, qw)
+                for c, (_, sec_frac) in zip(space.configs, selection.values())
             )
             measured = report.grid["qp"][preset]
             lines.append(f"qp {preset}: mix-model {model:.4f}, measured {measured:.4f}")

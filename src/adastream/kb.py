@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidRunError, SimulationError
+from .errors import InvalidRunError
 
 # Stored model parameters for per-frame quality, one per default config.
 # Not derived from resolution; the metrics module consumes them as-is.
@@ -64,11 +64,11 @@ class AdaptationSpace(Frozen):
     """The finite, ordered set of configurations the planner may select among.
 
     An immutable value, equal by `configs`. The planner's two targets are read
-    every tick and the name lookup every run, so they are computed once here;
-    ties go to the first such config in order, as max/min pick it.
+    every tick, so they are computed once here; ties go to the first such
+    config in order, as max/min pick it.
     """
 
-    __slots__ = ("configs", "highest_rate_config", "lowest_rate_config", "_by_name")
+    __slots__ = ("configs", "names", "highest_rate_config", "lowest_rate_config")
 
     def __init__(self, configs: tuple[StreamConfig, ...]):
         if not configs:
@@ -78,22 +78,12 @@ class AdaptationSpace(Frozen):
             raise ValueError(f"config names must be unique, got {names}")
         init = object.__setattr__
         init(self, "configs", configs)
+        init(self, "names", tuple(names))
         init(self, "highest_rate_config", max(configs, key=lambda c: c.frame_rate))
         init(self, "lowest_rate_config", min(configs, key=lambda c: c.frame_rate))
-        init(self, "_by_name", {c.name: c for c in configs})
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.configs)
-
-    def config(self, name: str) -> StreamConfig:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown config {name!r}; space has {list(self.names)}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.names
 
 
 def default_space() -> AdaptationSpace:
@@ -185,11 +175,7 @@ class KnowledgeBase:
         return tuple(self._strategies)
 
     def register_strategy(self, strategy: AdaptationStrategy) -> None:
-        """Append a strategy. Ids must strictly increase in insertion order."""
-        if self._strategies and strategy.id <= self._strategies[-1].id:
-            raise SimulationError(
-                f"strategy id {strategy.id} not greater than last id {self._strategies[-1].id}"
-            )
+        """Append a strategy. The engine issues the ids, each above the last."""
         self._strategies.append(strategy)
 
     def latest_strategy(self) -> AdaptationStrategy | None:

@@ -47,10 +47,6 @@ class Analyzer:
     """
 
     def __init__(self, threshold: float, hysteresis_band: float = 0.0):
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if hysteresis_band < 0:
-            raise ValueError(f"hysteresis band must be non-negative, got {hysteresis_band}")
         self.threshold = threshold
         self._above = threshold + hysteresis_band
         self._below = threshold - hysteresis_band

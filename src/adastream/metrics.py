@@ -25,8 +25,6 @@ from typing import NamedTuple
 from .errors import InvalidRunError
 from .kb import AdaptationSpace, RunRecord, StreamConfig
 
-_BOUND_SLACK = 1e-9
-
 
 def fmean(values: Sequence[float]) -> float:
     """Arithmetic mean of a non-empty sequence, correctly rounded sum first.
@@ -75,26 +73,17 @@ def time_performance(record: RunRecord) -> float:
 
 
 def config_quality_score(config: StreamConfig, space: AdaptationSpace, qw: QualityWeights) -> float:
-    """Per-second quality of streaming at `config`, in [0, 1]."""
-    if config.name not in space:
-        raise ValueError(f"config {config.name!r} not in adaptation space")
+    """Per-second quality of streaming at `config`, one of `space`'s configs, in [0, 1]."""
     max_frame_rate = space.highest_rate_config.frame_rate
     return qw.w_rate * (config.frame_rate / max_frame_rate) + qw.w_frame * config.quality_score
 
 
-def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWeights) -> float:
-    """Achieved quality over the run, relative to the best achievable.
+def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
+    """qp(r), achieved quality relative to the best, from each config's score by name.
 
     The normalizer is the streamed time itself (best per-second score is
     1.0), so a run that never streamed has no defined quality.
     """
-    return _quality_at(
-        record, {name: config_quality_score(space.config(name), space, qw) for name in record.streamed_us}
-    )
-
-
-def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
-    """`quality_performance` from each streamed config's score, looked up by name."""
     streamed_total = record.streamed_total_us
     if streamed_total <= 0:
         raise InvalidRunError(
@@ -106,9 +95,6 @@ def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
 
 def system_performance(tp: float, qp: float, pw: PerformanceWeights) -> float:
     """Weighted combination of time and quality performance."""
-    for label, value in (("tp", tp), ("qp", qp)):
-        if not -_BOUND_SLACK <= value <= 1.0 + _BOUND_SLACK:
-            raise ValueError(f"{label} must be in [0, 1], got {value}")
     return pw.w_t * tp + pw.w_q * qp
 
 
@@ -125,12 +111,10 @@ class PerformanceReport(NamedTuple):
 
 
 def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: AdaptationSpace) -> PerformanceReport:
-    """Build the per-scenario report: means over runs, p values from the means."""
-    if not records:
-        raise ValueError("cannot aggregate zero run records")
-    scenarios = {r.scenario for r in records}
-    if len(scenarios) > 1:
-        raise ValueError(f"records mix scenarios {sorted(scenarios)}")
+    """Build the per-scenario report: means over runs, p values from the means.
+
+    The records are one scenario's runs, at least one.
+    """
     tp_mean = fmean([time_performance(r) for r in records])
     grid: dict[str, dict[str, float]] = {metric: {} for metric in REPORT_METRICS}
     for preset, qw in QUALITY_PRESETS.items():
@@ -141,7 +125,7 @@ def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: Adaptatio
         grid["qp"][preset] = qp_mean
         for p_name, pw in PERFORMANCE_PRESETS.items():
             grid[p_name][preset] = system_performance(tp_mean, qp_mean, pw)
-    return PerformanceReport(scenario=scenarios.pop(), run_count=len(records), grid=grid)
+    return PerformanceReport(scenario=records[0].scenario, run_count=len(records), grid=grid)
 
 
 def selection_fractions(
@@ -150,10 +134,8 @@ def selection_fractions(
     """{name: (fraction of runs it dominated, fraction of streamed seconds at it)}.
 
     A run's dominant config is the one that streamed the most seconds in it;
-    a tie goes to the config first in `names`.
+    a tie goes to the config first in `names`. The records are at least one.
     """
-    if not records:
-        raise ValueError("cannot compute selection fractions over zero records")
     dominated = dict.fromkeys(names, 0)
     streamed_at = dict.fromkeys(names, 0)
     streamed_total = 0

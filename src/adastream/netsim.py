@@ -19,7 +19,6 @@ from bisect import bisect_right
 from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
-from .errors import SimulationError
 from .kb import Frozen
 from .units import to_us
 
@@ -31,10 +30,6 @@ class BandwidthTrace(NamedTuple):
 
     uploads: tuple[float, ...]
     step_us: int
-
-    @property
-    def duration_us(self) -> int:
-        return len(self.uploads) * self.step_us
 
 
 class FaultWindow(NamedTuple):
@@ -92,18 +87,11 @@ def generate_trace(
     step_us: int,
     seed: int | str,
 ) -> BandwidthTrace:
-    """Generate a seeded bandwidth trace covering [0, duration_us) at a fixed step."""
-    if mean <= 0:
-        raise SimulationError(f"mean must be positive, got {mean}")
-    if step_us <= 0:
-        raise SimulationError(f"step must be positive, got {step_us} us")
-    if duration_us < step_us:
-        raise SimulationError(f"duration {duration_us} us must be at least one step {step_us} us")
-    if period <= 0:
-        raise SimulationError(f"period must be positive, got {period}")
-    if noise_sd < 0:
-        raise SimulationError(f"noise_sd must be non-negative, got {noise_sd}")
+    """Generate a seeded bandwidth trace covering [0, duration_us) at a fixed step.
 
+    parse_scenario bounds every parameter: mean, step and period positive,
+    noise_sd non-negative, and duration_us at least one step.
+    """
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
     two_pi, sin = 2.0 * math.pi, math.sin
     # Sample i is mean + amplitude * sin(two_pi * t / period) at t = i * step_us / 1e6,
@@ -163,16 +151,11 @@ def probe(
 
     Inside a probe-unavailable fault window the result is ok=False. The
     measurement noise stream is keyed on (seed, t_us), so the same instant
-    always yields the same sample.
+    always yields the same sample. The engine's trace covers every tick.
     """
-    # each field read once: a tuple field costs more to read than an attribute
-    uploads = trace.uploads
-    i = t_us // trace.step_us
-    if t_us < 0 or i >= len(uploads):  # i < len exactly when t_us < duration_us
-        raise SimulationError(f"t={t_us}us outside trace [0, {trace.duration_us}us)")
     if faults.active("probe-unavailable", t_us):
         return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
-    upload = uploads[i]
+    upload = trace.uploads[t_us // trace.step_us]
     if probe_noise_sd > 0:
         upload = max(0.0, upload + _keyed_gauss(f"{seed}:{t_us}", probe_noise_sd))
     return SpeedSample(t_us, upload, True)
@@ -184,17 +167,12 @@ def sample_indices(start_us: int, end_us: int, step_us: int) -> range:
 
 
 def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: float) -> float:
-    """Mean upload speed over samples with warmup_start <= t < warmup_end, in seconds."""
-    start_us = to_us(warmup_start)
-    end_us = to_us(warmup_end)
-    if not 0 <= start_us < end_us <= trace.duration_us:
-        raise SimulationError(
-            f"warmup window [{warmup_start}, {warmup_end}) invalid for trace of "
-            f"{trace.duration_us / 1e6}s"
-        )
-    span = sample_indices(start_us, end_us, trace.step_us)
+    """Mean upload speed over samples with warmup_start <= t < warmup_end, in seconds.
+
+    parse_scenario checks, with the same `sample_indices`, that the window
+    selects at least one sample of the trace.
+    """
+    span = sample_indices(to_us(warmup_start), to_us(warmup_end), trace.step_us)
     values = trace.uploads[span.start:span.stop]
-    if not values:
-        raise SimulationError(f"warmup window [{warmup_start}, {warmup_end}) selects no samples")
     return math.fsum(values) / len(values)  # metrics.fmean, bit for bit
 

@@ -360,16 +360,6 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     return config, []
 
 
-def bundled_config_path(name: str) -> Path:
-    """Path of a scenario file shipped with the package (e.g. 'table3-adaptive')."""
-    filename = name if name.endswith(".json") else f"{name}.json"
-    path = Path(__file__).parent / "configs" / filename
-    if not path.exists():
-        bundled = sorted(p.stem for p in (Path(__file__).parent / "configs").glob("*.json"))
-        raise ScenarioError([f"no bundled config {name!r}; available: {bundled}"])
-    return path
-
-
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError on any violation."""
     try:

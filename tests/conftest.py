@@ -2,12 +2,27 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import adastream
 from adastream.experiment import JsonlFileSink
+from adastream.kb import AdaptationSpace, RunRecord
 from adastream.mapek import Engine, EngineResult
+from adastream.metrics import QualityWeights, config_quality_score
 from adastream.scenario import parse_scenario
+
+
+def bundled_config_path(name: str) -> Path:
+    """Path of a scenario file shipped with the package, e.g. 'table3-adaptive'."""
+    return Path(adastream.__file__).parent / "configs" / f"{name}.json"
+
+
+def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWeights) -> float:
+    """One run's qp by its definition: the streamed-time-weighted mean of the config scores."""
+    scores = {c.name: config_quality_score(c, space, qw) for c in space.configs}
+    return sum(us * scores[name] for name, us in record.streamed_us.items()) / record.streamed_total_us
 
 
 def make_scenario(**overrides):

@@ -20,20 +20,18 @@ from adastream.metrics import (
     QUALITY_PRESETS,
     aggregate,
     config_quality_score,
-    quality_performance,
     selection_fractions,
     system_performance,
     time_performance,
 )
 from adastream.kb import RunRecord
-from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
+from adastream.scenario import load_scenario, parse_scenario
 from adastream.units import to_us
 
-from conftest import run_dropping_events, run_with_events
+from conftest import bundled_config_path, quality_performance, run_dropping_events, run_with_events
 
 SPACE = default_space()
-LR = SPACE.config("LR")
-HR = SPACE.config("HR")
+LR, HR = SPACE.configs
 
 # Reference evaluation grid the static scenarios must reproduce (+-0.01).
 # The 5r5q LR quality cell is 0.745 in this model, covering both printed

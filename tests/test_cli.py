@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from adastream.cli import main
-from adastream.scenario import bundled_config_path, parse_scenario
+from adastream.scenario import parse_scenario
+
+from conftest import bundled_config_path
 
 
 # Each of these costs a CLI child milliseconds to import and nothing needs it.
@@ -82,6 +84,47 @@ def test_every_error_type_is_caught_by_name_somewhere():
                 caught |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
     assert "SimulationError" in defined
     assert defined <= caught, sorted(defined - caught)
+
+
+# Every function of the package that holds a `raise`, and why it may. Each rule is checked
+# once, where outside data enters; a function past that boundary does not check it again.
+RAISE_SITES = {
+    "scenario.load_scenario": "reads a scenario file and raises the parser's diagnostics",
+    "experiment._read_lines": "reads an out-directory file, which may not be UTF-8",
+    "experiment.parse_runs_csv": "parses runs.csv from an out directory",
+    "experiment.parse_report_csv": "parses report.csv from an out directory",
+    "experiment.ScenarioArtifacts.load": "an out directory may hold no run records",
+    "experiment.compare": "the out directories may not be distinct scenarios",
+    "experiment.run_experiment": "re-raises once its partial artifacts are removed",
+    "kb.Frozen.__setattr__": "a checked value is immutable",
+    "kb.Frozen.__delattr__": "a checked value is immutable",
+    "kb.AdaptationSpace.__init__": "built from a document; the parser reports its error",
+    "netsim.FaultSchedule.__init__": "built from a document; the parser reports its error",
+    "kb.RunRecord.__new__": "rebuilt from runs.csv rows; parse_runs_csv reports its error",
+    "mapek.Engine.__init__": "what the loop cannot run with, even in a hand-built ScenarioConfig",
+    "mapek.Engine.run": "an engine runs once",
+    "metrics._quality_at": "a run that streamed nothing has no quality performance",
+}
+
+
+def raise_sites(node: ast.AST, scope: tuple[str, ...]) -> set[str]:
+    """The dotted names of the classes and functions under `node` that directly hold a raise."""
+    sites = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            sites.add(".".join(scope))
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        sites |= raise_sites(child, scope + (child.name,) if named else scope)
+    return sites
+
+
+def test_every_raise_is_where_data_enters():
+    package = Path(__file__).resolve().parents[1] / "src" / "adastream"
+    sites = set()
+    for path in package.glob("*.py"):
+        sites |= raise_sites(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert sorted(sites - RAISE_SITES.keys()) == [], "a re-check past the boundary"
+    assert sorted(RAISE_SITES.keys() - sites) == [], "a listed function no longer raises"
 
 
 def test_engine_setup_path_loads_no_report_code():

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from adastream import experiment
 from adastream.experiment import JsonlFileSink, parse_runs_csv, run_experiment
 from adastream.mapek import Engine
-from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
+from adastream.scenario import load_scenario, parse_scenario
 from adastream.stream import StreamState
+
+from conftest import bundled_config_path
 
 # Quote, backslash, control characters, and non-ASCII (BMP and astral); no
 # ',' or line break, which a config name may not hold.

@@ -13,7 +13,9 @@ import hashlib
 import pytest
 
 from adastream.experiment import compare, render_comparison, run_experiment
-from adastream.scenario import bundled_config_path, load_scenario
+from adastream.scenario import load_scenario
+
+from conftest import bundled_config_path
 
 GOLDEN_SHA256 = {
     "table3-static-lr": {

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.errors import InvalidRunError, SimulationError
+from adastream.errors import InvalidRunError
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
@@ -37,8 +37,8 @@ def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None, sc
 
 def test_default_space_matches_reference_settings():
     space = default_space()
-    lr = space.config("LR")
-    hr = space.config("HR")
+    lr, hr = space.configs
+    assert space.names == ("LR", "HR")
     assert (lr.frame_rate, lr.scale_w, lr.scale_h) == (30, 320, 240)
     assert (hr.frame_rate, hr.scale_w, hr.scale_h) == (60, 720, 480)
     assert space.highest_rate_config.frame_rate == 60
@@ -61,8 +61,6 @@ def test_space_max_frame_rate_is_recomputed():
     )
     assert space.highest_rate_config.frame_rate == 25
     assert "A" in space and "C" not in space
-    with pytest.raises(ValueError):
-        space.config("C")
 
 
 @given(
@@ -83,11 +81,6 @@ def test_space_cached_lookups_match_scans(names_and_rates):
         assert space.highest_rate_config.frame_rate == max(rates)
         for name in "ABCDEF":
             assert (name in space) == any(c.name == name for c in configs)
-            if name in space:
-                assert space.config(name) is next(c for c in configs if c.name == name)
-            else:
-                with pytest.raises(ValueError):
-                    space.config(name)
 
 
 def test_run_record_enforces_accounting_identity():
@@ -121,16 +114,6 @@ def test_register_appends_in_order():
     assert [s.id for s in kb.strategies] == [1, 2, 3]
     # prior entries untouched by the append
     assert kb.strategies[:2] == before
-
-
-def test_register_rejects_non_monotonic_id():
-    kb = KnowledgeBase()
-    kb.register_strategy(strategy(1))
-    kb.register_strategy(strategy(2))
-    with pytest.raises(SimulationError, match="^strategy id 2 not greater than last id 2$"):
-        kb.register_strategy(strategy(2))
-    with pytest.raises(SimulationError, match="^strategy id 1 not greater than last id 2$"):
-        kb.register_strategy(strategy(1))
 
 
 def test_latest_strategy_empty_is_none():

@@ -19,7 +19,9 @@ import layers  # noqa: E402
 
 from adastream import experiment, mapek, netsim  # noqa: E402
 from adastream.mapek import Engine  # noqa: E402
-from adastream.scenario import bundled_config_path, load_scenario  # noqa: E402
+from adastream.scenario import load_scenario  # noqa: E402
+
+from conftest import bundled_config_path  # noqa: E402
 
 
 @pytest.mark.parametrize(

@@ -77,13 +77,6 @@ def test_analyze_faulted_sample_is_unknown():
     assert Analyzer(threshold=4.0).evaluate(sample(0.0, ok=False)) == "unknown"
 
 
-def test_analyze_rejects_non_positive_threshold():
-    with pytest.raises(ValueError):
-        Analyzer(threshold=0.0)
-    with pytest.raises(ValueError):
-        Analyzer(threshold=4.0, hysteresis_band=-0.1)
-
-
 def test_analyzer_with_zero_band_matches_bare_threshold():
     analyzer = Analyzer(threshold=4.0)
     # a bare threshold keeps no state: each reading is classified on its own

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from adastream import scenario
 from adastream.errors import ScenarioError
 from adastream.experiment import ARTIFACTS, run_experiment
-from adastream.scenario import bundled_config_path, load_scenario, parse_scenario
+from adastream.scenario import load_scenario, parse_scenario
+
+from conftest import bundled_config_path
 
 
 def doc(**overrides):
@@ -36,11 +38,6 @@ def test_bundled_configs_are_valid():
         assert config.run_duration_us == 30_000_000
         assert config.reconfig_delay_us == 2_700_000
         assert set(config.space.names) == {"LR", "HR"}
-
-
-def test_unknown_bundled_config_errors():
-    with pytest.raises(ScenarioError):
-        bundled_config_path("table9-missing")
 
 
 def test_minimal_document_fills_defaults():
@@ -371,7 +368,9 @@ def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(ch
 PROBE_DOWN = "probe-unavailable"
 
 
-# StreamConfig and FaultWindow check nothing: the parser is the one home of these rules.
+# StreamConfig and FaultWindow check nothing, and neither do the functions the parsed values
+# reach (generate_trace, Analyzer, StreamState.apply_config): the parser is the one home of
+# these rules.
 @pytest.mark.parametrize(
     "path, value, diagnostic",
     [
@@ -403,6 +402,11 @@ PROBE_DOWN = "probe-unavailable"
             {"start_s": 9, "end_s": 5, "kind": PROBE_DOWN},
             "faults[0] needs start_s < end_s, at least 1 µs apart, got [9, 5)",
         ),
+        (("trace", "mean_mbps"), 0, "trace.mean_mbps must be > 0, got 0"),
+        (("trace", "period_s"), 0, "trace.period_s must be >= 1e-06, got 0"),
+        (("trace", "noise_sd_mbps"), -1, "trace.noise_sd_mbps must be >= 0, got -1"),
+        (("reconfig_delay_s",), -1, "reconfig_delay_s must be >= 0, got -1"),
+        (("hysteresis_mbps",), -0.5, "hysteresis_mbps must be >= 0, got -0.5"),
     ],
 )
 def test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic(path, value, diagnostic):

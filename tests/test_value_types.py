@@ -34,10 +34,11 @@ from adastream.scenario import (
     TraceParams,
     UserOverride,
     WarmupParams,
-    bundled_config_path,
     load_scenario,
 )
 from adastream.stream import StepOutcome
+
+from conftest import bundled_config_path
 
 LR = StreamConfig("LR", 30, 320, 240, 0.99)
 SPACE = default_space()
