@@ -1,8 +1,8 @@
 """Domain types and the knowledge base, the adaptation-strategy registry.
 
-The knowledge base is the one mutable store in the system. The strategies
-it holds are immutable values, appended in order and never rewritten, so
-any reader observes only fully-constructed entries. A single coordinator
+The knowledge base is the one mutable store in the system: the latest
+registered strategy, an immutable value, and the last applied config. The
+`register` lines of events.jsonl hold the history. A single coordinator
 owns the instance; components reach it through that coordinator only.
 """
 
@@ -164,24 +164,20 @@ class RunRecord(_RunRecordFields):
 
 
 class KnowledgeBase:
-    """Append-only strategy registry, plus the last applied config for fallback."""
+    """The latest registered strategy, plus the last applied config for fallback."""
 
     def __init__(self, last_applied: str | None = None):
-        self._strategies: list[AdaptationStrategy] = []
+        self._latest: AdaptationStrategy | None = None
         self.last_applied = last_applied
 
-    @property
-    def strategies(self) -> tuple[AdaptationStrategy, ...]:
-        return tuple(self._strategies)
-
     def register_strategy(self, strategy: AdaptationStrategy) -> None:
-        """Append a strategy. The engine issues the ids, each above the last."""
-        self._strategies.append(strategy)
+        """Make `strategy` the latest. The engine issues the ids, each above the last."""
+        self._latest = strategy
 
     def latest_strategy(self) -> AdaptationStrategy | None:
-        """The highest-id strategy, or None when the registry is empty.
+        """The last registered strategy, the highest id, or None before the first.
 
-        This is the fault-tolerance fallback read path: it never fails once
-        the registry holds at least one entry, and absence is a value.
+        This is the fault-tolerance fallback read path: it never fails, and
+        absence is a value.
         """
-        return self._strategies[-1] if self._strategies else None
+        return self._latest

@@ -31,8 +31,9 @@ from .netsim import (
     compute_threshold,
     generate_trace,
     probe,
+    sample_indices,
 )
-from .scenario import ScenarioConfig, TraceParams
+from .scenario import ScenarioConfig
 from .stream import StreamState
 from .units import to_us
 
@@ -137,41 +138,32 @@ class EventSink(Protocol):
 
 class EngineResult(NamedTuple):
     records: tuple[RunRecord, ...]
-    kb: KnowledgeBase
     threshold_mbps: float
-
-
-def trace_for(shape: TraceParams, duration_us: int, seed: str) -> BandwidthTrace:
-    """The scenario's bandwidth trace model over [0, duration_us) on one seed stream."""
-    return generate_trace(
-        mean=shape.mean_mbps,
-        amplitude=shape.amplitude_mbps,
-        period=shape.period_s,
-        noise_sd=shape.noise_sd_mbps,
-        duration_us=duration_us,
-        step_us=shape.step_us,
-        seed=seed,
-    )
 
 
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
     def __init__(self, config: ScenarioConfig):
-        # parse_scenario rules these out: a run ends on a tick, and each config name is in the space
+        # parse_scenario rules these out: a run ends on a tick, each config name
+        # is in the space, and the warmup window selects a trace sample
         if config.monitor_interval_us <= 0 or config.run_duration_us % config.monitor_interval_us:
             raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         for name in (config.initial_config, *(o.target for o in config.user_overrides)):
             if name not in config.space:
                 raise SimulationError(f"config {name!r} is not in the adaptation space")
-        self.config = config
         shape, warmup, seed = config.trace, config.warmup, config.seed
-        self.trace = trace_for(shape, config.total_duration_us, f"{seed}/trace")
+        if not sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), shape.step_us):
+            raise SimulationError(
+                f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s selects no trace sample"
+            )
+        self.config = config
+        trace = generate_trace(shape, config.total_duration_us, f"{seed}/trace")
         # Same trace model, disjoint seed stream: the measurement period
         # preceding the experiment. The threshold averages only [start, end),
         # and a shorter trace is a prefix of a longer one on the same seed,
         # so the warmup trace stops at the window's end.
-        warmup_trace = trace_for(shape, max(to_us(warmup.end_s), shape.step_us), f"{seed}/warmup")
+        warmup_trace = generate_trace(shape, to_us(warmup.end_s), f"{seed}/warmup")
         self.threshold_mbps = compute_threshold(warmup_trace, warmup.start_s, warmup.end_s)
         if self.threshold_mbps <= 0:
             raise SimulationError(
@@ -179,36 +171,34 @@ class Engine:
                 f"gives a threshold of 0 Mbps (the clamped trace is zero there); "
                 f"move the window or raise trace.mean_mbps"
             )
-        self.kb = KnowledgeBase(last_applied=config.initial_config)
-        self.stream = StreamState(config.initial_config)
         self.monitor = Monitor(
-            trace=self.trace,
+            trace=trace,
             faults=config.faults,
             probe_noise_sd=config.probe_noise_sd_mbps,
             probe_seed=f"{seed}/probe",
         )
-        self.analyzer = Analyzer(self.threshold_mbps, config.hysteresis_mbps)
         self.executor = Executor(config.reconfig_delay_us)
-        self._ran = False
 
     def run(self, sink: EventSink) -> EngineResult:
-        """Run every tick, handing each run's tick records to `sink` as the run ends."""
-        if self._ran:
-            raise SimulationError("engine already ran; build a fresh Engine to replay")
-        self._ran = True
+        """Run every tick, handing each run's tick records to `sink` as the run ends.
 
+        Each call starts from a fresh knowledge base, stream and analyzer, so
+        a second call replays the first.
+        """
         cfg = self.config
         adaptive = cfg.mode == "adaptive"
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
         records: list[RunRecord] = []
+        kb = KnowledgeBase(last_applied=cfg.initial_config)
+        stream = StreamState(cfg.initial_config)
         # Looked up here, once per run, and not when the engine is built: a
         # stage rebound on its class or module after construction (as a
         # tracer or a test does) is still the one called.
-        space, kb, stream = cfg.space, self.kb, self.stream
+        space = cfg.space
         tick = self.monitor.tick
-        evaluate = self.analyzer.evaluate
+        evaluate = Analyzer(self.threshold_mbps, cfg.hysteresis_mbps).evaluate
         execute = self.executor.execute
         register = kb.register_strategy
         step = stream.step
@@ -247,4 +237,4 @@ class Engine:
             records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
             sink.write_run(run_index, ticks)
 
-        return EngineResult(records=tuple(records), kb=self.kb, threshold_mbps=self.threshold_mbps)
+        return EngineResult(records=tuple(records), threshold_mbps=self.threshold_mbps)

@@ -25,6 +25,14 @@ from .units import to_us
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
 
 
+class TraceParams(NamedTuple):
+    mean_mbps: float
+    amplitude_mbps: float
+    period_s: float
+    noise_sd_mbps: float
+    step_us: int
+
+
 class BandwidthTrace(NamedTuple):
     """Piecewise-constant upload speed: uploads[i] covers [i*step, (i+1)*step)."""
 
@@ -78,20 +86,13 @@ class SpeedSample(NamedTuple):
     ok: bool
 
 
-def generate_trace(
-    mean: float,
-    amplitude: float,
-    period: float,
-    noise_sd: float,
-    duration_us: int,
-    step_us: int,
-    seed: int | str,
-) -> BandwidthTrace:
-    """Generate a seeded bandwidth trace covering [0, duration_us) at a fixed step.
+def generate_trace(shape: TraceParams, duration_us: int, seed: int | str) -> BandwidthTrace:
+    """Generate a seeded bandwidth trace covering [0, duration_us) at the shape's step.
 
-    parse_scenario bounds every parameter: mean, step and period positive,
-    noise_sd non-negative, and duration_us at least one step.
+    parse_scenario bounds every shape parameter: mean, step and period
+    positive, noise_sd non-negative; the engine asks for a positive duration_us.
     """
+    mean, amplitude, period, noise_sd, step_us = shape
     n = -(-duration_us // step_us)  # ceil: every instant below duration is covered
     two_pi, sin = 2.0 * math.pi, math.sin
     # Sample i is mean + amplitude * sin(two_pi * t / period) at t = i * step_us / 1e6,

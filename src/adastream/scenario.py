@@ -13,18 +13,10 @@ from typing import NamedTuple
 
 from .errors import ScenarioError
 from .kb import AdaptationSpace, StreamConfig, default_space
-from .netsim import FAULT_KINDS, FaultSchedule, FaultWindow, sample_indices
+from .netsim import FAULT_KINDS, FaultSchedule, FaultWindow, TraceParams, sample_indices
 from .units import to_us
 
 SCENARIO_SCHEMA_VERSION = 1
-
-
-class TraceParams(NamedTuple):
-    mean_mbps: float
-    amplitude_mbps: float
-    period_s: float
-    noise_sd_mbps: float
-    step_us: int
 
 
 class WarmupParams(NamedTuple):
@@ -321,10 +313,10 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
         if runs * run_duration_us < step_us:
             diags.append(f"runs * run_duration_s ({runs} * {run_duration}) is below one trace.step_s")
         # what Engine generates: ceil(duration / step) samples for the runs,
-        # and for the warmup only up to max(end_s, step_s)
+        # and for the warmup only up to end_s
         samples = -(-runs * run_duration_us // step_us)
         if warmup is not None:
-            samples += -(-max(to_us(warmup.end_s), step_us) // step_us)
+            samples += -(-to_us(warmup.end_s) // step_us)
         if samples > _MAX_TRACE_SAMPLES:
             diags.append(
                 f"experiment needs {samples} trace samples; limit is {_MAX_TRACE_SAMPLES} "

@@ -8,7 +8,7 @@ import pytest
 
 import adastream
 from adastream.experiment import JsonlFileSink
-from adastream.kb import AdaptationSpace, RunRecord
+from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord
 from adastream.mapek import Engine, EngineResult
 from adastream.metrics import QualityWeights, config_quality_score
 from adastream.scenario import parse_scenario
@@ -58,7 +58,7 @@ def scenario_factory():
 
 
 class DroppingSink:
-    """An event sink that drops each run, for tests that read only records or the KB."""
+    """An event sink that drops each run, for tests that read only the records."""
 
     def write_run(self, run_index, ticks):
         pass
@@ -83,3 +83,19 @@ def run_with_events(config) -> tuple[EngineResult, list[dict]]:
     """
     result, text = run_into_jsonl(config)
     return result, json.loads("[" + ",".join(text.splitlines()) + "]")
+
+
+def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
+    """The strategy history, rebuilt from events.jsonl lines in order.
+
+    One strategy per `register` line with ok true; its reason comes from the
+    `plan` line just before it, which names the same tick and target.
+    """
+    strategies = []
+    for plan, line in zip(events, events[1:]):
+        if line["event"] == "register" and line["ok"]:
+            assert plan["event"] == "plan"
+            assert (plan["t_us"], plan["target"]) == (line["t_us"], line["target"])
+            strategy = AdaptationStrategy(line["strategy_id"], line["t_us"], line["target"], plan["reason"])
+            strategies.append(strategy)
+    return strategies

@@ -28,7 +28,13 @@ from adastream.kb import RunRecord
 from adastream.scenario import load_scenario, parse_scenario
 from adastream.units import to_us
 
-from conftest import bundled_config_path, quality_performance, run_dropping_events, run_with_events
+from conftest import (
+    bundled_config_path,
+    quality_performance,
+    registered_strategies,
+    run_dropping_events,
+    run_with_events,
+)
 
 SPACE = default_space()
 LR, HR = SPACE.configs
@@ -272,7 +278,7 @@ def _fault_sweep_scenario(rng: random.Random):
 
 
 def assert_loop_invariants(config, result, events) -> None:
-    """Criterion 7: exact time accounting, an append-only registry, register -> apply causality."""
+    """Criterion 7: exact time accounting, an append-only strategy history, register -> apply causality."""
     # fail-safe: every run completed and accounts for all elapsed time
     assert len(result.records) == config.runs
     for record in result.records:
@@ -288,12 +294,13 @@ def assert_loop_invariants(config, result, events) -> None:
         per_run_elapsed[event["run"]] = per_run_elapsed.get(event["run"], 0) + event["dt_us"]
     assert per_run_elapsed == dict.fromkeys(range(config.runs), config.run_duration_us)
 
-    # append-only registry with strictly increasing ids
-    ids = [s.id for s in result.kb.strategies]
+    # the registered history, read from the register lines: strictly increasing ids
+    strategies = registered_strategies(events)
+    ids = [s.id for s in strategies]
     assert all(a < b for a, b in zip(ids, ids[1:]))
 
     # consecutive strategies never repeat a target
-    targets = [s.target for s in result.kb.strategies]
+    targets = [s.target for s in strategies]
     assert all(a != b for a, b in zip(targets, targets[1:]))
 
     # causality: each applied change maps 1:1 to an earlier registration

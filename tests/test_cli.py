@@ -102,7 +102,6 @@ RAISE_SITES = {
     "netsim.FaultSchedule.__init__": "built from a document; the parser reports its error",
     "kb.RunRecord.__new__": "rebuilt from runs.csv rows; parse_runs_csv reports its error",
     "mapek.Engine.__init__": "what the loop cannot run with, even in a hand-built ScenarioConfig",
-    "mapek.Engine.run": "an engine runs once",
     "metrics._quality_at": "a run that streamed nothing has no quality performance",
 }
 

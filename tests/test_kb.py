@@ -101,19 +101,15 @@ def test_run_record_enforces_accounting_identity():
 def test_register_into_empty_kb():
     kb = KnowledgeBase()
     kb.register_strategy(strategy(1))
-    assert len(kb.strategies) == 1
-    assert kb.strategies[0].id == 1
+    assert kb.latest_strategy() == strategy(1)
 
 
-def test_register_appends_in_order():
+def test_register_replaces_the_latest_in_order():
     kb = KnowledgeBase()
     kb.register_strategy(strategy(1))
     kb.register_strategy(strategy(2, target="HR", reason="above-threshold"))
-    before = kb.strategies
     kb.register_strategy(strategy(3))
-    assert [s.id for s in kb.strategies] == [1, 2, 3]
-    # prior entries untouched by the append
-    assert kb.strategies[:2] == before
+    assert kb.latest_strategy() == strategy(3)
 
 
 def test_latest_strategy_empty_is_none():
@@ -142,13 +138,3 @@ def test_latest_wins_after_every_register():
         kb.register_strategy(s)
         # fetch after register always observes the complete, just-written value
         assert kb.latest_strategy() == s
-
-
-def test_append_only_never_mutates_existing():
-    kb = KnowledgeBase()
-    for sid in range(1, 6):
-        kb.register_strategy(strategy(sid))
-    snapshot = kb.strategies
-    kb.register_strategy(strategy(6))
-    assert kb.strategies[:5] == snapshot
-

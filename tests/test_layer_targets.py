@@ -2,24 +2,31 @@
 
 perfbench/layers.py wraps each stage by looking up `vars(owner)[attr]`,
 so renaming or folding away a traced stage breaks `perfbench/run.py
---trace 1`. These checks catch that in the package's own test run.
+--trace 1`, and its observers read the traced stages' arguments and
+results. These checks catch a break in either in the package's own test run.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 
 from adastream import experiment, mapek, netsim  # noqa: E402
 from adastream.mapek import Engine  # noqa: E402
+from adastream.netsim import sample_indices  # noqa: E402
 from adastream.scenario import load_scenario  # noqa: E402
+from adastream.units import to_us  # noqa: E402
 
 from conftest import bundled_config_path  # noqa: E402
 
@@ -57,3 +64,25 @@ def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch
     assert len(returned) == config.runs
     assert all(type(text) is str for text in returned)
     assert "".join(returned) == file.getvalue()
+
+
+def test_the_tracers_observers_read_what_the_traced_stages_take(tmp_path):
+    # The observers read generate_trace's result and compute_threshold's
+    # arguments, the warmup window in seconds; a changed signature that kept
+    # every byte would still skew netsim.warmup.* and the sample count.
+    path = bundled_config_path("table3-adaptive")
+    config = load_scenario(path)
+    trace_file = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(trace_file),
+         "run", str(path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True,
+    )
+    counts = json.loads(trace_file.read_text(encoding="utf-8"))["counts"]
+    warmup, step_us = config.warmup, config.trace.step_us
+    used = len(sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), step_us))
+    assert used == 38
+    assert counts["netsim.warmup.used"] == used
+    assert counts["netsim.warmup.generated"] == 65
+    # both traces: 100 runs of 30 one-second samples, then the 65-sample warmup
+    assert counts["netsim.generate_trace.samples"] == 3_065

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import io
+import re
+
 import pytest
 
 from adastream.errors import SimulationError
+from adastream.experiment import JsonlFileSink
 from adastream.kb import AdaptationStrategy, KnowledgeBase, default_space
 from adastream.mapek import (
     Analyzer,
@@ -12,12 +16,20 @@ from adastream.mapek import (
     Monitor,
     plan,
 )
-from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample, generate_trace, probe
-from adastream.scenario import UserOverride
+from adastream.netsim import (
+    BandwidthTrace,
+    FaultSchedule,
+    FaultWindow,
+    SpeedSample,
+    TraceParams,
+    generate_trace,
+    probe,
+)
+from adastream.scenario import UserOverride, WarmupParams, load_scenario
 from adastream.stream import StepOutcome, StreamState
 from adastream.units import to_us
 
-from conftest import DroppingSink, run_dropping_events, run_with_events
+from conftest import bundled_config_path, make_scenario, registered_strategies, run_with_events
 
 SPACE = default_space()
 
@@ -127,19 +139,17 @@ def test_plan_above_threshold_keeps_high_rate(scenario_factory):
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
     )
     assert config.initial_config == "HR"
-    result, events = run_with_events(config)
+    _, events = run_with_events(config)
     assert {e["condition"] for e in events if e["event"] == "analyze"} == {"above-threshold"}
     assert {e["action"] for e in events if e["event"] == "plan"} == {"keep"}
-    assert result.kb.strategies == ()
+    assert registered_strategies(events) == []
 
 
 # -- monitoring ------------------------------------------------------------
 
 
 def thirty_second_trace(amplitude):
-    return generate_trace(
-        mean=5, amplitude=amplitude, period=60, noise_sd=0, duration_us=to_us(30), step_us=to_us(1), seed=0
-    )
+    return generate_trace(TraceParams(5, amplitude, 60, 0, to_us(1)), to_us(30), seed=0)
 
 
 def test_monitor_healthy_tick_reports_bandwidth():
@@ -219,18 +229,18 @@ def test_execute_compares_against_pending_target():
 
 
 def test_static_scenario_registers_nothing(scenario_factory):
-    result = run_dropping_events(scenario_factory(scenario="static-LR", runs=5))
+    result, events = run_with_events(scenario_factory(scenario="static-LR", runs=5))
     assert len(result.records) == 5
     assert all(r.reconfig_us == 0 for r in result.records)
     assert all(r.streamed_us == {"LR": to_us(30)} for r in result.records)
-    assert result.kb.strategies == ()
+    assert registered_strategies(events) == []
 
 
 def test_loop_is_deterministic(scenario_factory):
-    a = run_dropping_events(scenario_factory(runs=3))
-    b = run_dropping_events(scenario_factory(runs=3))
+    a, a_events = run_with_events(scenario_factory(runs=3))
+    b, b_events = run_with_events(scenario_factory(runs=3))
     assert a.records == b.records
-    assert a.kb.strategies == b.kb.strategies
+    assert registered_strategies(a_events) == registered_strategies(b_events)
     assert a.threshold_mbps == b.threshold_mbps
 
 
@@ -241,17 +251,18 @@ def test_seed_changes_the_event_log(scenario_factory):
 
 
 def test_adaptive_loop_adapts_and_accounts_exactly(scenario_factory):
-    result = run_dropping_events(scenario_factory(runs=10))
-    assert len(result.kb.strategies) > 0
+    result, events = run_with_events(scenario_factory(runs=10))
+    assert len(registered_strategies(events)) > 0
     for record in result.records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
 
 def test_no_redundant_strategies(scenario_factory):
-    result = run_dropping_events(scenario_factory(runs=10))
-    targets = [s.target for s in result.kb.strategies]
+    _, events = run_with_events(scenario_factory(runs=10))
+    strategies = registered_strategies(events)
+    targets = [s.target for s in strategies]
     assert all(a != b for a, b in zip(targets, targets[1:]))
-    ids = [s.id for s in result.kb.strategies]
+    ids = [s.id for s in strategies]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
@@ -312,15 +323,16 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
     result, events = run_with_events(config)
     # the override fires once at t=10; threshold planning resumes next tick
     # and reverts (constant trace ties at the threshold, i.e. above)
-    user_strategies = [s for s in result.kb.strategies if s.reason == "user-config"]
+    strategies = registered_strategies(events)
+    user_strategies = [s for s in strategies if s.reason == "user-config"]
     assert len(user_strategies) == 1
     assert user_strategies[0].target == "LR"
     assert user_strategies[0].issued_at_us == to_us(10)
-    revert = result.kb.strategies[1]
+    revert = strategies[1]
     assert revert.reason == "above-threshold" and revert.target == "HR"
     assert revert.issued_at_us == to_us(11)
     applied = [e for e in events if e["event"] == "execute" and e["applied"]]
-    assert [e["strategy_id"] for e in applied] == [s.id for s in result.kb.strategies]
+    assert [e["strategy_id"] for e in applied] == [s.id for s in strategies]
 
 
 def test_override_during_registry_outage_is_reported_not_retried(scenario_factory):
@@ -345,7 +357,7 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
         {"seq": 12 * 5 + 3, "run": 0, "t_us": to_us(12), "event": "register",
          "ok": False, "strategy_id": None, "target": "LR"},
     ]
-    assert result.kb.strategies == ()
+    assert registered_strategies(events) == []
     assert [r.switches for r in result.records] == [0, 0]
     assert all(r.streamed_us == {"HR": to_us(30)} for r in result.records)
 
@@ -393,7 +405,7 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
         {"seq": 13 * 5 + 2, "run": 0, "t_us": to_us(13), "event": "plan", "action": "keep"},
     ]
     assert all(e.get("target") != "LR" for e in events)
-    assert result.kb.strategies == ()
+    assert registered_strategies(events) == []
     assert result.records[0].streamed_us == {"HR": to_us(30)}
 
 
@@ -407,7 +419,7 @@ def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenar
         faults=[{"start_s": 0.0, "end_s": 5.0, "kind": "probe-unavailable"}],
         user_overrides=[{"at_s": 5.0, "target": "LR"}],
     )
-    result, events = run_with_events(config)
+    _, events = run_with_events(config)
     # From 5 s the analyzer calls for HR, but at 5 s the override to the
     # applied LR wins the tick and plans nothing; the planner acts at 6 s.
     analyses = {e["t_us"]: e["condition"] for e in events if e["event"] == "analyze"}
@@ -418,7 +430,7 @@ def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenar
         {"seq": 6 * 5 + 2, "run": 0, "t_us": to_us(6), "event": "plan",
          "action": "strategy", "target": "HR", "reason": "above-threshold"},
     ]
-    assert result.kb.strategies == (AdaptationStrategy(1, to_us(6), "HR", "above-threshold"),)
+    assert registered_strategies(events) == [AdaptationStrategy(1, to_us(6), "HR", "above-threshold")]
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):
@@ -428,16 +440,30 @@ def test_hysteresis_band_reduces_switching(scenario_factory):
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
         probe_noise_sd_mbps=0.3,
     )
-    bare = run_dropping_events(scenario_factory(**noisy))
-    banded = run_dropping_events(scenario_factory(**noisy, hysteresis_mbps=1.5))
-    assert len(banded.kb.strategies) < len(bare.kb.strategies)
+    _, bare = run_with_events(scenario_factory(**noisy))
+    _, banded = run_with_events(scenario_factory(**noisy, hysteresis_mbps=1.5))
+    assert len(registered_strategies(banded)) < len(registered_strategies(bare))
 
 
-def test_engine_refuses_to_run_twice(scenario_factory):
-    engine = Engine(scenario_factory(runs=1))
-    engine.run(DroppingSink())
-    with pytest.raises(SimulationError):
-        engine.run(DroppingSink())
+@pytest.mark.parametrize(
+    "config",
+    [load_scenario(bundled_config_path("table3-adaptive")), make_scenario(hysteresis_mbps=1.0)],
+    ids=["bundled-adaptive", "first-probe-inside-the-band"],
+)
+def test_a_second_run_replays_the_first(config):
+    # Each run builds its own knowledge base, stream and analyzer; one carried
+    # over would start the second run on the first run's last strategy,
+    # stream state or sticky classification.
+    engine = Engine(config)
+    if config.hysteresis_mbps:
+        assert abs(engine.monitor.tick(0).upload_mbps - engine.threshold_mbps) < config.hysteresis_mbps
+    results, texts = [], []
+    for _ in range(2):
+        file = io.StringIO()
+        results.append(engine.run(JsonlFileSink(file)))
+        texts.append(file.getvalue())
+    assert results[0] == results[1]
+    assert texts[0] == texts[1]
 
 
 def test_engine_refuses_a_run_that_is_not_a_whole_number_of_intervals(scenario_factory):
@@ -464,6 +490,18 @@ def test_engine_rejects_an_override_target_outside_the_space(scenario_factory):
     overrides = (UserOverride(at_us=0, target="LR"), UserOverride(at_us=1_000_000, target="XX"))
     config = scenario_factory(runs=1)._replace(user_overrides=overrides)
     with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
+        Engine(config)
+
+
+@pytest.mark.parametrize(
+    "warmup",
+    [WarmupParams(27.2, 27.5), WarmupParams(0.0, 4e-7)],
+    ids=["between-samples", "end-rounds-to-0-us"],
+)
+def test_engine_refuses_a_warmup_window_that_selects_no_sample(scenario_factory, warmup):
+    config = scenario_factory(runs=1)._replace(warmup=warmup)
+    message = f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s selects no trace sample"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
         Engine(config)
 
 

@@ -12,6 +12,7 @@ from adastream.netsim import (
     BandwidthTrace,
     FaultSchedule,
     FaultWindow,
+    TraceParams,
     compute_threshold,
     generate_trace,
     probe,
@@ -23,37 +24,36 @@ NO_FAULTS = FaultSchedule()
 
 
 def test_degenerate_sinusoid_is_constant():
-    trace = generate_trace(mean=5, amplitude=0, period=600, noise_sd=0, duration_us=20 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(5, 0, 600, 0, S), 20 * S, seed=0)
     assert all(u == 5.0 for u in trace.uploads)
     assert len(trace.uploads) == 20
 
 
 def test_same_seed_same_trace():
-    kwargs = dict(mean=5, amplitude=2, period=60, noise_sd=0.5, duration_us=100 * S, step_us=S)
-    a = generate_trace(**kwargs, seed=7)
-    b = generate_trace(**kwargs, seed=7)
+    shape = TraceParams(5, 2, 60, 0.5, S)
+    a = generate_trace(shape, 100 * S, seed=7)
+    b = generate_trace(shape, 100 * S, seed=7)
     assert a.uploads == b.uploads
-    c = generate_trace(**kwargs, seed=8)
+    c = generate_trace(shape, 100 * S, seed=8)
     assert a.uploads != c.uploads
 
 
 def test_clamped_at_zero():
     # period 4 at step 1 hits sin = -1 at t=3, where 2 + 3*(-1) < 0
-    trace = generate_trace(mean=2, amplitude=3, period=4, noise_sd=0, duration_us=4 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(2, 3, 4, 0, S), 4 * S, seed=0)
     assert trace.uploads[3] == 0.0
     assert all(u >= 0 for u in trace.uploads)
 
 
 def test_clamping_holds_under_heavy_noise():
     for seed in range(10):
-        trace = generate_trace(
-            mean=1, amplitude=2, period=30, noise_sd=3, duration_us=200 * S, step_us=S, seed=seed
-        )
+        trace = generate_trace(TraceParams(1, 2, 30, 3, S), 200 * S, seed=seed)
         assert all(u >= 0 for u in trace.uploads)
 
 
-def reference_trace(mean, amplitude, period, noise_sd, duration_us, step_us, seed) -> list[float]:
+def reference_trace(shape: TraceParams, duration_us, seed) -> list[float]:
     """The trace by definition: one `Random(seed).gauss` call per noisy sample."""
+    mean, amplitude, period, noise_sd, step_us = shape
     rng = random.Random(seed)
     uploads = []
     for i in range(-(-duration_us // step_us)):
@@ -79,19 +79,19 @@ def reference_trace(mean, amplitude, period, noise_sd, duration_us, step_us, see
 def test_trace_matches_one_gauss_call_per_sample(
     mean, amplitude, period, noise_sd, samples, step_us, short, seed
 ):
-    shape = dict(mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step_us=step_us, seed=seed)
-    trace = generate_trace(duration_us=samples * step_us, **shape)
-    expected = reference_trace(duration_us=samples * step_us, **shape)
+    shape = TraceParams(mean, amplitude, period, noise_sd, step_us)
+    trace = generate_trace(shape, samples * step_us, seed)
+    expected = reference_trace(shape, samples * step_us, seed)
     assert list(trace.uploads) == expected
     # repr tells 0.0 from -0.0, which == does not
     assert [repr(u) for u in trace.uploads] == [repr(u) for u in expected]
     # Engine's warmup trace relies on this: a shorter trace is a prefix of a longer one
-    prefix = generate_trace(duration_us=min(short, samples) * step_us, **shape)
+    prefix = generate_trace(shape, min(short, samples) * step_us, seed)
     assert prefix.uploads == trace.uploads[: len(prefix.uploads)]
 
 
 def test_noiseless_probe_reads_the_enclosing_step_left_closed():
-    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0, duration_us=10 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(5, 2, 60, 0, S), 10 * S, seed=0)
 
     def read(t_us):
         return probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1).upload_mbps
@@ -103,7 +103,7 @@ def test_noiseless_probe_reads_the_enclosing_step_left_closed():
 
 
 def test_noiseless_probe_equals_bandwidth():
-    trace = generate_trace(mean=5, amplitude=2, period=60, noise_sd=0.3, duration_us=30 * S, step_us=S, seed=3)
+    trace = generate_trace(TraceParams(5, 2, 60, 0.3, S), 30 * S, seed=3)
     for t_us in (0, 7 * S, 29_500_000):
         sample = probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1)
         assert sample.ok
@@ -111,7 +111,7 @@ def test_noiseless_probe_equals_bandwidth():
 
 
 def test_probe_inside_fault_window_is_not_ok():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=30 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(5, 0, 60, 0, S), 30 * S, seed=0)
     faults = FaultSchedule(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
     assert not probe(trace, faults, 7 * S, 0, seed=1).ok
     assert probe(trace, faults, 4 * S, 0, seed=1).ok
@@ -119,7 +119,7 @@ def test_probe_inside_fault_window_is_not_ok():
 
 
 def test_probe_deterministic_per_instant_regardless_of_call_order():
-    trace = generate_trace(mean=5, amplitude=1, period=60, noise_sd=0, duration_us=30 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(5, 1, 60, 0, S), 30 * S, seed=0)
     first = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
     probe(trace, NO_FAULTS, 3 * S, probe_noise_sd=0.4, seed=9)  # interleaved other call
     second = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
@@ -169,7 +169,7 @@ def test_fault_schedule_rejects_overlap_same_kind():
 
 
 def test_threshold_of_constant_trace_is_the_constant():
-    trace = generate_trace(mean=5, amplitude=0, period=60, noise_sd=0, duration_us=100 * S, step_us=S, seed=0)
+    trace = generate_trace(TraceParams(5, 0, 60, 0, S), 100 * S, seed=0)
     for window in ((0, 100), (0, 1), (37, 64), (99, 100)):
         assert compute_threshold(trace, *window) == 5.0
 
@@ -211,15 +211,13 @@ def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
 def test_warmup_prefix_gives_the_full_trace_threshold(
     mean, amplitude, period, noise_sd, seed, step_us, window
 ):
-    # The engine generates its warmup trace only up to max(end, step).
+    # The engine generates its warmup trace only up to the window's end.
     start_ds, width_ds, tail_ds = window
     start, end = start_ds / 10, (start_ds + width_ds) / 10
-    shape = dict(
-        mean=mean, amplitude=amplitude, period=period, noise_sd=noise_sd, step_us=step_us, seed=seed
-    )
+    shape = TraceParams(mean, amplitude, period, noise_sd, step_us)
     end_us = (start_ds + width_ds) * 100_000
-    full = generate_trace(duration_us=max(end_us + tail_ds * 100_000, step_us), **shape)
-    prefix = generate_trace(duration_us=max(end_us, step_us), **shape)
+    full = generate_trace(shape, end_us + tail_ds * 100_000, seed)
+    prefix = generate_trace(shape, end_us, seed)
     assert prefix.uploads == full.uploads[: len(prefix.uploads)]
     # parse_scenario refuses a window that selects no samples
     if sample_indices(start_ds * 100_000, end_us, step_us):
@@ -233,10 +231,7 @@ def test_below_threshold_time_grows_with_amplitude():
     for amplitude in (0.0, 2.0, 6.0, 10.0):
         fractions = []
         for seed in range(8):
-            trace = generate_trace(
-                mean=5, amplitude=amplitude, period=97, noise_sd=0.4,
-                duration_us=4000 * S, step_us=S, seed=seed,
-            )
+            trace = generate_trace(TraceParams(5, amplitude, 97, 0.4, S), 4000 * S, seed=seed)
             threshold = compute_threshold(trace, 0, 4000)
             fractions.append(sum(1 for u in trace.uploads if u < threshold) / len(trace.uploads))
         mean_fraction.append(sum(fractions) / len(fractions))

@@ -21,7 +21,6 @@ from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
     Frozen,
-    KnowledgeBase,
     RunRecord,
     StreamConfig,
     default_space,
@@ -128,7 +127,7 @@ CASES = [
     (PerformanceReport, {"scenario": "adaptive", "run_count": 1, "grid": GRID}, []),
     (
         EngineResult,
-        {"records": (RECORD,), "kb": KnowledgeBase(), "threshold_mbps": 5.0},
+        {"records": (RECORD,), "threshold_mbps": 5.0},
         [],
     ),
     (
@@ -213,12 +212,8 @@ def test_every_based_type_is_in_cases():
 
 
 # Every value type is built on one of two bases, NamedTuple or kb.Frozen, and
-# hashes by value and survives pickle through it; EngineResult's KnowledgeBase
-# is equal only to itself.
-BASED = [case for case in CASES if case[0] is not EngineResult]
-
-
-@pytest.mark.parametrize("cls, fields, invalid", BASED, ids=[case[0].__name__ for case in BASED])
+# hashes by value and survives pickle through it.
+@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=[case[0].__name__ for case in CASES])
 def test_based_type_hashes_by_value_and_survives_pickle(cls, fields, invalid):
     value = cls(**fields)
     try:
