@@ -183,7 +183,7 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
                 if (us := to_us(float(cells[len(RUNS_CSV_FIXED_COLUMNS) + i]))) != 0
             }
             records.append(
-                RunRecord(
+                RunRecord.of(
                     run_index=int(cells[0]),
                     scenario=cells[1],
                     duration_us=to_us(float(cells[2])),

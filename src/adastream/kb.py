@@ -18,38 +18,6 @@ LR_QUALITY_SCORE = 0.99
 HR_QUALITY_SCORE = 0.20
 
 
-class Frozen:
-    """Base of an immutable value checked and built in __init__, through slots.
-
-    Read-only, equal, hashed and shown by its first slot, and copied or
-    pickled by rebuilding through __init__ from that slot.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        key = self.__slots__[0]
-        return getattr(self, key) == getattr(other, key)
-
-    def __hash__(self) -> int:
-        return hash(getattr(self, self.__slots__[0]))
-
-    def __repr__(self) -> str:
-        key = self.__slots__[0]
-        return f"{type(self).__name__}({key}={getattr(self, key)!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (getattr(self, self.__slots__[0]),)
-
-
 class StreamConfig(NamedTuple):
     """One point in the adaptation space: a (frame rate, scale, quality) setting."""
 
@@ -60,35 +28,37 @@ class StreamConfig(NamedTuple):
     quality_score: float
 
 
-class AdaptationSpace(Frozen):
+class AdaptationSpace(NamedTuple):
     """The finite, ordered set of configurations the planner may select among.
 
-    An immutable value, equal by `configs`. The planner's two targets are read
-    every tick, so they are computed once here; ties go to the first such
+    Built by `of`, which checks the configs. The planner's two targets are
+    read every tick, so `of` computes them once; ties go to the first such
     config in order, as max/min pick it.
     """
 
-    __slots__ = ("configs", "names", "highest_rate_config", "lowest_rate_config")
+    configs: tuple[StreamConfig, ...]
+    names: tuple[str, ...]
+    highest_rate_config: StreamConfig
+    lowest_rate_config: StreamConfig
 
-    def __init__(self, configs: tuple[StreamConfig, ...]):
+    @classmethod
+    def of(cls, configs: tuple[StreamConfig, ...]) -> AdaptationSpace:
         if not configs:
             raise ValueError("adaptation space must not be empty")
-        names = [c.name for c in configs]
+        names = tuple(c.name for c in configs)
         if len(set(names)) != len(names):
-            raise ValueError(f"config names must be unique, got {names}")
-        init = object.__setattr__
-        init(self, "configs", configs)
-        init(self, "names", tuple(names))
-        init(self, "highest_rate_config", max(configs, key=lambda c: c.frame_rate))
-        init(self, "lowest_rate_config", min(configs, key=lambda c: c.frame_rate))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
+            raise ValueError(f"config names must be unique, got {list(names)}")
+        return cls(
+            configs,
+            names,
+            max(configs, key=lambda c: c.frame_rate),
+            min(configs, key=lambda c: c.frame_rate),
+        )
 
 
 def default_space() -> AdaptationSpace:
     """The default two-point adaptation space: low rate and high rate."""
-    return AdaptationSpace(
+    return AdaptationSpace.of(
         configs=(
             StreamConfig("LR", frame_rate=30, scale_w=320, scale_h=240, quality_score=LR_QUALITY_SCORE),
             StreamConfig("HR", frame_rate=60, scale_w=720, scale_h=480, quality_score=HR_QUALITY_SCORE),
@@ -105,7 +75,15 @@ class AdaptationStrategy(NamedTuple):
     reason: str  # "below-threshold", "above-threshold" or "user-config"
 
 
-class _RunRecordFields(NamedTuple):
+class RunRecord(NamedTuple):
+    """Per-run ledger: how the run's elapsed time was spent.
+
+    Built by `of`, which checks that all counts and durations (integer
+    microseconds) are non-negative, and that streamed time (summed over
+    configs) plus reconfiguration time equals the run duration exactly.
+    Every run the engine closes and every runs.csv row comes back through it.
+    """
+
     run_index: int
     scenario: str
     duration_us: int
@@ -113,31 +91,9 @@ class _RunRecordFields(NamedTuple):
     switches: int
     streamed_us: dict[str, int]
 
-
-class RunRecord(_RunRecordFields):
-    """Per-run ledger: how the run's elapsed time was spent.
-
-    All counts and durations (integer microseconds) are non-negative, and
-    streamed time (summed over configs) plus reconfiguration time equals the
-    run duration exactly: the constructor enforces both, since runs.csv rows
-    come back through it. A NamedTuple body may not define __new__, hence
-    the fields base; _make builds through __new__ too, since _replace calls
-    _make and NamedTuple's own _make skips __new__.
-    """
-
-    __slots__ = ()
-
     @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __new__(
-        cls,
-        run_index: int,
-        scenario: str,
-        duration_us: int,
-        reconfig_us: int,
-        switches: int,
+    def of(
+        cls, run_index: int, scenario: str, duration_us: int, reconfig_us: int, switches: int,
         streamed_us: dict[str, int],
     ) -> RunRecord:
         if run_index < 0 or switches < 0:
@@ -156,7 +112,7 @@ class RunRecord(_RunRecordFields):
                 f"run {run_index}: time accounting broken: streamed {streamed} + reconfig "
                 f"{reconfig_us} != duration {duration_us}"
             )
-        return tuple.__new__(cls, (run_index, scenario, duration_us, reconfig_us, switches, streamed_us))
+        return cls(run_index, scenario, duration_us, reconfig_us, switches, streamed_us)
 
     @property
     def streamed_total_us(self) -> int:

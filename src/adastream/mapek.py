@@ -146,13 +146,16 @@ class Engine:
 
     def __init__(self, config: ScenarioConfig):
         # parse_scenario rules these out: a run ends on a tick, each config name
-        # is in the space, and the warmup window selects a trace sample
+        # is in the space, and the warmup window starts at or after 0 and
+        # selects a trace sample
         if config.monitor_interval_us <= 0 or config.run_duration_us % config.monitor_interval_us:
             raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         for name in (config.initial_config, *(o.target for o in config.user_overrides)):
-            if name not in config.space:
+            if name not in config.space.names:
                 raise SimulationError(f"config {name!r} is not in the adaptation space")
         shape, warmup, seed = config.trace, config.warmup, config.seed
+        if warmup.start_s < 0:
+            raise SimulationError(f"warmup window starts at {warmup.start_s:g} s, before the trace")
         if not sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), shape.step_us):
             raise SimulationError(
                 f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s selects no trace sample"

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
-from .kb import Frozen
 from .units import to_us
 
 FAULT_KINDS = ("probe-unavailable", "registry-unavailable")
@@ -46,30 +45,31 @@ class FaultWindow(NamedTuple):
     kind: str  # one of FAULT_KINDS
 
 
-class FaultSchedule(Frozen):
-    """Fault windows, non-overlapping per kind; an immutable value, equal by `windows`.
+class FaultSchedule(NamedTuple):
+    """Fault windows, non-overlapping per kind; built by `of`, which checks that.
 
-    Each kind's windows are indexed once as sorted start and end arrays, so
+    `of` indexes each kind's windows once as sorted start and end lists, so
     a lookup is a bisect rather than a scan over every window.
     """
 
-    __slots__ = ("windows", "_index")
+    windows: tuple[FaultWindow, ...]
+    # kind -> (starts, ends); both ascending because windows never overlap
+    by_kind: dict[str, tuple[list[int], list[int]]]
 
-    def __init__(self, windows: tuple[FaultWindow, ...] = ()):
-        # kind -> (starts, ends); both ascending because windows never overlap
-        index: dict[str, tuple[list[int], list[int]]] = {}
+    @classmethod
+    def of(cls, windows: tuple[FaultWindow, ...] = ()) -> FaultSchedule:
+        by_kind = {}
         for kind in FAULT_KINDS:
             spans = sorted((w.start_us, w.end_us) for w in windows if w.kind == kind)
             for (_, prev_end), (start, _) in zip(spans, spans[1:]):
                 if start < prev_end:
                     raise ValueError(f"overlapping {kind} fault windows")
             if spans:
-                index[kind] = ([s for s, _ in spans], [e for _, e in spans])
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "_index", index)
+                by_kind[kind] = ([s for s, _ in spans], [e for _, e in spans])
+        return cls(windows, by_kind)
 
     def active(self, kind: str, t_us: int) -> bool:
-        spans = self._index.get(kind)
+        spans = self.by_kind.get(kind)
         if spans is None:
             return False
         starts, ends = spans

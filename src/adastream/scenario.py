@@ -190,7 +190,7 @@ def _parse_space(raw: list | None, diags: list[str]) -> AdaptationSpace | None:
     if None in configs:
         return None
     try:
-        return AdaptationSpace(configs=tuple(configs))
+        return AdaptationSpace.of(configs=tuple(configs))
     except ValueError as exc:
         diags.append(f"adaptation_space invalid: {exc}")
         return None
@@ -214,10 +214,10 @@ def _parse_faults(raw: list, diags: list[str]) -> FaultSchedule:
             continue
         windows.append(FaultWindow(start_us=start_us, end_us=end_us, kind=kind))
     try:
-        return FaultSchedule(windows=tuple(windows))
+        return FaultSchedule.of(windows=tuple(windows))
     except ValueError as exc:
         diags.append(f"faults invalid: {exc}")
-        return FaultSchedule()
+        return FaultSchedule.of()
 
 
 def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
@@ -232,7 +232,7 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
     pinned: str | None = None
     if scenario is not None and scenario.startswith("static-"):
         pinned = scenario[len("static-"):]
-        if space is not None and pinned not in space:
+        if space is not None and pinned not in space.names:
             diags.append(
                 f"scenario {scenario!r} pins config {pinned!r}, which is not in the adaptation space"
             )
@@ -288,7 +288,7 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
             else:
                 # Adaptive runs boot at the highest-frame-rate config.
                 initial = space.highest_rate_config.name
-        elif initial not in space:
+        elif initial not in space.names:
             diags.append(f"initial_config {initial!r} not in the adaptation space")
         elif pinned is not None and initial != pinned:
             diags.append(
@@ -301,7 +301,7 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
         if not ok:
             continue
         target = values["target"]
-        if space is not None and target not in space:
+        if space is not None and target not in space.names:
             diags.append(f"user_overrides[{i}].target {target!r} not in the adaptation space")
             continue
         overrides.append(UserOverride(at_us=to_us(values["at_s"]), target=target))

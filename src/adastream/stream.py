@@ -75,17 +75,12 @@ class StreamState:
         return StepOutcome(reconfig_used, remaining, active)
 
     def finalize_run(self, scenario: str, run_index: int, duration_us: int) -> RunRecord:
-        """Close the window as a RunRecord, which checks it adds up to `duration_us`.
+        """Close the window through `RunRecord.of`, which checks it adds up to `duration_us`.
 
         The next window opens empty; a switch in flight carries across into it.
         """
-        record = RunRecord(
-            run_index=run_index,
-            scenario=scenario,
-            duration_us=duration_us,
-            reconfig_us=self.reconfig_us,
-            switches=self.switches,
-            streamed_us=self.streamed_us,
+        record = RunRecord.of(
+            run_index, scenario, duration_us, self.reconfig_us, self.switches, self.streamed_us
         )
         self.streamed_us = {}
         self.reconfig_us = 0

@@ -137,7 +137,7 @@ def test_criterion_4_mixture_bound_over_seeds():
 def test_criterion_5_formula_unit_suite():
     with criterion(5, "formula fixtures exact to 1e-9"):
         def rec(duration_s, reconfig_s, streamed):
-            return RunRecord(
+            return RunRecord.of(
                 run_index=0, scenario="adaptive", duration_us=to_us(duration_s),
                 reconfig_us=to_us(reconfig_s), switches=0,
                 streamed_us={k: to_us(v) for k, v in streamed.items()},
@@ -481,7 +481,7 @@ def test_criterion_9_fault_tolerant_streaming():
         assert all(e["source"] == "fallback" and not e["applied"] for e in executes)
         assert all(not e["ok"] for e in in_window if e["event"] == "register")
         # the stream kept an active config through every step of the outage
-        assert all(e["active"] in config.space for e in in_window if e["event"] == "step")
+        assert all(e["active"] in config.space.names for e in in_window if e["event"] == "step")
         # sanity: the loop did adapt outside the outage
         assert any(
             e["event"] == "execute" and e["applied"] for e in events

@@ -96,11 +96,9 @@ RAISE_SITES = {
     "experiment.ScenarioArtifacts.load": "an out directory may hold no run records",
     "experiment.compare": "the out directories may not be distinct scenarios",
     "experiment.run_experiment": "re-raises once its partial artifacts are removed",
-    "kb.Frozen.__setattr__": "a checked value is immutable",
-    "kb.Frozen.__delattr__": "a checked value is immutable",
-    "kb.AdaptationSpace.__init__": "built from a document; the parser reports its error",
-    "netsim.FaultSchedule.__init__": "built from a document; the parser reports its error",
-    "kb.RunRecord.__new__": "rebuilt from runs.csv rows; parse_runs_csv reports its error",
+    "kb.AdaptationSpace.of": "built from a document; the parser reports its error",
+    "netsim.FaultSchedule.of": "built from a document; the parser reports its error",
+    "kb.RunRecord.of": "rebuilt from runs.csv rows; parse_runs_csv reports its error",
     "mapek.Engine.__init__": "what the loop cannot run with, even in a hand-built ScenarioConfig",
     "metrics._quality_at": "a run that streamed nothing has no quality performance",
 }

@@ -22,7 +22,7 @@ def strategy(sid, target="LR", at_us=0, reason="below-threshold"):
 def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None, scenario="adaptive"):
     if streamed is None:
         streamed = {"LR": duration_us - reconfig_us}
-    return RunRecord(
+    return RunRecord.of(
         run_index=run_index,
         scenario=scenario,
         duration_us=duration_us,
@@ -47,20 +47,20 @@ def test_default_space_matches_reference_settings():
 def test_space_rejects_duplicates_and_empty():
     lr = StreamConfig("LR", 30, 320, 240, 0.99)
     with pytest.raises(ValueError):
-        AdaptationSpace(configs=())
+        AdaptationSpace.of(configs=())
     with pytest.raises(ValueError):
-        AdaptationSpace(configs=(lr, lr))
+        AdaptationSpace.of(configs=(lr, lr))
 
 
 def test_space_max_frame_rate_is_recomputed():
-    space = AdaptationSpace(
+    space = AdaptationSpace.of(
         configs=(
             StreamConfig("A", 10, 100, 100, 0.5),
             StreamConfig("B", 25, 100, 100, 0.5),
         )
     )
     assert space.highest_rate_config.frame_rate == 25
-    assert "A" in space and "C" not in space
+    assert "A" in space.names and "C" not in space.names
 
 
 @given(
@@ -74,13 +74,13 @@ def test_space_cached_lookups_match_scans(names_and_rates):
     # rates drawn from 1..3 force frame-rate ties, which go to the first config
     names, rates = names_and_rates
     configs = tuple(StreamConfig(n, r, 100, 100, 0.5) for n, r in zip(names, rates))
-    space = AdaptationSpace(configs=configs)
+    space = AdaptationSpace.of(configs=configs)
     for _ in range(2):  # the second pass reads the cached values
         assert space.highest_rate_config is max(configs, key=lambda c: c.frame_rate)
         assert space.lowest_rate_config is min(configs, key=lambda c: c.frame_rate)
         assert space.highest_rate_config.frame_rate == max(rates)
         for name in "ABCDEF":
-            assert (name in space) == any(c.name == name for c in configs)
+            assert (name in space.names) == any(c.name == name for c in configs)
 
 
 def test_run_record_enforces_accounting_identity():
@@ -89,7 +89,7 @@ def test_run_record_enforces_accounting_identity():
     with pytest.raises(InvalidRunError):
         record(duration_us=10, reconfig_us=20)
     with pytest.raises(InvalidRunError):
-        RunRecord(
+        RunRecord.of(
             run_index=0, scenario="adaptive", duration_us=100, reconfig_us=10,
             switches=1, streamed_us={"LR": 80},  # 80 + 10 != 100
         )

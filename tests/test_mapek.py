@@ -45,7 +45,7 @@ def test_healthy_sample_upload_must_be_non_negative():
     # The probe clamps its noisy reading at 0, here on a trace at 0 Mbps; the
     # acceptance property checks every monitor line of generated runs.
     zero = BandwidthTrace(uploads=(0.0,), step_us=to_us(1))
-    uploads = [probe(zero, FaultSchedule(), t_us, 5.0, seed=3).upload_mbps for t_us in range(40)]
+    uploads = [probe(zero, FaultSchedule.of(), t_us, 5.0, seed=3).upload_mbps for t_us in range(40)]
     assert min(uploads) == 0.0 < max(uploads)
     faulted = SpeedSample(t_us=0, upload_mbps=0.0, ok=False)
     assert not faulted.ok and faulted.upload_mbps == 0.0
@@ -154,14 +154,14 @@ def thirty_second_trace(amplitude):
 
 def test_monitor_healthy_tick_reports_bandwidth():
     trace = thirty_second_trace(amplitude=0)
-    monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0, probe_seed=1)
+    monitor = Monitor(trace, FaultSchedule.of(), probe_noise_sd=0, probe_seed=1)
     s = monitor.tick(to_us(10))
     assert s == SpeedSample(t_us=to_us(10), upload_mbps=5.0, ok=True)
 
 
 def test_monitor_tick_inside_fault_window():
     trace = thirty_second_trace(amplitude=0)
-    faults = FaultSchedule(windows=(FaultWindow(to_us(5), to_us(15), "probe-unavailable"),))
+    faults = FaultSchedule.of(windows=(FaultWindow(to_us(5), to_us(15), "probe-unavailable"),))
     monitor = Monitor(trace, faults, probe_noise_sd=0, probe_seed=1)
     s = monitor.tick(to_us(10))
     assert not s.ok and s.upload_mbps == 0.0
@@ -169,7 +169,7 @@ def test_monitor_tick_inside_fault_window():
 
 def test_monitor_tick_deterministic():
     trace = thirty_second_trace(amplitude=1)
-    monitor = Monitor(trace, FaultSchedule(), probe_noise_sd=0.5, probe_seed=9)
+    monitor = Monitor(trace, FaultSchedule.of(), probe_noise_sd=0.5, probe_seed=9)
     assert monitor.tick(to_us(4)) == monitor.tick(to_us(4))
 
 
@@ -502,6 +502,14 @@ def test_engine_refuses_a_warmup_window_that_selects_no_sample(scenario_factory,
     config = scenario_factory(runs=1)._replace(warmup=warmup)
     message = f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s selects no trace sample"
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        Engine(config)
+
+
+def test_engine_refuses_a_warmup_window_that_starts_below_0(scenario_factory):
+    # The samples of [-5, 65) s would be the slice [-5:65], which wraps round to
+    # the samples of [60, 65) s and reads 5.186 Mbps, where [0, 65) s reads 5.013.
+    config = scenario_factory(runs=1)._replace(warmup=WarmupParams(-5.0, 65.0))
+    with pytest.raises(SimulationError, match=r"^warmup window starts at -5 s, before the trace$"):
         Engine(config)
 
 

@@ -45,7 +45,7 @@ def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, scenario="adap
         streamed["HR"] = to_us(hr_s)
     if not streamed and duration > reconfig:
         streamed["LR"] = duration - reconfig
-    return RunRecord(
+    return RunRecord.of(
         run_index=run_index, scenario=scenario, duration_us=duration,
         reconfig_us=reconfig, switches=0, streamed_us=streamed,
     )
@@ -252,7 +252,7 @@ def test_aggregate_all_cells_bounded():
         lr = rng.randrange(0, duration - reconfig)
         hr = duration - reconfig - lr
         records.append(
-            RunRecord(
+            RunRecord.of(
                 run_index=i, scenario="adaptive", duration_us=duration,
                 reconfig_us=reconfig, switches=0, streamed_us={"LR": lr, "HR": hr},
             )
@@ -296,14 +296,14 @@ def test_dominant_config_and_fractions():
 
 
 def test_selection_ties_go_to_the_first_config_in_space_order():
-    space = AdaptationSpace((
+    space = AdaptationSpace.of((
         StreamConfig("HR", 30, 1280, 720, 0.2),
         StreamConfig("MR", 20, 960, 540, 0.5),
         StreamConfig("LR", 5, 640, 360, 0.9),
     ))
 
     def run(run_index, reconfig_s=0, **seconds):
-        return RunRecord(
+        return RunRecord.of(
             run_index=run_index, scenario="adaptive", duration_us=to_us(30),
             reconfig_us=to_us(reconfig_s), switches=0,
             streamed_us={name: to_us(s) for name, s in seconds.items()},

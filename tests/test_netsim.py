@@ -20,7 +20,7 @@ from adastream.netsim import (
 )
 from adastream.units import US_PER_SECOND as S
 
-NO_FAULTS = FaultSchedule()
+NO_FAULTS = FaultSchedule.of()
 
 
 def test_degenerate_sinusoid_is_constant():
@@ -112,7 +112,7 @@ def test_noiseless_probe_equals_bandwidth():
 
 def test_probe_inside_fault_window_is_not_ok():
     trace = generate_trace(TraceParams(5, 0, 60, 0, S), 30 * S, seed=0)
-    faults = FaultSchedule(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
+    faults = FaultSchedule.of(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
     assert not probe(trace, faults, 7 * S, 0, seed=1).ok
     assert probe(trace, faults, 4 * S, 0, seed=1).ok
     assert probe(trace, faults, 10 * S, 0, seed=1).ok  # window is half-open
@@ -153,14 +153,14 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
 
 def test_fault_schedule_rejects_overlap_same_kind():
     with pytest.raises(ValueError):
-        FaultSchedule(
+        FaultSchedule.of(
             windows=(
                 FaultWindow(0, 10_000_000, "probe-unavailable"),
                 FaultWindow(5_000_000, 15_000_000, "probe-unavailable"),
             )
         )
     # different kinds may overlap
-    FaultSchedule(
+    FaultSchedule.of(
         windows=(
             FaultWindow(0, 10_000_000, "probe-unavailable"),
             FaultWindow(5_000_000, 15_000_000, "registry-unavailable"),

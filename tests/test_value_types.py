@@ -1,16 +1,19 @@
 """The immutable value types: one contract for each.
 
-Every type is built by keyword, equal by its fields, read-only, and shown
-as `Type(field=...)` in the messages that print it. A type that outside
-data reaches checks its fields, and rejects each invalid value with the
-error type and text it has always used; the rest are plain NamedTuples.
+Every type is a plain NamedTuple, built by keyword, equal by its fields,
+read-only, and shown as `Type(field=...)` in the messages that print it. A
+type that outside data reaches is built through its checking classmethod
+`of`, which rejects each invalid value with the error type and text it has
+always used.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,6 @@ from adastream.experiment import Comparison, ScenarioArtifacts
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
-    Frozen,
     RunRecord,
     StreamConfig,
     default_space,
@@ -42,7 +44,7 @@ from conftest import bundled_config_path
 LR = StreamConfig("LR", 30, 320, 240, 0.99)
 SPACE = default_space()
 CONFIG = load_scenario(bundled_config_path("table3-adaptive"))
-RECORD = RunRecord(
+RECORD = RunRecord.of(
     run_index=0, scenario="adaptive", duration_us=100, reconfig_us=10, switches=1,
     streamed_us={"LR": 90},
 )
@@ -50,7 +52,8 @@ GRID = {"tp": {"5r5q": 1.0}}
 ARTIFACTS = ScenarioArtifacts(label="adaptive", grid=GRID, records=[RECORD], config_names=("LR", "HR"))
 PROBE_DOWN = "probe-unavailable"
 
-# (type, keyword arguments of one valid value, [(changed arguments, error, message)])
+# (type, keyword arguments of one valid value, [(changed arguments, error, message)]);
+# the arguments go to the type's `of` where it has one, else to the type itself
 CASES = [
     (
         StreamConfig,
@@ -143,85 +146,110 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=[case[0].__name__ for case in CASES])
+def build(cls: type):
+    """What builds a value of `cls` from outside data: its checking `of`, or the type."""
+    return getattr(cls, "of", cls)
+
+
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
 def test_value_type_contract(cls, fields, invalid):
-    value = cls(**fields)
+    value = build(cls)(**fields)
     for name, field_value in fields.items():
         assert getattr(value, name) is field_value
         with pytest.raises(AttributeError):
             setattr(value, name, field_value)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert value == cls(**fields) == copy.copy(value)
+    assert value == build(cls)(**fields) == copy.copy(value)
     assert value != object()
     first = next(iter(fields))
     assert repr(value).startswith(f"{cls.__name__}({first}=")
     for changes, error, message in invalid:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
-            cls(**{**fields, **changes})
+            build(cls)(**{**fields, **changes})
         assert type(raised.value) is error
 
 
-# _replace builds the same type, through the constructor's checks where it has any.
-TUPLES = [case for case in CASES if issubclass(case[0], tuple)]
-
-
-@pytest.mark.parametrize("cls, fields, invalid", TUPLES, ids=[case[0].__name__ for case in TUPLES])
+# _replace runs the type's constructor, the NamedTuple's own, which checks nothing and
+# derives nothing: on a checked type it keeps every other field as it was, even one
+# `of` derived, and takes an invalid value. No package code calls it on a checked type.
+@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
 def test_replace_runs_the_constructor_checks(cls, fields, invalid):
-    value = cls(**fields)
+    value = build(cls)(**fields)
     assert type(value._replace()) is cls and value._replace() == value
-    for changes, error, message in invalid:
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
-            value._replace(**changes)
-        assert type(raised.value) is error
+    for changes, _, _ in invalid:
+        replaced = value._replace(**changes)
+        assert type(replaced) is cls
+        assert replaced._asdict() == {**value._asdict(), **changes}
 
 
 def value_types() -> set[type]:
-    """The package's public value types: NamedTuples and kb.Frozen subclasses."""
+    """The package's public value types: every public tuple subclass."""
     return {
         obj
         for module in (kb, netsim, mapek, metrics, scenario, experiment, stream)
         for name, obj in vars(module).items()
-        if isinstance(obj, type) and issubclass(obj, (tuple, Frozen))
-        and obj is not Frozen and not name.startswith("_")
+        if isinstance(obj, type) and issubclass(obj, tuple) and not name.startswith("_")
     }
-
-
-def is_checked(cls: type) -> bool:
-    """Whether a class on cls's MRO builds through its own __new__ or __init__.
-
-    A NamedTuple's generated class defines _fields beside its __new__, which
-    only packs the fields; any other constructor is a check.
-    """
-    return any(
-        ("__new__" in vars(c) or "__init__" in vars(c)) and "_fields" not in vars(c)
-        for c in cls.__mro__
-        if c not in (tuple, object)
-    )
 
 
 def test_every_based_type_is_in_cases():
     types = value_types()
     assert types - {case[0] for case in CASES} <= {ExecuteOutcome, StepOutcome}  # test_mapek's cases
-    # Checks live where outside data enters, so only these three types check their fields:
+    # One idiom: each is a NamedTuple made straight from its class body, with no fields
+    # base under it, so no __new__ or _make of its own can check or skip a field.
+    assert {cls for cls in types if cls.__bases__ != (tuple,) or "_fields" not in vars(cls)} == set()
+    # Checks live where outside data enters, so only these three types have an `of`:
     # RunRecord is rebuilt from runs.csv rows by `compare`; AdaptationSpace and FaultSchedule
     # are built from a scenario document, and the parser reports their ValueError.
-    checked = {cls for cls in types if is_checked(cls)}
+    checked = {cls for cls in types if "of" in vars(cls)}
     assert checked == {RunRecord, AdaptationSpace, FaultSchedule}
     assert checked == {case[0] for case in CASES if case[2]}
 
 
-# Every value type is built on one of two bases, NamedTuple or kb.Frozen, and
-# hashes by value and survives pickle through it.
-@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=[case[0].__name__ for case in CASES])
+# A value hashes by its fields, so a dict or list in a field makes it unhashable:
+# FaultSchedule's per-kind index and RunRecord's ledger, and what holds either.
+UNHASHABLE = {
+    FaultSchedule, RunRecord, ScenarioConfig, EngineResult, PerformanceReport,
+    ScenarioArtifacts, Comparison,
+}
+
+
+@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
 def test_based_type_hashes_by_value_and_survives_pickle(cls, fields, invalid):
-    value = cls(**fields)
-    try:
-        hash(tuple(fields.values()))
-    except TypeError:  # a field holds a dict or list, so the value is not hashable either
+    value = build(cls)(**fields)
+    if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(value)
     else:
-        assert hash(value) == hash(cls(**fields))
+        assert hash(value) == hash(build(cls)(**fields))
     copied = pickle.loads(pickle.dumps(value))
     assert type(copied) is cls and copied == value
+
+
+def direct_builds(node: ast.AST, scope: tuple[str, ...], names: set[str]) -> list[str]:
+    """`scope:name` for each call under `node` of a type in `names` by name."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append(f"{'.'.join(scope)}:{name}")
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        found += direct_builds(child, scope + (child.name,) if named else scope, names)
+    return found
+
+
+def test_checked_types_are_built_only_through_of():
+    # A direct call would skip the checks, so only the type's own `of` builds it (as `cls`).
+    names = {"RunRecord", "AdaptationSpace", "FaultSchedule"}
+    package = Path(__file__).resolve().parents[1] / "src" / "adastream"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += direct_builds(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), names)
+    allowed = {f"{module}.{name}.of:{name}" for module in ("kb", "netsim") for name in names}
+    assert [site for site in found if site not in allowed] == []
