@@ -7,10 +7,6 @@ class SimulationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidRunError(SimulationError):
-    """A run record violates its accounting contract (e.g. duration <= 0)."""
-
-
 class ScenarioError(SimulationError):
     """A scenario config failed validation; carries every violation found."""
 

@@ -18,9 +18,9 @@ import os
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .errors import InvalidRunError, SimulationError
+from .errors import SimulationError
 from .kb import RunRecord
-from .mapek import Engine, EngineResult
+from .mapek import Engine
 from .metrics import (
     GRID_WIDTH,
     QUALITY_PRESETS,
@@ -192,16 +192,15 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
                     streamed_us=streamed,
                 )
             )
-        except (ValueError, OverflowError, InvalidRunError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise SimulationError(f"{path}:{lineno}: malformed run row: {exc}") from exc
     return records, names
 
 
-def _selection_lines(config: ScenarioConfig, result: EngineResult, report: PerformanceReport) -> list[str]:
+def _selection_lines(config: ScenarioConfig, records: tuple[RunRecord, ...], report: PerformanceReport) -> list[str]:
     space = config.space
-    selection = selection_fractions(result.records, space.names)
-    lines = [f"threshold_mbps: {result.threshold_mbps:.6f}"]
-    lines += [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
+    selection = selection_fractions(records, space.names)
+    lines = [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
     if config.mode == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
@@ -226,14 +225,16 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
     try:
         with partials["events.jsonl"].open("w", encoding="utf-8", newline="") as f:
-            result = Engine(config).run(JsonlFileSink(f))
-        report = aggregate(result.records, config.space)
+            engine = Engine(config)
+            records = engine.run(JsonlFileSink(f))
+        report = aggregate(records, config.space)
         partials["runs.csv"].write_text(
-            runs_csv_text(result.records, config.space.names), encoding="utf-8", newline=""
+            runs_csv_text(records, config.space.names), encoding="utf-8", newline=""
         )
         partials["report.csv"].write_text(render_report_csv(report), encoding="utf-8", newline="")
+        lines = [f"threshold_mbps: {engine.threshold_mbps:.6f}", *_selection_lines(config, records, report)]
         partials["report.txt"].write_text(
-            render_report_text(report, extra_lines=_selection_lines(config, result, report)),
+            render_report_text(report, extra_lines=lines),
             encoding="utf-8",
             newline="",
         )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidRunError
-
 # Stored model parameters for per-frame quality, one per default config.
 # Not derived from resolution; the metrics module consumes them as-is.
 LR_QUALITY_SCORE = 0.99
@@ -19,12 +17,10 @@ HR_QUALITY_SCORE = 0.20
 
 
 class StreamConfig(NamedTuple):
-    """One point in the adaptation space: a (frame rate, scale, quality) setting."""
+    """One point in the adaptation space: a (frame rate, quality) setting."""
 
     name: str
     frame_rate: int
-    scale_w: int
-    scale_h: int
     quality_score: float
 
 
@@ -60,17 +56,16 @@ def default_space() -> AdaptationSpace:
     """The default two-point adaptation space: low rate and high rate."""
     return AdaptationSpace.of(
         configs=(
-            StreamConfig("LR", frame_rate=30, scale_w=320, scale_h=240, quality_score=LR_QUALITY_SCORE),
-            StreamConfig("HR", frame_rate=60, scale_w=720, scale_h=480, quality_score=HR_QUALITY_SCORE),
+            StreamConfig("LR", frame_rate=30, quality_score=LR_QUALITY_SCORE),
+            StreamConfig("HR", frame_rate=60, quality_score=HR_QUALITY_SCORE),
         )
     )
 
 
 class AdaptationStrategy(NamedTuple):
-    """A timestamped decision to move the stream to a target configuration."""
+    """A decision to move the stream to a target configuration."""
 
     id: int
-    issued_at_us: int
     target: str
     reason: str  # "below-threshold", "above-threshold" or "user-config"
 
@@ -97,18 +92,18 @@ class RunRecord(NamedTuple):
         streamed_us: dict[str, int],
     ) -> RunRecord:
         if run_index < 0 or switches < 0:
-            raise InvalidRunError(
+            raise ValueError(
                 f"run index and switches must be non-negative, got {run_index} and {switches}"
             )
         if duration_us <= 0:
-            raise InvalidRunError(f"run duration must be positive, got {duration_us} us")
+            raise ValueError(f"run duration must be positive, got {duration_us} us")
         if not 0 <= reconfig_us <= duration_us:
-            raise InvalidRunError(f"reconfig time {reconfig_us} us outside [0, {duration_us}] us")
+            raise ValueError(f"reconfig time {reconfig_us} us outside [0, {duration_us}] us")
         if any(us < 0 for us in streamed_us.values()):
-            raise InvalidRunError(f"run {run_index}: negative streamed time in {streamed_us}")
+            raise ValueError(f"run {run_index}: negative streamed time in {streamed_us}")
         streamed = sum(streamed_us.values())
         if streamed != duration_us - reconfig_us:
-            raise InvalidRunError(
+            raise ValueError(
                 f"run {run_index}: time accounting broken: streamed {streamed} + reconfig "
                 f"{reconfig_us} != duration {duration_us}"
             )

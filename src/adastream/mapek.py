@@ -110,11 +110,9 @@ class Executor:
 
     Only the executor commands the stream, and it records each command in
     `kb.last_applied`: the config the stream is committed to, the pending
-    one while a switch is in flight.
+    one while a switch is in flight. It holds no state; the stream owns the
+    switch's delay.
     """
-
-    def __init__(self, reconfig_delay_us: int):
-        self._reconfig_delay_us = reconfig_delay_us
 
     def execute(self, kb: KnowledgeBase, stream: StreamState, registry_available: bool) -> ExecuteOutcome:
         if not registry_available:
@@ -125,7 +123,7 @@ class Executor:
             return ExecuteOutcome("registry", None, None, False)
         if latest.target == kb.last_applied:
             return ExecuteOutcome("registry", latest.id, latest.target, False)
-        stream.apply_config(latest.target, self._reconfig_delay_us)
+        stream.apply_config(latest.target)
         kb.last_applied = latest.target
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
@@ -136,24 +134,28 @@ class EventSink(Protocol):
         """Take one run's tick records in order, runs in order."""
 
 
-class EngineResult(NamedTuple):
-    records: tuple[RunRecord, ...]
-    threshold_mbps: float
-
-
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
     def __init__(self, config: ScenarioConfig):
-        # parse_scenario rules these out: a run ends on a tick, each config name
-        # is in the space, and the warmup window starts at or after 0 and
-        # selects a trace sample
+        # parse_scenario rules these out: at least one run, of positive length,
+        # that ends on a tick, a delay of at least 0, a positive trace step, each
+        # config name in the space, and a warmup window that starts at or after
+        # 0 and selects a trace sample
+        if config.runs < 1:
+            raise SimulationError(f"runs must be at least 1, got {config.runs}")
+        if config.run_duration_us <= 0:
+            raise SimulationError(f"run duration must be positive, got {config.run_duration_us} us")
         if config.monitor_interval_us <= 0 or config.run_duration_us % config.monitor_interval_us:
             raise SimulationError(f"run duration {config.run_duration_us} us is not a whole number of ticks")
         for name in (config.initial_config, *(o.target for o in config.user_overrides)):
             if name not in config.space.names:
                 raise SimulationError(f"config {name!r} is not in the adaptation space")
+        if config.reconfig_delay_us < 0:
+            raise SimulationError(f"reconfig delay must be non-negative, got {config.reconfig_delay_us} us")
         shape, warmup, seed = config.trace, config.warmup, config.seed
+        if shape.step_us <= 0:
+            raise SimulationError(f"trace step must be positive, got {shape.step_us} us")
         if warmup.start_s < 0:
             raise SimulationError(f"warmup window starts at {warmup.start_s:g} s, before the trace")
         if not sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), shape.step_us):
@@ -180,10 +182,10 @@ class Engine:
             probe_noise_sd=config.probe_noise_sd_mbps,
             probe_seed=f"{seed}/probe",
         )
-        self.executor = Executor(config.reconfig_delay_us)
 
-    def run(self, sink: EventSink) -> EngineResult:
-        """Run every tick, handing each run's tick records to `sink` as the run ends.
+    def run(self, sink: EventSink) -> tuple[RunRecord, ...]:
+        """Run every tick and return the run records, handing each run's tick
+        records to `sink` as the run ends.
 
         Each call starts from a fresh knowledge base, stream and analyzer, so
         a second call replays the first.
@@ -195,14 +197,14 @@ class Engine:
         next_id = 1
         records: list[RunRecord] = []
         kb = KnowledgeBase(last_applied=cfg.initial_config)
-        stream = StreamState(cfg.initial_config)
+        stream = StreamState(cfg.initial_config, cfg.reconfig_delay_us)
         # Looked up here, once per run, and not when the engine is built: a
         # stage rebound on its class or module after construction (as a
         # tracer or a test does) is still the one called.
         space = cfg.space
         tick = self.monitor.tick
         evaluate = Analyzer(self.threshold_mbps, cfg.hysteresis_mbps).evaluate
-        execute = self.executor.execute
+        execute = Executor().execute
         register = kb.register_strategy
         step = stream.step
         fault_active = cfg.faults.active
@@ -226,7 +228,7 @@ class Engine:
                 # The one strategy rule, for overrides and threshold decisions alike.
                 strategy = None
                 if target is not None and target != kb.last_applied:
-                    strategy = AdaptationStrategy(next_id, t_us, target, reason)
+                    strategy = AdaptationStrategy(next_id, target, reason)
 
                 registry_available = not fault_active("registry-unavailable", t_us)
                 # Dropped while the registry is down: the outcome's source says which.
@@ -240,4 +242,4 @@ class Engine:
             records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
             sink.write_run(run_index, ticks)
 
-        return EngineResult(records=tuple(records), threshold_mbps=self.threshold_mbps)
+        return tuple(records)

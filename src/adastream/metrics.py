@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
-from .errors import InvalidRunError
+from .errors import SimulationError
 from .kb import AdaptationSpace, RunRecord, StreamConfig
 
 
@@ -86,7 +86,7 @@ def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
     """
     streamed_total = record.streamed_total_us
     if streamed_total <= 0:
-        raise InvalidRunError(
+        raise SimulationError(
             f"run {record.run_index} streamed nothing; quality performance undefined"
         )
     achieved = sum(streamed * scores[name] for name, streamed in record.streamed_us.items())

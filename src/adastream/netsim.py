@@ -49,10 +49,10 @@ class FaultSchedule(NamedTuple):
     """Fault windows, non-overlapping per kind; built by `of`, which checks that.
 
     `of` indexes each kind's windows once as sorted start and end lists, so
-    a lookup is a bisect rather than a scan over every window.
+    a lookup is a bisect rather than a scan over every window; the index is
+    all the schedule keeps.
     """
 
-    windows: tuple[FaultWindow, ...]
     # kind -> (starts, ends); both ascending because windows never overlap
     by_kind: dict[str, tuple[list[int], list[int]]]
 
@@ -66,7 +66,7 @@ class FaultSchedule(NamedTuple):
                     raise ValueError(f"overlapping {kind} fault windows")
             if spans:
                 by_kind[kind] = ([s for s, _ in spans], [e for _, e in spans])
-        return cls(windows, by_kind)
+        return cls(by_kind)
 
     def active(self, kind: str, t_us: int) -> bool:
         spans = self.by_kind.get(kind)

@@ -186,7 +186,8 @@ def _parse_space(raw: list | None, diags: list[str]) -> AdaptationSpace | None:
         if name is not None and ("," in name or name.splitlines() != [name]):
             diags.append(f"adaptation_space[{i}].name must be one line, non-empty, without ',', got {name!r}")
             ok = False
-        configs.append(StreamConfig(**values) if ok else None)
+        # scale_w and scale_h are required and checked, and no output reads them
+        configs.append(StreamConfig(values["name"], values["frame_rate"], values["quality_score"]) if ok else None)
     if None in configs:
         return None
     try:

@@ -28,7 +28,8 @@ class StepOutcome(NamedTuple):
 class StreamState:
     """Single-owner state of the streaming service, by config name. Not thread-safe."""
 
-    def __init__(self, initial: str):
+    def __init__(self, initial: str, reconfig_delay_us: int):
+        self.reconfig_delay_us = reconfig_delay_us
         self.active = initial
         self.pending: str | None = None
         self.reconfig_remaining_us = 0
@@ -36,7 +37,7 @@ class StreamState:
         self.reconfig_us = 0
         self.switches = 0
 
-    def apply_config(self, name: str, reconfig_delay_us: int) -> None:
+    def apply_config(self, name: str) -> None:
         """Command the stream to move to the config `name`.
 
         Applying the already-active config with no switch in flight is free.
@@ -46,12 +47,12 @@ class StreamState:
         if self.pending is not None:
             self.pending = name
         elif name != self.active:
-            if reconfig_delay_us == 0:
+            if self.reconfig_delay_us == 0:
                 self.active = name
                 self.switches += 1
             else:
                 self.pending = name
-                self.reconfig_remaining_us = reconfig_delay_us
+                self.reconfig_remaining_us = self.reconfig_delay_us
 
     def step(self, dt_us: int) -> StepOutcome:
         """Advance the stream by dt. Reconfiguration drains before streaming resumes."""

@@ -9,7 +9,7 @@ import pytest
 import adastream
 from adastream.experiment import JsonlFileSink
 from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord
-from adastream.mapek import Engine, EngineResult
+from adastream.mapek import Engine
 from adastream.metrics import QualityWeights, config_quality_score
 from adastream.scenario import parse_scenario
 
@@ -64,25 +64,25 @@ class DroppingSink:
         pass
 
 
-def run_dropping_events(config) -> EngineResult:
+def run_dropping_events(config) -> tuple[RunRecord, ...]:
     return Engine(config).run(DroppingSink())
 
 
-def run_into_jsonl(config) -> tuple[EngineResult, str]:
-    """Run the engine into events.jsonl's encoder: the result and the text it wrote."""
+def run_into_jsonl(config) -> tuple[tuple[RunRecord, ...], str]:
+    """Run the engine into events.jsonl's encoder: the run records and the text it wrote."""
     file = io.StringIO()
     return Engine(config).run(JsonlFileSink(file)), file.getvalue()
 
 
-def run_with_events(config) -> tuple[EngineResult, list[dict]]:
+def run_with_events(config) -> tuple[tuple[RunRecord, ...], list[dict]]:
     """Run the engine and parse the events.jsonl lines it wrote.
 
     The lines are parsed as one JSON array, in one call, which takes half
     the time of a json.loads per line; test_event_sink checks each line on
     its own.
     """
-    result, text = run_into_jsonl(config)
-    return result, json.loads("[" + ",".join(text.splitlines()) + "]")
+    records, text = run_into_jsonl(config)
+    return records, json.loads("[" + ",".join(text.splitlines()) + "]")
 
 
 def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
@@ -96,6 +96,5 @@ def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
         if line["event"] == "register" and line["ok"]:
             assert plan["event"] == "plan"
             assert (plan["t_us"], plan["target"]) == (line["t_us"], line["target"])
-            strategy = AdaptationStrategy(line["strategy_id"], line["t_us"], line["target"], plan["reason"])
-            strategies.append(strategy)
+            strategies.append(AdaptationStrategy(line["strategy_id"], line["target"], plan["reason"]))
     return strategies

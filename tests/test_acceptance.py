@@ -110,8 +110,8 @@ def test_criterion_2_adaptive_time_performance(bundled_outputs):
 def test_criterion_3_adaptive_selection_rate(bundled_outputs):
     with criterion(3, "low-rate config dominates 26%-36% of adaptive runs"):
         config = load_scenario(bundled_config_path("table3-adaptive"))
-        result = run_dropping_events(config)
-        run_fraction, _ = selection_fractions(result.records, config.space.names)["LR"]
+        records = run_dropping_events(config)
+        run_fraction, _ = selection_fractions(records, config.space.names)["LR"]
         assert 0.26 <= run_fraction <= 0.36, f"LR run fraction {run_fraction:.3f}"
 
 
@@ -120,8 +120,8 @@ def test_criterion_4_mixture_bound_over_seeds():
         base = load_scenario(bundled_config_path("table3-adaptive"))
         space = base.space
         for offset in range(20):
-            result = run_dropping_events(base._replace(seed=1000 + offset))
-            report = aggregate(result.records, space)
+            records = run_dropping_events(base._replace(seed=1000 + offset))
+            report = aggregate(records, space)
             for preset, qw in QUALITY_PRESETS.items():
                 scores = [config_quality_score(c, space, qw) for c in space.configs]
                 lo, hi = min(scores), max(scores)
@@ -129,7 +129,7 @@ def test_criterion_4_mixture_bound_over_seeds():
                 assert lo - 1e-9 <= qp <= hi + 1e-9, (
                     f"seed {1000 + offset} {preset}: qp {qp:.4f} outside [{lo:.4f}, {hi:.4f}]"
                 )
-                for record in result.records:
+                for record in records:
                     per_run = quality_performance(record, space, qw)
                     assert lo - 1e-9 <= per_run <= hi + 1e-9
 
@@ -216,12 +216,12 @@ def test_criterion_6_oracle_equivalence():
         checked = 0
         for _ in range(50):
             config = _random_scenario(rng)
-            result, events = run_with_events(config)
+            records, events = run_with_events(config)
             scores = {
                 preset: {c.name: config_quality_score(c, config.space, qw) for c in config.space.configs}
                 for preset, qw in QUALITY_PRESETS.items()
             }
-            for record in result.records:
+            for record in records:
                 steps = [
                     e for e in events
                     if e["event"] == "step" and e["run"] == record.run_index
@@ -277,11 +277,11 @@ def _fault_sweep_scenario(rng: random.Random):
     return config
 
 
-def assert_loop_invariants(config, result, events) -> None:
+def assert_loop_invariants(config, records, events) -> None:
     """Criterion 7: exact time accounting, an append-only strategy history, register -> apply causality."""
     # fail-safe: every run completed and accounts for all elapsed time
-    assert len(result.records) == config.runs
-    for record in result.records:
+    assert len(records) == config.runs
+    for record in records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
     # per-step accounting is exact too
@@ -419,12 +419,12 @@ def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(docu
     if config is None:
         return
     try:
-        result, events = run_with_events(config)
+        records, events = run_with_events(config)
     except SimulationError as exc:
         # the one failure only the generated warmup trace shows
         assert "threshold of 0 Mbps" in str(exc)
         return
-    assert_loop_invariants(config, result, events)
+    assert_loop_invariants(config, records, events)
 
 
 def test_criterion_8_byte_identical_replays(tmp_path, bundled_outputs):
@@ -469,9 +469,9 @@ def test_criterion_9_fault_tolerant_streaming():
         window_us = (to_us(90.0), to_us(180.0))
         assert (window_us[1] - window_us[0]) * 10 == config.total_duration_us * 3  # 30%
 
-        result, events = run_with_events(config)
+        records, events = run_with_events(config)
         # 100% of elapsed time is streamed-or-reconfiguring, every run
-        for record in result.records:
+        for record in records:
             assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
         in_window = [e for e in events if window_us[0] <= e["t_us"] < window_us[1]]

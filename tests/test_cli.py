@@ -7,10 +7,12 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import adastream
 from adastream.cli import main
 from adastream.scenario import parse_scenario
 
@@ -51,6 +53,18 @@ def test_bare_package_import_loads_no_submodule():
     )
     assert "adastream" in loaded
     assert [m for m in loaded if m.startswith("adastream.")] == []
+
+
+def test_the_version_has_one_home():
+    # pyproject.toml names adastream.__version__ instead of stating a version of its own
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls its [tool.setuptools] table beta
+        project = pyprojecttoml.read_configuration(
+            Path(__file__).resolve().parents[1] / "pyproject.toml", expand=True
+        )["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == adastream.__version__
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -168,13 +168,13 @@ def reference_jsonl(runs) -> str:
 
 
 def run_against_reference(config) -> tuple:
-    """Run into the file sink, check its text against the reference encoder's; the result and text."""
+    """Run into the file sink, check its text against the reference encoder's; the run records and text."""
     file = io.StringIO()
     sink = RecordingSink(file)
-    result = Engine(config).run(sink)
+    records = Engine(config).run(sink)
     text = file.getvalue()
     assert text == reference_jsonl(sink.runs)
-    return result, text
+    return records, text
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -182,14 +182,14 @@ def run_against_reference(config) -> tuple:
 def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    result, text = run_against_reference(config)
+    records, text = run_against_reference(config)
     events = parse_checked_lines(config, text)
     assert {e["dt_us"] for e in events if e["event"] == "step"} == {config.monitor_interval_us}
     with tempfile.TemporaryDirectory() as out:
         run_experiment(config, out)
         assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")
         # the drawn names head runs.csv's columns and come back unchanged
-        assert parse_runs_csv(Path(out) / "runs.csv") == (list(result.records), config.space.names)
+        assert parse_runs_csv(Path(out) / "runs.csv") == (list(records), config.space.names)
 
 
 def test_encoder_matches_json_dumps_on_every_event_shape():

@@ -33,7 +33,7 @@ def test_runs_csv_round_trips_records(tmp_path, scenario_factory):
     run_experiment(config, tmp_path)
     records, names = parse_runs_csv(tmp_path / "runs.csv")
     assert names == ("LR", "HR")
-    direct = run_dropping_events(config).records
+    direct = run_dropping_events(config)
     assert tuple(records) == direct
 
 
@@ -99,13 +99,13 @@ def test_compare_identical_reports_tie(tmp_path, scenario_factory):
 
 def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory):
     config = scenario_factory(runs=20)
-    result = run_dropping_events(config)
+    direct = run_dropping_events(config)
     run_experiment(config, tmp_path / "adaptive")
     for label in ("static-LR", "static-HR"):
         run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
     cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
     assert list(cmp.adaptive_selection) == list(config.space.names)
-    assert cmp.adaptive_selection == selection_fractions(result.records, config.space.names)
+    assert cmp.adaptive_selection == selection_fractions(direct, config.space.names)
 
 
 def test_compare_rejects_duplicate_scenarios(tmp_path, scenario_factory):

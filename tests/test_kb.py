@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.errors import InvalidRunError
 from adastream.kb import (
     AdaptationSpace,
     AdaptationStrategy,
@@ -15,8 +14,8 @@ from adastream.kb import (
 )
 
 
-def strategy(sid, target="LR", at_us=0, reason="below-threshold"):
-    return AdaptationStrategy(id=sid, issued_at_us=at_us, target=target, reason=reason)
+def strategy(sid, target="LR", reason="below-threshold"):
+    return AdaptationStrategy(id=sid, target=target, reason=reason)
 
 
 def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None, scenario="adaptive"):
@@ -39,13 +38,13 @@ def test_default_space_matches_reference_settings():
     space = default_space()
     lr, hr = space.configs
     assert space.names == ("LR", "HR")
-    assert (lr.frame_rate, lr.scale_w, lr.scale_h) == (30, 320, 240)
-    assert (hr.frame_rate, hr.scale_w, hr.scale_h) == (60, 720, 480)
+    assert (lr.frame_rate, lr.quality_score) == (30, 0.99)
+    assert (hr.frame_rate, hr.quality_score) == (60, 0.20)
     assert space.highest_rate_config.frame_rate == 60
 
 
 def test_space_rejects_duplicates_and_empty():
-    lr = StreamConfig("LR", 30, 320, 240, 0.99)
+    lr = StreamConfig("LR", 30, 0.99)
     with pytest.raises(ValueError):
         AdaptationSpace.of(configs=())
     with pytest.raises(ValueError):
@@ -55,8 +54,8 @@ def test_space_rejects_duplicates_and_empty():
 def test_space_max_frame_rate_is_recomputed():
     space = AdaptationSpace.of(
         configs=(
-            StreamConfig("A", 10, 100, 100, 0.5),
-            StreamConfig("B", 25, 100, 100, 0.5),
+            StreamConfig("A", 10, 0.5),
+            StreamConfig("B", 25, 0.5),
         )
     )
     assert space.highest_rate_config.frame_rate == 25
@@ -73,7 +72,7 @@ def test_space_max_frame_rate_is_recomputed():
 def test_space_cached_lookups_match_scans(names_and_rates):
     # rates drawn from 1..3 force frame-rate ties, which go to the first config
     names, rates = names_and_rates
-    configs = tuple(StreamConfig(n, r, 100, 100, 0.5) for n, r in zip(names, rates))
+    configs = tuple(StreamConfig(n, r, 0.5) for n, r in zip(names, rates))
     space = AdaptationSpace.of(configs=configs)
     for _ in range(2):  # the second pass reads the cached values
         assert space.highest_rate_config is max(configs, key=lambda c: c.frame_rate)
@@ -84,11 +83,11 @@ def test_space_cached_lookups_match_scans(names_and_rates):
 
 
 def test_run_record_enforces_accounting_identity():
-    with pytest.raises(InvalidRunError):
+    with pytest.raises(ValueError):
         record(duration_us=0)
-    with pytest.raises(InvalidRunError):
+    with pytest.raises(ValueError):
         record(duration_us=10, reconfig_us=20)
-    with pytest.raises(InvalidRunError):
+    with pytest.raises(ValueError):
         RunRecord.of(
             run_index=0, scenario="adaptive", duration_us=100, reconfig_us=10,
             switches=1, streamed_us={"LR": 80},  # 80 + 10 != 100

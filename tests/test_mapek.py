@@ -178,9 +178,9 @@ def test_monitor_tick_deterministic():
 
 def test_execute_applies_latest_strategy():
     kb = KnowledgeBase(last_applied="LR")
-    kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
-    stream = StreamState("LR")
-    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
+    kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
+    stream = StreamState("LR", to_us(2.7))
+    outcome = Executor().execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "HR" and outcome.strategy_id == 1
     assert stream.pending == "HR"
     assert kb.last_applied == "HR"
@@ -188,9 +188,9 @@ def test_execute_applies_latest_strategy():
 
 def test_execute_registry_unavailable_falls_back():
     kb = KnowledgeBase(last_applied="LR")
-    kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
-    stream = StreamState("LR")
-    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=False)
+    kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
+    stream = StreamState("LR", to_us(2.7))
+    outcome = Executor().execute(kb, stream, registry_available=False)
     assert not outcome.applied
     assert outcome.source == "fallback" and outcome.target == "LR"
     assert stream.pending is None  # still streaming, unchanged
@@ -199,28 +199,28 @@ def test_execute_registry_unavailable_falls_back():
 
 def test_execute_matching_target_is_free():
     kb = KnowledgeBase(last_applied="LR")
-    kb.register_strategy(AdaptationStrategy(1, 0, "LR", "below-threshold"))
-    stream = StreamState("LR")
-    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
+    kb.register_strategy(AdaptationStrategy(1, "LR", "below-threshold"))
+    stream = StreamState("LR", to_us(2.7))
+    outcome = Executor().execute(kb, stream, registry_available=True)
     assert not outcome.applied
     assert stream.reconfig_remaining_us == 0
 
 
 def test_execute_empty_registry_is_noop():
     kb = KnowledgeBase(last_applied="LR")
-    stream = StreamState("LR")
-    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
+    stream = StreamState("LR", to_us(2.7))
+    outcome = Executor().execute(kb, stream, registry_available=True)
     assert not outcome.applied and outcome.strategy_id is None
 
 
 def test_execute_compares_against_pending_target():
     # a switch to HR is in flight; the latest strategy reverses to LR
     kb = KnowledgeBase(last_applied="HR")
-    stream = StreamState("LR")
-    stream.apply_config("HR", to_us(2.7))
-    kb.register_strategy(AdaptationStrategy(1, 0, "HR", "above-threshold"))
-    kb.register_strategy(AdaptationStrategy(2, 1_000_000, "LR", "below-threshold"))
-    outcome = Executor(to_us(2.7)).execute(kb, stream, registry_available=True)
+    stream = StreamState("LR", to_us(2.7))
+    stream.apply_config("HR")
+    kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
+    kb.register_strategy(AdaptationStrategy(2, "LR", "below-threshold"))
+    outcome = Executor().execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "LR"
     assert stream.pending == "LR"
 
@@ -229,19 +229,19 @@ def test_execute_compares_against_pending_target():
 
 
 def test_static_scenario_registers_nothing(scenario_factory):
-    result, events = run_with_events(scenario_factory(scenario="static-LR", runs=5))
-    assert len(result.records) == 5
-    assert all(r.reconfig_us == 0 for r in result.records)
-    assert all(r.streamed_us == {"LR": to_us(30)} for r in result.records)
+    records, events = run_with_events(scenario_factory(scenario="static-LR", runs=5))
+    assert len(records) == 5
+    assert all(r.reconfig_us == 0 for r in records)
+    assert all(r.streamed_us == {"LR": to_us(30)} for r in records)
     assert registered_strategies(events) == []
 
 
 def test_loop_is_deterministic(scenario_factory):
     a, a_events = run_with_events(scenario_factory(runs=3))
     b, b_events = run_with_events(scenario_factory(runs=3))
-    assert a.records == b.records
+    assert a == b
     assert registered_strategies(a_events) == registered_strategies(b_events)
-    assert a.threshold_mbps == b.threshold_mbps
+    assert Engine(scenario_factory(runs=3)).threshold_mbps == Engine(scenario_factory(runs=3)).threshold_mbps
 
 
 def test_seed_changes_the_event_log(scenario_factory):
@@ -251,9 +251,9 @@ def test_seed_changes_the_event_log(scenario_factory):
 
 
 def test_adaptive_loop_adapts_and_accounts_exactly(scenario_factory):
-    result, events = run_with_events(scenario_factory(runs=10))
+    records, events = run_with_events(scenario_factory(runs=10))
     assert len(registered_strategies(events)) > 0
-    for record in result.records:
+    for record in records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
 
@@ -287,12 +287,12 @@ def test_probe_fault_window_freezes_planning(scenario_factory):
     config = scenario_factory(runs=3, faults=[
         {"start_s": 30.0, "end_s": 60.0, "kind": "probe-unavailable"},
     ])
-    assert config.faults.windows == (window,)
-    result, events = run_with_events(config)
+    assert config.faults == FaultSchedule.of(windows=(window,))
+    records, events = run_with_events(config)
     in_window = [e for e in events if window.start_us <= e["t_us"] < window.end_us]
     assert all(e["condition"] == "unknown" for e in in_window if e["event"] == "analyze")
     assert all(e["action"] == "keep" for e in in_window if e["event"] == "plan")
-    for record in result.records:  # the stream never halted
+    for record in records:  # the stream never halted
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
 
@@ -300,7 +300,7 @@ def test_registry_fault_window_uses_fallback_only(scenario_factory):
     config = scenario_factory(runs=4, faults=[
         {"start_s": 30.0, "end_s": 66.0, "kind": "registry-unavailable"},
     ])
-    result, events = run_with_events(config)
+    records, events = run_with_events(config)
     start, end = to_us(30), to_us(66)
     in_window = [e for e in events if start <= e["t_us"] < end]
     executes = [e for e in in_window if e["event"] == "execute"]
@@ -308,7 +308,7 @@ def test_registry_fault_window_uses_fallback_only(scenario_factory):
     assert all(e["source"] == "fallback" and not e["applied"] for e in executes)
     registers = [e for e in in_window if e["event"] == "register"]
     assert all(not e["ok"] for e in registers)
-    for record in result.records:
+    for record in records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us
 
 
@@ -320,17 +320,18 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
         user_overrides=[{"at_s": 10.0, "target": "LR"}],
     )
-    result, events = run_with_events(config)
+    records, events = run_with_events(config)
     # the override fires once at t=10; threshold planning resumes next tick
     # and reverts (constant trace ties at the threshold, i.e. above)
     strategies = registered_strategies(events)
+    registered_at = {e["strategy_id"]: e["t_us"] for e in events if e["event"] == "register" and e["ok"]}
     user_strategies = [s for s in strategies if s.reason == "user-config"]
     assert len(user_strategies) == 1
     assert user_strategies[0].target == "LR"
-    assert user_strategies[0].issued_at_us == to_us(10)
+    assert registered_at[user_strategies[0].id] == to_us(10)
     revert = strategies[1]
     assert revert.reason == "above-threshold" and revert.target == "HR"
-    assert revert.issued_at_us == to_us(11)
+    assert registered_at[revert.id] == to_us(11)
     applied = [e for e in events if e["event"] == "execute" and e["applied"]]
     assert [e["strategy_id"] for e in applied] == [s.id for s in strategies]
 
@@ -344,7 +345,7 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
         faults=[{"start_s": 10.0, "end_s": 20.0, "kind": "registry-unavailable"}],
         user_overrides=[{"at_s": 12.0, "target": "LR"}],
     )
-    result, events = run_with_events(config)
+    records, events = run_with_events(config)
     strategy_events = [
         e for e in events
         if (e["event"] == "plan" and e["action"] == "strategy") or e["event"] == "register"
@@ -358,8 +359,8 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
          "ok": False, "strategy_id": None, "target": "LR"},
     ]
     assert registered_strategies(events) == []
-    assert [r.switches for r in result.records] == [0, 0]
-    assert all(r.streamed_us == {"HR": to_us(30)} for r in result.records)
+    assert [r.switches for r in records] == [0, 0]
+    assert all(r.streamed_us == {"HR": to_us(30)} for r in records)
 
 
 def test_registry_outage_during_a_switch_falls_back_to_the_pending_target(scenario_factory):
@@ -372,7 +373,7 @@ def test_registry_outage_during_a_switch_falls_back_to_the_pending_target(scenar
         faults=[{"start_s": 13.0, "end_s": 20.0, "kind": "registry-unavailable"}],
         user_overrides=[{"at_s": 12.0, "target": "LR"}],
     )
-    result, events = run_with_events(config)
+    records, events = run_with_events(config)
     # The switch to LR starts at 12 s and drains during the 17 s tick; the
     # outage from 13 s drops every HR strategy the planner issues meanwhile.
     fallbacks = [e for e in events if e["event"] == "execute" and e["source"] == "fallback"]
@@ -397,7 +398,7 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
         user_overrides=[{"at_s": 12.2, "target": "LR"}, {"at_s": 12.7, "target": "HR"}],
     )
-    result, events = run_with_events(config)
+    records, events = run_with_events(config)
     # Both fall due at the 13 s tick. The HR one acts, and as the stream is
     # already on HR it plans nothing; the LR one leaves no event at all.
     plans = [e for e in events if e["event"] == "plan" and e["t_us"] == to_us(13)]
@@ -406,7 +407,7 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
     ]
     assert all(e.get("target") != "LR" for e in events)
     assert registered_strategies(events) == []
-    assert result.records[0].streamed_us == {"HR": to_us(30)}
+    assert records[0].streamed_us == {"HR": to_us(30)}
 
 
 def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenario_factory):
@@ -430,7 +431,7 @@ def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenar
         {"seq": 6 * 5 + 2, "run": 0, "t_us": to_us(6), "event": "plan",
          "action": "strategy", "target": "HR", "reason": "above-threshold"},
     ]
-    assert registered_strategies(events) == [AdaptationStrategy(1, to_us(6), "HR", "above-threshold")]
+    assert registered_strategies(events) == [AdaptationStrategy(1, "HR", "above-threshold")]
 
 
 def test_hysteresis_band_reduces_switching(scenario_factory):
@@ -479,6 +480,25 @@ def test_engine_rejects_a_non_positive_monitor_interval(scenario_factory):
         Engine(config)
 
 
+# A hand-built config the parser would refuse: with no runs aggregate divides by zero, a
+# negative delay never drains so the stream never switches, and a zero step divides by zero.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"runs": 0}, "runs must be at least 1, got 0"),
+        ({"runs": -1}, "runs must be at least 1, got -1"),
+        ({"run_duration_us": 0}, "run duration must be positive, got 0 us"),
+        ({"reconfig_delay_us": -5}, "reconfig delay must be non-negative, got -5 us"),
+        ({"trace": make_scenario().trace._replace(step_us=0)}, "trace step must be positive, got 0 us"),
+    ],
+    ids=["runs-0", "runs-minus-1", "run-duration-0", "reconfig-delay-minus-5", "trace-step-0"],
+)
+def test_engine_refuses_a_config_the_loop_cannot_run(scenario_factory, fields, message):
+    config = scenario_factory(runs=2)._replace(**fields)
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        Engine(config)
+
+
 def test_engine_rejects_an_initial_config_outside_the_space(scenario_factory):
     config = scenario_factory(runs=1)._replace(initial_config="XX")
     with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
@@ -514,9 +534,9 @@ def test_engine_refuses_a_warmup_window_that_starts_below_0(scenario_factory):
 
 
 def test_sub_second_monitor_interval(scenario_factory):
-    result, events = run_with_events(scenario_factory(runs=2, monitor_interval_s=0.5))
+    records, events = run_with_events(scenario_factory(runs=2, monitor_interval_s=0.5))
     steps = [e for e in events if e["event"] == "step"]
     assert len(steps) == 2 * 60
     assert all(e["dt_us"] == 500_000 for e in steps)
-    for record in result.records:
+    for record in records:
         assert record.streamed_total_us + record.reconfig_us == record.duration_us

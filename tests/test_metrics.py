@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adastream.errors import InvalidRunError
+from adastream.errors import SimulationError
 from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
@@ -149,7 +149,7 @@ def test_quality_performance_excludes_reconfig_seconds():
 def test_quality_performance_rejects_zero_streamed():
     # a run that streamed nothing has no qp, and the report refuses it
     r = record(30, 30, lr_s=0)
-    with pytest.raises(InvalidRunError, match="^run 0 streamed nothing; quality performance undefined$"):
+    with pytest.raises(SimulationError, match="^run 0 streamed nothing; quality performance undefined$"):
         aggregate([r], SPACE)
 
 
@@ -297,9 +297,9 @@ def test_dominant_config_and_fractions():
 
 def test_selection_ties_go_to_the_first_config_in_space_order():
     space = AdaptationSpace.of((
-        StreamConfig("HR", 30, 1280, 720, 0.2),
-        StreamConfig("MR", 20, 960, 540, 0.5),
-        StreamConfig("LR", 5, 640, 360, 0.9),
+        StreamConfig("HR", 30, 0.2),
+        StreamConfig("MR", 20, 0.5),
+        StreamConfig("LR", 5, 0.9),
     ))
 
     def run(run_index, reconfig_s=0, **seconds):

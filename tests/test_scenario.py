@@ -49,7 +49,7 @@ def test_minimal_document_fills_defaults():
     assert config.warmup == scenario.WarmupParams(start_s=0.0, end_s=10800.0)
     assert config.initial_config == "HR"  # highest frame rate boots adaptive runs
     assert config.hysteresis_mbps == 0.0
-    assert config.faults.windows == ()
+    assert config.faults.by_kind == {}
 
 
 def test_static_scenario_pins_initial_config():

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from adastream.errors import InvalidRunError
 from adastream.stream import StreamState
 from adastream.units import to_us
 
@@ -22,8 +21,8 @@ def test_delay_derivation():
 
 
 def test_apply_same_config_is_free():
-    state = StreamState(LR)
-    state.apply_config(LR, DELAY_US)
+    state = StreamState(LR, DELAY_US)
+    state.apply_config(LR)
     assert state.active == "LR" and state.switches == 0
     assert state.pending is None
     assert state.reconfig_remaining_us == 0
@@ -32,28 +31,28 @@ def test_apply_same_config_is_free():
 
 
 def test_apply_new_config_opens_reconfiguration():
-    state = StreamState(LR)
-    state.apply_config(HR, DELAY_US)
+    state = StreamState(LR, DELAY_US)
+    state.apply_config(HR)
     assert state.pending == "HR"
     assert state.reconfig_remaining_us == 2_700_000
     assert state.active == "LR"
 
 
 def test_reapply_pending_does_not_extend_delay():
-    state = StreamState(LR)
-    state.apply_config(HR, DELAY_US)
+    state = StreamState(LR, DELAY_US)
+    state.apply_config(HR)
     state.step(to_us(1))
     assert state.reconfig_remaining_us == 1_700_000
-    state.apply_config(HR, DELAY_US)
+    state.apply_config(HR)
     assert state.reconfig_remaining_us == 1_700_000
     assert state.pending == "HR"
 
 
 def test_replace_pending_mid_flight_keeps_deadline():
-    state = StreamState(LR)
-    state.apply_config(HR, DELAY_US)
+    state = StreamState(LR, DELAY_US)
+    state.apply_config(HR)
     state.step(to_us(1))
-    state.apply_config(LR, DELAY_US)  # reverse course
+    state.apply_config(LR)  # reverse course
     assert state.pending == "LR"
     assert state.reconfig_remaining_us == 1_700_000
     state.step(to_us(2))
@@ -64,15 +63,15 @@ def test_replace_pending_mid_flight_keeps_deadline():
 
 
 def test_step_streams_at_active_config():
-    state = StreamState(LR)
+    state = StreamState(LR, DELAY_US)
     out = state.step(to_us(1))
     assert state.streamed_us == {"LR": 1_000_000}
     assert out == (0, 1_000_000, "LR")
 
 
 def test_step_splits_across_switch_completion():
-    state = StreamState(LR)
-    state.apply_config(HR, DELAY_US)
+    state = StreamState(LR, DELAY_US)
+    state.apply_config(HR)
     out = state.step(to_us(3))
     # 2.7 s reconfiguring, then 0.3 s streamed at the new config
     assert out == (2_700_000, 300_000, "HR")
@@ -81,8 +80,8 @@ def test_step_splits_across_switch_completion():
 
 
 def test_step_entirely_inside_reconfiguration():
-    state = StreamState(LR)
-    state.apply_config(HR, to_us(5))
+    state = StreamState(LR, to_us(5))
+    state.apply_config(HR)
     out = state.step(to_us(1))
     assert state.reconfig_remaining_us == to_us(4)
     assert out == (1_000_000, 0, "LR")
@@ -90,15 +89,15 @@ def test_step_entirely_inside_reconfiguration():
 
 
 def test_zero_delay_switch_is_instant():
-    state = StreamState(LR)
-    state.apply_config(HR, 0)
+    state = StreamState(LR, 0)
+    state.apply_config(HR)
     assert state.active == "HR" and state.pending is None
     assert state.switches == 1
     assert state.reconfig_us == 0
 
 
 def test_static_run_finalizes_with_full_streaming():
-    state = StreamState(LR)
+    state = StreamState(LR, DELAY_US)
     for _ in range(30):
         state.step(to_us(1))
     record = state.finalize_run("static-LR", 0, RUN_US)
@@ -108,9 +107,9 @@ def test_static_run_finalizes_with_full_streaming():
 
 
 def test_single_switch_run_accounting():
-    state = StreamState(LR)
+    state = StreamState(LR, DELAY_US)
     state.step(to_us(10))
-    state.apply_config(HR, DELAY_US)
+    state.apply_config(HR)
     state.step(to_us(20))
     record = state.finalize_run("adaptive", 0, RUN_US)
     assert record.reconfig_us == 2_700_000
@@ -120,9 +119,9 @@ def test_single_switch_run_accounting():
 
 
 def test_run_ending_mid_reconfiguration_clips_open_interval():
-    state = StreamState(LR)
+    state = StreamState(LR, DELAY_US)
     state.step(to_us(29))
-    state.apply_config(HR, DELAY_US)
+    state.apply_config(HR)
     state.step(to_us(1))
     record = state.finalize_run("adaptive", 0, RUN_US)
     assert record.reconfig_us == 1_000_000
@@ -134,11 +133,11 @@ def test_run_ending_mid_reconfiguration_clips_open_interval():
 
 
 def test_finalized_record_keeps_its_ledger_after_later_steps():
-    state = StreamState(LR)
+    state = StreamState(LR, 0)
     state.step(RUN_US)
     record = state.finalize_run("static-LR", 0, RUN_US)
     state.step(to_us(5))
-    state.apply_config(HR, 0)
+    state.apply_config(HR)
     state.step(to_us(5))
     assert record.streamed_us == {"LR": RUN_US}
     assert (record.reconfig_us, record.switches) == (0, 0)
@@ -147,9 +146,9 @@ def test_finalized_record_keeps_its_ledger_after_later_steps():
 
 def test_switch_in_flight_at_run_boundaries_charges_each_run_its_own_part():
     # a 35 s delay that opens 1 s before the end of run 0 spans all of run 1
-    state = StreamState(LR)
+    state = StreamState(LR, to_us(35))
     state.step(to_us(29))
-    state.apply_config(HR, to_us(35))
+    state.apply_config(HR)
     state.step(to_us(1))
     records = [state.finalize_run("adaptive", 0, RUN_US)]
     state.step(RUN_US)
@@ -163,23 +162,23 @@ def test_switch_in_flight_at_run_boundaries_charges_each_run_its_own_part():
 
 
 def test_finalize_rejects_clock_mismatch():
-    state = StreamState(LR)
+    state = StreamState(LR, DELAY_US)
     state.step(to_us(29))
-    with pytest.raises(InvalidRunError, match="run 7: time accounting broken"):
+    with pytest.raises(ValueError, match="run 7: time accounting broken"):
         state.finalize_run("adaptive", 7, RUN_US)
 
 
 def test_time_conservation_over_random_interleavings():
     for seed in range(50):
         rng = random.Random(seed)
-        state = StreamState(LR)
+        state = StreamState(LR, to_us(rng.choice([0, 1.3, 2.7, 5.0])))
         switches_seen = 0
         reconfig_seen = 0
         elapsed = 0
         for _ in range(200):
             if rng.random() < 0.3:
                 target = rng.choice((LR, HR))
-                state.apply_config(target, to_us(rng.choice([0, 1.3, 2.7, 5.0])))
+                state.apply_config(target)
             else:
                 dt = rng.randint(1, 3_000_000)
                 state.step(dt)
@@ -195,7 +194,7 @@ def test_static_scenario_always_tp_one():
     # no apply_config after start: reconfig stays zero for any step pattern
     for seed in range(10):
         rng = random.Random(seed)
-        state = StreamState(HR)
+        state = StreamState(HR, DELAY_US)
         total = 0
         while total < RUN_US:
             dt = min(rng.randint(1, 2_000_000), RUN_US - total)

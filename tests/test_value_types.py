@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from adastream import experiment, kb, mapek, metrics, netsim, scenario, stream
-from adastream.errors import InvalidRunError
 from adastream.experiment import Comparison, ScenarioArtifacts
 from adastream.kb import (
     AdaptationSpace,
@@ -27,7 +26,7 @@ from adastream.kb import (
     StreamConfig,
     default_space,
 )
-from adastream.mapek import EngineResult, ExecuteOutcome
+from adastream.mapek import ExecuteOutcome
 from adastream.metrics import PerformanceReport, PerformanceWeights, QualityWeights
 from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample
 from adastream.scenario import (
@@ -41,7 +40,7 @@ from adastream.stream import StepOutcome
 
 from conftest import bundled_config_path
 
-LR = StreamConfig("LR", 30, 320, 240, 0.99)
+LR = StreamConfig("LR", 30, 0.99)
 SPACE = default_space()
 CONFIG = load_scenario(bundled_config_path("table3-adaptive"))
 RECORD = RunRecord.of(
@@ -53,11 +52,12 @@ ARTIFACTS = ScenarioArtifacts(label="adaptive", grid=GRID, records=[RECORD], con
 PROBE_DOWN = "probe-unavailable"
 
 # (type, keyword arguments of one valid value, [(changed arguments, error, message)]);
-# the arguments go to the type's `of` where it has one, else to the type itself
+# the arguments go to the type's `of` where it has one, else to the type itself.
+# FaultSchedule.of takes the windows and keeps only its per-kind index of them.
 CASES = [
     (
         StreamConfig,
-        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        {"name": "LR", "frame_rate": 30, "quality_score": 0.99},
         [],
     ),
     (
@@ -70,7 +70,7 @@ CASES = [
     ),
     (
         AdaptationStrategy,
-        {"id": 1, "issued_at_us": 5, "target": "LR", "reason": "below-threshold"},
+        {"id": 1, "target": "LR", "reason": "below-threshold"},
         [],
     ),
     (
@@ -80,18 +80,18 @@ CASES = [
             "switches": 1, "streamed_us": {"LR": 90},
         },
         [
-            ({"run_index": -1}, InvalidRunError, "run index and switches must be non-negative, got -1 and 1"),
-            ({"switches": -3}, InvalidRunError, "run index and switches must be non-negative, got 0 and -3"),
+            ({"run_index": -1}, ValueError, "run index and switches must be non-negative, got -1 and 1"),
+            ({"switches": -3}, ValueError, "run index and switches must be non-negative, got 0 and -3"),
             (
                 {"streamed_us": {"LR": 100, "HR": -10}},
-                InvalidRunError,
+                ValueError,
                 "run 0: negative streamed time in {'LR': 100, 'HR': -10}",
             ),
-            ({"duration_us": 0}, InvalidRunError, "run duration must be positive, got 0 us"),
-            ({"reconfig_us": 120}, InvalidRunError, "reconfig time 120 us outside [0, 100] us"),
+            ({"duration_us": 0}, ValueError, "run duration must be positive, got 0 us"),
+            ({"reconfig_us": 120}, ValueError, "reconfig time 120 us outside [0, 100] us"),
             (
                 {"streamed_us": {"LR": 80}},
-                InvalidRunError,
+                ValueError,
                 "run 0: time accounting broken: streamed 80 + reconfig 10 != duration 100",
             ),
         ],
@@ -129,11 +129,6 @@ CASES = [
     (PerformanceWeights, {"w_t": 0.9, "w_q": 0.1}, []),
     (PerformanceReport, {"scenario": "adaptive", "run_count": 1, "grid": GRID}, []),
     (
-        EngineResult,
-        {"records": (RECORD,), "threshold_mbps": 5.0},
-        [],
-    ),
-    (
         ScenarioArtifacts,
         {"label": "adaptive", "grid": GRID, "records": [RECORD], "config_names": ("LR", "HR")},
         [],
@@ -157,16 +152,16 @@ IDS = [case[0].__name__ for case in CASES]
 @pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
 def test_value_type_contract(cls, fields, invalid):
     value = build(cls)(**fields)
-    for name, field_value in fields.items():
-        assert getattr(value, name) is field_value
+    for name in cls._fields:
+        if name in fields:
+            assert getattr(value, name) is fields[name]
         with pytest.raises(AttributeError):
-            setattr(value, name, field_value)
+            setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == build(cls)(**fields) == copy.copy(value)
     assert value != object()
-    first = next(iter(fields))
-    assert repr(value).startswith(f"{cls.__name__}({first}=")
+    assert repr(value).startswith(f"{cls.__name__}({cls._fields[0]}=")
     for changes, error, message in invalid:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             build(cls)(**{**fields, **changes})
@@ -181,6 +176,8 @@ def test_replace_runs_the_constructor_checks(cls, fields, invalid):
     value = build(cls)(**fields)
     assert type(value._replace()) is cls and value._replace() == value
     for changes, _, _ in invalid:
+        if not changes.keys() <= set(cls._fields):
+            continue  # an argument of `of` that is not a field
         replaced = value._replace(**changes)
         assert type(replaced) is cls
         assert replaced._asdict() == {**value._asdict(), **changes}
@@ -213,7 +210,7 @@ def test_every_based_type_is_in_cases():
 # A value hashes by its fields, so a dict or list in a field makes it unhashable:
 # FaultSchedule's per-kind index and RunRecord's ledger, and what holds either.
 UNHASHABLE = {
-    FaultSchedule, RunRecord, ScenarioConfig, EngineResult, PerformanceReport,
+    FaultSchedule, RunRecord, ScenarioConfig, PerformanceReport,
     ScenarioArtifacts, Comparison,
 }
 
@@ -253,3 +250,46 @@ def test_checked_types_are_built_only_through_of():
         found += direct_builds(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), names)
     allowed = {f"{module}.{name}.of:{name}" for module in ("kb", "netsim") for name in names}
     assert [site for site in found if site not in allowed] == []
+
+
+
+# Types whose fields are read by tuple unpacking, not by attribute, each with the
+# function that unpacks all of its fields at once.
+UNPACKED = {
+    "SpeedSample": "experiment.events_jsonl_text",
+    "ExecuteOutcome": "experiment.events_jsonl_text",
+    "StepOutcome": "experiment.events_jsonl_text",
+    "TraceParams": "netsim.generate_trace",
+    "_Field": "scenario._read",
+}
+
+
+def test_every_field_has_a_reader():
+    # A field no code reads changes no output: it goes, or it gets a reader.
+    package = Path(__file__).resolve().parents[1] / "src" / "adastream"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    fields = {
+        node.name: [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+        for node in nodes
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+    }
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{cls}.{name}"
+        for cls, names in fields.items()
+        if cls not in UNPACKED
+        for name in names
+        if name not in read
+    ]
+    assert unread == []
+    # each listed site binds as many names in one tuple target as the type has fields
+    for cls, site in UNPACKED.items():
+        module, function = site.split(".")
+        (body,) = [n for n in trees[module].body if getattr(n, "name", None) == function]
+        widths = {
+            len(node.elts)
+            for node in ast.walk(body)
+            if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store)
+        }
+        assert len(fields[cls]) in widths, (cls, site)
