@@ -270,8 +270,6 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
                     f"warmup window needs 0 <= start_s < end_s <= duration_s, "
                     f"got [{w_start}, {w_end}) over {w_duration}"
                 )
-            elif trace is not None and to_us(w_duration) < trace.step_us:
-                diags.append("warmup.duration_s must cover at least one trace step")
             elif trace is not None and not sample_indices(
                 to_us(w_start), to_us(w_end), trace.step_us
             ):
@@ -311,8 +309,6 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
 
     if None not in (runs, run_duration_us, trace):
         step_us = trace.step_us
-        if runs * run_duration_us < step_us:
-            diags.append(f"runs * run_duration_s ({runs} * {run_duration}) is below one trace.step_s")
         # what Engine generates: ceil(duration / step) samples for the runs,
         # and for the warmup only up to end_s
         samples = -(-runs * run_duration_us // step_us)

@@ -38,7 +38,7 @@ class StreamState:
         self.switches = 0
 
     def apply_config(self, name: str) -> None:
-        """Command the stream to move to the config `name`.
+        """Open a switch to the config `name`; `step` completes it once its delay, even 0, has drained.
 
         Applying the already-active config with no switch in flight is free.
         Applying during an in-flight switch replaces the pending target
@@ -47,26 +47,21 @@ class StreamState:
         if self.pending is not None:
             self.pending = name
         elif name != self.active:
-            if self.reconfig_delay_us == 0:
-                self.active = name
-                self.switches += 1
-            else:
-                self.pending = name
-                self.reconfig_remaining_us = self.reconfig_delay_us
+            self.pending = name
+            self.reconfig_remaining_us = self.reconfig_delay_us
 
     def step(self, dt_us: int) -> StepOutcome:
         """Advance the stream by dt. Reconfiguration drains before streaming resumes."""
         reconfig_used = 0
         remaining = dt_us
         active = self.active
-        if self.reconfig_remaining_us > 0:
+        pending = self.pending
+        if pending is not None:
             reconfig_used = min(self.reconfig_remaining_us, remaining)
             self.reconfig_remaining_us -= reconfig_used
             self.reconfig_us += reconfig_used
             remaining -= reconfig_used
             if self.reconfig_remaining_us == 0:
-                pending = self.pending
-                assert pending is not None
                 if pending != active:
                     self.switches += 1
                 self.active = active = pending

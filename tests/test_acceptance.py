@@ -370,7 +370,7 @@ def bounded_documents(draw):
     if end_us <= start_us:
         end_us = start_us + draw(st.integers(1, step_us))
     warmup = {"start_s": start_us / 1e6, "end_s": end_us / 1e6}
-    warmup["duration_s"] = max(end_us, step_us) / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
+    warmup["duration_s"] = end_us / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
 
     faults = []
     for kind in ("probe-unavailable", "registry-unavailable"):

@@ -447,23 +447,8 @@ def test_validate_rejects_a_trace_period_below_the_clock_resolution(tmp_path, ca
     assert "trace.period_s" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "changes, diagnostic",
-    [
-        (
-            {"run_duration_s": 0.001, "monitor_interval_s": 1e-6},
-            "runs * run_duration_s (2 * 0.001) is below one trace.step_s",
-        ),
-        (
-            {"warmup": {"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}},
-            "warmup window [0.3, 0.6) selects no trace samples",
-        ),
-    ],
-    ids=["runs-below-one-step", "warmup-between-samples"],
-)
-def test_validate_and_run_reject_a_config_whose_trace_cannot_serve_it(tmp_path, capsys, changes, diagnostic):
-    # `run` used to accept both and stop with exit 2 once the trace was generated
-    config = {
+def trace_serving_document(**changes) -> dict:
+    return {
         "schema_version": 1,
         "scenario": "adaptive",
         "runs": 2,
@@ -473,6 +458,38 @@ def test_validate_and_run_reject_a_config_whose_trace_cannot_serve_it(tmp_path, 
         "seed": 1,
         **changes,
     }
+
+
+def test_validate_accepts_a_total_run_time_below_one_trace_step(tmp_path, capsys):
+    # the engine generates ceil(total / step) >= 1 samples, and every tick reads one of them
+    document = trace_serving_document(run_duration_s=0.001, monitor_interval_s=1e-6, probe_noise_sd_mbps=0.5)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**document, "reconfig_delay_s": 0.0}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "instant")]) == 0
+    capsys.readouterr()
+    # at the default 2.7 s delay, the first noisy probe below the threshold opens
+    # a switch that outlasts both 1 ms runs
+    path.write_text(json.dumps(document))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "delayed")]) == 2
+    assert capsys.readouterr().err == "error: run 1 streamed nothing; quality performance undefined\n"
+
+
+@pytest.mark.parametrize(
+    "changes, diagnostic",
+    [
+        (
+            {"warmup": {"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}},
+            "warmup window [0.3, 0.6) selects no trace samples",
+        ),
+    ],
+    ids=["warmup-between-samples"],
+)
+def test_validate_and_run_reject_a_config_whose_trace_cannot_serve_it(tmp_path, capsys, changes, diagnostic):
+    # `run` used to accept it and stop with exit 2 once the trace was generated
+    config = trace_serving_document(**changes)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
     assert main(["validate", str(path)]) == 1

@@ -9,11 +9,12 @@ single byte fails here. Re-pin only on purpose, together with
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from adastream.experiment import compare, render_comparison, run_experiment
-from adastream.scenario import load_scenario
+from adastream.scenario import load_scenario, parse_scenario
 
 from conftest import bundled_config_path
 
@@ -38,9 +39,28 @@ GOLDEN_SHA256 = {
     },
 }
 
+# The bundled adaptive config with no reconfiguration delay, a registry outage
+# and two user overrides, so that threshold, post-outage and override switches
+# all complete in the step of the tick that applies them.
+ZERO_DELAY_CHANGES = {
+    "reconfig_delay_s": 0.0,
+    "faults": [{"start_s": 400.0, "end_s": 460.0, "kind": "registry-unavailable"}],
+    "user_overrides": [{"at_s": 1000.0, "target": "LR"}, {"at_s": 2000.0, "target": "HR"}],
+}
+ZERO_DELAY_SHA256 = {
+    "runs.csv": "9e2525d83bd7fd85373be86186e46ddc85bca06f841dc5ce90f49840d8978fbb",
+    "events.jsonl": "06f204780a7ddc24e03e0f3d0b03a171ae22835cc360293f750ec39ace4c5be0",
+    "report.csv": "b85c53ca5a1ee6ca301815bfec1d3e6320343486cfabdbab0232a66b0a685525",
+    "report.txt": "71e02e280ea2c4ce6dd4c32a02ed81e04fa759e54ac1057a453a5a123aef8254",
+}
+
 # `render_comparison(compare([static-LR, static-HR, adaptive]))` over the
 # three configs above, as `adastream compare` prints it.
 GOLDEN_COMPARE_SHA256 = "84e255911410551020f797d7bcc1a4a67f024c085e879875082d0fb14fbaffe7"
+
+
+def artifact_digests(out_dir, artifacts) -> dict[str, str]:
+    return {artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest() for artifact in artifacts}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
@@ -48,12 +68,16 @@ def test_bundled_config_artifacts_match_golden_digests(tmp_path, name):
     config = load_scenario(bundled_config_path(name))
     assert config.seed == 42
     run_experiment(config, tmp_path)
-    digests = {
-        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
-        for artifact in GOLDEN_SHA256[name]
-    }
-    assert digests == GOLDEN_SHA256[name]
+    assert artifact_digests(tmp_path, GOLDEN_SHA256[name]) == GOLDEN_SHA256[name]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(GOLDEN_SHA256[name])
+
+
+def test_zero_delay_switches_match_golden_digests(tmp_path):
+    document = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    config, diags = parse_scenario({**document, **ZERO_DELAY_CHANGES})
+    assert diags == []
+    run_experiment(config, tmp_path)
+    assert artifact_digests(tmp_path, ZERO_DELAY_SHA256) == ZERO_DELAY_SHA256
 
 
 def test_bundled_comparison_matches_golden_digest(tmp_path):

@@ -66,19 +66,59 @@ def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch
     assert "".join(returned) == file.getvalue()
 
 
+def traced_bundled_adaptive_run(tmp_path) -> dict:
+    """perfbench/layers.py's trace of `adastream run` on the bundled adaptive config."""
+    trace_file = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(trace_file),
+         "run", str(bundled_config_path("table3-adaptive")), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True,
+    )
+    return json.loads(trace_file.read_text(encoding="utf-8"))
+
+
+# Each traced layer's call count on the bundled adaptive config, a pure function
+# of the config: 100 runs of 30 one-second ticks, one switch per run. Re-pin
+# only on purpose, as with the golden digests.
+BUNDLED_ADAPTIVE_CALLS = {
+    "cli.import": 1,
+    "cli.main": 1,
+    "scenario.load_scenario": 1,
+    "experiment.run_experiment": 1,
+    "mapek.Engine.init": 1,
+    "netsim.generate_trace": 2,
+    "netsim.compute_threshold": 1,
+    "mapek.Engine.run": 1,
+    "experiment.events_jsonl_text": 100,
+    "metrics.aggregate": 1,
+    "experiment.runs_csv_text": 1,
+    "metrics.render_report": 2,
+    "metrics.selection_fractions": 1,
+    "netsim.probe": 3_000,
+    "netsim.FaultSchedule.active": 6_000,
+    "mapek.Monitor.tick": 3_000,
+    "mapek.Analyzer.evaluate": 3_000,
+    "mapek.plan": 3_000,
+    "mapek.Executor.execute": 3_000,
+    "kb.register_strategy": 100,
+    "kb.latest_strategy": 3_000,
+    "stream.StreamState.step": 3_000,
+    "stream.StreamState.apply_config": 100,
+    "stream.StreamState.finalize_run": 100,
+}
+
+
+def test_each_traced_layer_is_called_as_often_as_pinned(tmp_path):
+    layers_seen = traced_bundled_adaptive_run(tmp_path)["layers"]
+    assert {name: layer["calls"] for name, layer in layers_seen.items()} == BUNDLED_ADAPTIVE_CALLS
+
+
 def test_the_tracers_observers_read_what_the_traced_stages_take(tmp_path):
     # The observers read generate_trace's result and compute_threshold's
     # arguments, the warmup window in seconds; a changed signature that kept
     # every byte would still skew netsim.warmup.* and the sample count.
-    path = bundled_config_path("table3-adaptive")
-    config = load_scenario(path)
-    trace_file = tmp_path / "trace.json"
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(trace_file),
-         "run", str(path), "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True,
-    )
-    counts = json.loads(trace_file.read_text(encoding="utf-8"))["counts"]
+    config = load_scenario(bundled_config_path("table3-adaptive"))
+    counts = traced_bundled_adaptive_run(tmp_path)["counts"]
     warmup, step_us = config.warmup, config.trace.step_us
     used = len(sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), step_us))
     assert used == 38

@@ -352,7 +352,6 @@ SPACE_DOC = BASE["adaptation_space"]
             },
             "faults invalid: overlapping probe-unavailable fault windows",
         ),
-        ({"warmup": {"duration_s": 0.5}}, "warmup.duration_s must cover at least one trace step"),
         (
             {"scenario": "static-LR", "initial_config": "HR", "user_overrides": []},
             "initial_config 'HR' conflicts with pinned static config 'LR'",
@@ -363,6 +362,13 @@ def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(ch
     config, diags = parse_scenario({**BASE, **changes})
     assert config is None
     assert diags == [diagnostic]
+
+
+def test_a_warmup_duration_below_one_trace_step_is_accepted():
+    # the window [0, 0.5) selects sample 0, which `selects no trace samples` checks
+    config, diags = parse_scenario({**BASE, "warmup": {"duration_s": 0.5}})
+    assert diags == []
+    assert config.warmup == (0.0, 0.5)
 
 
 PROBE_DOWN = "probe-unavailable"

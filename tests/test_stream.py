@@ -89,11 +89,14 @@ def test_step_entirely_inside_reconfiguration():
 
 
 def test_zero_delay_switch_is_instant():
+    # a zero delay takes the pending path and completes in the tick's own step
     state = StreamState(LR, 0)
     state.apply_config(HR)
+    outcome = state.step(to_us(1))
     assert state.active == "HR" and state.pending is None
     assert state.switches == 1
     assert state.reconfig_us == 0
+    assert outcome == (0, to_us(1), "HR")
 
 
 def test_static_run_finalizes_with_full_streaming():
