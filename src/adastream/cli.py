@@ -43,8 +43,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
         config = config._replace(seed=args.seed)
-    report = run_experiment(config, args.out)
-    print(f"wrote {args.out}: scenario {report.scenario}, {report.run_count} runs")
+    run_experiment(config, args.out)
+    print(f"wrote {args.out}: scenario {config.scenario}, {config.runs} runs")
     return 0
 
 

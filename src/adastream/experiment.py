@@ -25,11 +25,11 @@ from .metrics import (
     GRID_WIDTH,
     QUALITY_PRESETS,
     REPORT_METRICS,
-    PerformanceReport,
+    RunFold,
     aggregate,
-    config_quality_score,
     format_selection,
     grid_row,
+    quality_scores,
     render_report_csv,
     render_report_text,
     selection_fractions,
@@ -42,20 +42,11 @@ ARTIFACTS = ("events.jsonl", "runs.csv", "report.txt", "report.csv")
 RUNS_CSV_FIXED_COLUMNS = ["run", "scenario", "duration_s", "reconfig_s", "switches"]
 
 
-def runs_csv_text(records: tuple[RunRecord, ...], config_names: tuple[str, ...]) -> str:
-    header = RUNS_CSV_FIXED_COLUMNS + [f"seconds_{name}" for name in config_names]
-    lines = [",".join(header)]
-    for r in records:
-        row = [
-            str(r.run_index),
-            r.scenario,
-            format_seconds(r.duration_us),
-            format_seconds(r.reconfig_us),
-            str(r.switches),
-        ]
-        row += [format_seconds(r.streamed_us.get(name, 0)) for name in config_names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def runs_csv_text(r: RunRecord, config_names: tuple[str, ...]) -> str:
+    """One run's runs.csv row, with a seconds column for each of `config_names`."""
+    cells = [r.run_index, r.scenario, format_seconds(r.duration_us), format_seconds(r.reconfig_us), r.switches]
+    cells += [format_seconds(r.streamed_us.get(name, 0)) for name in config_names]
+    return ",".join(map(str, cells)) + "\n"
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -137,8 +128,8 @@ class JsonlFileSink:
         self._quoted = QuotedNames()
         self._seq = 0  # the next line's seq: seq counts the lines from 0
 
-    def write_run(self, run_index: int, ticks: list[tuple]) -> None:
-        self._file.write(events_jsonl_text(run_index, self._seq, ticks, self._quoted))
+    def write_run(self, record: RunRecord, ticks: list[tuple]) -> None:
+        self._file.write(events_jsonl_text(record.run_index, self._seq, ticks, self._quoted))
         # five lines a tick, and a register line when the tick carries a strategy
         self._seq += 5 * len(ticks) + sum(1 for tick in ticks if tick[2] is not None)
 
@@ -152,8 +143,8 @@ def _read_lines(path: str | Path) -> list[str]:
     return [line for line in text.splitlines() if line]
 
 
-def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
-    """Rebuild run records (and the config-name column order) from runs.csv."""
+def parse_runs_csv(path: str | Path) -> tuple[str | None, RunFold]:
+    """Fold runs.csv's rows, rebuilt as run records, with no scores: the rows' scenario and the fold."""
     lines = _read_lines(path)
     if not lines:
         raise SimulationError(f"{path} is empty")
@@ -166,15 +157,17 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
             raise SimulationError(f"{path}: column {col!r} is not seconds_<config>")
         if names.count(name) > 1:
             raise SimulationError(f"{path}: repeated column {col!r}")
-    records = []
+    fold = RunFold(names, {})
+    scenario = None
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
             raise SimulationError(f"{path}:{lineno}: {len(cells)} cells for {len(header)} columns")
-        if records and cells[1] != records[0].scenario:
+        if fold.runs and cells[1] != scenario:
             raise SimulationError(
-                f"{path}:{lineno}: scenario {cells[1]!r} differs from {records[0].scenario!r} on line 2"
+                f"{path}:{lineno}: scenario {cells[1]!r} differs from {scenario!r} on line 2"
             )
+        scenario = cells[1]
         try:
             # zero columns are padding for configs the run never streamed
             streamed = {
@@ -182,10 +175,10 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
                 for i, name in enumerate(names)
                 if (us := to_us(float(cells[len(RUNS_CSV_FIXED_COLUMNS) + i]))) != 0
             }
-            records.append(
+            fold.add(
                 RunRecord.of(
                     run_index=int(cells[0]),
-                    scenario=cells[1],
+                    scenario=scenario,
                     duration_us=to_us(float(cells[2])),
                     reconfig_us=to_us(float(cells[3])),
                     switches=int(cells[4]),
@@ -194,28 +187,25 @@ def parse_runs_csv(path: str | Path) -> tuple[list[RunRecord], tuple[str, ...]]:
             )
         except (ValueError, OverflowError) as exc:
             raise SimulationError(f"{path}:{lineno}: malformed run row: {exc}") from exc
-    return records, names
+    return scenario, fold
 
 
-def _selection_lines(config: ScenarioConfig, records: tuple[RunRecord, ...], report: PerformanceReport) -> list[str]:
-    space = config.space
-    selection = selection_fractions(records, space.names)
+def _selection_lines(config: ScenarioConfig, fold: RunFold, grid: dict[str, dict[str, float]]) -> list[str]:
+    selection = selection_fractions(fold)
     lines = [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
     if config.mode == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
-        for preset, qw in QUALITY_PRESETS.items():
-            model = sum(
-                sec_frac * config_quality_score(c, space, qw)
-                for c, (_, sec_frac) in zip(space.configs, selection.values())
-            )
-            measured = report.grid["qp"][preset]
-            lines.append(f"qp {preset}: mix-model {model:.4f}, measured {measured:.4f}")
+        for preset, scores in fold.scores.items():
+            model = sum(sec_frac * scores[name] for name, (_, sec_frac) in selection.items())
+            lines.append(f"qp {preset}: mix-model {model:.4f}, measured {grid['qp'][preset]:.4f}")
     return lines
 
 
-def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceReport:
-    """Run the scenario and write runs.csv, events.jsonl, report.csv, report.txt."""
+def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> dict[str, dict[str, float]]:
+    """Run the scenario, write runs.csv, events.jsonl, report.csv, report.txt,
+    and return the report grid. Each run is written and folded as it ends.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Each artifact is written to <name>.partial, and the partials replace
@@ -223,18 +213,28 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
     # report.csv goes first and the new one lands last, so a directory the
     # replaces left half done has no report.csv, and `compare` refuses it.
     partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
+    names = config.space.names
+    fold = RunFold(names, quality_scores(config.space))
     try:
-        with partials["events.jsonl"].open("w", encoding="utf-8", newline="") as f:
+        with (
+            partials["events.jsonl"].open("w", encoding="utf-8", newline="") as events,
+            partials["runs.csv"].open("w", encoding="utf-8", newline="") as runs,
+        ):
+            sink = JsonlFileSink(events)
+            runs.write(",".join(RUNS_CSV_FIXED_COLUMNS + [f"seconds_{name}" for name in names]) + "\n")
+
+            def write_run(record: RunRecord, ticks: list[tuple]) -> None:
+                sink.write_run(record, ticks)
+                runs.write(runs_csv_text(record, names))
+                fold.add(record)
+
             engine = Engine(config)
-            records = engine.run(JsonlFileSink(f))
-        report = aggregate(records, config.space)
-        partials["runs.csv"].write_text(
-            runs_csv_text(records, config.space.names), encoding="utf-8", newline=""
-        )
-        partials["report.csv"].write_text(render_report_csv(report), encoding="utf-8", newline="")
-        lines = [f"threshold_mbps: {engine.threshold_mbps:.6f}", *_selection_lines(config, records, report)]
+            engine.run(write_run)
+        grid = aggregate(fold)
+        partials["report.csv"].write_text(render_report_csv(grid), encoding="utf-8", newline="")
+        lines = [f"threshold_mbps: {engine.threshold_mbps:.6f}", *_selection_lines(config, fold, grid)]
         partials["report.txt"].write_text(
-            render_report_text(report, extra_lines=lines),
+            render_report_text(config.scenario, config.runs, grid, extra_lines=lines),
             encoding="utf-8",
             newline="",
         )
@@ -245,7 +245,7 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> PerformanceRe
         for partial in partials.values():
             partial.unlink(missing_ok=True)
         raise
-    return report
+    return grid
 
 
 def parse_report_csv(path: str | Path) -> dict[str, dict[str, float]]:
@@ -285,17 +285,17 @@ class ScenarioArtifacts(NamedTuple):
 
     label: str
     grid: dict[str, dict[str, float]]
-    records: list[RunRecord]
-    config_names: tuple[str, ...]
+    # per config name, (run fraction, seconds fraction), in runs.csv's column order
+    selection: dict[str, tuple[float, float]]
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "ScenarioArtifacts":
         out = Path(out_dir)
         grid = parse_report_csv(out / "report.csv")
-        records, names = parse_runs_csv(out / "runs.csv")
-        if not records:
+        label, fold = parse_runs_csv(out / "runs.csv")
+        if not fold.runs:
             raise SimulationError(f"{out} holds no run records")
-        return cls(label=records[0].scenario, grid=grid, records=records, config_names=names)
+        return cls(label=label, grid=grid, selection=selection_fractions(fold))
 
 
 class Comparison(NamedTuple):
@@ -319,10 +319,7 @@ def compare(artifact_dirs: list[str | Path]) -> Comparison:
             winners = [a.label for a in artifacts if a.grid[metric][preset] == best]
             verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
 
-    adaptive_selection = next(
-        (selection_fractions(a.records, a.config_names) for a in artifacts if a.label == "adaptive"),
-        {},
-    )
+    adaptive_selection = next((a.selection for a in artifacts if a.label == "adaptive"), {})
     return Comparison(artifacts=artifacts, verdicts=verdicts, adaptive_selection=adaptive_selection)
 
 

@@ -109,10 +109,6 @@ class RunRecord(NamedTuple):
             )
         return cls(run_index, scenario, duration_us, reconfig_us, switches, streamed_us)
 
-    @property
-    def streamed_total_us(self) -> int:
-        return sum(self.streamed_us.values())
-
 
 class KnowledgeBase:
     """The latest registered strategy, plus the last applied config for fallback."""

@@ -20,7 +20,8 @@ running.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .errors import SimulationError
 from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
@@ -129,11 +130,6 @@ class Executor:
 
 
 # A tick record is the stages' messages: (sample, condition, strategy | None, outcome, dt_us, step).
-class EventSink(Protocol):
-    def write_run(self, run_index: int, ticks: list[tuple]) -> None:
-        """Take one run's tick records in order, runs in order."""
-
-
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
@@ -183,9 +179,9 @@ class Engine:
             probe_seed=f"{seed}/probe",
         )
 
-    def run(self, sink: EventSink) -> tuple[RunRecord, ...]:
-        """Run every tick and return the run records, handing each run's tick
-        records to `sink` as the run ends.
+    def run(self, write_run: Callable[[RunRecord, list[tuple]], None]) -> None:
+        """Run every tick, calling `write_run(record, ticks)` as each run ends,
+        runs in order.
 
         Each call starts from a fresh knowledge base, stream and analyzer, so
         a second call replays the first.
@@ -195,7 +191,6 @@ class Engine:
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
-        records: list[RunRecord] = []
         kb = KnowledgeBase(last_applied=cfg.initial_config)
         stream = StreamState(cfg.initial_config, cfg.reconfig_delay_us)
         # Looked up here, once per run, and not when the engine is built: a
@@ -239,7 +234,4 @@ class Engine:
                 outcome = execute(kb, stream, registry_available)
                 add((sample, condition, strategy, outcome, interval_us, step(interval_us)))
 
-            records.append(stream.finalize_run(cfg.scenario, run_index, run_duration_us))
-            sink.write_run(run_index, ticks)
-
-        return tuple(records)
+            write_run(stream.finalize_run(cfg.scenario, run_index, run_duration_us), ticks)

@@ -12,26 +12,18 @@ under a quality weighting (w_rate, w_frame) with w_rate + w_frame = 1.
 qp normalizes by the best achievable quality over the seconds actually
 streamed, so tp (time lost to reconfiguration) and qp (quality of what was
 streamed) stay orthogonal. Aggregates are arithmetic means over runs, and
-the combined p values are computed from those means.
+the combined p values are computed from those means. `RunFold` takes the
+runs one at a time as they end, so no run record is held.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import SimulationError
 from .kb import AdaptationSpace, RunRecord, StreamConfig
-
-
-def fmean(values: Sequence[float]) -> float:
-    """Arithmetic mean of a non-empty sequence, correctly rounded sum first.
-
-    Bit for bit what the standard library's `fmean` returns for a sized input.
-    """
-    return math.fsum(values) / len(values)
 
 
 class QualityWeights(NamedTuple):
@@ -78,13 +70,21 @@ def config_quality_score(config: StreamConfig, space: AdaptationSpace, qw: Quali
     return qw.w_rate * (config.frame_rate / max_frame_rate) + qw.w_frame * config.quality_score
 
 
+def quality_scores(space: AdaptationSpace) -> dict[str, dict[str, float]]:
+    """{preset: {config name: its score}}: each config scored once per preset, not once per run."""
+    return {
+        preset: {c.name: config_quality_score(c, space, qw) for c in space.configs}
+        for preset, qw in QUALITY_PRESETS.items()
+    }
+
+
 def _quality_at(record: RunRecord, scores: dict[str, float]) -> float:
     """qp(r), achieved quality relative to the best, from each config's score by name.
 
     The normalizer is the streamed time itself (best per-second score is
     1.0), so a run that never streamed has no defined quality.
     """
-    streamed_total = record.streamed_total_us
+    streamed_total = record.duration_us - record.reconfig_us
     if streamed_total <= 0:
         raise SimulationError(
             f"run {record.run_index} streamed nothing; quality performance undefined"
@@ -98,57 +98,69 @@ def system_performance(tp: float, qp: float, pw: PerformanceWeights) -> float:
     return pw.w_t * tp + pw.w_q * qp
 
 
-class PerformanceReport(NamedTuple):
-    """Aggregated results for one scenario as `grid[metric][preset]`.
+def _exact(value: float) -> int:
+    """`value` in units of 2**-1074, of which every finite float is a whole multiple."""
+    numerator, denominator = value.as_integer_ratio()
+    # the denominator is a power of two, at most 2**1074: shift by what divides it out
+    return numerator << (1075 - denominator.bit_length())
 
-    Rows follow REPORT_METRICS and columns QUALITY_PRESETS; the tp row holds
-    the same mean in every column.
+
+class RunFold:
+    """One scenario's runs, folded one record at a time as each run ends.
+
+    tp and each preset's qp are summed exactly, so each mean is bit for bit
+    `statistics.fmean` of the per-run values; the selection counts go over
+    `names`. With no `scores` ({preset: {config name: score}}), as in
+    `compare`, no qp is summed.
     """
 
-    scenario: str
-    run_count: int
-    grid: dict[str, dict[str, float]]
+    def __init__(self, names: tuple[str, ...], scores: dict[str, dict[str, float]]):
+        self.names = names
+        self.scores = scores
+        self.runs = 0
+        self.tp_sum = 0
+        self.qp_sums = dict.fromkeys(scores, 0)
+        self.dominated = dict.fromkeys(names, 0)
+        self.streamed_at = dict.fromkeys(names, 0)
+
+    def add(self, record: RunRecord) -> None:
+        self.runs += 1
+        self.tp_sum += _exact(time_performance(record))
+        for preset, scores in self.scores.items():
+            self.qp_sums[preset] += _exact(_quality_at(record, scores))
+        streamed = record.streamed_us
+        for name in self.names:
+            self.streamed_at[name] += streamed.get(name, 0)
+        if self.names:
+            # max returns the first of several equal keys
+            self.dominated[max(self.names, key=lambda name: streamed.get(name, 0))] += 1
 
 
-def aggregate(records: list[RunRecord] | tuple[RunRecord, ...], space: AdaptationSpace) -> PerformanceReport:
-    """Build the per-scenario report: means over runs, p values from the means.
-
-    The records are one scenario's runs, at least one.
+def aggregate(fold: RunFold) -> dict[str, dict[str, float]]:
+    """The report's `grid[metric][preset]`: means over the folded runs, at least
+    one, and p values from the means. Rows follow REPORT_METRICS and columns
+    the fold's presets; the tp row holds the same mean in every column.
     """
-    tp_mean = fmean([time_performance(r) for r in records])
+    tp_mean = fold.tp_sum / (1 << 1074) / fold.runs
     grid: dict[str, dict[str, float]] = {metric: {} for metric in REPORT_METRICS}
-    for preset, qw in QUALITY_PRESETS.items():
-        # each config scored once per preset, not once per run
-        scores = {c.name: config_quality_score(c, space, qw) for c in space.configs}
-        qp_mean = fmean([_quality_at(r, scores) for r in records])
+    for preset, qp_sum in fold.qp_sums.items():
+        qp_mean = qp_sum / (1 << 1074) / fold.runs
         grid["tp"][preset] = tp_mean
         grid["qp"][preset] = qp_mean
         for p_name, pw in PERFORMANCE_PRESETS.items():
             grid[p_name][preset] = system_performance(tp_mean, qp_mean, pw)
-    return PerformanceReport(scenario=records[0].scenario, run_count=len(records), grid=grid)
+    return grid
 
 
-def selection_fractions(
-    records: list[RunRecord] | tuple[RunRecord, ...], names: tuple[str, ...]
-) -> dict[str, tuple[float, float]]:
+def selection_fractions(fold: RunFold) -> dict[str, tuple[float, float]]:
     """{name: (fraction of runs it dominated, fraction of streamed seconds at it)}.
 
     A run's dominant config is the one that streamed the most seconds in it;
-    a tie goes to the config first in `names`. The records are at least one.
+    a tie goes to the config first in the fold's names. The fold holds at
+    least one run.
     """
-    dominated = dict.fromkeys(names, 0)
-    streamed_at = dict.fromkeys(names, 0)
-    streamed_total = 0
-    for r in records:
-        streamed = r.streamed_us
-        for name in names:
-            streamed_at[name] += streamed.get(name, 0)
-        if names:
-            # max returns the first of several equal keys
-            dominated[max(names, key=lambda name: streamed.get(name, 0))] += 1
-        streamed_total += r.streamed_total_us
-    total = streamed_total or 1  # nothing streamed: every seconds fraction is 0
-    return {name: (dominated[name] / len(records), streamed_at[name] / total) for name in names}
+    total = sum(fold.streamed_at.values()) or 1  # nothing streamed: every seconds fraction is 0
+    return {name: (fold.dominated[name] / fold.runs, fold.streamed_at[name] / total) for name in fold.names}
 
 
 def format_selection(run_fraction: float, seconds_fraction: float) -> str:
@@ -174,22 +186,24 @@ def grid_row(label: str, values: Iterable[float]) -> str:
     return label.ljust(GRID_WIDTH) + "".join(format_cell(v).rjust(GRID_WIDTH) for v in values)
 
 
-def render_report_csv(report: PerformanceReport) -> str:
+def render_report_csv(grid: dict[str, dict[str, float]]) -> str:
     """Report grid as CSV: metric rows by quality-preset columns, 2-decimal cells."""
     lines = ["metric," + ",".join(QUALITY_PRESETS)]
-    for metric, row in report.grid.items():
+    for metric, row in grid.items():
         lines.append(metric + "," + ",".join(format_cell(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
-def render_report_text(report: PerformanceReport, extra_lines: list[str] | None = None) -> str:
+def render_report_text(
+    scenario: str, runs: int, grid: dict[str, dict[str, float]], extra_lines: list[str] | None = None
+) -> str:
     """Human-readable aligned table of the same grid."""
     out = [
-        f"scenario: {report.scenario}",
-        f"runs:     {report.run_count}",
+        f"scenario: {scenario}",
+        f"runs:     {runs}",
         *(extra_lines or ()),
         "",
         "metric".ljust(GRID_WIDTH) + "".join(p.rjust(GRID_WIDTH) for p in QUALITY_PRESETS),
     ]
-    out += [grid_row(metric, row.values()) for metric, row in report.grid.items()]
+    out += [grid_row(metric, row.values()) for metric, row in grid.items()]
     return "\n".join(out) + "\n"

@@ -175,5 +175,5 @@ def compute_threshold(trace: BandwidthTrace, warmup_start: float, warmup_end: fl
     """
     span = sample_indices(to_us(warmup_start), to_us(warmup_end), trace.step_us)
     values = trace.uploads[span.start:span.stop]
-    return math.fsum(values) / len(values)  # metrics.fmean, bit for bit
+    return math.fsum(values) / len(values)  # statistics.fmean, bit for bit
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import adastream
-from adastream.experiment import JsonlFileSink
+from adastream.experiment import JsonlFileSink, parse_runs_csv
 from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord
 from adastream.mapek import Engine
-from adastream.metrics import QualityWeights, config_quality_score
+from adastream.metrics import QualityWeights, RunFold, config_quality_score, quality_scores
 from adastream.scenario import parse_scenario
 
 
@@ -22,7 +22,31 @@ def bundled_config_path(name: str) -> Path:
 def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWeights) -> float:
     """One run's qp by its definition: the streamed-time-weighted mean of the config scores."""
     scores = {c.name: config_quality_score(c, space, qw) for c in space.configs}
-    return sum(us * scores[name] for name, us in record.streamed_us.items()) / record.streamed_total_us
+    return sum(us * scores[name] for name, us in record.streamed_us.items()) / sum(record.streamed_us.values())
+
+
+def fold_of(records, space: AdaptationSpace) -> RunFold:
+    """The records folded as `run_experiment` folds its runs."""
+    fold = RunFold(space.names, quality_scores(space))
+    for record in records:
+        fold.add(record)
+    return fold
+
+
+def parsed_runs(path) -> tuple[str | None, tuple[str, ...], list[RunRecord]]:
+    """What `parse_runs_csv` reads from a runs.csv: the scenario, the config
+    names of its seconds columns, and each row's record as it is folded."""
+    folded = []
+    add = RunFold.add
+
+    def keeping(fold, record):
+        folded.append(record)
+        add(fold, record)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunFold, "add", keeping)
+        scenario, fold = parse_runs_csv(path)
+    return scenario, fold.names, folded
 
 
 def make_scenario(**overrides):
@@ -57,21 +81,25 @@ def scenario_factory():
     return make_scenario
 
 
-class DroppingSink:
-    """An event sink that drops each run, for tests that read only the records."""
-
-    def write_run(self, run_index, ticks):
-        pass
-
-
 def run_dropping_events(config) -> tuple[RunRecord, ...]:
-    return Engine(config).run(DroppingSink())
+    """The engine's run records, in order, with each run's tick records dropped."""
+    records = []
+    Engine(config).run(lambda record, ticks: records.append(record))
+    return tuple(records)
 
 
 def run_into_jsonl(config) -> tuple[tuple[RunRecord, ...], str]:
     """Run the engine into events.jsonl's encoder: the run records and the text it wrote."""
     file = io.StringIO()
-    return Engine(config).run(JsonlFileSink(file)), file.getvalue()
+    sink = JsonlFileSink(file)
+    records = []
+
+    def write_run(record, ticks):
+        records.append(record)
+        sink.write_run(record, ticks)
+
+    Engine(config).run(write_run)
+    return tuple(records), file.getvalue()
 
 
 def run_with_events(config) -> tuple[tuple[RunRecord, ...], list[dict]]:

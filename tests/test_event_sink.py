@@ -14,12 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import JsonlFileSink, parse_runs_csv, run_experiment
+from adastream.experiment import JsonlFileSink, run_experiment
 from adastream.mapek import Engine
-from adastream.scenario import load_scenario, parse_scenario
+from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
-from conftest import bundled_config_path
+from conftest import bundled_config_path, parsed_runs
 
 # Quote, backslash, control characters, and non-ASCII (BMP and astral); no
 # ',' or line break, which a config name may not hold.
@@ -117,21 +117,21 @@ def parse_checked_lines(config, text: str) -> list[dict]:
 
 
 class RecordingSink(JsonlFileSink):
-    """The file sink, also keeping each run's tick records for the reference encoder."""
+    """The file sink, also keeping each run's record and tick records for the reference encoder."""
 
     def __init__(self, file):
         super().__init__(file)
         self.runs = []
 
-    def write_run(self, run_index, ticks):
-        self.runs.append((run_index, ticks))
-        super().write_run(run_index, ticks)
+    def write_run(self, record, ticks):
+        self.runs.append((record, ticks))
+        super().write_run(record, ticks)
 
 
 def reference_jsonl(runs) -> str:
     """events.jsonl built the plain way: one dict per event, each through json.dumps."""
     lines = []
-    for run_index, ticks in runs:
+    for record, ticks in runs:
         for (t_us, upload, ok), condition, strategy, outcome, dt_us, stepped in ticks:
             events = [
                 {"event": "monitor", "upload_mbps": upload, "ok": ok},
@@ -162,7 +162,7 @@ def reference_jsonl(runs) -> str:
                 },
             ]
             for event in events:
-                head = {"seq": len(lines), "run": run_index, "t_us": t_us}
+                head = {"seq": len(lines), "run": record.run_index, "t_us": t_us}
                 lines.append(json.dumps(head | event, separators=(",", ":")) + "\n")
     return "".join(lines)
 
@@ -171,10 +171,10 @@ def run_against_reference(config) -> tuple:
     """Run into the file sink, check its text against the reference encoder's; the run records and text."""
     file = io.StringIO()
     sink = RecordingSink(file)
-    records = Engine(config).run(sink)
+    Engine(config).run(sink.write_run)
     text = file.getvalue()
     assert text == reference_jsonl(sink.runs)
-    return records, text
+    return [record for record, _ in sink.runs], text
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -189,7 +189,7 @@ def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
         run_experiment(config, out)
         assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")
         # the drawn names head runs.csv's columns and come back unchanged
-        assert parse_runs_csv(Path(out) / "runs.csv") == (list(records), config.space.names)
+        assert parsed_runs(Path(out) / "runs.csv") == (config.scenario, config.space.names, records)
 
 
 def test_encoder_matches_json_dumps_on_every_event_shape():
@@ -271,23 +271,24 @@ def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, scenario_facto
 
 
 def test_event_memory_does_not_grow_with_run_count(tmp_path):
-    """Adding runs adds far less memory than their events would take.
+    """Adding runs adds almost no memory: no run's events or record is held.
 
-    The trace (one float per trace step) and the run records still grow
-    with the run count, which moves the peak by about 1 KB per 30-s run of
-    this config; the event log, about 16 KB of JSON lines per run, must not
-    be held.
+    One-tick runs make the per-run cost stand out: each run writes several
+    hundred bytes of JSON lines and closes a record of about 550 B. The
+    trace, the one thing that still grows with the run count, adds one
+    float, about 32 B, per run of this config.
     """
-    base = load_scenario(bundled_config_path("table3-adaptive"))
+    doc = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    doc.update(run_duration_s=1.0, reconfig_delay_s=0.5)
     peaks = {}
-    for runs in (100, 400):
-        out = tmp_path / str(runs)
+    for runs in (100, 2_000):
+        config, diags = parse_scenario({**doc, "runs": runs})
+        assert config is not None, diags
         tracemalloc.start()
         try:
-            run_experiment(base._replace(runs=runs), out)
+            run_experiment(config, tmp_path / str(runs))
             peaks[runs] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    events_bytes_per_run = (tmp_path / "400" / "events.jsonl").stat().st_size / 400
-    growth_per_run = (peaks[400] - peaks[100]) / 300
-    assert growth_per_run < events_bytes_per_run / 4, (peaks, events_bytes_per_run)
+    growth_per_run = (peaks[2_000] - peaks[100]) / 1_900
+    assert growth_per_run < 128, peaks

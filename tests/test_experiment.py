@@ -16,23 +16,23 @@ from adastream.experiment import (
 )
 from adastream.metrics import round_half_up, selection_fractions
 
-from conftest import run_dropping_events
+from conftest import fold_of, parsed_runs, run_dropping_events
 
 
 def test_run_experiment_writes_all_artifacts(tmp_path, scenario_factory):
     out = tmp_path / "out"
-    report = run_experiment(scenario_factory(runs=3), out)
+    grid = run_experiment(scenario_factory(runs=3), out)
     for name in ("runs.csv", "events.jsonl", "report.csv", "report.txt"):
         assert (out / name).exists(), name
-    assert report.run_count == 3
-    assert report.scenario == "adaptive"
+    assert (out / "report.txt").read_text().splitlines()[:2] == ["scenario: adaptive", "runs:     3"]
+    assert list(grid) == ["tp", "qp", "p1", "p2", "p3"]
 
 
 def test_runs_csv_round_trips_records(tmp_path, scenario_factory):
     config = scenario_factory(runs=4)
     run_experiment(config, tmp_path)
-    records, names = parse_runs_csv(tmp_path / "runs.csv")
-    assert names == ("LR", "HR")
+    scenario, names, records = parsed_runs(tmp_path / "runs.csv")
+    assert (scenario, names) == ("adaptive", ("LR", "HR"))
     direct = run_dropping_events(config)
     assert tuple(records) == direct
 
@@ -56,12 +56,12 @@ def test_same_seed_byte_identical_outputs(tmp_path, scenario_factory):
 
 
 def test_report_csv_grid_matches_report(tmp_path, scenario_factory):
-    report = run_experiment(scenario_factory(runs=3), tmp_path)
+    returned = run_experiment(scenario_factory(runs=3), tmp_path)
     grid = parse_report_csv(tmp_path / "report.csv")
     assert set(grid) == {"tp", "qp", "p1", "p2", "p3"}
     for metric, row in grid.items():
         for preset, value in row.items():
-            assert value == round_half_up(report.grid[metric][preset])
+            assert value == round_half_up(returned[metric][preset])
 
 
 def test_compare_three_scenarios(tmp_path, scenario_factory):
@@ -105,7 +105,7 @@ def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory)
         run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
     cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
     assert list(cmp.adaptive_selection) == list(config.space.names)
-    assert cmp.adaptive_selection == selection_fractions(direct, config.space.names)
+    assert cmp.adaptive_selection == selection_fractions(fold_of(direct, config.space))
 
 
 def test_compare_rejects_duplicate_scenarios(tmp_path, scenario_factory):
@@ -135,9 +135,9 @@ def test_parse_runs_csv_rejects_foreign_files(tmp_path):
 
 
 def test_single_run_static_hr_report(tmp_path, scenario_factory):
-    report = run_experiment(scenario_factory(scenario="static-HR", runs=1), tmp_path)
-    assert set(report.grid["tp"].values()) == {1.0}
-    assert abs(report.grid["qp"]["9r1q"] - 0.92) < 1e-9
+    grid = run_experiment(scenario_factory(scenario="static-HR", runs=1), tmp_path)
+    assert set(grid["tp"].values()) == {1.0}
+    assert abs(grid["qp"]["9r1q"] - 0.92) < 1e-9
 
 
 def test_runs_csv_header_for_default_space(tmp_path, scenario_factory):

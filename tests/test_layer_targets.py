@@ -60,7 +60,7 @@ def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch
     monkeypatch.setattr(experiment, "events_jsonl_text", recording)
     config = load_scenario(bundled_config_path("table3-adaptive"))._replace(runs=3)
     file = io.StringIO()
-    Engine(config).run(experiment.JsonlFileSink(file))
+    Engine(config).run(experiment.JsonlFileSink(file).write_run)
     assert len(returned) == config.runs
     assert all(type(text) is str for text in returned)
     assert "".join(returned) == file.getvalue()
@@ -78,8 +78,9 @@ def traced_bundled_adaptive_run(tmp_path) -> dict:
 
 
 # Each traced layer's call count on the bundled adaptive config, a pure function
-# of the config: 100 runs of 30 one-second ticks, one switch per run. Re-pin
-# only on purpose, as with the golden digests.
+# of the config: 100 runs of 30 one-second ticks, one switch per run, each run's
+# events and runs.csv row written as it ends. Re-pin only on purpose, as with
+# the golden digests.
 BUNDLED_ADAPTIVE_CALLS = {
     "cli.import": 1,
     "cli.main": 1,
@@ -91,7 +92,7 @@ BUNDLED_ADAPTIVE_CALLS = {
     "mapek.Engine.run": 1,
     "experiment.events_jsonl_text": 100,
     "metrics.aggregate": 1,
-    "experiment.runs_csv_text": 1,
+    "experiment.runs_csv_text": 100,
     "metrics.render_report": 2,
     "metrics.selection_fractions": 1,
     "netsim.probe": 3_000,

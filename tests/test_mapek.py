@@ -254,7 +254,7 @@ def test_adaptive_loop_adapts_and_accounts_exactly(scenario_factory):
     records, events = run_with_events(scenario_factory(runs=10))
     assert len(registered_strategies(events)) > 0
     for record in records:
-        assert record.streamed_total_us + record.reconfig_us == record.duration_us
+        assert sum(record.streamed_us.values()) + record.reconfig_us == record.duration_us
 
 
 def test_no_redundant_strategies(scenario_factory):
@@ -293,7 +293,7 @@ def test_probe_fault_window_freezes_planning(scenario_factory):
     assert all(e["condition"] == "unknown" for e in in_window if e["event"] == "analyze")
     assert all(e["action"] == "keep" for e in in_window if e["event"] == "plan")
     for record in records:  # the stream never halted
-        assert record.streamed_total_us + record.reconfig_us == record.duration_us
+        assert sum(record.streamed_us.values()) + record.reconfig_us == record.duration_us
 
 
 def test_registry_fault_window_uses_fallback_only(scenario_factory):
@@ -309,7 +309,7 @@ def test_registry_fault_window_uses_fallback_only(scenario_factory):
     registers = [e for e in in_window if e["event"] == "register"]
     assert all(not e["ok"] for e in registers)
     for record in records:
-        assert record.streamed_total_us + record.reconfig_us == record.duration_us
+        assert sum(record.streamed_us.values()) + record.reconfig_us == record.duration_us
 
 
 def test_user_override_issues_user_config_strategy(scenario_factory):
@@ -461,7 +461,15 @@ def test_a_second_run_replays_the_first(config):
     results, texts = [], []
     for _ in range(2):
         file = io.StringIO()
-        results.append(engine.run(JsonlFileSink(file)))
+        sink = JsonlFileSink(file)
+        records = []
+
+        def write_run(record, ticks):
+            records.append(record)
+            sink.write_run(record, ticks)
+
+        engine.run(write_run)
+        results.append(records)
         texts.append(file.getvalue())
     assert results[0] == results[1]
     assert texts[0] == texts[1]
@@ -539,4 +547,4 @@ def test_sub_second_monitor_interval(scenario_factory):
     assert len(steps) == 2 * 60
     assert all(e["dt_us"] == 500_000 for e in steps)
     for record in records:
-        assert record.streamed_total_us + record.reconfig_us == record.duration_us
+        assert sum(record.streamed_us.values()) + record.reconfig_us == record.duration_us

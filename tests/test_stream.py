@@ -116,7 +116,7 @@ def test_single_switch_run_accounting():
     state.step(to_us(20))
     record = state.finalize_run("adaptive", 0, RUN_US)
     assert record.reconfig_us == 2_700_000
-    assert record.streamed_total_us == RUN_US - 2_700_000  # 27.3 s
+    assert sum(record.streamed_us.values()) == RUN_US - 2_700_000  # 27.3 s
     assert record.streamed_us == {"LR": 10_000_000, "HR": 17_300_000}
     assert record.switches == 1
 

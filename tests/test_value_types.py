@@ -27,7 +27,7 @@ from adastream.kb import (
     default_space,
 )
 from adastream.mapek import ExecuteOutcome
-from adastream.metrics import PerformanceReport, PerformanceWeights, QualityWeights
+from adastream.metrics import PerformanceWeights, QualityWeights
 from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample
 from adastream.scenario import (
     ScenarioConfig,
@@ -43,12 +43,9 @@ from conftest import bundled_config_path
 LR = StreamConfig("LR", 30, 0.99)
 SPACE = default_space()
 CONFIG = load_scenario(bundled_config_path("table3-adaptive"))
-RECORD = RunRecord.of(
-    run_index=0, scenario="adaptive", duration_us=100, reconfig_us=10, switches=1,
-    streamed_us={"LR": 90},
-)
 GRID = {"tp": {"5r5q": 1.0}}
-ARTIFACTS = ScenarioArtifacts(label="adaptive", grid=GRID, records=[RECORD], config_names=("LR", "HR"))
+SELECTION = {"LR": (1.0, 0.9), "HR": (0.0, 0.1)}
+ARTIFACTS = ScenarioArtifacts(label="adaptive", grid=GRID, selection=SELECTION)
 PROBE_DOWN = "probe-unavailable"
 
 # (type, keyword arguments of one valid value, [(changed arguments, error, message)]);
@@ -127,12 +124,7 @@ CASES = [
     ),
     (QualityWeights, {"w_rate": 0.5, "w_frame": 0.5}, []),
     (PerformanceWeights, {"w_t": 0.9, "w_q": 0.1}, []),
-    (PerformanceReport, {"scenario": "adaptive", "run_count": 1, "grid": GRID}, []),
-    (
-        ScenarioArtifacts,
-        {"label": "adaptive", "grid": GRID, "records": [RECORD], "config_names": ("LR", "HR")},
-        [],
-    ),
+    (ScenarioArtifacts, {"label": "adaptive", "grid": GRID, "selection": SELECTION}, []),
     (
         Comparison,
         {"artifacts": [ARTIFACTS], "verdicts": {("p1", "5r5q"): "adaptive"}, "adaptive_selection": {}},
@@ -208,11 +200,8 @@ def test_every_based_type_is_in_cases():
 
 
 # A value hashes by its fields, so a dict or list in a field makes it unhashable:
-# FaultSchedule's per-kind index and RunRecord's ledger, and what holds either.
-UNHASHABLE = {
-    FaultSchedule, RunRecord, ScenarioConfig, PerformanceReport,
-    ScenarioArtifacts, Comparison,
-}
+# FaultSchedule's per-kind index, RunRecord's ledger, a report grid, and what holds one.
+UNHASHABLE = {FaultSchedule, RunRecord, ScenarioConfig, ScenarioArtifacts, Comparison}
 
 
 @pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
