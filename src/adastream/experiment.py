@@ -73,10 +73,10 @@ def events_jsonl_text(
     seq = first_seq
     run_head = f',"run":{run_index},"t_us":'
     # The execute and step bodies (the text after "event":) are pure functions of
-    # their messages, whose fields are str, int, bool or None. Each is rebuilt only
-    # when its message differs from the previous tick's: one memo entry per kind.
-    last_outcome = last_step = last_dt_us = None
-    for (t_us, upload, ok), condition, strategy, outcome, dt_us, stepped in ticks:
+    # their messages, whose fields are str, int, bool or None; a step's dt_us is its
+    # reconfig_us plus streamed_us. Each is rebuilt only when its message changes.
+    last_outcome = last_step = None
+    for (t_us, upload, ok), condition, strategy, outcome, stepped in ticks:
         if outcome != last_outcome:
             source, strategy_id, target, applied = last_outcome = outcome
             execute = (
@@ -84,11 +84,10 @@ def events_jsonl_text(
                 f'"strategy_id":{"null" if strategy_id is None else strategy_id},'
                 f'"target":{quoted[target]},"applied":{_JSON_BOOL[applied]}}}\n'
             )
-        if stepped != last_step or dt_us != last_dt_us:
+        if stepped != last_step:
             reconfig_us, streamed_us, active = last_step = stepped
-            last_dt_us = dt_us
             step = (
-                f'"step","dt_us":{dt_us},"reconfig_us":{reconfig_us},'
+                f'"step","dt_us":{reconfig_us + streamed_us},"reconfig_us":{reconfig_us},'
                 f'"segments":[{f"[{quoted[active]},{streamed_us}]" if streamed_us else ""}],'
                 f'"active":{quoted[active]}}}\n'
             )
@@ -193,7 +192,7 @@ def parse_runs_csv(path: str | Path) -> tuple[str | None, RunFold]:
 def _selection_lines(config: ScenarioConfig, fold: RunFold, grid: dict[str, dict[str, float]]) -> list[str]:
     selection = selection_fractions(fold)
     lines = [f"selection {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
-    if config.mode == "adaptive":
+    if config.scenario == "adaptive":
         # closed-form prediction from the aggregate streamed-time mix, next to
         # the measured mean (mean-of-ratios); they agree only approximately
         for preset, scores in fold.scores.items():

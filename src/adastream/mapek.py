@@ -129,7 +129,7 @@ class Executor:
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
-# A tick record is the stages' messages: (sample, condition, strategy | None, outcome, dt_us, step).
+# A tick record is the stages' messages: (sample, condition, strategy | None, outcome, step).
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 
@@ -187,7 +187,7 @@ class Engine:
         a second call replays the first.
         """
         cfg = self.config
-        adaptive = cfg.mode == "adaptive"
+        adaptive = cfg.scenario == "adaptive"
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
@@ -232,6 +232,6 @@ class Engine:
                     next_id += 1
 
                 outcome = execute(kb, stream, registry_available)
-                add((sample, condition, strategy, outcome, interval_us, step(interval_us)))
+                add((sample, condition, strategy, outcome, step(interval_us)))
 
             write_run(stream.finalize_run(cfg.scenario, run_index, run_duration_us), ticks)

@@ -48,10 +48,6 @@ class ScenarioConfig(NamedTuple):
     seed: int
 
     @property
-    def mode(self) -> str:
-        return "adaptive" if self.scenario == "adaptive" else "static"
-
-    @property
     def total_duration_us(self) -> int:
         return self.runs * self.run_duration_us
 

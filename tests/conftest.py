@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import adastream
 from adastream.experiment import JsonlFileSink, parse_runs_csv
@@ -126,3 +128,105 @@ def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
             assert (plan["t_us"], plan["target"]) == (line["t_us"], line["target"])
             strategies.append(AdaptationStrategy(line["strategy_id"], line["target"], plan["reason"]))
     return strategies
+
+
+# Bounds on a generated document: its loop ticks and its trace samples.
+_MAX_TICKS = 20_000
+_MAX_SAMPLES = 50_000
+
+
+@st.composite
+def bounded_documents(draw):
+    """A scenario document of at most _MAX_TICKS ticks and _MAX_SAMPLES trace samples.
+
+    Times are drawn in whole microseconds, so each seconds value in the
+    document converts back exactly. Some documents hold a total run time
+    below one trace step, or a warmup window between two sample instants.
+    """
+    runs = draw(st.integers(1, 4))
+    step_us = draw(st.sampled_from([1, 1_000, 250_000, 1_000_000, 3_000_000, 60_000_000]))
+    interval_us = draw(st.sampled_from(
+        [us for us in (1, 1_000, 250_000, 1_000_000, 3_000_000) if runs * us <= _MAX_SAMPLES * step_us]
+    ))
+    run_limit_us = min(_MAX_TICKS * interval_us, _MAX_SAMPLES * step_us) // runs
+    run_us = interval_us * draw(st.integers(1, max(1, run_limit_us // interval_us)))
+    total_us = runs * run_us
+
+    def instant(steps):
+        """On, or just off, one of the first `steps` sample instants."""
+        nudge = draw(st.sampled_from([0, 1, -1, step_us // 2]))
+        return max(0, draw(st.integers(0, steps)) * step_us + nudge)
+
+    start_us, end_us = instant(30), instant(60)
+    if end_us <= start_us:
+        end_us = start_us + draw(st.integers(1, step_us))
+    warmup = {"start_s": start_us / 1e6, "end_s": end_us / 1e6}
+    warmup["duration_s"] = end_us / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
+
+    faults = []
+    for kind in ("probe-unavailable", "registry-unavailable"):
+        cursor = 0
+        for _ in range(draw(st.integers(0, 2))):
+            start = cursor + draw(st.integers(0, total_us))
+            cursor = start + draw(st.integers(1, total_us))
+            faults.append({"start_s": start / 1e6, "end_s": cursor / 1e6, "kind": kind})
+
+    scenario = draw(st.sampled_from(["adaptive", "adaptive", "static-LR", "static-HR"]))
+    overrides = []
+    if scenario == "adaptive":
+        overrides = [
+            {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(["LR", "HR"]))}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    return {
+        "schema_version": 1,
+        "scenario": scenario,
+        "runs": runs,
+        "run_duration_s": run_us / 1e6,
+        "monitor_interval_s": interval_us / 1e6,
+        "reconfig_delay_s": draw(st.sampled_from([0.0, 1e-6, 0.5, 2.7, 100.0])),
+        # amplitudes above the mean clamp the trace to 0 Mbps for part of each period
+        "trace": {
+            "mean_mbps": draw(st.sampled_from([0.5, 5.0])),
+            "amplitude_mbps": draw(st.sampled_from([0.0, 2.0, 8.0])),
+            "period_s": draw(st.sampled_from([1e-6, 0.5, 7.0, 61.0])),
+            "noise_sd_mbps": draw(st.sampled_from([0.0, 0.3])),
+            "step_s": step_us / 1e6,
+        },
+        "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
+        "warmup": warmup,
+        "faults": faults,
+        "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
+        "user_overrides": overrides,
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+# The bundled adaptive config with no reconfiguration delay, a registry outage
+# and two user overrides, so that threshold, post-outage and override switches
+# all complete in the step of the tick that applies them.
+ZERO_DELAY_CHANGES = {
+    "reconfig_delay_s": 0.0,
+    "faults": [{"start_s": 400.0, "end_s": 460.0, "kind": "registry-unavailable"}],
+    "user_overrides": [{"at_s": 1000.0, "target": "LR"}, {"at_s": 2000.0, "target": "HR"}],
+}
+
+
+def named_documents() -> dict[str, dict]:
+    """Scenario documents by name: the three bundled configs, the zero-delay
+    golden config, and the benchmark's fault-storm config at seed 42."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    bundled = {
+        name: json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
+        for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive")
+    }
+    storm = workloads.make("fault-storm", 42, bundled_config_path("table3-adaptive").parent)
+    return {
+        **bundled,
+        "zero-delay": {**bundled["table3-adaptive"], **ZERO_DELAY_CHANGES},
+        "fault-storm@42": json.loads(storm.timed[0].config),
+    }

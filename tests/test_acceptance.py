@@ -1,16 +1,20 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line, and a property that generated documents keep criterion 7's
-invariants. Tolerances are fixed here and nowhere else."""
+pass/fail line, and a property that generated documents match the executable
+spec in reference_loop.py and keep criterion 7's invariants. Tolerances are
+fixed here and nowhere else."""
 
 from __future__ import annotations
 
 import random
+import re
+import tempfile
 import time
 from contextlib import contextmanager
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, example, given, settings
 
 from adastream.errors import SimulationError
 from adastream.experiment import run_experiment
@@ -29,13 +33,17 @@ from adastream.scenario import load_scenario, parse_scenario
 from adastream.units import to_us
 
 from conftest import (
+    bounded_documents,
     bundled_config_path,
     fold_of,
+    named_documents,
+    parsed_runs,
     quality_performance,
     registered_strategies,
     run_dropping_events,
     run_with_events,
 )
+from reference_loop import Refused, reference_artifacts
 
 SPACE = default_space()
 LR, HR = SPACE.configs
@@ -340,91 +348,46 @@ def test_criterion_7_invariant_sweep():
             assert_loop_invariants(config, *run_with_events(config))
 
 
-# Bounds on a generated document: its loop ticks and its trace samples.
-_MAX_TICKS = 20_000
-_MAX_SAMPLES = 50_000
+def assert_same_text(name: str, got: str, expected: str) -> None:
+    """Byte equality, reported at the first line that differs."""
+    if got != expected:
+        pairs = zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+        at, (wrote, spec) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+        raise AssertionError(f"{name} line {at + 1}: run_experiment wrote {wrote!r}, the reference {spec!r}")
 
 
-@st.composite
-def bounded_documents(draw):
-    """A scenario document of at most _MAX_TICKS ticks and _MAX_SAMPLES trace samples.
-
-    Times are drawn in whole microseconds, so each seconds value in the
-    document converts back exactly. Some documents hold a total run time
-    below one trace step, or a warmup window between two sample instants.
-    """
-    runs = draw(st.integers(1, 4))
-    step_us = draw(st.sampled_from([1, 1_000, 250_000, 1_000_000, 3_000_000, 60_000_000]))
-    interval_us = draw(st.sampled_from(
-        [us for us in (1, 1_000, 250_000, 1_000_000, 3_000_000) if runs * us <= _MAX_SAMPLES * step_us]
-    ))
-    run_limit_us = min(_MAX_TICKS * interval_us, _MAX_SAMPLES * step_us) // runs
-    run_us = interval_us * draw(st.integers(1, max(1, run_limit_us // interval_us)))
-    total_us = runs * run_us
-
-    def instant(steps):
-        """On, or just off, one of the first `steps` sample instants."""
-        nudge = draw(st.sampled_from([0, 1, -1, step_us // 2]))
-        return max(0, draw(st.integers(0, steps)) * step_us + nudge)
-
-    start_us, end_us = instant(30), instant(60)
-    if end_us <= start_us:
-        end_us = start_us + draw(st.integers(1, step_us))
-    warmup = {"start_s": start_us / 1e6, "end_s": end_us / 1e6}
-    warmup["duration_s"] = end_us / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
-
-    faults = []
-    for kind in ("probe-unavailable", "registry-unavailable"):
-        cursor = 0
-        for _ in range(draw(st.integers(0, 2))):
-            start = cursor + draw(st.integers(0, total_us))
-            cursor = start + draw(st.integers(1, total_us))
-            faults.append({"start_s": start / 1e6, "end_s": cursor / 1e6, "kind": kind})
-
-    scenario = draw(st.sampled_from(["adaptive", "adaptive", "static-LR", "static-HR"]))
-    overrides = []
-    if scenario == "adaptive":
-        overrides = [
-            {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(["LR", "HR"]))}
-            for _ in range(draw(st.integers(0, 3)))
-        ]
-    return {
-        "schema_version": 1,
-        "scenario": scenario,
-        "runs": runs,
-        "run_duration_s": run_us / 1e6,
-        "monitor_interval_s": interval_us / 1e6,
-        "reconfig_delay_s": draw(st.sampled_from([0.0, 1e-6, 0.5, 2.7, 100.0])),
-        # amplitudes above the mean clamp the trace to 0 Mbps for part of each period
-        "trace": {
-            "mean_mbps": draw(st.sampled_from([0.5, 5.0])),
-            "amplitude_mbps": draw(st.sampled_from([0.0, 2.0, 8.0])),
-            "period_s": draw(st.sampled_from([1e-6, 0.5, 7.0, 61.0])),
-            "noise_sd_mbps": draw(st.sampled_from([0.0, 0.3])),
-            "step_s": step_us / 1e6,
-        },
-        "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
-        "warmup": warmup,
-        "faults": faults,
-        "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
-        "user_overrides": overrides,
-        "seed": draw(st.integers(0, 2**31)),
-    }
+def with_named_examples(test):
+    """The property's explicit examples: each of conftest's named documents."""
+    for document in named_documents().values():
+        test = example(document)(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(bounded_documents())
+@with_named_examples
 def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(document):
-    # ROADMAP 2's second property: what validate accepts, run finishes
+    """What validate accepts, run finishes: its four artifacts are byte for byte
+    the executable spec's, and its events keep criterion 7's invariants."""
     config, _ = parse_scenario(document)
     if config is None:
         return
-    try:
-        records, events = run_with_events(config)
-    except SimulationError as exc:
-        # the one failure only the generated warmup trace shows
-        assert "threshold of 0 Mbps" in str(exc)
-        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            expected, events = reference_artifacts(config)
+        except Refused as refusal:
+            # a zero threshold, or a run that only reconfigured: one error, no artifact
+            with pytest.raises(SimulationError, match=re.escape(str(refusal))):
+                run_experiment(config, out)
+            assert not any(Path(out).iterdir())
+            if "streamed nothing" in str(refusal):
+                # the loop itself ran to the end, so its events keep the invariants
+                assert_loop_invariants(config, *run_with_events(config))
+            return
+        run_experiment(config, out)
+        for name, text in expected.items():
+            assert_same_text(name, (Path(out) / name).read_bytes().decode("utf-8"), text)
+        _, _, records = parsed_runs(Path(out) / "runs.csv")
     assert_loop_invariants(config, records, events)
 
 

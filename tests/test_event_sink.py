@@ -128,11 +128,14 @@ class RecordingSink(JsonlFileSink):
         super().write_run(record, ticks)
 
 
-def reference_jsonl(runs) -> str:
-    """events.jsonl built the plain way: one dict per event, each through json.dumps."""
+def reference_jsonl(config, runs) -> str:
+    """events.jsonl built the plain way: one dict per event, each through json.dumps.
+
+    Every step spans one monitoring interval, whatever it did.
+    """
     lines = []
     for record, ticks in runs:
-        for (t_us, upload, ok), condition, strategy, outcome, dt_us, stepped in ticks:
+        for (t_us, upload, ok), condition, strategy, outcome, stepped in ticks:
             events = [
                 {"event": "monitor", "upload_mbps": upload, "ok": ok},
                 {"event": "analyze", "condition": condition},
@@ -155,7 +158,7 @@ def reference_jsonl(runs) -> str:
                 {"event": "execute", **outcome._asdict()},
                 {
                     "event": "step",
-                    "dt_us": dt_us,
+                    "dt_us": config.monitor_interval_us,
                     "reconfig_us": stepped.reconfig_us,
                     "segments": segments,
                     "active": stepped.active,
@@ -173,7 +176,7 @@ def run_against_reference(config) -> tuple:
     sink = RecordingSink(file)
     Engine(config).run(sink.write_run)
     text = file.getvalue()
-    assert text == reference_jsonl(sink.runs)
+    assert text == reference_jsonl(config, sink.runs)
     return [record for record, _ in sink.runs], text
 
 

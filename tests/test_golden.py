@@ -16,7 +16,7 @@ import pytest
 from adastream.experiment import compare, render_comparison, run_experiment
 from adastream.scenario import load_scenario, parse_scenario
 
-from conftest import bundled_config_path
+from conftest import ZERO_DELAY_CHANGES, bundled_config_path
 
 GOLDEN_SHA256 = {
     "table3-static-lr": {
@@ -39,14 +39,7 @@ GOLDEN_SHA256 = {
     },
 }
 
-# The bundled adaptive config with no reconfiguration delay, a registry outage
-# and two user overrides, so that threshold, post-outage and override switches
-# all complete in the step of the tick that applies them.
-ZERO_DELAY_CHANGES = {
-    "reconfig_delay_s": 0.0,
-    "faults": [{"start_s": 400.0, "end_s": 460.0, "kind": "registry-unavailable"}],
-    "user_overrides": [{"at_s": 1000.0, "target": "LR"}, {"at_s": 2000.0, "target": "HR"}],
-}
+# The zero-delay config, conftest's ZERO_DELAY_CHANGES over the bundled adaptive one.
 ZERO_DELAY_SHA256 = {
     "runs.csv": "9e2525d83bd7fd85373be86186e46ddc85bca06f841dc5ce90f49840d8978fbb",
     "events.jsonl": "06f204780a7ddc24e03e0f3d0b03a171ae22835cc360293f750ec39ace4c5be0",

@@ -56,7 +56,7 @@ def test_static_scenario_pins_initial_config():
     config, diags = parse_scenario(doc(scenario="static-LR"))
     assert diags == []
     assert config.initial_config == "LR"
-    assert config.mode == "static"
+    assert config.scenario == "static-LR"
 
 
 def test_runs_must_be_at_least_one():
