@@ -128,9 +128,9 @@ class JsonlFileSink:
         self._seq = 0  # the next line's seq: seq counts the lines from 0
 
     def write_run(self, record: RunRecord, ticks: list[tuple]) -> None:
-        self._file.write(events_jsonl_text(record.run_index, self._seq, ticks, self._quoted))
-        # five lines a tick, and a register line when the tick carries a strategy
-        self._seq += 5 * len(ticks) + sum(1 for tick in ticks if tick[2] is not None)
+        text = events_jsonl_text(record.run_index, self._seq, ticks, self._quoted)
+        self._file.write(text)
+        self._seq += text.count("\n")  # one newline ends each line; json.dumps escapes any in a name
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -301,8 +301,6 @@ class Comparison(NamedTuple):
     artifacts: list[ScenarioArtifacts]
     # (p-metric, preset) -> winning scenario label, or "tie"
     verdicts: dict[tuple[str, str], str]
-    # adaptive scenario's per-config (run fraction, seconds fraction)
-    adaptive_selection: dict[str, tuple[float, float]]
 
 
 def compare(artifact_dirs: list[str | Path]) -> Comparison:
@@ -317,9 +315,7 @@ def compare(artifact_dirs: list[str | Path]) -> Comparison:
             best = max(a.grid[metric][preset] for a in artifacts)
             winners = [a.label for a in artifacts if a.grid[metric][preset] == best]
             verdicts[(metric, preset)] = winners[0] if len(winners) == 1 else "tie"
-
-    adaptive_selection = next((a.selection for a in artifacts if a.label == "adaptive"), {})
-    return Comparison(artifacts=artifacts, verdicts=verdicts, adaptive_selection=adaptive_selection)
+    return Comparison(artifacts=artifacts, verdicts=verdicts)
 
 
 def render_comparison(cmp: Comparison) -> str:
@@ -336,7 +332,8 @@ def render_comparison(cmp: Comparison) -> str:
     for metric in ("p1", "p2", "p3"):
         cells = "  ".join(f"{p}={cmp.verdicts[(metric, p)]}" for p in presets)
         out.append(f"  {metric}: {cells}")
-    if cmp.adaptive_selection:
+    selection = next((art.selection for art in cmp.artifacts if art.label == "adaptive"), {})
+    if selection:
         out += ["", "adaptive selection:"]
-        out += [f"  {name}: {format_selection(*fracs)}" for name, fracs in cmp.adaptive_selection.items()]
+        out += [f"  {name}: {format_selection(*fracs)}" for name, fracs in selection.items()]
     return "\n".join(out) + "\n"

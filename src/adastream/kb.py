@@ -1,9 +1,10 @@
 """Domain types and the knowledge base, the adaptation-strategy registry.
 
-The knowledge base is the one mutable store in the system: the latest
-registered strategy, an immutable value, and the last applied config. The
-`register` lines of events.jsonl hold the history. A single coordinator
-owns the instance; components reach it through that coordinator only.
+The knowledge base holds the latest registered strategy, an immutable
+value; the `register` lines of events.jsonl hold the history. The config
+the stream is committed to is the stream's own `target`. A single
+coordinator owns the instance; components reach it through that
+coordinator only.
 """
 
 from __future__ import annotations
@@ -111,11 +112,10 @@ class RunRecord(NamedTuple):
 
 
 class KnowledgeBase:
-    """The latest registered strategy, plus the last applied config for fallback."""
+    """The latest registered strategy."""
 
-    def __init__(self, last_applied: str | None = None):
+    def __init__(self):
         self._latest: AdaptationStrategy | None = None
-        self.last_applied = last_applied
 
     def register_strategy(self, strategy: AdaptationStrategy) -> None:
         """Make `strategy` the latest. The engine issues the ids, each above the last."""

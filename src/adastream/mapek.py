@@ -13,9 +13,8 @@ coordinator). The whole event sequence is a pure function of
 
 Fail-safe rules: a faulted probe yields an "unknown" condition, which
 never triggers adaptation; while the strategy registry is unavailable,
-new strategies are dropped and the executor falls back to the last
-applied configuration from the knowledge base, leaving the stream
-running.
+new strategies are dropped and the executor falls back to the config
+the stream is committed to, leaving the stream running.
 """
 
 from __future__ import annotations
@@ -109,23 +108,21 @@ class ExecuteOutcome(NamedTuple):
 class Executor:
     """Adaptation execution service: turns the latest strategy into a stream command.
 
-    Only the executor commands the stream, and it records each command in
-    `kb.last_applied`: the config the stream is committed to, the pending
-    one while a switch is in flight. It holds no state; the stream owns the
-    switch's delay.
+    Only the executor commands the stream. It holds no state: the stream
+    owns the switch's delay and its `target`, the config it is committed
+    to, which is the one being switched to while a switch is in flight.
     """
 
     def execute(self, kb: KnowledgeBase, stream: StreamState, registry_available: bool) -> ExecuteOutcome:
         if not registry_available:
-            # Degraded mode: hold the last-known configuration; never halt the stream.
-            return ExecuteOutcome("fallback", None, kb.last_applied, False)
+            # Degraded mode: hold the committed configuration; never halt the stream.
+            return ExecuteOutcome("fallback", None, stream.target, False)
         latest = kb.latest_strategy()
         if latest is None:
             return ExecuteOutcome("registry", None, None, False)
-        if latest.target == kb.last_applied:
+        if latest.target == stream.target:
             return ExecuteOutcome("registry", latest.id, latest.target, False)
         stream.apply_config(latest.target)
-        kb.last_applied = latest.target
         return ExecuteOutcome("registry", latest.id, latest.target, True)
 
 
@@ -191,7 +188,7 @@ class Engine:
         overrides = list(cfg.user_overrides)
         next_override = 0
         next_id = 1
-        kb = KnowledgeBase(last_applied=cfg.initial_config)
+        kb = KnowledgeBase()
         stream = StreamState(cfg.initial_config, cfg.reconfig_delay_us)
         # Looked up here, once per run, and not when the engine is built: a
         # stage rebound on its class or module after construction (as a
@@ -222,7 +219,7 @@ class Engine:
                     target, reason = plan(condition, space), condition
                 # The one strategy rule, for overrides and threshold decisions alike.
                 strategy = None
-                if target is not None and target != kb.last_applied:
+                if target is not None and target != stream.target:
                     strategy = AdaptationStrategy(next_id, target, reason)
 
                 registry_available = not fault_active("registry-unavailable", t_us)

@@ -31,41 +31,37 @@ class StreamState:
     def __init__(self, initial: str, reconfig_delay_us: int):
         self.reconfig_delay_us = reconfig_delay_us
         self.active = initial
-        self.pending: str | None = None
+        self.target = initial  # the committed config: `active` unless a switch is in flight
         self.reconfig_remaining_us = 0
         self.streamed_us: dict[str, int] = {}
         self.reconfig_us = 0
         self.switches = 0
 
     def apply_config(self, name: str) -> None:
-        """Open a switch to the config `name`; `step` completes it once its delay, even 0, has drained.
+        """Commit the stream to the config `name`; `step` completes the switch once its delay, even 0, has drained.
 
-        Applying the already-active config with no switch in flight is free.
-        Applying during an in-flight switch replaces the pending target
-        without extending the delay (no double-charging).
+        A switch is in flight while delay remains or `target` differs from
+        `active`. Applying the active config with no switch in flight is free.
+        Applying during an in-flight switch replaces its target without
+        extending the delay (no double-charging).
         """
-        if self.pending is not None:
-            self.pending = name
-        elif name != self.active:
-            self.pending = name
+        if not self.reconfig_remaining_us and self.target == self.active and name != self.active:
             self.reconfig_remaining_us = self.reconfig_delay_us
+        self.target = name
 
     def step(self, dt_us: int) -> StepOutcome:
         """Advance the stream by dt. Reconfiguration drains before streaming resumes."""
         reconfig_used = 0
         remaining = dt_us
         active = self.active
-        pending = self.pending
-        if pending is not None:
+        if self.reconfig_remaining_us or self.target != active:
             reconfig_used = min(self.reconfig_remaining_us, remaining)
             self.reconfig_remaining_us -= reconfig_used
             self.reconfig_us += reconfig_used
             remaining -= reconfig_used
-            if self.reconfig_remaining_us == 0:
-                if pending != active:
-                    self.switches += 1
-                self.active = active = pending
-                self.pending = None
+            if not self.reconfig_remaining_us and self.target != active:
+                self.switches += 1
+                self.active = active = self.target
         if remaining > 0:
             self.streamed_us[active] = self.streamed_us.get(active, 0) + remaining
         return StepOutcome(reconfig_used, remaining, active)

@@ -14,7 +14,7 @@ from adastream.experiment import (
     render_comparison,
     run_experiment,
 )
-from adastream.metrics import round_half_up, selection_fractions
+from adastream.metrics import format_selection, round_half_up, selection_fractions
 
 from conftest import fold_of, parsed_runs, run_dropping_events
 
@@ -70,7 +70,7 @@ def test_compare_three_scenarios(tmp_path, scenario_factory):
     result = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
     assert len(result.verdicts) == 9
     assert all(v in {"static-LR", "static-HR", "adaptive", "tie"} for v in result.verdicts.values())
-    assert "LR" in result.adaptive_selection and "HR" in result.adaptive_selection
+    assert set(result.artifacts[2].selection) == {"LR", "HR"}
     text = render_comparison(result)
     assert "best scenario per combined-performance cell" in text
     assert "adaptive selection" in text
@@ -104,8 +104,14 @@ def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory)
     for label in ("static-LR", "static-HR"):
         run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
     cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
-    assert list(cmp.adaptive_selection) == list(config.space.names)
-    assert cmp.adaptive_selection == selection_fractions(fold_of(direct, config.space))
+    adaptive = cmp.artifacts[2]
+    assert adaptive.label == "adaptive"
+    assert list(adaptive.selection) == list(config.space.names)
+    assert adaptive.selection == selection_fractions(fold_of(direct, config.space))
+    # render_comparison reads the adaptive selection from the adaptive artifact
+    text = render_comparison(cmp)
+    lines = [f"  {name}: {format_selection(*fracs)}" for name, fracs in adaptive.selection.items()]
+    assert text.endswith("\nadaptive selection:\n" + "\n".join(lines) + "\n")
 
 
 def test_compare_rejects_duplicate_scenarios(tmp_path, scenario_factory):

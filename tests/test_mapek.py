@@ -177,28 +177,37 @@ def test_monitor_tick_deterministic():
 
 
 def test_execute_applies_latest_strategy():
-    kb = KnowledgeBase(last_applied="LR")
+    kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     stream = StreamState("LR", to_us(2.7))
     outcome = Executor().execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "HR" and outcome.strategy_id == 1
-    assert stream.pending == "HR"
-    assert kb.last_applied == "HR"
+    assert (stream.active, stream.target) == ("LR", "HR")
+    assert stream.reconfig_remaining_us == to_us(2.7)
 
 
 def test_execute_registry_unavailable_falls_back():
-    kb = KnowledgeBase(last_applied="LR")
+    kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     stream = StreamState("LR", to_us(2.7))
     outcome = Executor().execute(kb, stream, registry_available=False)
     assert not outcome.applied
     assert outcome.source == "fallback" and outcome.target == "LR"
-    assert stream.pending is None  # still streaming, unchanged
-    assert kb.last_applied == "LR"
+    # still streaming, unchanged
+    assert (stream.active, stream.target, stream.reconfig_remaining_us) == ("LR", "LR", 0)
+
+
+def test_execute_fallback_reports_the_target_of_a_switch_in_flight():
+    kb = KnowledgeBase()
+    stream = StreamState("LR", to_us(2.7))
+    stream.apply_config("HR")
+    outcome = Executor().execute(kb, stream, registry_available=False)
+    assert outcome == ("fallback", None, "HR", False)
+    assert (stream.active, stream.target) == ("LR", "HR")
 
 
 def test_execute_matching_target_is_free():
-    kb = KnowledgeBase(last_applied="LR")
+    kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "LR", "below-threshold"))
     stream = StreamState("LR", to_us(2.7))
     outcome = Executor().execute(kb, stream, registry_available=True)
@@ -207,7 +216,7 @@ def test_execute_matching_target_is_free():
 
 
 def test_execute_empty_registry_is_noop():
-    kb = KnowledgeBase(last_applied="LR")
+    kb = KnowledgeBase()
     stream = StreamState("LR", to_us(2.7))
     outcome = Executor().execute(kb, stream, registry_available=True)
     assert not outcome.applied and outcome.strategy_id is None
@@ -215,14 +224,19 @@ def test_execute_empty_registry_is_noop():
 
 def test_execute_compares_against_pending_target():
     # a switch to HR is in flight; the latest strategy reverses to LR
-    kb = KnowledgeBase(last_applied="HR")
+    kb = KnowledgeBase()
     stream = StreamState("LR", to_us(2.7))
     stream.apply_config("HR")
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     kb.register_strategy(AdaptationStrategy(2, "LR", "below-threshold"))
     outcome = Executor().execute(kb, stream, registry_available=True)
     assert outcome.applied and outcome.target == "LR"
-    assert stream.pending == "LR"
+    assert (stream.active, stream.target) == ("LR", "LR")
+    assert stream.reconfig_remaining_us == to_us(2.7)  # the deadline holds
+    # a strategy naming the committed config is a no-op, though HR is not active
+    kb.register_strategy(AdaptationStrategy(3, "HR", "above-threshold"))
+    assert Executor().execute(kb, stream, registry_available=True).applied
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", 3, "HR", False)
 
 
 # -- the loop ------------------------------------------------------------------

@@ -127,7 +127,7 @@ CASES = [
     (ScenarioArtifacts, {"label": "adaptive", "grid": GRID, "selection": SELECTION}, []),
     (
         Comparison,
-        {"artifacts": [ARTIFACTS], "verdicts": {("p1", "5r5q"): "adaptive"}, "adaptive_selection": {}},
+        {"artifacts": [ARTIFACTS], "verdicts": {("p1", "5r5q"): "adaptive"}},
         [],
     ),
 ]
