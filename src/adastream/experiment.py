@@ -42,9 +42,9 @@ ARTIFACTS = ("events.jsonl", "runs.csv", "report.txt", "report.csv")
 RUNS_CSV_FIXED_COLUMNS = ["run", "scenario", "duration_s", "reconfig_s", "switches"]
 
 
-def runs_csv_text(r: RunRecord, config_names: tuple[str, ...]) -> str:
+def runs_csv_text(r: RunRecord, scenario: str, config_names: tuple[str, ...]) -> str:
     """One run's runs.csv row, with a seconds column for each of `config_names`."""
-    cells = [r.run_index, r.scenario, format_seconds(r.duration_us), format_seconds(r.reconfig_us), r.switches]
+    cells = [r.run_index, scenario, format_seconds(r.duration_us), format_seconds(r.reconfig_us), r.switches]
     cells += [format_seconds(r.streamed_us.get(name, 0)) for name in config_names]
     return ",".join(map(str, cells)) + "\n"
 
@@ -52,18 +52,9 @@ def runs_csv_text(r: RunRecord, config_names: tuple[str, ...]) -> str:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-class QuotedNames(dict):
-    """Config name -> its JSON string literal, each quoted once on first use."""
-
-    def __missing__(self, name: str | None) -> str:
-        text = self[name] = json.dumps(name)
-        return text
-
-
-def events_jsonl_text(
-    run_index: int, first_seq: int, ticks: list[tuple], quoted: QuotedNames
-) -> str:
-    """One run's events as JSON lines, from the tick records laid out in `mapek`.
+def events_jsonl_text(run_index: int, first_seq: int, ticks: list[tuple], quoted: dict[str | None, str]) -> str:
+    """One run's events as JSON lines, from the tick records laid out in `mapek`;
+    `quoted` maps None and each config name to its JSON literal.
 
     Byte for byte what `json.dumps(event, separators=(",", ":"))` gives
     for each event dict, without building the dicts.
@@ -120,11 +111,15 @@ def events_jsonl_text(
 
 
 class JsonlFileSink:
-    """Writes each run's events to an open text file as soon as the run ends."""
+    """Writes each run's events to an open text file as soon as the run ends.
 
-    def __init__(self, file: TextIO):
+    Every name a line can hold, None and each of the space's `names`, is
+    quoted once here.
+    """
+
+    def __init__(self, file: TextIO, names: tuple[str, ...]):
         self._file = file
-        self._quoted = QuotedNames()
+        self._quoted = {name: json.dumps(name) for name in (None, *names)}
         self._seq = 0  # the next line's seq: seq counts the lines from 0
 
     def write_run(self, record: RunRecord, ticks: list[tuple]) -> None:
@@ -177,7 +172,6 @@ def parse_runs_csv(path: str | Path) -> tuple[str | None, RunFold]:
             fold.add(
                 RunRecord.of(
                     run_index=int(cells[0]),
-                    scenario=scenario,
                     duration_us=to_us(float(cells[2])),
                     reconfig_us=to_us(float(cells[3])),
                     switches=int(cells[4]),
@@ -219,12 +213,12 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> dict[str, dic
             partials["events.jsonl"].open("w", encoding="utf-8", newline="") as events,
             partials["runs.csv"].open("w", encoding="utf-8", newline="") as runs,
         ):
-            sink = JsonlFileSink(events)
+            sink = JsonlFileSink(events, names)
             runs.write(",".join(RUNS_CSV_FIXED_COLUMNS + [f"seconds_{name}" for name in names]) + "\n")
 
             def write_run(record: RunRecord, ticks: list[tuple]) -> None:
                 sink.write_run(record, ticks)
-                runs.write(runs_csv_text(record, names))
+                runs.write(runs_csv_text(record, config.scenario, names))
                 fold.add(record)
 
             engine = Engine(config)

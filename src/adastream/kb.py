@@ -81,7 +81,6 @@ class RunRecord(NamedTuple):
     """
 
     run_index: int
-    scenario: str
     duration_us: int
     reconfig_us: int
     switches: int
@@ -89,8 +88,7 @@ class RunRecord(NamedTuple):
 
     @classmethod
     def of(
-        cls, run_index: int, scenario: str, duration_us: int, reconfig_us: int, switches: int,
-        streamed_us: dict[str, int],
+        cls, run_index: int, duration_us: int, reconfig_us: int, switches: int, streamed_us: dict[str, int]
     ) -> RunRecord:
         if run_index < 0 or switches < 0:
             raise ValueError(
@@ -108,7 +106,7 @@ class RunRecord(NamedTuple):
                 f"run {run_index}: time accounting broken: streamed {streamed} + reconfig "
                 f"{reconfig_us} != duration {duration_us}"
             )
-        return cls(run_index, scenario, duration_us, reconfig_us, switches, streamed_us)
+        return cls(run_index, duration_us, reconfig_us, switches, streamed_us)
 
 
 class KnowledgeBase:

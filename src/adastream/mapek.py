@@ -231,4 +231,4 @@ class Engine:
                 outcome = execute(kb, stream, registry_available)
                 add((sample, condition, strategy, outcome, step(interval_us)))
 
-            write_run(stream.finalize_run(cfg.scenario, run_index, run_duration_us), ticks)
+            write_run(stream.finalize_run(run_index, run_duration_us), ticks)

@@ -194,14 +194,12 @@ def render_report_csv(grid: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_text(
-    scenario: str, runs: int, grid: dict[str, dict[str, float]], extra_lines: list[str] | None = None
-) -> str:
-    """Human-readable aligned table of the same grid."""
+def render_report_text(scenario: str, runs: int, grid: dict[str, dict[str, float]], extra_lines: list[str]) -> str:
+    """Human-readable aligned table of the same grid, with `extra_lines` above it."""
     out = [
         f"scenario: {scenario}",
         f"runs:     {runs}",
-        *(extra_lines or ()),
+        *extra_lines,
         "",
         "metric".ljust(GRID_WIDTH) + "".join(p.rjust(GRID_WIDTH) for p in QUALITY_PRESETS),
     ]

@@ -62,6 +62,10 @@ _MIN_DURATION_S = 1e-6
 # from running as many loop ticks
 _MAX_TRACE_SAMPLES = 20_000_000
 
+# a run's tick records and its events text are held until the run ends, under
+# 2 KB a tick, so one run's ticks are capped too
+_MAX_RUN_TICKS = 1_000_000
+
 
 class _Field(NamedTuple):
     """One key of a scenario object: its JSON type, default and accepted range."""
@@ -315,11 +319,16 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
                 f"experiment needs {samples} trace samples; limit is {_MAX_TRACE_SAMPLES} "
                 f"(reduce runs/run_duration_s or raise trace.step_s)"
             )
-    if None not in (runs, run_duration_us, interval_us):
-        ticks = runs * -(-run_duration_us // interval_us)
-        if ticks > _MAX_TRACE_SAMPLES:
+    if None not in (run_duration_us, interval_us):
+        run_ticks = -(-run_duration_us // interval_us)
+        if run_ticks > _MAX_RUN_TICKS:
             diags.append(
-                f"experiment needs {ticks} loop ticks; limit is {_MAX_TRACE_SAMPLES} "
+                f"a run needs {run_ticks} loop ticks; limit is {_MAX_RUN_TICKS} "
+                f"(reduce run_duration_s or raise monitor_interval_s)"
+            )
+        if runs is not None and runs * run_ticks > _MAX_TRACE_SAMPLES:
+            diags.append(
+                f"experiment needs {runs * run_ticks} loop ticks; limit is {_MAX_TRACE_SAMPLES} "
                 f"(reduce runs/run_duration_s or raise monitor_interval_s)"
             )
 

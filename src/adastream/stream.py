@@ -66,14 +66,12 @@ class StreamState:
             self.streamed_us[active] = self.streamed_us.get(active, 0) + remaining
         return StepOutcome(reconfig_used, remaining, active)
 
-    def finalize_run(self, scenario: str, run_index: int, duration_us: int) -> RunRecord:
+    def finalize_run(self, run_index: int, duration_us: int) -> RunRecord:
         """Close the window through `RunRecord.of`, which checks it adds up to `duration_us`.
 
         The next window opens empty; a switch in flight carries across into it.
         """
-        record = RunRecord.of(
-            run_index, scenario, duration_us, self.reconfig_us, self.switches, self.streamed_us
-        )
+        record = RunRecord.of(run_index, duration_us, self.reconfig_us, self.switches, self.streamed_us)
         self.streamed_us = {}
         self.reconfig_us = 0
         self.switches = 0

@@ -93,7 +93,7 @@ def run_dropping_events(config) -> tuple[RunRecord, ...]:
 def run_into_jsonl(config) -> tuple[tuple[RunRecord, ...], str]:
     """Run the engine into events.jsonl's encoder: the run records and the text it wrote."""
     file = io.StringIO()
-    sink = JsonlFileSink(file)
+    sink = JsonlFileSink(file, config.space.names)
     records = []
 
     def write_run(record, ticks):
@@ -134,14 +134,20 @@ def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
 _MAX_TICKS = 20_000
 _MAX_SAMPLES = 50_000
 
+# Quote, backslash, control characters, and non-ASCII (BMP and astral); no
+# ',' or line break, which a config name may not hold.
+NAME_CHARS = st.sampled_from(list('"\\\x00\x01\x1f\x7f\t/é€😀ab'))
+
 
 @st.composite
-def bounded_documents(draw):
+def bounded_documents(draw, own_space=False):
     """A scenario document of at most _MAX_TICKS ticks and _MAX_SAMPLES trace samples.
 
     Times are drawn in whole microseconds, so each seconds value in the
     document converts back exactly. Some documents hold a total run time
     below one trace step, or a warmup window between two sample instants.
+    With `own_space`, each brings its own adaptation space: one to three
+    configs, whose names need JSON escaping and whose frame rates may tie.
     """
     runs = draw(st.integers(1, 4))
     step_us = draw(st.sampled_from([1, 1_000, 250_000, 1_000_000, 3_000_000, 60_000_000]))
@@ -171,11 +177,24 @@ def bounded_documents(draw):
             cursor = start + draw(st.integers(1, total_us))
             faults.append({"start_s": start / 1e6, "end_s": cursor / 1e6, "kind": kind})
 
-    scenario = draw(st.sampled_from(["adaptive", "adaptive", "static-LR", "static-HR"]))
+    names, space = ["LR", "HR"], {}
+    if own_space:
+        names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=5), min_size=1, max_size=3, unique=True))
+        space["adaptation_space"] = [
+            {
+                "name": name,
+                "frame_rate": draw(st.sampled_from([1, 30, 60])),
+                "scale_w": 320,
+                "scale_h": 240,
+                "quality_score": draw(st.sampled_from([0.0, 0.2, 0.99, 1.0])),
+            }
+            for name in names
+        ]
+    scenario = draw(st.sampled_from(["adaptive", "adaptive", *(f"static-{name}" for name in names)]))
     overrides = []
     if scenario == "adaptive":
         overrides = [
-            {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(["LR", "HR"]))}
+            {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(names))}
             for _ in range(draw(st.integers(0, 3)))
         ]
     return {
@@ -196,6 +215,7 @@ def bounded_documents(draw):
         "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
         "warmup": warmup,
         "faults": faults,
+        **space,
         "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
         "user_overrides": overrides,
         "seed": draw(st.integers(0, 2**31)),

@@ -526,6 +526,37 @@ def test_validate_and_run_reject_a_config_with_too_many_loop_ticks(tmp_path, cap
     assert not out.exists()
 
 
+def test_validate_and_run_reject_a_run_with_too_many_loop_ticks(tmp_path, capsys):
+    # a run's tick records are held until it ends: one run of 20M ticks, which
+    # `validate` used to accept, needs some 30 GB
+    config = {
+        "schema_version": 1,
+        "scenario": "adaptive",
+        "runs": 1,
+        "run_duration_s": 1_000_001,
+        "monitor_interval_s": 1,
+        "trace": {"step_s": 1000},
+        "warmup": {"duration_s": 10800, "start_s": 0, "end_s": 1000},
+        "seed": 1,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    line = (
+        "config error: a run needs 1000001 loop ticks; limit is 1000000 "
+        "(reduce run_duration_s or raise monitor_interval_s)\n"
+    )
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == line
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+    # exactly at the limit it is accepted; it is not run here
+    path.write_text(json.dumps({**config, "run_duration_s": 1_000_000}))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "content",
     [

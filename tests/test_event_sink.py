@@ -19,11 +19,7 @@ from adastream.mapek import Engine
 from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
-from conftest import bundled_config_path, parsed_runs
-
-# Quote, backslash, control characters, and non-ASCII (BMP and astral); no
-# ',' or line break, which a config name may not hold.
-NAME_CHARS = st.sampled_from(list('"\\\x00\x01\x1f\x7f\t/é€😀ab'))
+from conftest import NAME_CHARS, bundled_config_path, parsed_runs
 
 
 @st.composite
@@ -119,8 +115,8 @@ def parse_checked_lines(config, text: str) -> list[dict]:
 class RecordingSink(JsonlFileSink):
     """The file sink, also keeping each run's record and tick records for the reference encoder."""
 
-    def __init__(self, file):
-        super().__init__(file)
+    def __init__(self, file, names):
+        super().__init__(file, names)
         self.runs = []
 
     def write_run(self, record, ticks):
@@ -173,7 +169,7 @@ def reference_jsonl(config, runs) -> str:
 def run_against_reference(config) -> tuple:
     """Run into the file sink, check its text against the reference encoder's; the run records and text."""
     file = io.StringIO()
-    sink = RecordingSink(file)
+    sink = RecordingSink(file, config.space.names)
     Engine(config).run(sink.write_run)
     text = file.getvalue()
     assert text == reference_jsonl(config, sink.runs)
@@ -273,11 +269,21 @@ def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, scenario_facto
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
 
 
+def traced_peak(config, out_dir) -> int:
+    """The tracemalloc peak of `run_experiment`, in bytes."""
+    tracemalloc.start()
+    try:
+        run_experiment(config, out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_event_memory_does_not_grow_with_run_count(tmp_path):
     """Adding runs adds almost no memory: no run's events or record is held.
 
     One-tick runs make the per-run cost stand out: each run writes several
-    hundred bytes of JSON lines and closes a record of about 550 B. The
+    hundred bytes of JSON lines and closes a record of about 330 B. The
     trace, the one thing that still grows with the run count, adds one
     float, about 32 B, per run of this config.
     """
@@ -287,11 +293,23 @@ def test_event_memory_does_not_grow_with_run_count(tmp_path):
     for runs in (100, 2_000):
         config, diags = parse_scenario({**doc, "runs": runs})
         assert config is not None, diags
-        tracemalloc.start()
-        try:
-            run_experiment(config, tmp_path / str(runs))
-            peaks[runs] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[runs] = traced_peak(config, tmp_path / str(runs))
     growth_per_run = (peaks[2_000] - peaks[100]) / 1_900
     assert growth_per_run < 128, peaks
+
+
+def test_one_long_run_costs_under_2_kb_a_tick(tmp_path):
+    """A run's tick records and events text are held until the run ends.
+
+    The per-run tick limit in the parser is sized by this cost: 1,000,000
+    ticks at under 2 KB each is at most about 2 GB for the longest run.
+    The same 10,000 ticks as 100 short runs hold almost nothing.
+    """
+    doc = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    peaks = {}
+    for runs, run_duration_s in ((100, 100.0), (1, 10_000.0)):
+        config, diags = parse_scenario({**doc, "runs": runs, "run_duration_s": run_duration_s})
+        assert config is not None, diags
+        peaks[runs] = traced_peak(config, tmp_path / str(runs))
+    per_tick = (peaks[1] - peaks[100]) / 10_000
+    assert per_tick < 2_048, peaks

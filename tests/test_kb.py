@@ -18,12 +18,11 @@ def strategy(sid, target="LR", reason="below-threshold"):
     return AdaptationStrategy(id=sid, target=target, reason=reason)
 
 
-def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None, scenario="adaptive"):
+def record(run_index=0, duration_us=30_000_000, reconfig_us=0, streamed=None):
     if streamed is None:
         streamed = {"LR": duration_us - reconfig_us}
     return RunRecord.of(
         run_index=run_index,
-        scenario=scenario,
         duration_us=duration_us,
         reconfig_us=reconfig_us,
         switches=0,
@@ -89,7 +88,7 @@ def test_run_record_enforces_accounting_identity():
         record(duration_us=10, reconfig_us=20)
     with pytest.raises(ValueError):
         RunRecord.of(
-            run_index=0, scenario="adaptive", duration_us=100, reconfig_us=10,
+            run_index=0, duration_us=100, reconfig_us=10,
             switches=1, streamed_us={"LR": 80},  # 80 + 10 != 100
         )
 

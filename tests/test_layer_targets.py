@@ -60,7 +60,7 @@ def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch
     monkeypatch.setattr(experiment, "events_jsonl_text", recording)
     config = load_scenario(bundled_config_path("table3-adaptive"))._replace(runs=3)
     file = io.StringIO()
-    Engine(config).run(experiment.JsonlFileSink(file).write_run)
+    Engine(config).run(experiment.JsonlFileSink(file, config.space.names).write_run)
     assert len(returned) == config.runs
     assert all(type(text) is str for text in returned)
     assert "".join(returned) == file.getvalue()

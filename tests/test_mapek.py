@@ -475,7 +475,7 @@ def test_a_second_run_replays_the_first(config):
     results, texts = [], []
     for _ in range(2):
         file = io.StringIO()
-        sink = JsonlFileSink(file)
+        sink = JsonlFileSink(file, config.space.names)
         records = []
 
         def write_run(record, ticks):

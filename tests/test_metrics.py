@@ -36,7 +36,7 @@ SPACE = default_space()
 LR, HR = SPACE.configs
 
 
-def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, scenario="adaptive", run_index=0):
+def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, run_index=0):
     duration = to_us(duration_s)
     reconfig = to_us(reconfig_s)
     streamed = {}
@@ -47,7 +47,7 @@ def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, scenario="adap
     if not streamed and duration > reconfig:
         streamed["LR"] = duration - reconfig
     return RunRecord.of(
-        run_index=run_index, scenario=scenario, duration_us=duration,
+        run_index=run_index, duration_us=duration,
         reconfig_us=reconfig, switches=0, streamed_us=streamed,
     )
 
@@ -217,7 +217,7 @@ def test_weight_monotonicity():
 
 
 def test_aggregate_constant_runs_equals_single_run():
-    records = [record(30, 0, hr_s=30, scenario="static-HR", run_index=i) for i in range(100)]
+    records = [record(30, 0, hr_s=30, run_index=i) for i in range(100)]
     grid = aggregate(fold_of(records, SPACE))
     assert list(grid["tp"].values()) == [1.0] * len(QUALITY_PRESETS)
     for preset, qw in QUALITY_PRESETS.items():
@@ -226,7 +226,7 @@ def test_aggregate_constant_runs_equals_single_run():
 
 
 def test_aggregate_static_lr_row():
-    records = [record(30, 0, lr_s=30, scenario="static-LR", run_index=i) for i in range(10)]
+    records = [record(30, 0, lr_s=30, run_index=i) for i in range(10)]
     grid = aggregate(fold_of(records, SPACE))
     assert abs(grid["qp"]["5r5q"] - 0.745) < 0.01
     assert abs(grid["qp"]["9r1q"] - 0.55) < 0.01
@@ -262,7 +262,7 @@ def test_aggregate_all_cells_bounded():
         hr = duration - reconfig - lr
         records.append(
             RunRecord.of(
-                run_index=i, scenario="adaptive", duration_us=duration,
+                run_index=i, duration_us=duration,
                 reconfig_us=reconfig, switches=0, streamed_us={"LR": lr, "HR": hr},
             )
         )
@@ -313,7 +313,7 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
 
     def run(run_index, reconfig_s=0, **seconds):
         return RunRecord.of(
-            run_index=run_index, scenario="adaptive", duration_us=to_us(30),
+            run_index=run_index, duration_us=to_us(30),
             reconfig_us=to_us(reconfig_s), switches=0,
             streamed_us={name: to_us(s) for name, s in seconds.items()},
         )
@@ -366,12 +366,12 @@ def test_round_half_up_matches_display_rule():
 
 
 def test_report_renders_fixed_grid():
-    records = [record(30, 0, lr_s=30, scenario="static-LR", run_index=i) for i in range(3)]
+    records = [record(30, 0, lr_s=30, run_index=i) for i in range(3)]
     grid = aggregate(fold_of(records, SPACE))
     csv_text = render_report_csv(grid)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "metric,5r5q,9r1q,1r9q"
     assert len(lines) == 6  # header + tp/qp/p1/p2/p3
     assert all(len(line.split(",")) == 4 for line in lines)
-    text = render_report_text("static-LR", len(records), grid)
+    text = render_report_text("static-LR", len(records), grid, [])
     assert "static-LR" in text and "tp" in text

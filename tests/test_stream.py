@@ -105,7 +105,7 @@ def test_static_run_finalizes_with_full_streaming():
     state = StreamState(LR, DELAY_US)
     for _ in range(30):
         state.step(to_us(1))
-    record = state.finalize_run("static-LR", 0, RUN_US)
+    record = state.finalize_run(0, RUN_US)
     assert record.reconfig_us == 0
     assert record.streamed_us == {"LR": RUN_US}
     assert record.switches == 0
@@ -116,7 +116,7 @@ def test_single_switch_run_accounting():
     state.step(to_us(10))
     state.apply_config(HR)
     state.step(to_us(20))
-    record = state.finalize_run("adaptive", 0, RUN_US)
+    record = state.finalize_run(0, RUN_US)
     assert record.reconfig_us == 2_700_000
     assert sum(record.streamed_us.values()) == RUN_US - 2_700_000  # 27.3 s
     assert record.streamed_us == {"LR": 10_000_000, "HR": 17_300_000}
@@ -128,7 +128,7 @@ def test_run_ending_mid_reconfiguration_clips_open_interval():
     state.step(to_us(29))
     state.apply_config(HR)
     state.step(to_us(1))
-    record = state.finalize_run("adaptive", 0, RUN_US)
+    record = state.finalize_run(0, RUN_US)
     assert record.reconfig_us == 1_000_000
     assert record.streamed_us == {"LR": 29_000_000}
     # the switch carries into the next run, which finalize_run opened
@@ -140,7 +140,7 @@ def test_run_ending_mid_reconfiguration_clips_open_interval():
 def test_finalized_record_keeps_its_ledger_after_later_steps():
     state = StreamState(LR, 0)
     state.step(RUN_US)
-    record = state.finalize_run("static-LR", 0, RUN_US)
+    record = state.finalize_run(0, RUN_US)
     state.step(to_us(5))
     state.apply_config(HR)
     state.step(to_us(5))
@@ -155,11 +155,11 @@ def test_switch_in_flight_at_run_boundaries_charges_each_run_its_own_part():
     state.step(to_us(29))
     state.apply_config(HR)
     state.step(to_us(1))
-    records = [state.finalize_run("adaptive", 0, RUN_US)]
+    records = [state.finalize_run(0, RUN_US)]
     state.step(RUN_US)
-    records.append(state.finalize_run("adaptive", 1, RUN_US))
+    records.append(state.finalize_run(1, RUN_US))
     state.step(RUN_US)
-    records.append(state.finalize_run("adaptive", 2, RUN_US))
+    records.append(state.finalize_run(2, RUN_US))
     assert [r.reconfig_us for r in records] == [to_us(1), RUN_US, to_us(4)]
     assert [r.streamed_us for r in records] == [{"LR": to_us(29)}, {}, {"HR": to_us(26)}]
     # the switch counts in the run where it completes
@@ -170,7 +170,7 @@ def test_finalize_rejects_clock_mismatch():
     state = StreamState(LR, DELAY_US)
     state.step(to_us(29))
     with pytest.raises(ValueError, match="run 7: time accounting broken"):
-        state.finalize_run("adaptive", 7, RUN_US)
+        state.finalize_run(7, RUN_US)
 
 
 def test_time_conservation_over_random_interleavings():
@@ -205,7 +205,7 @@ def test_static_scenario_always_tp_one():
             dt = min(rng.randint(1, 2_000_000), RUN_US - total)
             state.step(dt)
             total += dt
-        record = state.finalize_run("static-HR", 0, RUN_US)
+        record = state.finalize_run(0, RUN_US)
         assert record.reconfig_us == 0
         assert record.streamed_us == {"HR": RUN_US}
 
@@ -248,8 +248,8 @@ class PendingModel:
             self.streamed_us[self.active] = self.streamed_us.get(self.active, 0) + streamed
         return used, streamed, self.active
 
-    def finalize(self, scenario: str, run_index: int, duration_us: int) -> tuple:
-        record = (run_index, scenario, duration_us, self.reconfig_us, self.switches, self.streamed_us)
+    def finalize(self, run_index: int, duration_us: int) -> tuple:
+        record = (run_index, duration_us, self.reconfig_us, self.switches, self.streamed_us)
         self.streamed_us, self.reconfig_us, self.switches = {}, 0, 0
         return record
 
@@ -294,9 +294,7 @@ def test_stream_matches_the_pending_model(delay_us, ops):
             assert stream.step(dt_us) == model.step(dt_us), op
             window_us += dt_us
         elif window_us:
-            assert stream.finalize_run("adaptive", run_index, window_us) == model.finalize(
-                "adaptive", run_index, window_us
-            )
+            assert stream.finalize_run(run_index, window_us) == model.finalize(run_index, window_us)
             window_us = 0
             run_index += 1
         assert (stream.target, stream.active) == (model.committed(), model.active), op

@@ -73,7 +73,7 @@ CASES = [
     (
         RunRecord,
         {
-            "run_index": 0, "scenario": "adaptive", "duration_us": 100, "reconfig_us": 10,
+            "run_index": 0, "duration_us": 100, "reconfig_us": 10,
             "switches": 1, "streamed_us": {"LR": 90},
         },
         [
