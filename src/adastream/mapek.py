@@ -6,10 +6,11 @@ message hop per pipeline stage per monitoring tick:
 
     monitor -> analyze -> plan -> register -> execute -> step
 
-Components exchange immutable messages only and never share mutable
-state; the knowledge base is touched solely by the engine (the
-coordinator). The whole event sequence is a pure function of
-(scenario config, seed).
+The monitor, analyzer and planner exchange immutable messages only. The
+engine (the coordinator) registers each strategy in the knowledge base
+and steps the stream; the executor reads the latest strategy from the
+knowledge base and commands the stream through `apply_config`. The whole
+event sequence is a pure function of (scenario config, seed).
 
 Fail-safe rules: a faulted probe yields an "unknown" condition, which
 never triggers adaptation; while the strategy registry is unavailable,

@@ -15,6 +15,21 @@ from adastream.mapek import Engine
 from adastream.metrics import QualityWeights, RunFold, config_quality_score, quality_scores
 from adastream.scenario import parse_scenario
 
+# Hypothesis mixes literals from every loaded module outside the standard
+# library, site-packages and test files into about one draw in twenty, so a
+# property draws the same examples only when the same such modules are
+# loaded. The whole suite loads the CLI and the benchmark's runner, with its
+# layers and workloads, before the first property runs; loading them here
+# makes one test file alone draw what the whole suite draws.
+import adastream.cli  # noqa: E402,F401
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+try:
+    import run  # noqa: E402,F401
+    import workloads  # noqa: E402
+finally:
+    sys.path.pop(0)
+
 
 def bundled_config_path(name: str) -> Path:
     """Path of a scenario file shipped with the package, e.g. 'table3-adaptive'."""
@@ -235,11 +250,6 @@ ZERO_DELAY_CHANGES = {
 def named_documents() -> dict[str, dict]:
     """Scenario documents by name: the three bundled configs, the zero-delay
     golden config, and the benchmark's fault-storm config at seed 42."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
     bundled = {
         name: json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
         for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive")

@@ -161,7 +161,7 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
     assert {module for _, module, _, _ in layers.TARGETS} <= set(loaded)
 
 
-def test_run_and_compare_round_trip(tmp_path, capsys):
+def test_run_writes_its_artifacts_and_says_where(tmp_path, capsys):
     config = {
         "schema_version": 1,
         "scenario": "adaptive",
@@ -172,10 +172,10 @@ def test_run_and_compare_round_trip(tmp_path, capsys):
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "runs.csv").exists()
-    captured = capsys.readouterr()
-    assert "adaptive" in captured.out
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert (out / "runs.csv").exists()
+    assert capsys.readouterr().out == f"wrote {out}: scenario adaptive, 2 runs\n"
 
 
 def test_run_seed_override_changes_outputs(tmp_path):
@@ -187,7 +187,7 @@ def test_run_seed_override_changes_outputs(tmp_path):
 
 def test_validate_good_config(capsys):
     assert main(["validate", str(bundled_config_path("table3-static-lr"))]) == 0
-    assert "valid" in capsys.readouterr().out
+    assert capsys.readouterr().out == "valid: scenario static-LR, 100 runs, seed 42\n"
 
 
 def test_validate_reports_every_diagnostic(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import tempfile
@@ -14,12 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import JsonlFileSink, run_experiment
-from adastream.mapek import Engine
+from adastream.experiment import run_experiment, runs_csv_text
 from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
 from conftest import NAME_CHARS, bundled_config_path, parsed_runs
+from reference_loop import reference_artifacts
 
 
 @st.composite
@@ -112,68 +111,14 @@ def parse_checked_lines(config, text: str) -> list[dict]:
     return events
 
 
-class RecordingSink(JsonlFileSink):
-    """The file sink, also keeping each run's record and tick records for the reference encoder."""
-
-    def __init__(self, file, names):
-        super().__init__(file, names)
-        self.runs = []
-
-    def write_run(self, record, ticks):
-        self.runs.append((record, ticks))
-        super().write_run(record, ticks)
-
-
-def reference_jsonl(config, runs) -> str:
-    """events.jsonl built the plain way: one dict per event, each through json.dumps.
-
-    Every step spans one monitoring interval, whatever it did.
-    """
-    lines = []
-    for record, ticks in runs:
-        for (t_us, upload, ok), condition, strategy, outcome, stepped in ticks:
-            events = [
-                {"event": "monitor", "upload_mbps": upload, "ok": ok},
-                {"event": "analyze", "condition": condition},
-            ]
-            if strategy is None:
-                events.append({"event": "plan", "action": "keep"})
-            else:
-                registered = outcome.source == "registry"
-                events += [
-                    {"event": "plan", "action": "strategy", "target": strategy.target, "reason": strategy.reason},
-                    {
-                        "event": "register",
-                        "ok": registered,
-                        "strategy_id": strategy.id if registered else None,
-                        "target": strategy.target,
-                    },
-                ]
-            segments = [[stepped.active, stepped.streamed_us]] if stepped.streamed_us else []
-            events += [
-                {"event": "execute", **outcome._asdict()},
-                {
-                    "event": "step",
-                    "dt_us": config.monitor_interval_us,
-                    "reconfig_us": stepped.reconfig_us,
-                    "segments": segments,
-                    "active": stepped.active,
-                },
-            ]
-            for event in events:
-                head = {"seq": len(lines), "run": record.run_index, "t_us": t_us}
-                lines.append(json.dumps(head | event, separators=(",", ":")) + "\n")
-    return "".join(lines)
-
-
-def run_against_reference(config) -> tuple:
-    """Run into the file sink, check its text against the reference encoder's; the run records and text."""
-    file = io.StringIO()
-    sink = RecordingSink(file, config.space.names)
-    Engine(config).run(sink.write_run)
-    text = file.getvalue()
-    assert text == reference_jsonl(config, sink.runs)
-    return [record for record, _ in sink.runs], text
+def artifacts_as_specified(config, out: Path) -> dict[str, str]:
+    """Run the experiment into `out`, check its four artifacts against the
+    executable spec byte for byte, and return their texts."""
+    run_experiment(config, out)
+    expected, _ = reference_artifacts(config)
+    written = {name: (out / name).read_bytes().decode("utf-8") for name in expected}
+    assert written == expected
+    return written
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -181,17 +126,18 @@ def run_against_reference(config) -> tuple:
 def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    records, text = run_against_reference(config)
-    events = parse_checked_lines(config, text)
-    assert {e["dt_us"] for e in events if e["event"] == "step"} == {config.monitor_interval_us}
     with tempfile.TemporaryDirectory() as out:
-        run_experiment(config, out)
-        assert (Path(out) / "events.jsonl").read_bytes() == text.encode("utf-8")
-        # the drawn names head runs.csv's columns and come back unchanged
-        assert parsed_runs(Path(out) / "runs.csv") == (config.scenario, config.space.names, records)
+        written = artifacts_as_specified(config, Path(out))
+        scenario, names, records = parsed_runs(Path(out) / "runs.csv")
+    parse_checked_lines(config, written["events.jsonl"])
+    # the drawn names head runs.csv's columns, and its rows, read back and
+    # rendered again, give the file
+    assert (scenario, names) == (config.scenario, config.space.names)
+    rows = written["runs.csv"].split("\n", 1)[1]
+    assert "".join(runs_csv_text(record, scenario, names) for record in records) == rows
 
 
-def test_encoder_matches_json_dumps_on_every_event_shape():
+def test_encoder_matches_json_dumps_on_every_event_shape(tmp_path):
     # one fixed config that surely reaches every branch of the encoder
     doc = {
         "schema_version": 1,
@@ -216,8 +162,7 @@ def test_encoder_matches_json_dumps_on_every_event_shape():
     }
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    _, text = run_against_reference(config)
-    events = parse_checked_lines(config, text)
+    events = parse_checked_lines(config, artifacts_as_specified(config, tmp_path)["events.jsonl"])
     kinds = {e["event"] for e in events}
     assert kinds == {"monitor", "analyze", "plan", "register", "execute", "step"}
     assert any(e["event"] == "monitor" and e["upload_mbps"] == 0.0 and e["ok"] for e in events)

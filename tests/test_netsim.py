@@ -151,23 +151,6 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
     assert math.copysign(1.0, sample.upload_mbps) == math.copysign(1.0, expected)
 
 
-def test_fault_schedule_rejects_overlap_same_kind():
-    with pytest.raises(ValueError):
-        FaultSchedule.of(
-            windows=(
-                FaultWindow(0, 10_000_000, "probe-unavailable"),
-                FaultWindow(5_000_000, 15_000_000, "probe-unavailable"),
-            )
-        )
-    # different kinds may overlap
-    FaultSchedule.of(
-        windows=(
-            FaultWindow(0, 10_000_000, "probe-unavailable"),
-            FaultWindow(5_000_000, 15_000_000, "registry-unavailable"),
-        )
-    )
-
-
 def test_threshold_of_constant_trace_is_the_constant():
     trace = generate_trace(TraceParams(5, 0, 60, 0, S), 100 * S, seed=0)
     for window in ((0, 100), (0, 1), (37, 64), (99, 100)):

@@ -1,219 +1,116 @@
-"""The immutable value types: one contract for each.
+"""The immutable value types: one idiom, and one table of checks.
 
-Every type is a plain NamedTuple, built by keyword, equal by its fields,
-read-only, and shown as `Type(field=...)` in the messages that print it. A
-type that outside data reaches is built through its checking classmethod
-`of`, which rejects each invalid value with the error type and text it has
-always used.
+Every type is a plain NamedTuple made from its class body, so equality,
+immutability, copying, pickling and `_replace` are the tuple's own. A type
+that outside data reaches is built through its checking classmethod `of`,
+which rejects each invalid value with the message the table below holds.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
-import pickle
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from adastream import experiment, kb, mapek, metrics, netsim, scenario, stream
-from adastream.experiment import Comparison, ScenarioArtifacts
-from adastream.kb import (
-    AdaptationSpace,
-    AdaptationStrategy,
-    RunRecord,
-    StreamConfig,
-    default_space,
-)
-from adastream.mapek import ExecuteOutcome
-from adastream.metrics import PerformanceWeights, QualityWeights
-from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, SpeedSample
-from adastream.scenario import (
-    ScenarioConfig,
-    TraceParams,
-    UserOverride,
-    WarmupParams,
-    load_scenario,
-)
-from adastream.stream import StepOutcome
-
-from conftest import bundled_config_path
+from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
+from adastream.netsim import FaultSchedule, FaultWindow
 
 LR = StreamConfig("LR", 30, 0.99)
-SPACE = default_space()
-CONFIG = load_scenario(bundled_config_path("table3-adaptive"))
-GRID = {"tp": {"5r5q": 1.0}}
-SELECTION = {"LR": (1.0, 0.9), "HR": (0.0, 0.1)}
-ARTIFACTS = ScenarioArtifacts(label="adaptive", grid=GRID, selection=SELECTION)
-PROBE_DOWN = "probe-unavailable"
+PROBE_DOWN, REGISTRY_DOWN = "probe-unavailable", "registry-unavailable"
 
-# (type, keyword arguments of one valid value, [(changed arguments, error, message)]);
-# the arguments go to the type's `of` where it has one, else to the type itself.
-# FaultSchedule.of takes the windows and keeps only its per-kind index of them.
-CASES = [
-    (
-        StreamConfig,
-        {"name": "LR", "frame_rate": 30, "quality_score": 0.99},
-        [],
-    ),
-    (
-        AdaptationSpace,
-        {"configs": SPACE.configs},
+
+class _Generated(NamedTuple):
+    """A bare NamedTuple: its dunders are the ones NamedTuple makes for a class body."""
+
+    field: int
+
+
+# The package's services: classes that act, or hold state, rather than carry a value.
+SERVICES = {"KnowledgeBase", "Monitor", "Analyzer", "Executor", "Engine", "StreamState", "RunFold", "JsonlFileSink"}
+
+
+def value_types() -> list[type]:
+    """The package's value types, by name: every public class it defines but the services."""
+    types = [
+        obj
+        for module in (kb, netsim, mapek, metrics, scenario, experiment, stream)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and not name.startswith("_") and name not in SERVICES
+    ]
+    return sorted(types, key=lambda cls: cls.__name__)
+
+
+# Each checked type: the keyword arguments of `of` for one valid value, and
+# changes to them, each with the exact ValueError message `of` raises, or None
+# where the changed value is valid too. FaultSchedule.of takes the windows and
+# keeps only its per-kind index of them.
+OF_CASES = {
+    AdaptationSpace: (
+        {"configs": default_space().configs},
         [
-            ({"configs": ()}, ValueError, "adaptation space must not be empty"),
-            ({"configs": (LR, LR)}, ValueError, "config names must be unique, got ['LR', 'LR']"),
+            ({"configs": ()}, "adaptation space must not be empty"),
+            ({"configs": (LR, LR)}, "config names must be unique, got ['LR', 'LR']"),
         ],
     ),
-    (
-        AdaptationStrategy,
-        {"id": 1, "target": "LR", "reason": "below-threshold"},
-        [],
-    ),
-    (
-        RunRecord,
-        {
-            "run_index": 0, "duration_us": 100, "reconfig_us": 10,
-            "switches": 1, "streamed_us": {"LR": 90},
-        },
+    RunRecord: (
+        {"run_index": 0, "duration_us": 100, "reconfig_us": 10, "switches": 1, "streamed_us": {"LR": 90}},
         [
-            ({"run_index": -1}, ValueError, "run index and switches must be non-negative, got -1 and 1"),
-            ({"switches": -3}, ValueError, "run index and switches must be non-negative, got 0 and -3"),
-            (
-                {"streamed_us": {"LR": 100, "HR": -10}},
-                ValueError,
-                "run 0: negative streamed time in {'LR': 100, 'HR': -10}",
-            ),
-            ({"duration_us": 0}, ValueError, "run duration must be positive, got 0 us"),
-            ({"reconfig_us": 120}, ValueError, "reconfig time 120 us outside [0, 100] us"),
+            ({"run_index": -1}, "run index and switches must be non-negative, got -1 and 1"),
+            ({"switches": -3}, "run index and switches must be non-negative, got 0 and -3"),
+            ({"streamed_us": {"LR": 100, "HR": -10}}, "run 0: negative streamed time in {'LR': 100, 'HR': -10}"),
+            ({"duration_us": 0}, "run duration must be positive, got 0 us"),
+            ({"reconfig_us": 120}, "reconfig time 120 us outside [0, 100] us"),
             (
                 {"streamed_us": {"LR": 80}},
-                ValueError,
                 "run 0: time accounting broken: streamed 80 + reconfig 10 != duration 100",
             ),
         ],
     ),
-    (BandwidthTrace, {"uploads": (1.0, 2.0), "step_us": 1_000_000}, []),
-    (FaultWindow, {"start_us": 5, "end_us": 9, "kind": PROBE_DOWN}, []),
-    (
-        FaultSchedule,
+    FaultSchedule: (
+        # windows of one kind may touch
         {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(9, 12, PROBE_DOWN))},
         [
             (
                 {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, PROBE_DOWN))},
-                ValueError,
                 "overlapping probe-unavailable fault windows",
             ),
+            # windows of different kinds may overlap
+            ({"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, REGISTRY_DOWN))}, None),
         ],
     ),
-    (SpeedSample, {"t_us": 3_000_000, "upload_mbps": 4.5, "ok": True}, []),
-    (
-        TraceParams,
-        {
-            "mean_mbps": 5.0, "amplitude_mbps": 2.0, "period_s": 600.0, "noise_sd_mbps": 0.1,
-            "step_us": 1_000_000,
-        },
-        [],
-    ),
-    (WarmupParams, {"start_s": 27.0, "end_s": 65.0}, []),
-    (UserOverride, {"at_us": 12_000_000, "target": "LR"}, []),
-    (
-        ScenarioConfig,
-        {name: getattr(CONFIG, name) for name in ScenarioConfig._fields},
-        [],
-    ),
-    (QualityWeights, {"w_rate": 0.5, "w_frame": 0.5}, []),
-    (PerformanceWeights, {"w_t": 0.9, "w_q": 0.1}, []),
-    (ScenarioArtifacts, {"label": "adaptive", "grid": GRID, "selection": SELECTION}, []),
-    (
-        Comparison,
-        {"artifacts": [ARTIFACTS], "verdicts": {("p1", "5r5q"): "adaptive"}},
-        [],
-    ),
-]
+}
 
 
-def build(cls: type):
-    """What builds a value of `cls` from outside data: its checking `of`, or the type."""
-    return getattr(cls, "of", cls)
-
-
-IDS = [case[0].__name__ for case in CASES]
-
-
-@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
-def test_value_type_contract(cls, fields, invalid):
-    value = build(cls)(**fields)
-    for name in cls._fields:
-        if name in fields:
-            assert getattr(value, name) is fields[name]
-        with pytest.raises(AttributeError):
-            setattr(value, name, getattr(value, name))
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-    assert value == build(cls)(**fields) == copy.copy(value)
-    assert value != object()
-    assert repr(value).startswith(f"{cls.__name__}({cls._fields[0]}=")
-    for changes, error, message in invalid:
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
-            build(cls)(**{**fields, **changes})
-        assert type(raised.value) is error
-
-
-# _replace runs the type's constructor, the NamedTuple's own, which checks nothing and
-# derives nothing: on a checked type it keeps every other field as it was, even one
-# `of` derived, and takes an invalid value. No package code calls it on a checked type.
-@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
-def test_replace_runs_the_constructor_checks(cls, fields, invalid):
-    value = build(cls)(**fields)
-    assert type(value._replace()) is cls and value._replace() == value
-    for changes, _, _ in invalid:
-        if not changes.keys() <= set(cls._fields):
-            continue  # an argument of `of` that is not a field
-        replaced = value._replace(**changes)
-        assert type(replaced) is cls
-        assert replaced._asdict() == {**value._asdict(), **changes}
-
-
-def value_types() -> set[type]:
-    """The package's public value types: every public tuple subclass."""
-    return {
-        obj
-        for module in (kb, netsim, mapek, metrics, scenario, experiment, stream)
-        for name, obj in vars(module).items()
-        if isinstance(obj, type) and issubclass(obj, tuple) and not name.startswith("_")
-    }
-
-
-def test_every_based_type_is_in_cases():
-    types = value_types()
-    assert types - {case[0] for case in CASES} <= {ExecuteOutcome, StepOutcome}  # test_mapek's cases
-    # One idiom: each is a NamedTuple made straight from its class body, with no fields
-    # base under it, so no __new__ or _make of its own can check or skip a field.
-    assert {cls for cls in types if cls.__bases__ != (tuple,) or "_fields" not in vars(cls)} == set()
-    # Checks live where outside data enters, so only these three types have an `of`:
+@pytest.mark.parametrize("cls", value_types(), ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    # One idiom: a NamedTuple made straight from its class body, with no fields base
+    # under it, so no __new__ or _make of its own can check or skip a field.
+    assert cls.__bases__ == (tuple,) and "_fields" in vars(cls)
+    # The body adds no dunder, so equality, hashing, repr, immutability and
+    # pickling are the tuple's own.
+    assert {name for name in vars(cls) if name.startswith("__")} <= set(vars(_Generated))
+    # Checks live where outside data enters, so only the table's types have an `of`:
     # RunRecord is rebuilt from runs.csv rows by `compare`; AdaptationSpace and FaultSchedule
     # are built from a scenario document, and the parser reports their ValueError.
-    checked = {cls for cls in types if "of" in vars(cls)}
-    assert checked == {RunRecord, AdaptationSpace, FaultSchedule}
-    assert checked == {case[0] for case in CASES if case[2]}
+    assert ("of" in vars(cls)) == (cls in OF_CASES)
 
 
-# A value hashes by its fields, so a dict or list in a field makes it unhashable:
-# FaultSchedule's per-kind index, RunRecord's ledger, a report grid, and what holds one.
-UNHASHABLE = {FaultSchedule, RunRecord, ScenarioConfig, ScenarioArtifacts, Comparison}
-
-
-@pytest.mark.parametrize("cls, fields, invalid", CASES, ids=IDS)
-def test_based_type_hashes_by_value_and_survives_pickle(cls, fields, invalid):
-    value = build(cls)(**fields)
-    if cls in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == hash(build(cls)(**fields))
-    copied = pickle.loads(pickle.dumps(value))
-    assert type(copied) is cls and copied == value
+@pytest.mark.parametrize("cls", OF_CASES, ids=lambda cls: cls.__name__)
+def test_of_builds_each_valid_value_and_refuses_each_invalid_one(cls):
+    fields, changes = OF_CASES[cls]
+    cls.of(**fields)
+    for changed, message in changes:
+        if message is None:
+            cls.of(**{**fields, **changed})
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+            cls.of(**{**fields, **changed})
+        assert type(raised.value) is ValueError
 
 
 def direct_builds(node: ast.AST, scope: tuple[str, ...], names: set[str]) -> list[str]:
@@ -232,14 +129,13 @@ def direct_builds(node: ast.AST, scope: tuple[str, ...], names: set[str]) -> lis
 
 def test_checked_types_are_built_only_through_of():
     # A direct call would skip the checks, so only the type's own `of` builds it (as `cls`).
-    names = {"RunRecord", "AdaptationSpace", "FaultSchedule"}
+    names = {cls.__name__ for cls in OF_CASES}
     package = Path(__file__).resolve().parents[1] / "src" / "adastream"
     found = []
     for path in sorted(package.glob("*.py")):
         found += direct_builds(ast.parse(path.read_text(encoding="utf-8")), (path.stem,), names)
     allowed = {f"{module}.{name}.of:{name}" for module in ("kb", "netsim") for name in names}
     assert [site for site in found if site not in allowed] == []
-
 
 
 # Types whose fields are read by tuple unpacking, not by attribute, each with the
