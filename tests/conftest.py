@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import adastream
 from adastream.experiment import JsonlFileSink, parse_runs_csv
-from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord
+from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord, StreamConfig, default_space
 from adastream.mapek import Engine
+from adastream.netsim import FaultSchedule, FaultWindow
 from adastream.metrics import QualityWeights, RunFold, config_quality_score, quality_scores
 from adastream.scenario import parse_scenario
 
@@ -64,6 +66,65 @@ def parsed_runs(path) -> tuple[str | None, tuple[str, ...], list[RunRecord]]:
         patch.setattr(RunFold, "add", keeping)
         scenario, fold = parse_runs_csv(path)
     return scenario, fold.names, folded
+
+
+LR = StreamConfig("LR", 30, 0.99)
+PROBE_DOWN, REGISTRY_DOWN = "probe-unavailable", "registry-unavailable"
+
+# The checked value types' error rules, in one table that tests/test_kb.py and
+# tests/test_netsim.py run by type. Each checked type: the keyword arguments of `of` for one valid value, and
+# changes to them, each with the exact ValueError message `of` raises, or None
+# where the changed value is valid too. FaultSchedule.of takes the windows and
+# keeps only its per-kind index of them.
+OF_CASES = {
+    AdaptationSpace: (
+        {"configs": default_space().configs},
+        [
+            ({"configs": ()}, "adaptation space must not be empty"),
+            ({"configs": (LR, LR)}, "config names must be unique, got ['LR', 'LR']"),
+        ],
+    ),
+    RunRecord: (
+        {"run_index": 0, "duration_us": 100, "reconfig_us": 10, "switches": 1, "streamed_us": {"LR": 90}},
+        [
+            ({"run_index": -1}, "run index and switches must be non-negative, got -1 and 1"),
+            ({"switches": -3}, "run index and switches must be non-negative, got 0 and -3"),
+            ({"streamed_us": {"LR": 100, "HR": -10}}, "run 0: negative streamed time in {'LR': 100, 'HR': -10}"),
+            ({"duration_us": 0}, "run duration must be positive, got 0 us"),
+            ({"reconfig_us": 120}, "reconfig time 120 us outside [0, 100] us"),
+            (
+                {"streamed_us": {"LR": 80}},
+                "run 0: time accounting broken: streamed 80 + reconfig 10 != duration 100",
+            ),
+        ],
+    ),
+    FaultSchedule: (
+        # windows of one kind may touch
+        {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(9, 12, PROBE_DOWN))},
+        [
+            (
+                {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, PROBE_DOWN))},
+                "overlapping probe-unavailable fault windows",
+            ),
+            # windows of different kinds may overlap
+            ({"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, REGISTRY_DOWN))}, None),
+        ],
+    ),
+}
+
+
+def check_of(cls) -> None:
+    """Build `cls.of`'s valid value and each table row: a valid row builds, an invalid
+    one raises exactly its ValueError message."""
+    fields, changes = OF_CASES[cls]
+    cls.of(**fields)
+    for changed, message in changes:
+        if message is None:
+            cls.of(**{**fields, **changed})
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+            cls.of(**{**fields, **changed})
+        assert type(raised.value) is ValueError
 
 
 def make_scenario(**overrides):

@@ -3,7 +3,9 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, StreamConfig, default_space
+from adastream.kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord, StreamConfig, default_space
+
+from conftest import check_of
 
 
 # -- domain types ------------------------------------------------------
@@ -29,6 +31,14 @@ def test_space_max_frame_rate_is_recomputed():
     assert "A" in space.names and "C" not in space.names
 
 
+def test_space_rejects_duplicates_and_empty():
+    check_of(AdaptationSpace)
+
+
+def test_run_record_enforces_accounting_identity():
+    check_of(RunRecord)
+
+
 @given(
     st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True).flatmap(
         lambda names: st.tuples(
@@ -52,9 +62,12 @@ def test_space_cached_lookups_match_scans(names_and_rates):
 # -- registry operations -----------------------------------------------
 
 
+def test_latest_strategy_empty_is_none():
+    assert KnowledgeBase().latest_strategy() is None
+
+
 def test_latest_wins_after_every_register():
     kb = KnowledgeBase()
-    assert kb.latest_strategy() is None
     for sid, target in enumerate(("LR", "HR", "LR"), start=1):
         strategy = AdaptationStrategy(sid, target, "user-config")
         kb.register_strategy(strategy)

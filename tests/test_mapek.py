@@ -11,6 +11,7 @@ from adastream.kb import AdaptationStrategy, KnowledgeBase, default_space
 from adastream.mapek import (
     Analyzer,
     Engine,
+    ExecuteOutcome,
     Executor,
     Monitor,
     plan,
@@ -25,7 +26,7 @@ from adastream.netsim import (
     probe,
 )
 from adastream.scenario import UserOverride, WarmupParams, load_scenario
-from adastream.stream import StreamState
+from adastream.stream import StepOutcome, StreamState
 from adastream.units import to_us
 
 from conftest import bundled_config_path, make_scenario, registered_strategies, run_with_events
@@ -48,6 +49,29 @@ def test_healthy_sample_upload_must_be_non_negative():
     assert min(uploads) == 0.0 < max(uploads)
     faulted = SpeedSample(t_us=0, upload_mbps=0.0, ok=False)
     assert not faulted.ok and faulted.upload_mbps == 0.0
+
+
+@pytest.mark.parametrize(
+    "message, fields",
+    [
+        (SpeedSample(t_us=5, upload_mbps=1.5, ok=True), ("t_us", "upload_mbps", "ok")),
+        (
+            ExecuteOutcome(source="registry", strategy_id=1, target="LR", applied=True),
+            ("source", "strategy_id", "target", "applied"),
+        ),
+        (
+            StepOutcome(reconfig_us=2, streamed_us=3, active="LR"),
+            ("reconfig_us", "streamed_us", "active"),
+        ),
+    ],
+    ids=["SpeedSample", "ExecuteOutcome", "StepOutcome"],
+)
+def test_loop_messages_are_immutable_values(message, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(message, name, getattr(message, name))
+    copy = type(message)(**{name: getattr(message, name) for name in fields})
+    assert copy == message
 
 
 # -- analysis ------------------------------------------------------------

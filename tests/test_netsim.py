@@ -20,6 +20,8 @@ from adastream.netsim import (
 )
 from adastream.units import US_PER_SECOND as S
 
+from conftest import check_of
+
 NO_FAULTS = FaultSchedule.of()
 
 
@@ -149,6 +151,10 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
     # repr and copysign tell 0.0 from -0.0, which == does not
     assert repr(sample.upload_mbps) == repr(expected)
     assert math.copysign(1.0, sample.upload_mbps) == math.copysign(1.0, expected)
+
+
+def test_fault_schedule_rejects_overlap_same_kind():
+    check_of(FaultSchedule)
 
 
 def test_threshold_of_constant_trace_is_the_constant():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,43 @@ def test_finalize_rejects_clock_mismatch():
     state.step(to_us(29))
     with pytest.raises(ValueError, match="run 7: time accounting broken"):
         state.finalize_run(7, RUN_US)
+
+
+def test_time_conservation_over_random_interleavings():
+    for seed in range(50):
+        rng = random.Random(seed)
+        state = StreamState(LR, to_us(rng.choice([0, 1.3, 2.7, 5.0])))
+        switches_seen = 0
+        reconfig_seen = 0
+        elapsed = 0
+        for _ in range(200):
+            if rng.random() < 0.3:
+                target = rng.choice((LR, HR))
+                state.apply_config(target)
+            else:
+                dt = rng.randint(1, 3_000_000)
+                state.step(dt)
+                elapsed += dt
+            assert sum(state.streamed_us.values()) + state.reconfig_us == elapsed
+            assert state.switches >= switches_seen
+            assert state.reconfig_us >= reconfig_seen
+            switches_seen = state.switches
+            reconfig_seen = state.reconfig_us
+
+
+def test_static_scenario_always_tp_one():
+    # no apply_config after start: reconfig stays zero for any step pattern
+    for seed in range(10):
+        rng = random.Random(seed)
+        state = StreamState(HR, DELAY_US)
+        total = 0
+        while total < RUN_US:
+            dt = min(rng.randint(1, 2_000_000), RUN_US - total)
+            state.step(dt)
+            total += dt
+        record = state.finalize_run(0, RUN_US)
+        assert record.reconfig_us == 0
+        assert record.streamed_us == {"HR": RUN_US}
 
 
 class PendingModel:

@@ -3,24 +3,20 @@
 Every type is a plain NamedTuple made from its class body, so equality,
 immutability, copying, pickling and `_replace` are the tuple's own. A type
 that outside data reaches is built through its checking classmethod `of`,
-which rejects each invalid value with the message the table below holds.
+which rejects each invalid value with the message conftest's `OF_CASES` holds.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from adastream import experiment, kb, mapek, metrics, netsim, scenario, stream
-from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
-from adastream.netsim import FaultSchedule, FaultWindow
 
-LR = StreamConfig("LR", 30, 0.99)
-PROBE_DOWN, REGISTRY_DOWN = "probe-unavailable", "registry-unavailable"
+from conftest import OF_CASES
 
 
 class _Generated(NamedTuple):
@@ -45,47 +41,6 @@ def value_types() -> list[type]:
     return sorted(types, key=lambda cls: cls.__name__)
 
 
-# Each checked type: the keyword arguments of `of` for one valid value, and
-# changes to them, each with the exact ValueError message `of` raises, or None
-# where the changed value is valid too. FaultSchedule.of takes the windows and
-# keeps only its per-kind index of them.
-OF_CASES = {
-    AdaptationSpace: (
-        {"configs": default_space().configs},
-        [
-            ({"configs": ()}, "adaptation space must not be empty"),
-            ({"configs": (LR, LR)}, "config names must be unique, got ['LR', 'LR']"),
-        ],
-    ),
-    RunRecord: (
-        {"run_index": 0, "duration_us": 100, "reconfig_us": 10, "switches": 1, "streamed_us": {"LR": 90}},
-        [
-            ({"run_index": -1}, "run index and switches must be non-negative, got -1 and 1"),
-            ({"switches": -3}, "run index and switches must be non-negative, got 0 and -3"),
-            ({"streamed_us": {"LR": 100, "HR": -10}}, "run 0: negative streamed time in {'LR': 100, 'HR': -10}"),
-            ({"duration_us": 0}, "run duration must be positive, got 0 us"),
-            ({"reconfig_us": 120}, "reconfig time 120 us outside [0, 100] us"),
-            (
-                {"streamed_us": {"LR": 80}},
-                "run 0: time accounting broken: streamed 80 + reconfig 10 != duration 100",
-            ),
-        ],
-    ),
-    FaultSchedule: (
-        # windows of one kind may touch
-        {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(9, 12, PROBE_DOWN))},
-        [
-            (
-                {"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, PROBE_DOWN))},
-                "overlapping probe-unavailable fault windows",
-            ),
-            # windows of different kinds may overlap
-            ({"windows": (FaultWindow(5, 9, PROBE_DOWN), FaultWindow(8, 12, REGISTRY_DOWN))}, None),
-        ],
-    ),
-}
-
-
 @pytest.mark.parametrize("cls", value_types(), ids=lambda cls: cls.__name__)
 def test_value_type_contract(cls):
     # One idiom: a NamedTuple made straight from its class body, with no fields base
@@ -94,23 +49,13 @@ def test_value_type_contract(cls):
     # The body adds no dunder, so equality, hashing, repr, immutability and
     # pickling are the tuple's own.
     assert {name for name in vars(cls) if name.startswith("__")} <= set(vars(_Generated))
+
+
+def test_every_based_type_is_in_cases():
     # Checks live where outside data enters, so only the table's types have an `of`:
     # RunRecord is rebuilt from runs.csv rows by `compare`; AdaptationSpace and FaultSchedule
     # are built from a scenario document, and the parser reports their ValueError.
-    assert ("of" in vars(cls)) == (cls in OF_CASES)
-
-
-@pytest.mark.parametrize("cls", OF_CASES, ids=lambda cls: cls.__name__)
-def test_of_builds_each_valid_value_and_refuses_each_invalid_one(cls):
-    fields, changes = OF_CASES[cls]
-    cls.of(**fields)
-    for changed, message in changes:
-        if message is None:
-            cls.of(**{**fields, **changed})
-            continue
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
-            cls.of(**{**fields, **changed})
-        assert type(raised.value) is ValueError
+    assert {cls for cls in value_types() if "of" in vars(cls)} == set(OF_CASES)
 
 
 def direct_builds(node: ast.AST, scope: tuple[str, ...], names: set[str]) -> list[str]:
