@@ -129,12 +129,12 @@ class JsonlFileSink:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    """The file's non-empty lines; a file that is not UTF-8 is a SimulationError."""
+    """The file's lines, blank ones too; a file that is not UTF-8 is a SimulationError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SimulationError(f"{path} is not UTF-8 text: {exc}") from exc
-    return [line for line in text.splitlines() if line]
+    return text.splitlines()
 
 
 def parse_runs_csv(path: str | Path) -> tuple[str | None, RunFold]:

@@ -166,17 +166,17 @@ def run_dropping_events(config) -> tuple[RunRecord, ...]:
     return tuple(records)
 
 
-def run_into_jsonl(config) -> tuple[tuple[RunRecord, ...], str]:
+def run_into_jsonl(engine: Engine) -> tuple[tuple[RunRecord, ...], str]:
     """Run the engine into events.jsonl's encoder: the run records and the text it wrote."""
     file = io.StringIO()
-    sink = JsonlFileSink(file, config.space.names)
+    sink = JsonlFileSink(file, engine.config.space.names)
     records = []
 
     def write_run(record, ticks):
         records.append(record)
         sink.write_run(record, ticks)
 
-    Engine(config).run(write_run)
+    engine.run(write_run)
     return tuple(records), file.getvalue()
 
 
@@ -187,7 +187,7 @@ def run_with_events(config) -> tuple[tuple[RunRecord, ...], list[dict]]:
     the time of a json.loads per line; test_event_sink checks each line on
     its own.
     """
-    records, text = run_into_jsonl(config)
+    records, text = run_into_jsonl(Engine(config))
     return records, json.loads("[" + ",".join(text.splitlines()) + "]")
 
 

@@ -82,6 +82,23 @@ def test_the_package_imports_only_the_standard_library():
             assert tops <= sys.stdlib_module_names, (path.name, sorted(tops))
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # an import whose last reader went; `# noqa: F401` marks one made for its side effect
+    root = Path(__file__).resolve().parents[1]
+    unread = []
+    for path in sorted([*(root / "src" / "adastream").glob("*.py"), *(root / "tests").glob("*.py")]):
+        source = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(source), source.splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if not re.search(r"# noqa: [\w,]*F401", "".join(lines[node.lineno - 1 : node.end_lineno])):
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def test_every_error_type_is_caught_by_name_somewhere():
     # a type no `except` names tells no caller anything a SimulationError's message does not
     package = Path(__file__).resolve().parents[1] / "src" / "adastream"
@@ -247,21 +264,26 @@ def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
 
 # the adaptive table3_dirs runs.csv row on line 2, as the run writes it
 AD_ROW_2 = b"0,adaptive,30.000000,0.000000,0,0.000000,30.000000"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 @pytest.mark.parametrize(
     "artifact, damage, message",
     [
         ("report.csv", lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,0.78", data), "report.csv:4: 1 cells for 3 presets"),
-        ("runs.csv", lambda data: b"\xff\xfe", "runs.csv is not UTF-8 text"),
-        ("report.csv", lambda data: b"\xff\xfe", "report.csv is not UTF-8 text"),
+        ("runs.csv", lambda data: b"\xff\xfe", f"runs.csv is not UTF-8 text: {NOT_UTF8}"),
+        ("report.csv", lambda data: b"\xff\xfe", f"report.csv is not UTF-8 text: {NOT_UTF8}"),
         ("report.csv", lambda data: data + b"tp,0.10,0.10,0.10\n", "report.csv:7: repeated metric row 'tp'"),
         (
             "report.csv",
             lambda data: re.sub(rb"(?m)^p1,.*$", b"p1,nan,nan,nan", data),
             "report.csv:4: non-finite report cell in 'p1,nan,nan,nan'",
         ),
-        ("report.csv", lambda data: data + b"zz,0.10,0.10,0.10\n", "report.csv:7: unknown metric row 'zz'"),
+        (
+            "report.csv",
+            lambda data: data + b"zz,0.10,0.10,0.10\n",
+            "report.csv:7: unknown metric row 'zz', not one of ['tp', 'qp', 'p1', 'p2', 'p3']",
+        ),
         (
             "report.csv",
             lambda data: data.replace(b"metric,5r5q,9r1q,1r9q", b"metric,5r5q,5r5q,1r9q", 1),
@@ -315,6 +337,26 @@ AD_ROW_2 = b"0,adaptive,30.000000,0.000000,0,0.000000,30.000000"
         ),
         ("runs.csv", lambda data: data.split(b"\n", 1)[0] + b"\n", "holds no run records"),
         ("report.csv", lambda data: re.sub(rb"(?m)^p1,.*\n", b"", data), "report.csv is missing metric rows ['p1']"),
+        ("runs.csv", lambda data: b"not,a,run,ledger\n", "runs.csv has unexpected header ['not', 'a', 'run', 'ledger']"),
+        ("runs.csv", lambda data: b"", "runs.csv is empty"),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"0,adaptive,banana,0.000000,0,0.000000,30.000000", 1),
+            "runs.csv:2: malformed run row: could not convert string to float: 'banana'",
+        ),
+        (
+            "runs.csv",
+            lambda data: data.replace(AD_ROW_2, b"0,adaptive,30.000000,40.000000,0,0.000000,30.000000", 1),
+            "runs.csv:2: malformed run row: reconfig time 40000000 us outside [0, 30000000] us",
+        ),
+        (
+            "report.csv",
+            lambda data: re.sub(rb"(?m)^tp,.*$", b"tp,abc,1.0,1.0", data),
+            "report.csv:2: malformed report cell: could not convert string to float: 'abc'",
+        ),
+        ("runs.csv", lambda data: data.replace(b",adaptive,", b",static-HR,"), "comparison needs distinct scenarios"),
+        ("runs.csv", lambda data: data.replace(b"\n", b"\n\n", 1), "runs.csv:2: 1 cells for 7 columns"),
+        ("report.csv", lambda data: data.replace(b"\np1,", b"\n\np1,", 1), "report.csv:4: 0 cells for 3 presets"),
     ],
     ids=[
         "report-row-too-short",
@@ -335,6 +377,14 @@ AD_ROW_2 = b"0,adaptive,30.000000,0.000000,0,0.000000,30.000000"
         "runs-seconds-unbalanced",
         "runs-header-only",
         "report-metric-missing",
+        "runs-header-foreign",
+        "runs-csv-empty",
+        "runs-cell-not-float",
+        "runs-reconfig-out-of-range",
+        "report-cell-not-float",
+        "scenarios-not-distinct",
+        "runs-line-blank",
+        "report-line-blank",
     ],
 )
 def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
@@ -348,7 +398,7 @@ def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
     capsys.readouterr()
     assert main(["compare", *map(str, dirs)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith(f"{message}\n")
 
 
 def test_a_run_cut_short_while_replacing_leaves_a_dir_compare_refuses(

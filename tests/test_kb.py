@@ -17,18 +17,6 @@ def test_default_space_matches_reference_settings():
     assert space.names == ("LR", "HR")
     assert (lr.frame_rate, lr.quality_score) == (30, 0.99)
     assert (hr.frame_rate, hr.quality_score) == (60, 0.20)
-    assert space.highest_rate_config.frame_rate == 60
-
-
-def test_space_max_frame_rate_is_recomputed():
-    space = AdaptationSpace.of(
-        configs=(
-            StreamConfig("A", 10, 0.5),
-            StreamConfig("B", 25, 0.5),
-        )
-    )
-    assert space.highest_rate_config.frame_rate == 25
-    assert "A" in space.names and "C" not in space.names
 
 
 def test_space_rejects_duplicates_and_empty():
