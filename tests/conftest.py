@@ -18,11 +18,11 @@ from adastream.metrics import QualityWeights, RunFold, config_quality_score, qua
 from adastream.scenario import parse_scenario
 
 # Hypothesis mixes literals from every loaded module outside the standard
-# library, site-packages and test files into about one draw in twenty, so a
-# property draws the same examples only when the same such modules are
-# loaded. The whole suite loads the CLI and the benchmark's runner, with its
-# layers and workloads, before the first property runs; loading them here
-# makes one test file alone draw what the whole suite draws.
+# library, site-packages and test files into about one draw in twenty. The
+# whole suite loads the CLI and the benchmark's runner, layers and workloads;
+# loading them here makes tests/spec_corpus.py's redraw, and each derandomized
+# property left (the fmean, any-document and pending-model ones) run alone,
+# draw what they draw in the whole suite.
 import adastream.cli  # noqa: E402,F401
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

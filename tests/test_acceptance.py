@@ -1,7 +1,7 @@
-"""Acceptance suite: one test per release criterion, each printing a
-pass/fail line, and two properties that generated documents, on the default
-adaptation space or their own, match the executable spec in reference_loop.py
-and keep criterion 7's invariants. Tolerances are fixed here and nowhere else."""
+"""Acceptance suite: one test per release criterion, each printing a pass/fail line, and two
+spec tests: conftest's named documents and the spec corpus's two files of recorded draws, on the
+default space or their own, match the executable spec in reference_loop.py and keep criterion 7's
+invariants. Tolerances are fixed here and nowhere else."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
 
 from adastream.errors import SimulationError
 from adastream.experiment import run_experiment
@@ -22,8 +21,10 @@ from adastream.kb import default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     QUALITY_PRESETS,
+    _quality_at,
     aggregate,
     config_quality_score,
+    quality_scores,
     selection_fractions,
     system_performance,
     time_performance,
@@ -33,7 +34,6 @@ from adastream.scenario import load_scenario, parse_scenario
 from adastream.units import to_us
 
 from conftest import (
-    bounded_documents,
     bundled_config_path,
     fold_of,
     named_documents,
@@ -43,6 +43,7 @@ from conftest import (
     run_dropping_events,
     run_with_events,
 )
+import spec_corpus
 from reference_loop import Refused, reference_artifacts
 
 SPACE = default_space()
@@ -153,6 +154,7 @@ def test_criterion_5_formula_unit_suite():
             )
 
         q = QUALITY_PRESETS
+        scores = quality_scores(SPACE)
         p = PERFORMANCE_PRESETS
         fixtures = [
             # time performance: (1 - reconfig/duration)
@@ -165,11 +167,12 @@ def test_criterion_5_formula_unit_suite():
             (config_quality_score(HR, SPACE, q["9r1q"]), 0.9 * 1.0 + 0.1 * 0.20),   # 0.92
             (config_quality_score(LR, SPACE, q["1r9q"]), 0.1 * 0.5 + 0.9 * 0.99),   # 0.941
             # run quality performance
-            (quality_performance(rec(30, 0, {"HR": 30}), SPACE, q["1r9q"]), 0.28),
-            (quality_performance(rec(30, 0, {"LR": 30}), SPACE, q["1r9q"]), 0.941),
+            (_quality_at(rec(30, 0, {"HR": 30}), scores["1r9q"]), 0.28),
+            (_quality_at(rec(30, 0, {"LR": 30}), scores["1r9q"]), 0.941),
+            (_quality_at(rec(30, 2.7, {"HR": 27.3}), scores["1r9q"]), 0.28),  # over the streamed seconds only
             # 31%/69% streamed mix under equal weights: convex combination
             (
-                quality_performance(rec(30, 0, {"LR": 9.3, "HR": 20.7}), SPACE, q["5r5q"]),
+                _quality_at(rec(30, 0, {"LR": 9.3, "HR": 20.7}), scores["5r5q"]),
                 0.31 * 0.745 + 0.69 * 0.60,  # 0.64495
             ),
             # combined system performance
@@ -226,16 +229,13 @@ def test_criterion_6_oracle_equivalence():
         for _ in range(50):
             config = _random_scenario(rng)
             records, events = run_with_events(config)
-            scores = {
-                preset: {c.name: config_quality_score(c, config.space, qw) for c in config.space.configs}
-                for preset, qw in QUALITY_PRESETS.items()
-            }
+            scores = quality_scores(config.space)
             for record in records:
                 steps = [
                     e for e in events
                     if e["event"] == "step" and e["run"] == record.run_index
                 ]
-                for preset, qw in QUALITY_PRESETS.items():
+                for preset in QUALITY_PRESETS:
                     achieved = 0.0
                     streamed = 0.0
                     for event in steps:
@@ -244,7 +244,7 @@ def test_criterion_6_oracle_equivalence():
                             streamed += us / 1e6
                     assert streamed > 0, "random scenarios must always stream"
                     brute = achieved / streamed
-                    closed = quality_performance(record, config.space, qw)
+                    closed = _quality_at(record, scores[preset])
                     assert abs(closed - brute) <= 1e-9, (
                         f"run {record.run_index} {preset}: closed {closed!r} vs brute {brute!r}"
                     )
@@ -356,17 +356,7 @@ def assert_same_text(name: str, got: str, expected: str) -> None:
         raise AssertionError(f"{name} line {at + 1}: run_experiment wrote {wrote!r}, the reference {spec!r}")
 
 
-def with_named_examples(test):
-    """The property's explicit examples: each of conftest's named documents."""
-    for document in named_documents().values():
-        test = example(document)(test)
-    return test
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(bounded_documents())
-@with_named_examples
-def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(document):
+def check_document(document) -> None:
     """What validate accepts, run finishes: its four artifacts are byte for byte
     the executable spec's, and its events keep criterion 7's invariants."""
     config, _ = parse_scenario(document)
@@ -391,14 +381,22 @@ def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants(docu
     assert_loop_invariants(config, records, events)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(bounded_documents(own_space=True))
-def test_every_accepted_document_with_its_own_space_matches_the_spec(document):
-    """The same check on spaces of one to three configs, with names that need
-    JSON escaping and frame rates that tie."""
-    # the property above, called as written: a derandomized property's draws
-    # follow a hash of its source, so a shared helper would redraw them
-    test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants.hypothesis.inner_test(document)
+def check_documents(documents) -> None:
+    """`check_document` on each (where, document): a failure names the document's `where`."""
+    for where, document in documents:
+        try:
+            check_document(document)
+        except BaseException as failure:
+            failure.add_note(f"document {where}")
+            raise
+
+
+def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants():
+    check_documents([*named_documents().items(), *spec_corpus.read("bounded")])
+
+
+def test_every_accepted_document_with_its_own_space_matches_the_spec():
+    check_documents(spec_corpus.read("own_space"))
 
 
 def test_criterion_8_byte_identical_replays(tmp_path, bundled_outputs):

@@ -26,7 +26,7 @@ def sample(upload, ok=True, t_us=0):
 
 def test_healthy_sample_upload_must_be_non_negative():
     # The probe clamps its noisy reading at 0, here on a trace at 0 Mbps; the
-    # acceptance property checks every monitor line of generated runs.
+    # acceptance spec tests check every monitor line of the spec corpus.
     zero = BandwidthTrace(uploads=(0.0,), step_us=to_us(1))
     uploads = [probe(zero, FaultSchedule.of(), t_us, 5.0, seed=3).upload_mbps for t_us in range(40)]
     assert min(uploads) == 0.0 < max(uploads)

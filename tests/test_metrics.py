@@ -118,9 +118,9 @@ def test_config_score_pure_rate_fastest_config():
 
 def test_quality_performance_excludes_reconfig_seconds():
     # same streamed mix, extra reconfiguration: qp unchanged
-    qw = QUALITY_PRESETS["5r5q"]
-    base = quality_performance(record(30, 0, lr_s=15, hr_s=15), SPACE, qw)
-    padded = quality_performance(record(32.7, 2.7, lr_s=15, hr_s=15), SPACE, qw)
+    scores = quality_scores(SPACE)["5r5q"]
+    base = metrics._quality_at(record(30, 0, lr_s=15, hr_s=15), scores)
+    padded = metrics._quality_at(record(32.7, 2.7, lr_s=15, hr_s=15), scores)
     assert abs(base - padded) < 1e-12
 
 

@@ -1,6 +1,6 @@
 """The executable spec in reference_loop.py stands apart from the code it checks.
 
-The acceptance property compares every artifact of `run_experiment` with the
+The acceptance spec tests compare every artifact of `run_experiment` with the
 spec's; that check means something only while the spec shares no code with
 the engine, the stream, the probe, the metrics or the writers.
 """
