@@ -1,10 +1,11 @@
 """Every benchmark pin, checked in-process: each default-seed workload's runs
 and comparisons produce the bytes pinned in perfbench/golden.json.
 
-tests/test_golden.py pins the bundled configs only. The benchmark's own
-workloads also reach 1,000 runs (adaptive-long), other seeds (table3-sweep),
-and the fault, fallback, override and hysteresis paths (fault-storm). This
-test only reads perfbench/.
+perfbench/golden.json is the one home of the bundled configs' pins: table3-sweep
+runs the three bundled Table-3 configs at seed 42 and compares them. The other
+workloads reach 1,000 runs (adaptive-long), other seeds (table3-sweep), and the
+fault, fallback, override and hysteresis paths (fault-storm). This test only
+reads perfbench/.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def test_default_seed_workload_matches_its_pins(tmp_path, name):
         config, diags = parse_scenario(json.loads(exp.config))
         assert config is not None, diags
         run_experiment(config, tmp_path / exp.name)
+        assert sorted(p.name for p in (tmp_path / exp.name).iterdir()) == sorted(run.ARTIFACTS)
         pin = GOLDEN["runs"][exp.digest]
         digests = {a: _sha256((tmp_path / exp.name / a).read_bytes()) for a in run.ARTIFACTS}
         assert digests == {a: pin[a] for a in run.ARTIFACTS}, pin["name"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
 import json
@@ -12,32 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adastream import scenario
-from adastream.errors import ScenarioError
 from adastream.experiment import ARTIFACTS, run_experiment
-from adastream.scenario import load_scenario, parse_scenario
+from adastream.scenario import parse_scenario
 
 from conftest import bundled_config_path
 
 
-def doc(**overrides):
-    base = {
-        "schema_version": 1,
-        "scenario": "adaptive",
-        "runs": 10,
-        "run_duration_s": 30.0,
-        "seed": 1,
-    }
-    base.update(overrides)
-    return base
-
-
-def test_bundled_configs_are_valid():
-    for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive"):
-        config = load_scenario(bundled_config_path(name))
-        assert config.runs == 100
-        assert config.run_duration_us == 30_000_000
-        assert config.reconfig_delay_us == 2_700_000
-        assert set(config.space.names) == {"LR", "HR"}
+def doc(**changes):
+    return {"schema_version": 1, "scenario": "adaptive", "runs": 10, "run_duration_s": 30.0, "seed": 1, **changes}
 
 
 def test_minimal_document_fills_defaults():
@@ -59,173 +42,136 @@ def test_static_scenario_pins_initial_config():
     assert config.scenario == "static-LR"
 
 
-def test_runs_must_be_at_least_one():
-    config, diags = parse_scenario(doc(runs=0))
-    assert config is None
-    assert any("runs must be >= 1" in d for d in diags)
+# 9,999,968 runs of 2 s are 19,999,936 trace samples, and the engine generates the warmup
+# trace only up to end_s, not over its whole duration: 64 more samples reach the cap exactly
+AT_SAMPLE_CAP = {"runs": 9_999_968, "run_duration_s": 2.0, "warmup": {"duration_s": 10800, "start_s": 27, "end_s": 64}}
+PROBE_DOWN = "probe-unavailable"
+
+# Every diagnostic of parse_scenario, exactly and in order, for doc() with `changes`;
+# [] marks an accepted edge case.
+DIAGNOSTICS = [
+    ("schema-version-unknown", {"schema_version": 2}, ["schema_version must be <= 1, got 2"]),
+    ("runs-zero", {"runs": 0}, ["runs must be >= 1, got 0"]),
+    ("number-over-cap", {"run_duration_s": 1e9}, ["run_duration_s must be <= 1e+08, got 1000000000.0"]),
+    ("duration-nan", {"run_duration_s": math.nan}, ["run_duration_s must be a finite number, got nan"]),
+    # each rounds to 0 µs, which once raised ZeroDivisionError or ValueError
+    ("interval-below-clock", {"monitor_interval_s": 1e-7}, ["monitor_interval_s must be >= 1e-06, got 1e-07"]),
+    ("step-below-clock", {"trace": {"step_s": 1e-7}}, ["trace.step_s must be >= 1e-06, got 1e-07"]),
+    (
+        "fault-below-clock",
+        {"faults": [{"start_s": 1e-7, "end_s": 2e-7, "kind": PROBE_DOWN}]},
+        ["faults[0] needs start_s < end_s, at least 1 µs apart, got [1e-07, 2e-07)"],
+    ),
+    ("fault-kind-missing", {"faults": [{"start_s": 0, "end_s": 10}]}, ["faults[0].kind is required"]),
+    ("override-not-an-object", {"user_overrides": [5.0]}, ["user_overrides[0] must be an object, got 5.0"]),
+    (
+        "every-violation-at-once",
+        dict(runs=0, run_duration_s=-3, scenario="static-XX", seed="not-a-seed", monitor_interval_s=0, bogus_key=True),
+        [
+            "runs must be >= 1, got 0",
+            "run_duration_s must be >= 1e-06, got -3",
+            "monitor_interval_s must be >= 1e-06, got 0",
+            "seed must be an integer, got 'not-a-seed'",
+            "unknown key 'bogus_key'",
+            "scenario 'static-XX' pins config 'XX', which is not in the adaptation space",
+        ],
+    ),
+    (
+        "static-config-unknown",
+        {"scenario": "static-UHD"},
+        ["scenario 'static-UHD' pins config 'UHD', which is not in the adaptation space"],
+    ),
+    ("scenario-unknown", {"scenario": "static"}, ["scenario must be 'adaptive' or 'static-<config>', got 'static'"]),
+    (
+        "duration-off-the-monitor-grid",
+        {"monitor_interval_s": 7.0},
+        ["run_duration_s (30.0) must be a whole multiple of monitor_interval_s (7.0)"],
+    ),
+    ("duration-on-the-monitor-grid", {"run_duration_s": 31.5, "monitor_interval_s": 10.5}, []),
+    (
+        "warmup-window-inverted",
+        {"warmup": {"duration_s": 100.0, "start_s": 50.0, "end_s": 40.0}},
+        ["warmup window needs 0 <= start_s < end_s <= duration_s, got [50.0, 40.0) over 100.0"],
+    ),
+    (
+        "warmup-end-past-duration",
+        {"warmup": {"duration_s": 100.0, "start_s": 0.0, "end_s": 200.0}},
+        ["warmup window needs 0 <= start_s < end_s <= duration_s, got [0.0, 200.0) over 100.0"],
+    ),
+    ("warmup-window-inside", {"warmup": {"duration_s": 100.0, "start_s": 20.0, "end_s": 80.0}}, []),
+    (
+        "warmup-between-samples",
+        {"warmup": {"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}},
+        ["warmup window [0.3, 0.6) selects no trace samples"],
+    ),
+    ("warmup-below-one-step", {"warmup": {"duration_s": 0.5}}, []),  # [0, 0.5) selects sample 0
+    ("initial-config-not-the-default", {"initial_config": "LR"}, []),
+    ("initial-config-unknown", {"initial_config": "UHD"}, ["initial_config 'UHD' not in the adaptation space"]),
+    (
+        "override-target-unknown",
+        {"user_overrides": [{"at_s": 5.0, "target": "UHD"}]},
+        ["user_overrides[0].target 'UHD' not in the adaptation space"],
+    ),
+    (
+        "override-in-static-run",
+        {"scenario": "static-LR", "user_overrides": [{"at_s": 5.0, "target": "HR"}]},
+        ["user_overrides require the adaptive scenario"],
+    ),
+    ("trace-samples-at-cap", AT_SAMPLE_CAP, []),
+    (
+        "trace-samples-over-cap",
+        {**AT_SAMPLE_CAP, "runs": 9_999_969},
+        [
+            "experiment needs 20000002 trace samples; limit is 20000000 "
+            "(reduce runs/run_duration_s or raise trace.step_s)"
+        ],
+    ),
+    ("run-ticks-at-cap", {"runs": 1, "run_duration_s": 1_000_000}, []),
+    (
+        "run-ticks-over-cap",
+        {"runs": 1, "run_duration_s": 1_000_001},
+        ["a run needs 1000001 loop ticks; limit is 1000000 (reduce run_duration_s or raise monitor_interval_s)"],
+    ),
+    # 20M ticks on only 5M trace samples
+    ("experiment-ticks-at-cap", {"runs": 5_000_000, "run_duration_s": 4.0, "trace": {"step_s": 4.0}}, []),
+    (
+        "experiment-ticks-over-cap",
+        {"runs": 5_000_001, "run_duration_s": 4.0, "trace": {"step_s": 4.0}},
+        [
+            "experiment needs 20000004 loop ticks; limit is 20000000 "
+            "(reduce runs/run_duration_s or raise monitor_interval_s)"
+        ],
+    ),
+]
 
 
-def test_static_scenario_must_name_a_config():
-    config, diags = parse_scenario(doc(scenario="static-UHD"))
-    assert config is None
-    assert any("UHD" in d and "not in the adaptation space" in d for d in diags)
+@pytest.mark.parametrize("changes, diagnostics", [pytest.param(c, d, id=i) for i, c, d in DIAGNOSTICS])
+def test_a_document_gets_exactly_its_diagnostics(changes, diagnostics):
+    assert parse_scenario(doc(**changes))[1] == diagnostics
 
 
-def test_override_target_must_resolve():
-    config, diags = parse_scenario(doc(user_overrides=[{"at_s": 5.0, "target": "UHD"}]))
-    assert config is None
-    assert any("user_overrides[0].target" in d for d in diags)
-
-
-def test_all_violations_reported_together():
-    config, diags = parse_scenario(
-        doc(
-            runs=0,
-            run_duration_s=-3,
-            scenario="static-XX",
-            seed="not-a-seed",
-            monitor_interval_s=0,
-            bogus_key=True,
-        )
-    )
-    assert config is None
-    assert len(diags) >= 6
-    joined = "\n".join(diags)
-    assert "runs" in joined and "run_duration_s" in joined and "XX" in joined
-    assert "seed" in joined and "monitor_interval_s" in joined and "bogus_key" in joined
-
-
-def test_schema_version_checked():
-    config, diags = parse_scenario(doc(schema_version=2))
-    assert config is None
-    assert any("schema_version" in d for d in diags)
-
-
-def test_warmup_window_bounds_checked():
-    config, diags = parse_scenario(doc(warmup={"duration_s": 100.0, "start_s": 50.0, "end_s": 40.0}))
-    assert config is None
-    config, diags = parse_scenario(doc(warmup={"duration_s": 100.0, "start_s": 0.0, "end_s": 200.0}))
-    assert config is None
-    config, diags = parse_scenario(doc(warmup={"duration_s": 100.0, "start_s": 20.0, "end_s": 80.0}))
-    assert config is not None and diags == []
-
-
-def test_fault_windows_validated():
-    bad_kind = doc(faults=[{"start_s": 0, "end_s": 10, "kind": "meteor-strike"}])
-    config, diags = parse_scenario(bad_kind)
-    assert config is None and any("kind" in d for d in diags)
-    inverted = doc(faults=[{"start_s": 10, "end_s": 5, "kind": "probe-unavailable"}])
-    config, diags = parse_scenario(inverted)
-    assert config is None and any("start_s < end_s" in d for d in diags)
-
-
-def test_custom_space_and_initial_config():
-    space = [
-        {"name": "tiny", "frame_rate": 10, "scale_w": 160, "scale_h": 120, "quality_score": 1.0},
-        {"name": "big", "frame_rate": 50, "scale_w": 1280, "scale_h": 720, "quality_score": 0.1},
+def test_every_diagnostic_template_has_an_exact_row():
+    # each diags.append template in scenario.py, its constant parts literal and each {…} as .+
+    source = Path(scenario.__file__).read_text(encoding="utf-8")
+    templates = [
+        "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+" for part in message.values)
+        if isinstance(message, ast.JoinedStr)
+        else re.escape(message.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "diags.append"
+        for message in node.args
     ]
-    config, diags = parse_scenario(doc(adaptation_space=space))
-    assert diags == []
-    assert config.initial_config == "big"
-    config, diags = parse_scenario(doc(adaptation_space=space, initial_config="tiny"))
-    assert diags == [] and config.initial_config == "tiny"
-    config, diags = parse_scenario(doc(adaptation_space=space, initial_config="huge"))
-    assert config is None
-
-
-def test_overrides_rejected_for_static_runs():
-    config, diags = parse_scenario(
-        doc(scenario="static-LR", user_overrides=[{"at_s": 5.0, "target": "HR"}])
+    assert len(templates) == source.count("diags.append(")
+    tables = (
+        test_a_document_gets_exactly_its_diagnostics,
+        test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic,
+        test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic,
+        test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic,
     )
-    assert config is None
-    assert any("require the adaptive scenario" in d for d in diags)
-
-
-def test_load_scenario_bad_file(tmp_path):
-    with pytest.raises(ScenarioError):
-        load_scenario(tmp_path / "missing.json")
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    with pytest.raises(ScenarioError):
-        load_scenario(broken)
-    invalid = tmp_path / "invalid.json"
-    invalid.write_text(json.dumps(doc(runs=0)))
-    with pytest.raises(ScenarioError) as err:
-        load_scenario(invalid)
-    assert any("runs" in d for d in err.value.diagnostics)
-
-
-def test_replace_seed_changes_only_the_seed():
-    config, _ = parse_scenario(doc())
-    reseeded = config._replace(seed=99)
-    assert reseeded.seed == 99
-    assert reseeded.runs == config.runs
-    assert reseeded.trace == config.trace
-
-
-def test_run_duration_must_align_with_monitor_grid():
-    config, diags = parse_scenario(doc(run_duration_s=30.0, monitor_interval_s=7.0))
-    assert config is None
-    assert any("whole multiple" in d for d in diags)
-    config, diags = parse_scenario(doc(run_duration_s=31.5, monitor_interval_s=10.5))
-    assert config is not None and diags == []
-
-
-def test_non_finite_numbers_are_diagnosed_not_crashes():
-    config, diags = parse_scenario(doc(run_duration_s=float("nan")))
-    assert config is None and any("finite" in d for d in diags)
-    config, diags = parse_scenario(doc(monitor_interval_s=float("inf")))
-    assert config is None
-    config, diags = parse_scenario(
-        doc(faults=[{"start_s": float("nan"), "end_s": 10, "kind": "probe-unavailable"}])
-    )
-    assert config is None
-    config, diags = parse_scenario(
-        doc(adaptation_space=[{
-            "name": "X", "frame_rate": float("inf"), "scale_w": 10, "scale_h": 10,
-            "quality_score": 0.5,
-        }])
-    )
-    assert config is None
-
-
-def test_implausibly_large_experiments_are_rejected():
-    config, diags = parse_scenario(doc(runs=10_000_000, run_duration_s=30.0))
-    assert config is None
-    assert any("trace samples" in d for d in diags)
-    config, diags = parse_scenario(doc(run_duration_s=1e9))
-    assert config is None
-
-
-def test_size_cap_counts_only_the_warmup_prefix_the_engine_generates():
-    # The engine generates the warmup trace only up to max(end_s, step_s):
-    # 19,990,000 run samples + 65 warmup samples fit under the 20M cap,
-    # although the whole 10,800 s warmup duration would not.
-    warmup = {"duration_s": 10800.0, "start_s": 27.0, "end_s": 65.0}
-    config, diags = parse_scenario(doc(runs=9_995_000, run_duration_s=2.0, warmup=warmup))
-    assert diags == []
-    assert config.runs == 9_995_000
-    config, diags = parse_scenario(doc(runs=10_000_000, run_duration_s=2.0, warmup=warmup))
-    assert config is None
-    assert diags == [
-        "experiment needs 20000065 trace samples; limit is 20000000 "
-        "(reduce runs/run_duration_s or raise trace.step_s)"
-    ]
-
-
-def test_size_cap_counts_loop_ticks_too():
-    # 5M runs of 4 s at a 1-s interval are 20M ticks, exactly the cap, on only
-    # 5M trace samples at a 4-s step; one run more is over it
-    trace = {"step_s": 4.0}
-    config, diags = parse_scenario(doc(runs=5_000_000, run_duration_s=4.0, trace=trace))
-    assert diags == []
-    assert config.runs == 5_000_000
-    config, diags = parse_scenario(doc(runs=5_000_001, run_duration_s=4.0, trace=trace))
-    assert config is None
-    assert diags == [
-        "experiment needs 20000004 loop ticks; limit is 20000000 "
-        "(reduce runs/run_duration_s or raise monitor_interval_s)"
-    ]
+    # a row of each exact table ends with its diagnostic, or its list of diagnostics
+    rows = [getattr(row, "values", row) for table in tables for mark in table.pytestmark for row in mark.args[1]]
+    messages = [m for *_, expected in rows for m in ([expected] if isinstance(expected, str) else expected)]
+    assert [t for t in templates if not any(re.fullmatch(t, m) for m in messages)] == []
 
 
 def test_warmup_duration_bounds_end_s_and_changes_no_artifact(tmp_path):
@@ -317,21 +263,6 @@ def test_any_document_gives_a_config_or_diagnostics_never_an_exception(mutations
     )
 
 
-@pytest.mark.parametrize(
-    "path, value, where",
-    [
-        (("monitor_interval_s",), 1e-7, "monitor_interval_s"),
-        (("trace", "step_s"), 1e-7, "trace.step_s"),
-        (("faults", 0), {"start_s": 1e-7, "end_s": 2e-7, "kind": "probe-unavailable"}, "faults[0]"),
-    ],
-)
-def test_durations_below_the_clock_resolution_are_one_diagnostic(path, value, where):
-    # each rounds to 0 us, which once raised ZeroDivisionError or ValueError
-    config, diags = parse_scenario(mutated(BASE, path, value))
-    assert config is None
-    assert len(diags) == 1 and diags[0].startswith(where)
-
-
 SPACE_DOC = BASE["adaptation_space"]
 
 
@@ -362,16 +293,6 @@ def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(ch
     config, diags = parse_scenario({**BASE, **changes})
     assert config is None
     assert diags == [diagnostic]
-
-
-def test_a_warmup_duration_below_one_trace_step_is_accepted():
-    # the window [0, 0.5) selects sample 0, which `selects no trace samples` checks
-    config, diags = parse_scenario({**BASE, "warmup": {"duration_s": 0.5}})
-    assert diags == []
-    assert config.warmup == (0.0, 0.5)
-
-
-PROBE_DOWN = "probe-unavailable"
 
 
 # StreamConfig and FaultWindow check nothing, and neither do the functions the parsed values
@@ -444,12 +365,19 @@ def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, wher
     assert any(where in d for d in diags), diags
 
 
-@pytest.mark.parametrize("name", ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"])
-def test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic(name):
+BAD_NAMES = ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"]
+
+
+@pytest.mark.parametrize(
+    "name, diagnostic",
+    [(name, f"adaptation_space[0].name must be one line, non-empty, without ',', got {name!r}") for name in BAD_NAMES],
+    ids=BAD_NAMES,
+)
+def test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic(name, diagnostic):
     # each once ran to exit 0 and wrote a runs.csv header that compare rejected
     config, diags = parse_scenario(mutated(BASE, ("adaptation_space", 0, "name"), name))
     assert config is None
-    assert len(diags) == 1 and diags[0].startswith("adaptation_space[0].name "), diags
+    assert diags == [diagnostic]
 
 
 def readme_schema():
