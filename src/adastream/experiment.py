@@ -88,7 +88,7 @@ def events_jsonl_text(run_index: int, first_seq: int, ticks: list[tuple], quoted
             after = seq + 3
         else:
             # registered exactly when the registry is up, as the execute source says
-            registered = outcome.source == "registry"
+            registered = source == "registry"
             planned_target = quoted[strategy.target]
             decision = (
                 f'{{"seq":{seq + 2}{tail}"plan","action":"strategy",'
@@ -123,9 +123,9 @@ class JsonlFileSink:
         self._seq = 0  # the next line's seq: seq counts the lines from 0
 
     def write_run(self, record: RunRecord, ticks: list[tuple]) -> None:
-        text = events_jsonl_text(record.run_index, self._seq, ticks, self._quoted)
-        self._file.write(text)
-        self._seq += text.count("\n")  # one newline ends each line; json.dumps escapes any in a name
+        self._file.write(events_jsonl_text(record.run_index, self._seq, ticks, self._quoted))
+        # five lines a tick, plus a register line after each planned strategy
+        self._seq += 5 * len(ticks) + sum(1 for _, _, strategy, _, _ in ticks if strategy is not None)
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -21,14 +21,12 @@ the stream is committed to, leaving the stream running.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .errors import SimulationError
 from .kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord
 from .netsim import (
     BandwidthTrace,
     FaultSchedule,
-    SpeedSample,
     compute_threshold,
     generate_trace,
     probe,
@@ -54,11 +52,12 @@ class Analyzer:
         self._below = threshold - hysteresis_band
         self._last_kind: str | None = None
 
-    def evaluate(self, sample: SpeedSample) -> str:
-        """The condition kind: "above-threshold", "below-threshold" or "unknown"."""
-        if not sample.ok:
+    def evaluate(self, sample: tuple[int, float, bool]) -> str:
+        """The condition kind of a probe's `(t_us, upload_mbps, ok)`:
+        "above-threshold", "below-threshold" or "unknown"."""
+        _, upload, ok = sample
+        if not ok:
             return "unknown"
-        upload = sample.upload_mbps
         if upload >= self._above:
             kind = "above-threshold"
         elif upload < self._below:
@@ -95,15 +94,8 @@ class Monitor:
         self._probe_noise_sd = probe_noise_sd
         self._probe_seed = probe_seed
 
-    def tick(self, t_us: int) -> SpeedSample:
+    def tick(self, t_us: int) -> tuple[int, float, bool]:
         return probe(self._trace, self._faults, t_us, self._probe_noise_sd, self._probe_seed)
-
-
-class ExecuteOutcome(NamedTuple):
-    source: str  # "registry" | "fallback"
-    strategy_id: int | None
-    target: str | None
-    applied: bool
 
 
 class Executor:
@@ -114,20 +106,26 @@ class Executor:
     to, which is the one being switched to while a switch is in flight.
     """
 
-    def execute(self, kb: KnowledgeBase, stream: StreamState, registry_available: bool) -> ExecuteOutcome:
+    def execute(
+        self, kb: KnowledgeBase, stream: StreamState, registry_available: bool
+    ) -> tuple[str, int | None, str | None, bool]:
+        """The outcome `(source, strategy_id, target, applied)`, a plain tuple;
+        `source` is "registry", or "fallback" while the registry is down."""
         if not registry_available:
             # Degraded mode: hold the committed configuration; never halt the stream.
-            return ExecuteOutcome("fallback", None, stream.target, False)
+            return ("fallback", None, stream.target, False)
         latest = kb.latest_strategy()
         if latest is None:
-            return ExecuteOutcome("registry", None, None, False)
+            return ("registry", None, None, False)
         if latest.target == stream.target:
-            return ExecuteOutcome("registry", latest.id, latest.target, False)
+            return ("registry", latest.id, latest.target, False)
         stream.apply_config(latest.target)
-        return ExecuteOutcome("registry", latest.id, latest.target, True)
+        return ("registry", latest.id, latest.target, True)
 
 
-# A tick record is the stages' messages: (sample, condition, strategy | None, outcome, step).
+# A tick record is the stages' messages, plain tuples but the strategy:
+# ((t_us, upload_mbps, ok), condition, strategy | None,
+#  (source, strategy_id, target, applied), (reconfig_us, streamed_us, active)).
 class Engine:
     """Drives the full loop over a scenario: one deterministic discrete-event clock."""
 

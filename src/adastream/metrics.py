@@ -19,7 +19,6 @@ runs one at a time as they end, so no run record is held.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import SimulationError
@@ -172,8 +171,22 @@ def format_selection(run_fraction: float, seconds_fraction: float) -> str:
 
 
 def round_half_up(value: float) -> float:
-    """Round half away from zero at 2 decimals (report display rule)."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """Round a finite value half away from zero at 2 decimals (report display rule).
+
+    It rounds the decimal digits of `repr(value)`, as `Decimal(repr(value))`
+    quantized with ROUND_HALF_UP does, in integer arithmetic.
+    """
+    mantissa, _, exponent = repr(value).partition("e")
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = int(whole + fraction)
+    shift = int(exponent or 0) - len(fraction) + 2  # |value| * 100 == digits * 10**shift
+    if shift >= 0:
+        hundredths = digits * 10**shift
+    else:
+        hundredths, rest = divmod(digits, 10**-shift)
+        hundredths += 2 * rest >= 10**-shift
+    rounded = hundredths / 100
+    return -rounded if mantissa[0] == "-" else rounded
 
 
 def format_cell(value: float) -> str:

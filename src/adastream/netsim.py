@@ -77,15 +77,6 @@ class FaultSchedule(NamedTuple):
         return i >= 0 and t_us < ends[i]
 
 
-# The loop makes one of these per tick.
-class SpeedSample(NamedTuple):
-    """One probe result; ok=False means the probe itself was unavailable."""
-
-    t_us: int
-    upload_mbps: float
-    ok: bool
-
-
 def generate_trace(shape: TraceParams, duration_us: int, seed: int | str) -> BandwidthTrace:
     """Generate a seeded bandwidth trace covering [0, duration_us) at the shape's step.
 
@@ -147,19 +138,21 @@ def probe(
     t_us: int,
     probe_noise_sd: float,
     seed: int | str,
-) -> SpeedSample:
-    """Run the speed-test probe at time t_us.
+) -> tuple[int, float, bool]:
+    """Run the speed-test probe at time t_us: the sample `(t_us, upload_mbps, ok)`.
 
-    Inside a probe-unavailable fault window the result is ok=False. The
-    measurement noise stream is keyed on (seed, t_us), so the same instant
-    always yields the same sample. The engine's trace covers every tick.
+    A plain tuple, since the loop makes one per tick. Inside a
+    probe-unavailable fault window the sample is `(t_us, 0.0, False)`: the
+    probe itself was unavailable. The measurement noise stream is keyed on
+    (seed, t_us), so the same instant always yields the same sample. The
+    engine's trace covers every tick.
     """
     if faults.active("probe-unavailable", t_us):
-        return SpeedSample(t_us=t_us, upload_mbps=0.0, ok=False)
+        return (t_us, 0.0, False)
     upload = trace.uploads[t_us // trace.step_us]
     if probe_noise_sd > 0:
         upload = max(0.0, upload + _keyed_gauss(f"{seed}:{t_us}", probe_noise_sd))
-    return SpeedSample(t_us, upload, True)
+    return (t_us, upload, True)
 
 
 def sample_indices(start_us: int, end_us: int, step_us: int) -> range:

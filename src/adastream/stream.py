@@ -12,17 +12,7 @@ only the part of the delay that elapsed inside it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .kb import RunRecord
-
-
-class StepOutcome(NamedTuple):
-    """How one step's dt was spent: reconfiguring, then streaming at `active`."""
-
-    reconfig_us: int
-    streamed_us: int
-    active: str
 
 
 class StreamState:
@@ -49,8 +39,12 @@ class StreamState:
             self.reconfig_remaining_us = self.reconfig_delay_us
         self.target = name
 
-    def step(self, dt_us: int) -> StepOutcome:
-        """Advance the stream by dt. Reconfiguration drains before streaming resumes."""
+    def step(self, dt_us: int) -> tuple[int, int, str]:
+        """Advance the stream by dt. Reconfiguration drains before streaming resumes.
+
+        How dt was spent, as a plain tuple: `(reconfig_us, streamed_us,
+        active)`, reconfiguring, then streaming at `active`.
+        """
         reconfig_used = 0
         remaining = dt_us
         active = self.active
@@ -64,7 +58,7 @@ class StreamState:
                 self.active = active = self.target
         if remaining > 0:
             self.streamed_us[active] = self.streamed_us.get(active, 0) + remaining
-        return StepOutcome(reconfig_used, remaining, active)
+        return (reconfig_used, remaining, active)
 
     def finalize_run(self, run_index: int, duration_us: int) -> RunRecord:
         """Close the window through `RunRecord.of`, which checks it adds up to `duration_us`.

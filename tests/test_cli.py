@@ -20,7 +20,7 @@ from conftest import bundled_config_path
 
 
 # Each of these costs a CLI child milliseconds to import and nothing needs it.
-_HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib"}
+_HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib", "decimal"}
 
 
 def modules_loaded_by(code: str) -> list[str]:

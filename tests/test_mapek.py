@@ -6,10 +6,10 @@ import pytest
 
 from adastream.errors import SimulationError
 from adastream.kb import AdaptationStrategy, KnowledgeBase, default_space
-from adastream.mapek import Analyzer, Engine, ExecuteOutcome, Executor, plan
-from adastream.netsim import BandwidthTrace, FaultSchedule, SpeedSample, probe
+from adastream.mapek import Analyzer, Engine, Executor, plan
+from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, probe
 from adastream.scenario import UserOverride, WarmupParams, load_scenario
-from adastream.stream import StepOutcome, StreamState
+from adastream.stream import StreamState
 from adastream.units import to_us
 
 from conftest import bundled_config_path, make_scenario, registered_strategies, run_into_jsonl, run_with_events
@@ -18,7 +18,8 @@ SPACE = default_space()
 
 
 def sample(upload, ok=True, t_us=0):
-    return SpeedSample(t_us=t_us, upload_mbps=upload, ok=ok)
+    """A probe's message: (t_us, upload_mbps, ok)."""
+    return (t_us, upload, ok)
 
 
 # -- messages ------------------------------------------------------------
@@ -28,33 +29,12 @@ def test_healthy_sample_upload_must_be_non_negative():
     # The probe clamps its noisy reading at 0, here on a trace at 0 Mbps; the
     # acceptance spec tests check every monitor line of the spec corpus.
     zero = BandwidthTrace(uploads=(0.0,), step_us=to_us(1))
-    uploads = [probe(zero, FaultSchedule.of(), t_us, 5.0, seed=3).upload_mbps for t_us in range(40)]
+    samples = [probe(zero, FaultSchedule.of(), t_us, 5.0, seed=3) for t_us in range(40)]
+    uploads = [upload for _, upload, _ in samples]
     assert min(uploads) == 0.0 < max(uploads)
-    faulted = SpeedSample(t_us=0, upload_mbps=0.0, ok=False)
-    assert not faulted.ok and faulted.upload_mbps == 0.0
-
-
-@pytest.mark.parametrize(
-    "message, fields",
-    [
-        (SpeedSample(t_us=5, upload_mbps=1.5, ok=True), ("t_us", "upload_mbps", "ok")),
-        (
-            ExecuteOutcome(source="registry", strategy_id=1, target="LR", applied=True),
-            ("source", "strategy_id", "target", "applied"),
-        ),
-        (
-            StepOutcome(reconfig_us=2, streamed_us=3, active="LR"),
-            ("reconfig_us", "streamed_us", "active"),
-        ),
-    ],
-    ids=["SpeedSample", "ExecuteOutcome", "StepOutcome"],
-)
-def test_loop_messages_are_immutable_values(message, fields):
-    for name in fields:
-        with pytest.raises(AttributeError):
-            setattr(message, name, getattr(message, name))
-    copy = type(message)(**{name: getattr(message, name) for name in fields})
-    assert copy == message
+    # a faulted probe reads no upload at all
+    faulted = FaultSchedule.of((FaultWindow(0, 1, "probe-unavailable"),))
+    assert probe(zero, faulted, 0, 5.0, seed=3) == (0, 0.0, False)
 
 
 # -- analysis ------------------------------------------------------------
@@ -135,8 +115,7 @@ def test_execute_applies_latest_strategy():
     kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     stream = StreamState("LR", to_us(2.7))
-    outcome = Executor().execute(kb, stream, registry_available=True)
-    assert outcome.applied and outcome.target == "HR" and outcome.strategy_id == 1
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", 1, "HR", True)
     assert (stream.active, stream.target) == ("LR", "HR")
     assert stream.reconfig_remaining_us == to_us(2.7)
 
@@ -145,9 +124,7 @@ def test_execute_registry_unavailable_falls_back():
     kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     stream = StreamState("LR", to_us(2.7))
-    outcome = Executor().execute(kb, stream, registry_available=False)
-    assert not outcome.applied
-    assert outcome.source == "fallback" and outcome.target == "LR"
+    assert Executor().execute(kb, stream, registry_available=False) == ("fallback", None, "LR", False)
     # still streaming, unchanged
     assert (stream.active, stream.target, stream.reconfig_remaining_us) == ("LR", "LR", 0)
 
@@ -156,8 +133,7 @@ def test_execute_fallback_reports_the_target_of_a_switch_in_flight():
     kb = KnowledgeBase()
     stream = StreamState("LR", to_us(2.7))
     stream.apply_config("HR")
-    outcome = Executor().execute(kb, stream, registry_available=False)
-    assert outcome == ("fallback", None, "HR", False)
+    assert Executor().execute(kb, stream, registry_available=False) == ("fallback", None, "HR", False)
     assert (stream.active, stream.target) == ("LR", "HR")
 
 
@@ -165,16 +141,14 @@ def test_execute_matching_target_is_free():
     kb = KnowledgeBase()
     kb.register_strategy(AdaptationStrategy(1, "LR", "below-threshold"))
     stream = StreamState("LR", to_us(2.7))
-    outcome = Executor().execute(kb, stream, registry_available=True)
-    assert not outcome.applied
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", 1, "LR", False)
     assert stream.reconfig_remaining_us == 0
 
 
 def test_execute_empty_registry_is_noop():
     kb = KnowledgeBase()
     stream = StreamState("LR", to_us(2.7))
-    outcome = Executor().execute(kb, stream, registry_available=True)
-    assert not outcome.applied and outcome.strategy_id is None
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", None, None, False)
 
 
 def test_execute_compares_against_pending_target():
@@ -184,13 +158,12 @@ def test_execute_compares_against_pending_target():
     stream.apply_config("HR")
     kb.register_strategy(AdaptationStrategy(1, "HR", "above-threshold"))
     kb.register_strategy(AdaptationStrategy(2, "LR", "below-threshold"))
-    outcome = Executor().execute(kb, stream, registry_available=True)
-    assert outcome.applied and outcome.target == "LR"
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", 2, "LR", True)
     assert (stream.active, stream.target) == ("LR", "LR")
     assert stream.reconfig_remaining_us == to_us(2.7)  # the deadline holds
     # a strategy naming the committed config is a no-op, though HR is not active
     kb.register_strategy(AdaptationStrategy(3, "HR", "above-threshold"))
-    assert Executor().execute(kb, stream, registry_available=True).applied
+    assert Executor().execute(kb, stream, registry_available=True) == ("registry", 3, "HR", True)
     assert Executor().execute(kb, stream, registry_available=True) == ("registry", 3, "HR", False)
 
 
@@ -357,7 +330,8 @@ def test_a_second_run_replays_the_first(config):
     # stream state or sticky classification.
     engine = Engine(config)
     if config.hysteresis_mbps:
-        assert abs(engine.monitor.tick(0).upload_mbps - engine.threshold_mbps) < config.hysteresis_mbps
+        _, upload, _ = engine.monitor.tick(0)
+        assert abs(upload - engine.threshold_mbps) < config.hysteresis_mbps
     assert run_into_jsonl(engine) == run_into_jsonl(engine)
 
 

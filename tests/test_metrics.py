@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import ROUND_HALF_UP, Decimal
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adastream import metrics
@@ -275,9 +276,24 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
     }
 
 
-def test_round_half_up_matches_display_rule():
-    assert round_half_up(0.745) == 0.75
-    assert round_half_up(0.5941) == 0.59
-    assert round_half_up(0.775) == 0.78
-    assert round_half_up(0.9118) == 0.91
-    assert round_half_up(-0.005) == -0.01
+# The five display cases (0.75, 0.59, 0.78, 0.91 and -0.01 by the rule), then negatives,
+# subnormals and values whose repr has an exponent.
+@example(0.745)
+@example(0.5941)
+@example(0.775)
+@example(0.9118)
+@example(-0.005)
+@example(-0.0)
+@example(-0.0049)
+@example(-2.675)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.5e-05)
+@example(-1.2345e20)
+@example(1e16)
+# quantize needs the rounded value's digits to fit Decimal's 28-digit default context
+@given(st.floats(min_value=-1e25, max_value=1e25))
+def test_round_half_up_matches_display_rule(value):
+    expected = float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(round_half_up(value)) == repr(expected)

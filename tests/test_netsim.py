@@ -96,7 +96,8 @@ def test_noiseless_probe_reads_the_enclosing_step_left_closed():
     trace = generate_trace(TraceParams(5, 2, 60, 0, S), 10 * S, seed=0)
 
     def read(t_us):
-        return probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1).upload_mbps
+        _, upload, _ = probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1)
+        return upload
 
     assert read(0) == trace.uploads[0]
     assert read(2_500_000) == read(2 * S)
@@ -107,17 +108,14 @@ def test_noiseless_probe_reads_the_enclosing_step_left_closed():
 def test_noiseless_probe_equals_bandwidth():
     trace = generate_trace(TraceParams(5, 2, 60, 0.3, S), 30 * S, seed=3)
     for t_us in (0, 7 * S, 29_500_000):
-        sample = probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1)
-        assert sample.ok
-        assert sample.upload_mbps == trace.uploads[t_us // S]
+        assert probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1) == (t_us, trace.uploads[t_us // S], True)
 
 
 def test_probe_inside_fault_window_is_not_ok():
     trace = generate_trace(TraceParams(5, 0, 60, 0, S), 30 * S, seed=0)
     faults = FaultSchedule.of(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
-    assert not probe(trace, faults, 7 * S, 0, seed=1).ok
-    assert probe(trace, faults, 4 * S, 0, seed=1).ok
-    assert probe(trace, faults, 10 * S, 0, seed=1).ok  # window is half-open
+    ok = [probe(trace, faults, t_us, 0, seed=1)[2] for t_us in (7 * S, 4 * S, 10 * S)]
+    assert ok == [False, True, True]  # the window is half-open
 
 
 def test_probe_deterministic_per_instant_regardless_of_call_order():
@@ -145,12 +143,12 @@ def reference_noisy_upload(upload: float, seed: int | str, t_us: int, sd: float)
 def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, upload, sd):
     t_us = ticks // grid_us * grid_us  # up to 1e13 us, on the monitoring grid
     trace = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
-    sample = probe(trace, NO_FAULTS, t_us, probe_noise_sd=sd, seed=seed)
+    probed_t_us, probed, ok = probe(trace, NO_FAULTS, t_us, probe_noise_sd=sd, seed=seed)
     expected = reference_noisy_upload(upload, seed, t_us, sd)
-    assert sample.t_us == t_us
+    assert (probed_t_us, ok) == (t_us, True)
     # repr and copysign tell 0.0 from -0.0, which == does not
-    assert repr(sample.upload_mbps) == repr(expected)
-    assert math.copysign(1.0, sample.upload_mbps) == math.copysign(1.0, expected)
+    assert repr(probed) == repr(expected)
+    assert math.copysign(1.0, probed) == math.copysign(1.0, expected)
 
 
 def test_fault_schedule_rejects_overlap_same_kind():

@@ -86,9 +86,6 @@ def test_checked_types_are_built_only_through_of():
 # Types whose fields are read by tuple unpacking, not by attribute, each with the
 # function that unpacks all of its fields at once.
 UNPACKED = {
-    "SpeedSample": "experiment.events_jsonl_text",
-    "ExecuteOutcome": "experiment.events_jsonl_text",
-    "StepOutcome": "experiment.events_jsonl_text",
     "TraceParams": "netsim.generate_trace",
     "_Field": "scenario._read",
 }
