@@ -4,76 +4,17 @@ from __future__ import annotations
 
 import json
 import re
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from adastream import experiment
-from adastream.experiment import run_experiment, runs_csv_text
+from adastream.experiment import run_experiment
 from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
-from conftest import NAME_CHARS, bundled_config_path, parsed_runs
+from conftest import bundled_config_path
 from reference_loop import reference_artifacts
-
-
-@st.composite
-def scenario_docs(draw):
-    names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=5), min_size=1, max_size=3, unique=True))
-    space = [
-        {
-            "name": name,
-            "frame_rate": draw(st.integers(1, 60)),
-            "scale_w": 320,
-            "scale_h": 240,
-            "quality_score": draw(st.sampled_from([0.0, 0.2, 0.99, 1.0])),
-        }
-        for name in names
-    ]
-    adaptive = draw(st.booleans())
-    runs = draw(st.integers(1, 3))
-    run_duration_s = draw(st.sampled_from([4.0, 6.0, 10.0]))
-    total_s = runs * run_duration_s
-    faults = []
-    for kind in ("probe-unavailable", "registry-unavailable"):
-        cursor = 0.0
-        for _ in range(draw(st.integers(0, 2))):
-            start = cursor + draw(st.integers(0, 4))
-            end = start + draw(st.integers(1, 5))
-            faults.append({"kind": kind, "start_s": start, "end_s": end})
-            cursor = end
-    overrides = []
-    if adaptive:
-        overrides = [
-            {"at_s": draw(st.integers(0, int(total_s))), "target": draw(st.sampled_from(names))}
-            for _ in range(draw(st.integers(0, 3)))
-        ]
-    return {
-        "schema_version": 1,
-        "scenario": "adaptive" if adaptive else f"static-{draw(st.sampled_from(names))}",
-        "runs": runs,
-        "run_duration_s": run_duration_s,
-        "monitor_interval_s": draw(st.sampled_from([0.5, 1.0, 2.0])),
-        "reconfig_delay_s": draw(st.sampled_from([0.0, 0.5, 2.7])),
-        # amplitudes above the mean clamp the trace to 0 Mbps for part of each period
-        "trace": {
-            "mean_mbps": draw(st.sampled_from([0.5, 2.0, 5.0])),
-            "amplitude_mbps": draw(st.sampled_from([0.0, 3.0, 6.0])),
-            "period_s": draw(st.sampled_from([3.0, 7.0])),
-            "noise_sd_mbps": draw(st.sampled_from([0.0, 0.3])),
-        },
-        "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
-        "warmup": {"duration_s": 21.0, "start_s": 0.0, "end_s": 21.0},
-        "faults": faults,
-        "adaptation_space": space,
-        "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
-        "user_overrides": overrides,
-        "seed": draw(st.integers(0, 2**31)),
-    }
 
 
 # Each line's keys after seq, run, t_us, event, in line order, by kind; a
@@ -111,32 +52,6 @@ def parse_checked_lines(config, text: str) -> list[dict]:
     return events
 
 
-def artifacts_as_specified(config, out: Path) -> dict[str, str]:
-    """Run the experiment into `out`, check its four artifacts against the
-    executable spec byte for byte, and return their texts."""
-    run_experiment(config, out)
-    expected, _ = reference_artifacts(config)
-    written = {name: (out / name).read_bytes().decode("utf-8") for name in expected}
-    assert written == expected
-    return written
-
-
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scenario_docs())
-def test_encoder_lines_are_compact_json_in_documented_key_order(doc):
-    config, diags = parse_scenario(doc)
-    assert config is not None, diags
-    with tempfile.TemporaryDirectory() as out:
-        written = artifacts_as_specified(config, Path(out))
-        scenario, names, records = parsed_runs(Path(out) / "runs.csv")
-    parse_checked_lines(config, written["events.jsonl"])
-    # the drawn names head runs.csv's columns, and its rows, read back and
-    # rendered again, give the file
-    assert (scenario, names) == (config.scenario, config.space.names)
-    rows = written["runs.csv"].split("\n", 1)[1]
-    assert "".join(runs_csv_text(record, scenario, names) for record in records) == rows
-
-
 def test_encoder_matches_json_dumps_on_every_event_shape(tmp_path):
     # one fixed config that surely reaches every branch of the encoder
     doc = {
@@ -162,7 +77,10 @@ def test_encoder_matches_json_dumps_on_every_event_shape(tmp_path):
     }
     config, diags = parse_scenario(doc)
     assert config is not None, diags
-    events = parse_checked_lines(config, artifacts_as_specified(config, tmp_path)["events.jsonl"])
+    run_experiment(config, tmp_path)
+    expected, _ = reference_artifacts(config)
+    assert {name: (tmp_path / name).read_bytes().decode("utf-8") for name in expected} == expected
+    events = parse_checked_lines(config, expected["events.jsonl"])
     kinds = {e["event"] for e in events}
     assert kinds == {"monitor", "analyze", "plan", "register", "execute", "step"}
     assert any(e["event"] == "monitor" and e["upload_mbps"] == 0.0 and e["ok"] for e in events)

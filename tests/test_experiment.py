@@ -87,11 +87,3 @@ def test_compare_reference_grid_verdicts(tmp_path):
     # and adaptive beats static LR when frame rate is weighted up under p1
     lr = next(a for a in result.artifacts if a.label == "static-LR")
     assert adaptive.grid["p1"]["9r1q"] > lr.grid["p1"]["9r1q"]
-
-
-def test_adaptive_report_text_shows_model_and_measured_qp(tmp_path, scenario_factory):
-    run_experiment(scenario_factory(runs=3), tmp_path / "ad")
-    text = (tmp_path / "ad" / "report.txt").read_text()
-    assert "mix-model" in text and "measured" in text
-    run_experiment(scenario_factory(scenario="static-LR", runs=3), tmp_path / "lr")
-    assert "mix-model" not in (tmp_path / "lr" / "report.txt").read_text()

@@ -170,21 +170,6 @@ def test_execute_compares_against_pending_target():
 # -- the loop ------------------------------------------------------------------
 
 
-def test_static_scenario_registers_nothing(scenario_factory):
-    records, events = run_with_events(scenario_factory(scenario="static-LR", runs=5))
-    assert registered_strategies(events) == []
-    assert all(r.streamed_us == {"LR": to_us(30)} for r in records)
-
-
-def test_probe_fault_window_freezes_planning(scenario_factory):
-    # a probe outage yields only unknown conditions, and they plan nothing
-    config = scenario_factory(runs=3, faults=[{"start_s": 30.0, "end_s": 60.0, "kind": "probe-unavailable"}])
-    _, events = run_with_events(config)
-    in_window = [e for e in events if to_us(30) <= e["t_us"] < to_us(60)]
-    assert {e["condition"] for e in in_window if e["event"] == "analyze"} == {"unknown"}
-    assert {e["action"] for e in in_window if e["event"] == "plan"} == {"keep"}
-
-
 def test_user_override_issues_user_config_strategy(scenario_factory):
     config = scenario_factory(
         runs=2,
@@ -399,8 +384,3 @@ def test_engine_refuses_a_warmup_window_that_starts_below_0(scenario_factory):
     config = scenario_factory(runs=1)._replace(warmup=WarmupParams(-5.0, 65.0))
     with pytest.raises(SimulationError, match=r"^warmup window starts at -5 s, before the trace$"):
         Engine(config)
-
-
-def test_sub_second_monitor_interval(scenario_factory):
-    _, events = run_with_events(scenario_factory(runs=2, monitor_interval_s=0.5))
-    assert [e["dt_us"] for e in events if e["event"] == "step"] == [500_000] * 2 * 60

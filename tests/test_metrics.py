@@ -99,17 +99,6 @@ def test_weights_must_sum_to_one_and_be_non_negative():
 # -- time performance and config scores ------------------------------------
 
 
-def test_time_performance_reference_points():
-    assert time_performance(record(30, 0)) == 1.0
-    assert abs(time_performance(record(30, 2.7)) - 0.91) < 1e-9
-    assert time_performance(record(30, 30, lr_s=0)) == 0.0
-
-
-def test_config_score_hr_equal_weights():
-    # 0.5 * 60/60 + 0.5 * 0.20
-    assert abs(config_quality_score(HR, SPACE, QUALITY_PRESETS["5r5q"]) - 0.60) < 1e-9
-
-
 def test_config_score_pure_rate_fastest_config():
     assert config_quality_score(HR, SPACE, QualityWeights(1.0, 0.0)) == 1.0
 

@@ -167,6 +167,7 @@ def test_every_diagnostic_template_has_an_exact_row():
         test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic,
         test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic,
         test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic,
+        test_values_of_the_wrong_type_or_key_are_diagnosed_by_path,
     )
     # a row of each exact table ends with its diagnostic, or its list of diagnostics
     rows = [getattr(row, "values", row) for table in tables for mark in table.pytestmark for row in mark.args[1]]
@@ -342,27 +343,40 @@ def test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic(path, valu
     assert diags == [diagnostic]
 
 
+# A value of the wrong type, or an unknown key, in an entry of a list: its one diagnostic
+WRONG_TYPES_AND_KEYS = [
+    (("adaptation_space", 0, "frame_rate"), 30.9, "adaptation_space[0].frame_rate must be an integer, got 30.9"),
+    (("adaptation_space", 0, "frame_rate"), 30.0, "adaptation_space[0].frame_rate must be an integer, got 30.0"),
+    (("adaptation_space", 0, "frame_rate"), True, "adaptation_space[0].frame_rate must be an integer, got True"),
+    (("adaptation_space", 0, "frame_rate"), "30", "adaptation_space[0].frame_rate must be an integer, got '30'"),
+    (
+        ("adaptation_space", 0, "quality_score"),
+        "0.5",
+        "adaptation_space[0].quality_score must be a finite number, got '0.5'",
+    ),
+    (("adaptation_space", 0, "name"), None, "adaptation_space[0].name must be a string, got None"),
+    (("adaptation_space", 0, "extra"), 1, "unknown key 'adaptation_space[0].extra'"),
+    (("faults", 0, "start_s"), "90", "faults[0].start_s must be a finite number, got '90'"),
+    (("faults", 0, "start_s"), True, "faults[0].start_s must be a finite number, got True"),
+    (("faults", 0, "extra"), 1, "unknown key 'faults[0].extra'"),
+    (("user_overrides", 0, "at_s"), True, "user_overrides[0].at_s must be a finite number, got True"),
+    (("user_overrides", 0, "extra"), 1, "unknown key 'user_overrides[0].extra'"),
+]
+
+
 @pytest.mark.parametrize(
-    "path, value, where",
-    [
-        (("adaptation_space", 0, "frame_rate"), 30.9, "adaptation_space[0].frame_rate"),
-        (("adaptation_space", 0, "frame_rate"), 30.0, "adaptation_space[0].frame_rate"),
-        (("adaptation_space", 0, "frame_rate"), True, "adaptation_space[0].frame_rate"),
-        (("adaptation_space", 0, "frame_rate"), "30", "adaptation_space[0].frame_rate"),
-        (("adaptation_space", 0, "quality_score"), "0.5", "adaptation_space[0].quality_score"),
-        (("adaptation_space", 0, "name"), None, "adaptation_space[0].name"),
-        (("adaptation_space", 0, "extra"), 1, "adaptation_space[0].extra"),
-        (("faults", 0, "start_s"), "90", "faults[0].start_s"),
-        (("faults", 0, "start_s"), True, "faults[0].start_s"),
-        (("faults", 0, "extra"), 1, "faults[0].extra"),
-        (("user_overrides", 0, "at_s"), True, "user_overrides[0].at_s"),
-        (("user_overrides", 0, "extra"), 1, "user_overrides[0].extra"),
+    "path, value, diagnostic",
+    WRONG_TYPES_AND_KEYS,
+    # each id names the row's path, value and dotted key
+    ids=[
+        f"path{i}-{value}-{key}[{index}].{field}"
+        for i, ((key, index, field), value, _) in enumerate(WRONG_TYPES_AND_KEYS)
     ],
 )
-def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, where):
+def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, diagnostic):
     config, diags = parse_scenario(mutated(BASE, path, value))
     assert config is None
-    assert any(where in d for d in diags), diags
+    assert diags == [diagnostic]
 
 
 BAD_NAMES = ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"]
