@@ -154,11 +154,6 @@ def make_scenario(**overrides):
     return config
 
 
-@pytest.fixture
-def scenario_factory():
-    return make_scenario
-
-
 def run_dropping_events(config) -> tuple[RunRecord, ...]:
     """The engine's run records, in order, with each run's tick records dropped."""
     records = []

@@ -13,7 +13,7 @@ from adastream.experiment import run_experiment
 from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
-from conftest import bundled_config_path
+from conftest import bundled_config_path, make_scenario
 from reference_loop import reference_artifacts
 
 
@@ -90,8 +90,8 @@ def test_encoder_matches_json_dumps_on_every_event_shape(tmp_path):
     assert any(e["event"] == "step" and e["segments"] == [] for e in events)
 
 
-def test_crash_mid_loop_keeps_previous_events_file(tmp_path, scenario_factory, monkeypatch):
-    config = scenario_factory(runs=3)
+def test_crash_mid_loop_keeps_previous_events_file(tmp_path, monkeypatch):
+    config = make_scenario(runs=3)
     previous = b'{"seq":0,"previous":true}\n'
     (tmp_path / "events.jsonl").write_bytes(previous)
     original_step = StreamState.step
@@ -111,7 +111,7 @@ def test_crash_mid_loop_keeps_previous_events_file(tmp_path, scenario_factory, m
     assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
 
 
-def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, scenario_factory, monkeypatch):
+def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, monkeypatch):
     previous = {
         name: f"previous {name}\n".encode()
         for name in ("events.jsonl", "runs.csv", "report.csv", "report.txt")
@@ -128,7 +128,7 @@ def test_crash_in_report_stage_keeps_previous_artifacts(tmp_path, scenario_facto
 
     monkeypatch.setattr(experiment, "render_report_text", failing_render)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        run_experiment(scenario_factory(runs=2), tmp_path)
+        run_experiment(make_scenario(runs=2), tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
 
 

@@ -5,12 +5,12 @@ import shutil
 from adastream.experiment import compare, render_comparison, run_experiment
 from adastream.metrics import format_selection, selection_fractions
 
-from conftest import fold_of, run_dropping_events
+from conftest import fold_of, make_scenario, run_dropping_events
 
 
-def test_compare_identical_reports_tie(tmp_path, scenario_factory):
+def test_compare_identical_reports_tie(tmp_path):
     # one static-LR run copied under three labels: every verdict must tie
-    run_experiment(scenario_factory(scenario="static-LR", runs=2), tmp_path / "a")
+    run_experiment(make_scenario(scenario="static-LR", runs=2), tmp_path / "a")
     runs_lines = (tmp_path / "a" / "runs.csv").read_text().splitlines(keepends=True)
     dirs = []
     for i in range(3):
@@ -29,12 +29,12 @@ def test_compare_identical_reports_tie(tmp_path, scenario_factory):
     assert set(result.verdicts.values()) == {"tie"}
 
 
-def test_compare_adaptive_selection_matches_the_loop(tmp_path, scenario_factory):
-    config = scenario_factory(runs=20)
+def test_compare_adaptive_selection_matches_the_loop(tmp_path):
+    config = make_scenario(runs=20)
     direct = run_dropping_events(config)
     run_experiment(config, tmp_path / "adaptive")
     for label in ("static-LR", "static-HR"):
-        run_experiment(scenario_factory(scenario=label, runs=2), tmp_path / label)
+        run_experiment(make_scenario(scenario=label, runs=2), tmp_path / label)
     cmp = compare([tmp_path / "static-LR", tmp_path / "static-HR", tmp_path / "adaptive"])
     adaptive = cmp.artifacts[2]
     assert adaptive.label == "adaptive"

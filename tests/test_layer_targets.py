@@ -1,9 +1,13 @@
-"""The traced benchmark's stage names still resolve in the package.
+"""The traced benchmark still measures what the package does.
 
-perfbench/layers.py wraps each stage by looking up `vars(owner)[attr]`,
-so renaming or folding away a traced stage breaks `perfbench/run.py
---trace 1`, and its observers read the traced stages' arguments and
-results. These checks catch a break in either in the package's own test run.
+perfbench/layers.py wraps each stage it names in `TARGETS`, and its
+observers read the traced stages' arguments and results. This file checks
+that each of those names resolves in the package, pins how often the traced
+`adastream run` of the bundled adaptive config calls each layer, checks that
+the observers read the warmup window and the trace samples the stages take,
+and that the sink writes exactly the text the traced encoder returns.
+perfbench/test_perfbench.py checks the tracer itself: that it rebinds every
+imported name and that a traced CLI writes the plain CLI's bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 
-from adastream import experiment, mapek, netsim  # noqa: E402
+from adastream import experiment  # noqa: E402
 from adastream.mapek import Engine  # noqa: E402
 from adastream.netsim import sample_indices  # noqa: E402
 from adastream.scenario import load_scenario  # noqa: E402
@@ -37,13 +41,6 @@ from conftest import bundled_config_path  # noqa: E402
 def test_every_traced_target_resolves(module_name, path):
     *_, original = layers._resolve(module_name, path)
     assert callable(original), f"{module_name}:{path} is not callable"
-
-
-def test_mapek_binds_the_stages_it_calls():
-    # install() rewraps these names in mapek's namespace, where the loop calls them
-    for name in ("probe", "generate_trace", "compute_threshold"):
-        assert vars(mapek)[name] is vars(netsim)[name]
-    assert callable(vars(mapek)["plan"])
 
 
 def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch):
@@ -72,7 +69,7 @@ def traced_bundled_adaptive_run(tmp_path) -> dict:
     subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(trace_file),
          "run", str(bundled_config_path("table3-adaptive")), "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True, timeout=60,
     )
     return json.loads(trace_file.read_text(encoding="utf-8"))
 

@@ -92,10 +92,10 @@ def test_plan_unknown_keeps_current():
     assert plan("unknown", SPACE) is None
 
 
-def test_plan_above_threshold_keeps_high_rate(scenario_factory):
+def test_plan_above_threshold_keeps_high_rate():
     # A constant trace ties at the threshold, i.e. above, at every tick; the
     # planner names the applied HR each time, so the engine issues nothing.
-    config = scenario_factory(
+    config = make_scenario(
         runs=1,
         trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
         probe_noise_sd_mbps=0.0,
@@ -170,8 +170,8 @@ def test_execute_compares_against_pending_target():
 # -- the loop ------------------------------------------------------------------
 
 
-def test_user_override_issues_user_config_strategy(scenario_factory):
-    config = scenario_factory(
+def test_user_override_issues_user_config_strategy():
+    config = make_scenario(
         runs=2,
         trace={"mean_mbps": 5.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
         probe_noise_sd_mbps=0.0,
@@ -194,8 +194,8 @@ def test_user_override_issues_user_config_strategy(scenario_factory):
     assert [e["strategy_id"] for e in applied] == [s.id for s in strategies]
 
 
-def test_override_during_registry_outage_is_reported_not_retried(scenario_factory):
-    config = scenario_factory(
+def test_override_during_registry_outage_is_reported_not_retried():
+    config = make_scenario(
         runs=2,
         trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
         probe_noise_sd_mbps=0.0,
@@ -221,8 +221,8 @@ def test_override_during_registry_outage_is_reported_not_retried(scenario_factor
     assert all(r.streamed_us == {"HR": to_us(30)} for r in records)
 
 
-def test_registry_outage_during_a_switch_falls_back_to_the_pending_target(scenario_factory):
-    config = scenario_factory(
+def test_registry_outage_during_a_switch_falls_back_to_the_pending_target():
+    config = make_scenario(
         runs=1,
         reconfig_delay_s=5.5,
         trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
@@ -248,8 +248,8 @@ def test_registry_outage_during_a_switch_falls_back_to_the_pending_target(scenar
     ]
 
 
-def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factory):
-    config = scenario_factory(
+def test_overrides_falling_due_at_one_tick_leave_only_the_latest():
+    config = make_scenario(
         runs=1,
         trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
         probe_noise_sd_mbps=0.0,
@@ -268,8 +268,8 @@ def test_overrides_falling_due_at_one_tick_leave_only_the_latest(scenario_factor
     assert records[0].streamed_us == {"HR": to_us(30)}
 
 
-def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenario_factory):
-    config = scenario_factory(
+def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing():
+    config = make_scenario(
         runs=1,
         initial_config="LR",
         trace={"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
@@ -292,15 +292,15 @@ def test_a_due_override_takes_its_ticks_plan_even_when_it_changes_nothing(scenar
     assert registered_strategies(events) == [AdaptationStrategy(1, "HR", "above-threshold")]
 
 
-def test_hysteresis_band_reduces_switching(scenario_factory):
+def test_hysteresis_band_reduces_switching():
     noisy = dict(
         runs=10,
         trace={"mean_mbps": 5.0, "amplitude_mbps": 0.5, "period_s": 61.0, "noise_sd_mbps": 0.8},
         warmup={"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
         probe_noise_sd_mbps=0.3,
     )
-    _, bare = run_with_events(scenario_factory(**noisy))
-    _, banded = run_with_events(scenario_factory(**noisy, hysteresis_mbps=1.5))
+    _, bare = run_with_events(make_scenario(**noisy))
+    _, banded = run_with_events(make_scenario(**noisy, hysteresis_mbps=1.5))
     assert len(registered_strategies(banded)) < len(registered_strategies(bare))
 
 
@@ -320,67 +320,37 @@ def test_a_second_run_replays_the_first(config):
     assert run_into_jsonl(engine) == run_into_jsonl(engine)
 
 
-def test_engine_refuses_a_run_that_is_not_a_whole_number_of_intervals(scenario_factory):
-    config = scenario_factory(runs=2)._replace(run_duration_us=2_500_000)
-    assert config.monitor_interval_us == 1_000_000
-    with pytest.raises(SimulationError, match="^run duration 2500000 us is not a whole number of ticks$"):
-        Engine(config)
-
-
-def test_engine_rejects_a_non_positive_monitor_interval(scenario_factory):
-    config = scenario_factory(runs=1)._replace(monitor_interval_us=0)
-    with pytest.raises(SimulationError, match="^run duration 30000000 us is not a whole number of ticks$"):
-        Engine(config)
-
-
-# A hand-built config the parser would refuse: with no runs aggregate divides by zero, a
-# negative delay never drains so the stream never switches, and a zero step divides by zero.
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"runs": 0}, "runs must be at least 1, got 0"),
-        ({"runs": -1}, "runs must be at least 1, got -1"),
-        ({"run_duration_us": 0}, "run duration must be positive, got 0 us"),
-        ({"reconfig_delay_us": -5}, "reconfig delay must be non-negative, got -5 us"),
-        ({"trace": make_scenario().trace._replace(step_us=0)}, "trace step must be positive, got 0 us"),
-    ],
-    ids=["runs-0", "runs-minus-1", "run-duration-0", "reconfig-delay-minus-5", "trace-step-0"],
-)
-def test_engine_refuses_a_config_the_loop_cannot_run(scenario_factory, fields, message):
-    config = scenario_factory(runs=2)._replace(**fields)
-    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        Engine(config)
-
-
-def test_engine_rejects_an_initial_config_outside_the_space(scenario_factory):
-    config = scenario_factory(runs=1)._replace(initial_config="XX")
-    with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
-        Engine(config)
-
-
-def test_engine_rejects_an_override_target_outside_the_space(scenario_factory):
+TRACE = make_scenario().trace
+# Each SimulationError Engine.__init__ raises, exactly, for make_scenario(runs=2) with `fields`
+# replaced: a hand-built config the parser would refuse. With no runs aggregate divides by zero,
+# a negative delay never drains so the stream never switches, and a zero step divides by zero.
+ENGINE_REFUSALS = [
+    ("runs-0", {"runs": 0}, "runs must be at least 1, got 0"),
+    ("runs-minus-1", {"runs": -1}, "runs must be at least 1, got -1"),
+    ("run-duration-0", {"run_duration_us": 0}, "run duration must be positive, got 0 us"),
+    ("run-off-the-tick-grid", {"run_duration_us": 2_500_000}, "run duration 2500000 us is not a whole number of ticks"),
+    ("monitor-interval-0", {"monitor_interval_us": 0}, "run duration 30000000 us is not a whole number of ticks"),
+    ("initial-config-outside-the-space", {"initial_config": "XX"}, "config 'XX' is not in the adaptation space"),
     # the first override names a config in the space; only the second is unknown
-    overrides = (UserOverride(at_us=0, target="LR"), UserOverride(at_us=1_000_000, target="XX"))
-    config = scenario_factory(runs=1)._replace(user_overrides=overrides)
-    with pytest.raises(SimulationError, match="^config 'XX' is not in the adaptation space$"):
-        Engine(config)
-
-
-@pytest.mark.parametrize(
-    "warmup",
-    [WarmupParams(27.2, 27.5), WarmupParams(0.0, 4e-7)],
-    ids=["between-samples", "end-rounds-to-0-us"],
-)
-def test_engine_refuses_a_warmup_window_that_selects_no_sample(scenario_factory, warmup):
-    config = scenario_factory(runs=1)._replace(warmup=warmup)
-    message = f"warmup window [{warmup.start_s:g}, {warmup.end_s:g}) s selects no trace sample"
-    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        Engine(config)
-
-
-def test_engine_refuses_a_warmup_window_that_starts_below_0(scenario_factory):
+    ("override-target-outside-the-space", {"user_overrides": (UserOverride(0, "LR"), UserOverride(1_000_000, "XX"))},
+     "config 'XX' is not in the adaptation space"),
+    ("reconfig-delay-minus-5", {"reconfig_delay_us": -5}, "reconfig delay must be non-negative, got -5 us"),
+    ("trace-step-0", {"trace": TRACE._replace(step_us=0)}, "trace step must be positive, got 0 us"),
     # The samples of [-5, 65) s would be the slice [-5:65], which wraps round to
     # the samples of [60, 65) s and reads 5.186 Mbps, where [0, 65) s reads 5.013.
-    config = scenario_factory(runs=1)._replace(warmup=WarmupParams(-5.0, 65.0))
-    with pytest.raises(SimulationError, match=r"^warmup window starts at -5 s, before the trace$"):
-        Engine(config)
+    ("warmup-starts-below-0", {"warmup": WarmupParams(-5.0, 65.0)}, "warmup window starts at -5 s, before the trace"),
+    ("between-samples", {"warmup": WarmupParams(27.2, 27.5)},
+     "warmup window [27.2, 27.5) s selects no trace sample"),
+    ("end-rounds-to-0-us", {"warmup": WarmupParams(0.0, 4e-7)},
+     "warmup window [0, 4e-07) s selects no trace sample"),
+    # a trace 10 Mbps below 0 is clamped to 0 over the whole window
+    ("threshold-0", {"trace": TRACE._replace(mean_mbps=-10.0)},
+     "warmup window [27, 65) s gives a threshold of 0 Mbps (the clamped trace is zero there); "
+     "move the window or raise trace.mean_mbps"),
+]
+
+
+@pytest.mark.parametrize("fields, message", [pytest.param(f, m, id=i) for i, f, m in ENGINE_REFUSALS])
+def test_engine_refuses_a_config_the_loop_cannot_run(fields, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        Engine(make_scenario(runs=2)._replace(**fields))

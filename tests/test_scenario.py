@@ -3,9 +3,11 @@ from __future__ import annotations
 import ast
 import copy
 import hashlib
+import inspect
 import json
 import math
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -14,14 +16,15 @@ from hypothesis import strategies as st
 
 from adastream import scenario
 from adastream.experiment import ARTIFACTS, run_experiment
+from adastream.mapek import Engine
 from adastream.scenario import parse_scenario
 
 from conftest import bundled_config_path
+from test_mapek import ENGINE_REFUSALS
 
 
 def doc(**changes):
     return {"schema_version": 1, "scenario": "adaptive", "runs": 10, "run_duration_s": 30.0, "seed": 1, **changes}
-
 
 def test_minimal_document_fills_defaults():
     config, diags = parse_scenario(doc())
@@ -42,31 +45,69 @@ def test_static_scenario_pins_initial_config():
     assert config.scenario == "static-LR"
 
 
+def adaptive_doc_with_entries():
+    """The bundled adaptive document with one entry in each list it may hold."""
+    document = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
+    document["faults"] = [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}]
+    document["user_overrides"] = [{"at_s": 150.0, "target": "HR"}]
+    document["adaptation_space"] = [
+        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
+    ]
+    return document
+
+
+DELETE = object()
+
+
+def mutated(document, path, value):
+    """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+BASE = adaptive_doc_with_entries()
+PROBE_DOWN = "probe-unavailable"
 # 9,999,968 runs of 2 s are 19,999,936 trace samples, and the engine generates the warmup
 # trace only up to end_s, not over its whole duration: 64 more samples reach the cap exactly
 AT_SAMPLE_CAP = {"runs": 9_999_968, "run_duration_s": 2.0, "warmup": {"duration_s": 10800, "start_s": 27, "end_s": 64}}
-PROBE_DOWN = "probe-unavailable"
 
-# Every diagnostic of parse_scenario, exactly and in order, for doc() with `changes`;
+
+def on_base(key, path, value, diagnostic):
+    """A row for BASE with the value at `path` replaced, and its one diagnostic; `key-diagnostic`
+    is the id pytest gave it in the side table it came from."""
+    return f"{key}-{diagnostic}", mutated(BASE, path, value), [diagnostic]
+
+
+# Every diagnostic of parse_scenario, exactly and in order, for each row's document;
 # [] marks an accepted edge case.
 DIAGNOSTICS = [
-    ("schema-version-unknown", {"schema_version": 2}, ["schema_version must be <= 1, got 2"]),
-    ("runs-zero", {"runs": 0}, ["runs must be >= 1, got 0"]),
-    ("number-over-cap", {"run_duration_s": 1e9}, ["run_duration_s must be <= 1e+08, got 1000000000.0"]),
-    ("duration-nan", {"run_duration_s": math.nan}, ["run_duration_s must be a finite number, got nan"]),
+    ("schema-version-unknown", doc(schema_version=2), ["schema_version must be <= 1, got 2"]),
+    ("runs-zero", doc(runs=0), ["runs must be >= 1, got 0"]),
+    ("number-over-cap", doc(run_duration_s=1e9), ["run_duration_s must be <= 1e+08, got 1000000000.0"]),
+    ("duration-nan", doc(run_duration_s=math.nan), ["run_duration_s must be a finite number, got nan"]),
     # each rounds to 0 µs, which once raised ZeroDivisionError or ValueError
-    ("interval-below-clock", {"monitor_interval_s": 1e-7}, ["monitor_interval_s must be >= 1e-06, got 1e-07"]),
-    ("step-below-clock", {"trace": {"step_s": 1e-7}}, ["trace.step_s must be >= 1e-06, got 1e-07"]),
+    ("interval-below-clock", doc(monitor_interval_s=1e-7), ["monitor_interval_s must be >= 1e-06, got 1e-07"]),
+    ("step-below-clock", doc(trace={"step_s": 1e-7}), ["trace.step_s must be >= 1e-06, got 1e-07"]),
     (
         "fault-below-clock",
-        {"faults": [{"start_s": 1e-7, "end_s": 2e-7, "kind": PROBE_DOWN}]},
+        doc(faults=[{"start_s": 1e-7, "end_s": 2e-7, "kind": PROBE_DOWN}]),
         ["faults[0] needs start_s < end_s, at least 1 µs apart, got [1e-07, 2e-07)"],
     ),
-    ("fault-kind-missing", {"faults": [{"start_s": 0, "end_s": 10}]}, ["faults[0].kind is required"]),
-    ("override-not-an-object", {"user_overrides": [5.0]}, ["user_overrides[0] must be an object, got 5.0"]),
+    ("fault-kind-missing", doc(faults=[{"start_s": 0, "end_s": 10}]), ["faults[0].kind is required"]),
+    ("override-not-an-object", doc(user_overrides=[5.0]), ["user_overrides[0] must be an object, got 5.0"]),
     (
         "every-violation-at-once",
-        dict(runs=0, run_duration_s=-3, scenario="static-XX", seed="not-a-seed", monitor_interval_s=0, bogus_key=True),
+        doc(runs=0, run_duration_s=-3, scenario="static-XX", seed="not-a-seed", monitor_interval_s=0, bogus_key=True),
         [
             "runs must be >= 1, got 0",
             "run_duration_s must be >= 1e-06, got -3",
@@ -78,94 +119,135 @@ DIAGNOSTICS = [
     ),
     (
         "static-config-unknown",
-        {"scenario": "static-UHD"},
+        doc(scenario="static-UHD"),
         ["scenario 'static-UHD' pins config 'UHD', which is not in the adaptation space"],
     ),
-    ("scenario-unknown", {"scenario": "static"}, ["scenario must be 'adaptive' or 'static-<config>', got 'static'"]),
+    ("scenario-unknown", doc(scenario="static"), ["scenario must be 'adaptive' or 'static-<config>', got 'static'"]),
     (
         "duration-off-the-monitor-grid",
-        {"monitor_interval_s": 7.0},
+        doc(monitor_interval_s=7.0),
         ["run_duration_s (30.0) must be a whole multiple of monitor_interval_s (7.0)"],
     ),
-    ("duration-on-the-monitor-grid", {"run_duration_s": 31.5, "monitor_interval_s": 10.5}, []),
+    ("duration-on-the-monitor-grid", doc(run_duration_s=31.5, monitor_interval_s=10.5), []),
     (
         "warmup-window-inverted",
-        {"warmup": {"duration_s": 100.0, "start_s": 50.0, "end_s": 40.0}},
+        doc(warmup={"duration_s": 100.0, "start_s": 50.0, "end_s": 40.0}),
         ["warmup window needs 0 <= start_s < end_s <= duration_s, got [50.0, 40.0) over 100.0"],
     ),
     (
         "warmup-end-past-duration",
-        {"warmup": {"duration_s": 100.0, "start_s": 0.0, "end_s": 200.0}},
+        doc(warmup={"duration_s": 100.0, "start_s": 0.0, "end_s": 200.0}),
         ["warmup window needs 0 <= start_s < end_s <= duration_s, got [0.0, 200.0) over 100.0"],
     ),
-    ("warmup-window-inside", {"warmup": {"duration_s": 100.0, "start_s": 20.0, "end_s": 80.0}}, []),
+    ("warmup-window-inside", doc(warmup={"duration_s": 100.0, "start_s": 20.0, "end_s": 80.0}), []),
     (
         "warmup-between-samples",
-        {"warmup": {"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}},
+        doc(warmup={"duration_s": 60.0, "start_s": 0.3, "end_s": 0.6}),
         ["warmup window [0.3, 0.6) selects no trace samples"],
     ),
-    ("warmup-below-one-step", {"warmup": {"duration_s": 0.5}}, []),  # [0, 0.5) selects sample 0
-    ("initial-config-not-the-default", {"initial_config": "LR"}, []),
-    ("initial-config-unknown", {"initial_config": "UHD"}, ["initial_config 'UHD' not in the adaptation space"]),
+    ("warmup-below-one-step", doc(warmup={"duration_s": 0.5}), []),  # [0, 0.5) selects sample 0
+    ("initial-config-not-the-default", doc(initial_config="LR"), []),
+    ("initial-config-unknown", doc(initial_config="UHD"), ["initial_config 'UHD' not in the adaptation space"]),
     (
         "override-target-unknown",
-        {"user_overrides": [{"at_s": 5.0, "target": "UHD"}]},
+        doc(user_overrides=[{"at_s": 5.0, "target": "UHD"}]),
         ["user_overrides[0].target 'UHD' not in the adaptation space"],
     ),
     (
         "override-in-static-run",
-        {"scenario": "static-LR", "user_overrides": [{"at_s": 5.0, "target": "HR"}]},
+        doc(scenario="static-LR", user_overrides=[{"at_s": 5.0, "target": "HR"}]),
         ["user_overrides require the adaptive scenario"],
     ),
-    ("trace-samples-at-cap", AT_SAMPLE_CAP, []),
+    ("trace-samples-at-cap", doc(**AT_SAMPLE_CAP), []),
     (
         "trace-samples-over-cap",
-        {**AT_SAMPLE_CAP, "runs": 9_999_969},
+        doc(**{**AT_SAMPLE_CAP, "runs": 9_999_969}),
         [
             "experiment needs 20000002 trace samples; limit is 20000000 "
             "(reduce runs/run_duration_s or raise trace.step_s)"
         ],
     ),
-    ("run-ticks-at-cap", {"runs": 1, "run_duration_s": 1_000_000}, []),
+    ("run-ticks-at-cap", doc(runs=1, run_duration_s=1_000_000), []),
     (
         "run-ticks-over-cap",
-        {"runs": 1, "run_duration_s": 1_000_001},
+        doc(runs=1, run_duration_s=1_000_001),
         ["a run needs 1000001 loop ticks; limit is 1000000 (reduce run_duration_s or raise monitor_interval_s)"],
     ),
     # 20M ticks on only 5M trace samples
-    ("experiment-ticks-at-cap", {"runs": 5_000_000, "run_duration_s": 4.0, "trace": {"step_s": 4.0}}, []),
+    ("experiment-ticks-at-cap", doc(runs=5_000_000, run_duration_s=4.0, trace={"step_s": 4.0}), []),
     (
         "experiment-ticks-over-cap",
-        {"runs": 5_000_001, "run_duration_s": 4.0, "trace": {"step_s": 4.0}},
+        doc(runs=5_000_001, run_duration_s=4.0, trace={"step_s": 4.0}),
         [
             "experiment needs 20000004 loop ticks; limit is 20000000 "
             "(reduce runs/run_duration_s or raise monitor_interval_s)"
         ],
     ),
+    # Rules across fields, on BASE
+    on_base("changes0", ("adaptation_space", 1, "name"), "LR",
+            "adaptation_space invalid: config names must be unique, got ['LR', 'LR']"),
+    on_base("changes1", ("adaptation_space",), [], "adaptation_space invalid: adaptation space must not be empty"),
+    on_base(
+        "changes2",
+        ("faults",),
+        [{"start_s": 0.0, "end_s": 10.0, "kind": PROBE_DOWN}, {"start_s": 5.0, "end_s": 20.0, "kind": PROBE_DOWN}],
+        "faults invalid: overlapping probe-unavailable fault windows",
+    ),
+    on_base("changes3", (), {**BASE, "scenario": "static-LR", "initial_config": "HR", "user_overrides": []},
+            "initial_config 'HR' conflicts with pinned static config 'LR'"),
+    # StreamConfig and FaultWindow check nothing, and neither do the functions the parsed values
+    # reach (generate_trace, Analyzer, StreamState.apply_config): the parser is the one home of
+    # these rules.
+    on_base("path0-0", ("adaptation_space", 0, "frame_rate"), 0, "adaptation_space[0].frame_rate must be >= 1, got 0"),
+    on_base("path1-0", ("adaptation_space", 0, "scale_w"), 0, "adaptation_space[0].scale_w must be >= 1, got 0"),
+    on_base("path2--1", ("adaptation_space", 0, "scale_h"), -1, "adaptation_space[0].scale_h must be >= 1, got -1"),
+    on_base("path3-1.5", ("adaptation_space", 0, "quality_score"), 1.5,
+            "adaptation_space[0].quality_score must be <= 1, got 1.5"),
+    on_base("path4--0.1", ("adaptation_space", 0, "quality_score"), -0.1,
+            "adaptation_space[0].quality_score must be >= 0, got -0.1"),
+    on_base("path5-outage", ("faults", 0, "kind"), "outage",
+            "faults[0].kind must be one of ['probe-unavailable', 'registry-unavailable'], got 'outage'"),
+    on_base("path6-value6", ("faults", 0), {"start_s": 5, "end_s": 5, "kind": PROBE_DOWN},
+            "faults[0] needs start_s < end_s, at least 1 µs apart, got [5, 5)"),
+    on_base("path7-value7", ("faults", 0), {"start_s": 9, "end_s": 5, "kind": PROBE_DOWN},
+            "faults[0] needs start_s < end_s, at least 1 µs apart, got [9, 5)"),
+    on_base("path8-0", ("trace", "mean_mbps"), 0, "trace.mean_mbps must be > 0, got 0"),
+    on_base("path9-0", ("trace", "period_s"), 0, "trace.period_s must be >= 1e-06, got 0"),
+    on_base("path10--1", ("trace", "noise_sd_mbps"), -1, "trace.noise_sd_mbps must be >= 0, got -1"),
+    on_base("path11--1", ("reconfig_delay_s",), -1, "reconfig_delay_s must be >= 0, got -1"),
+    on_base("path12--0.5", ("hysteresis_mbps",), -0.5, "hysteresis_mbps must be >= 0, got -0.5"),
 ]
 
 
-@pytest.mark.parametrize("changes, diagnostics", [pytest.param(c, d, id=i) for i, c, d in DIAGNOSTICS])
-def test_a_document_gets_exactly_its_diagnostics(changes, diagnostics):
-    assert parse_scenario(doc(**changes))[1] == diagnostics
+@pytest.mark.parametrize("document, diagnostics", [pytest.param(d, x, id=i) for i, d, x in DIAGNOSTICS])
+def test_a_document_gets_exactly_its_diagnostics(document, diagnostics):
+    config, diags = parse_scenario(document)
+    assert diags == diagnostics
+    assert (config is None) == bool(diagnostics)
+
+
+def message_template(message):
+    """A message's regex: its constant parts literal, each {…} as .+"""
+    if isinstance(message, ast.JoinedStr):
+        return "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+" for part in message.values)
+    return re.escape(message.value)
 
 
 def test_every_diagnostic_template_has_an_exact_row():
-    # each diags.append template in scenario.py, its constant parts literal and each {…} as .+
+    # each diags.append template in scenario.py, and each SimulationError that Engine.__init__ raises
     source = Path(scenario.__file__).read_text(encoding="utf-8")
     templates = [
-        "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+" for part in message.values)
-        if isinstance(message, ast.JoinedStr)
-        else re.escape(message.value)
+        message_template(message)
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "diags.append"
         for message in node.args
     ]
     assert len(templates) == source.count("diags.append(")
+    init = ast.parse(textwrap.dedent(inspect.getsource(Engine.__init__)))
+    refusals = [message_template(node.exc.args[0]) for node in ast.walk(init) if isinstance(node, ast.Raise)]
+    assert len(refusals) == 9
     tables = (
         test_a_document_gets_exactly_its_diagnostics,
-        test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic,
-        test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic,
         test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic,
         test_values_of_the_wrong_type_or_key_are_diagnosed_by_path,
     )
@@ -173,6 +255,10 @@ def test_every_diagnostic_template_has_an_exact_row():
     rows = [getattr(row, "values", row) for table in tables for mark in table.pytestmark for row in mark.args[1]]
     messages = [m for *_, expected in rows for m in ([expected] if isinstance(expected, str) else expected)]
     assert [t for t in templates if not any(re.fullmatch(t, m) for m in messages)] == []
+    engine_messages = [message for *_, message in ENGINE_REFUSALS]
+    assert [t for t in refusals if not any(re.fullmatch(t, m) for m in engine_messages)] == []
+
+
 
 
 def test_warmup_duration_bounds_end_s_and_changes_no_artifact(tmp_path):
@@ -198,18 +284,6 @@ def test_warmup_end_s_defaults_to_duration_s():
     assert config.warmup.end_s == 90.0
 
 
-def adaptive_doc_with_entries():
-    """The bundled adaptive document with one entry in each list it may hold."""
-    document = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
-    document["faults"] = [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}]
-    document["user_overrides"] = [{"at_s": 150.0, "target": "HR"}]
-    document["adaptation_space"] = [
-        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
-        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
-    ]
-    return document
-
-
 def key_paths(node, path=()):
     """Every path to a value inside a JSON document, the root included."""
     yield path
@@ -218,25 +292,7 @@ def key_paths(node, path=()):
         yield from key_paths(child, path + (key,))
 
 
-DELETE = object()
 
-
-def mutated(document, path, value):
-    """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
-    if not path:
-        return value
-    document = copy.deepcopy(document)
-    parent = document
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return document
-
-
-BASE = adaptive_doc_with_entries()
 PATHS = list(key_paths(BASE))
 ODD_VALUES = st.one_of(
     st.sampled_from([
@@ -262,85 +318,6 @@ def test_any_document_gives_a_config_or_diagnostics_never_an_exception(mutations
     assert (config is None and diags and all(isinstance(d, str) for d in diags)) or (
         isinstance(config, scenario.ScenarioConfig) and diags == []
     )
-
-
-SPACE_DOC = BASE["adaptation_space"]
-
-
-@pytest.mark.parametrize(
-    "changes, diagnostic",
-    [
-        (
-            {"adaptation_space": [SPACE_DOC[0], {**SPACE_DOC[1], "name": "LR"}]},
-            "adaptation_space invalid: config names must be unique, got ['LR', 'LR']",
-        ),
-        ({"adaptation_space": []}, "adaptation_space invalid: adaptation space must not be empty"),
-        (
-            {
-                "faults": [
-                    {"start_s": 0.0, "end_s": 10.0, "kind": "probe-unavailable"},
-                    {"start_s": 5.0, "end_s": 20.0, "kind": "probe-unavailable"},
-                ]
-            },
-            "faults invalid: overlapping probe-unavailable fault windows",
-        ),
-        (
-            {"scenario": "static-LR", "initial_config": "HR", "user_overrides": []},
-            "initial_config 'HR' conflicts with pinned static config 'LR'",
-        ),
-    ],
-)
-def test_a_document_breaking_one_cross_field_rule_gets_exactly_its_diagnostic(changes, diagnostic):
-    config, diags = parse_scenario({**BASE, **changes})
-    assert config is None
-    assert diags == [diagnostic]
-
-
-# StreamConfig and FaultWindow check nothing, and neither do the functions the parsed values
-# reach (generate_trace, Analyzer, StreamState.apply_config): the parser is the one home of
-# these rules.
-@pytest.mark.parametrize(
-    "path, value, diagnostic",
-    [
-        (("adaptation_space", 0, "frame_rate"), 0, "adaptation_space[0].frame_rate must be >= 1, got 0"),
-        (("adaptation_space", 0, "scale_w"), 0, "adaptation_space[0].scale_w must be >= 1, got 0"),
-        (("adaptation_space", 0, "scale_h"), -1, "adaptation_space[0].scale_h must be >= 1, got -1"),
-        (
-            ("adaptation_space", 0, "quality_score"),
-            1.5,
-            "adaptation_space[0].quality_score must be <= 1, got 1.5",
-        ),
-        (
-            ("adaptation_space", 0, "quality_score"),
-            -0.1,
-            "adaptation_space[0].quality_score must be >= 0, got -0.1",
-        ),
-        (
-            ("faults", 0, "kind"),
-            "outage",
-            "faults[0].kind must be one of ['probe-unavailable', 'registry-unavailable'], got 'outage'",
-        ),
-        (
-            ("faults", 0),
-            {"start_s": 5, "end_s": 5, "kind": PROBE_DOWN},
-            "faults[0] needs start_s < end_s, at least 1 µs apart, got [5, 5)",
-        ),
-        (
-            ("faults", 0),
-            {"start_s": 9, "end_s": 5, "kind": PROBE_DOWN},
-            "faults[0] needs start_s < end_s, at least 1 µs apart, got [9, 5)",
-        ),
-        (("trace", "mean_mbps"), 0, "trace.mean_mbps must be > 0, got 0"),
-        (("trace", "period_s"), 0, "trace.period_s must be >= 1e-06, got 0"),
-        (("trace", "noise_sd_mbps"), -1, "trace.noise_sd_mbps must be >= 0, got -1"),
-        (("reconfig_delay_s",), -1, "reconfig_delay_s must be >= 0, got -1"),
-        (("hysteresis_mbps",), -0.5, "hysteresis_mbps must be >= 0, got -0.5"),
-    ],
-)
-def test_a_rule_no_value_type_checks_is_exactly_one_parser_diagnostic(path, value, diagnostic):
-    config, diags = parse_scenario(mutated(BASE, path, value))
-    assert config is None
-    assert diags == [diagnostic]
 
 
 # A value of the wrong type, or an unknown key, in an entry of a list: its one diagnostic
