@@ -14,7 +14,7 @@ from adastream.experiment import JsonlFileSink, parse_runs_csv
 from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord, StreamConfig, default_space
 from adastream.mapek import Engine
 from adastream.netsim import FaultSchedule, FaultWindow
-from adastream.metrics import QualityWeights, RunFold, config_quality_score, quality_scores
+from adastream.metrics import RunFold, quality_scores
 from adastream.scenario import parse_scenario
 
 # Hypothesis mixes literals from every loaded module outside the standard
@@ -36,12 +36,6 @@ finally:
 def bundled_config_path(name: str) -> Path:
     """Path of a scenario file shipped with the package, e.g. 'table3-adaptive'."""
     return Path(adastream.__file__).parent / "configs" / f"{name}.json"
-
-
-def quality_performance(record: RunRecord, space: AdaptationSpace, qw: QualityWeights) -> float:
-    """One run's qp by its definition: the streamed-time-weighted mean of the config scores."""
-    scores = {c.name: config_quality_score(c, space, qw) for c in space.configs}
-    return sum(us * scores[name] for name, us in record.streamed_us.items()) / sum(record.streamed_us.values())
 
 
 def fold_of(records, space: AdaptationSpace) -> RunFold:

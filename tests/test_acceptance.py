@@ -37,13 +37,12 @@ from conftest import (
     fold_of,
     named_documents,
     parsed_runs,
-    quality_performance,
     registered_strategies,
     run_dropping_events,
     run_with_events,
 )
 import spec_corpus
-from reference_loop import Refused, reference_artifacts
+from reference_loop import Refused, qp, reference_artifacts, scores as spec_scores
 
 SPACE = default_space()
 LR, HR = SPACE.configs
@@ -131,16 +130,14 @@ def test_criterion_4_mixture_bound_over_seeds():
         for offset in range(20):
             records = run_dropping_events(base._replace(seed=1000 + offset))
             grid = aggregate(fold_of(records, space))
-            for preset, qw in QUALITY_PRESETS.items():
-                scores = [config_quality_score(c, space, qw) for c in space.configs]
-                lo, hi = min(scores), max(scores)
-                qp = grid["qp"][preset]
-                assert lo - 1e-9 <= qp <= hi + 1e-9, (
-                    f"seed {1000 + offset} {preset}: qp {qp:.4f} outside [{lo:.4f}, {hi:.4f}]"
+            for preset, score in spec_scores(space.configs).items():
+                lo, hi = min(score.values()), max(score.values())
+                mean = grid["qp"][preset]
+                assert lo - 1e-9 <= mean <= hi + 1e-9, (
+                    f"seed {1000 + offset} {preset}: qp {mean:.4f} outside [{lo:.4f}, {hi:.4f}]"
                 )
                 for record in records:
-                    per_run = quality_performance(record, space, qw)
-                    assert lo - 1e-9 <= per_run <= hi + 1e-9
+                    assert lo - 1e-9 <= qp(record, score) <= hi + 1e-9
 
 
 def test_criterion_5_formula_unit_suite():
@@ -212,16 +209,14 @@ def assert_loop_invariants(config, records, events) -> None:
     assert per_run_elapsed == dict.fromkeys(range(config.runs), config.run_duration_us)
 
     # criterion 6: the step segments add up, config by config, to each run's streamed
-    # time, and the closed-form qp equals the one they accumulate
+    # time, and the closed-form qp equals the spec's qp of that streamed time
     scores = quality_scores(config.space)
     for record in records:
-        streamed = per_run_streamed[record.run_index]
-        assert streamed == record.streamed_us
-        if not streamed:  # a run that only reconfigured has no qp
+        assert per_run_streamed[record.run_index] == record.streamed_us
+        if not record.streamed_us:  # a run that only reconfigured has no qp
             continue
         for score in scores.values():
-            accumulated = sum(us * score[name] for name, us in streamed.items()) / sum(streamed.values())
-            assert abs(_quality_at(record, score) - accumulated) <= 1e-9
+            assert abs(_quality_at(record, score) - qp(record, score)) <= 1e-9
 
     # the registered history, read from the register lines: strictly increasing ids
     strategies = registered_strategies(events)

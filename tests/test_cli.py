@@ -225,6 +225,9 @@ def test_compare_full_pipeline(table3_dirs, tmp_path, capsys):
 
 def test_compare_with_missing_dir_exits_two(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "x"), str(tmp_path / "y"), str(tmp_path / "z")]) == 2
+    # one line naming the first file it could not read, never a traceback
+    report = tmp_path / "x" / "report.csv"
+    assert capsys.readouterr() == ("", f"i/o error: [Errno 2] No such file or directory: '{report}'\n")
 
 
 # the adaptive table3_dirs runs.csv row on line 2, as the run writes it

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from decimal import ROUND_HALF_UP, Decimal
 from statistics import fmean
 
 import pytest
@@ -29,7 +28,8 @@ from adastream.metrics import (
 )
 from adastream.units import to_us
 
-from conftest import fold_of, quality_performance
+from conftest import fold_of
+from reference_loop import cell, qp, scores, selection as spec_selection
 
 SPACE = default_space()
 _, HR = SPACE.configs
@@ -164,9 +164,9 @@ def test_aggregate_means_match_explicit_oracle():
     grid = aggregate(fold_of(records, SPACE))
     tp_mean = grid["tp"]["9r1q"]
     assert abs(tp_mean - fmean(time_performance(r) for r in records)) < 1e-12
-    qw = QUALITY_PRESETS["9r1q"]
     qp_mean = grid["qp"]["9r1q"]
-    assert abs(qp_mean - fmean(quality_performance(r, SPACE, qw) for r in records)) < 1e-12
+    score = scores(SPACE.configs)["9r1q"]
+    assert abs(qp_mean - fmean(qp(r, score) for r in records)) < 1e-12
     # p cells derive from the means, not from per-run p values
     expected_p2 = system_performance(tp_mean, qp_mean, PERFORMANCE_PRESETS["p2"])
     assert grid["p2"]["9r1q"] == expected_p2
@@ -234,20 +234,6 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
         run(4, reconfig_s=30),  # streamed nothing: every config ties at 0
     ]
 
-    def oracle(names, name):
-        def dominant(r):
-            best = names[0]
-            for other in names[1:]:
-                if r.streamed_us.get(other, 0) > r.streamed_us.get(best, 0):
-                    best = other
-            return best
-
-        streamed_total = sum(sum(r.streamed_us.values()) for r in records)
-        return (
-            sum(dominant(r) == name for r in records) / len(records),
-            sum(r.streamed_us.get(name, 0) for r in records) / streamed_total,
-        )
-
     def selection(names):
         # folded with no scores, as `compare` folds runs.csv: the run that streamed nothing has no qp
         fold = RunFold(names, {})
@@ -256,7 +242,7 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
         return selection_fractions(fold)
 
     for names in (space.names, space.names[::-1]):
-        assert selection(names) == {name: oracle(names, name) for name in names}
+        assert selection(names) == spec_selection(names, records)
     in_order = selection(space.names)
     assert [run_frac for run_frac, _ in in_order.values()] == [3 / 5, 1 / 5, 1 / 5]
     reversed_order = selection(space.names[::-1])
@@ -280,9 +266,9 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
 @example(1.5e-05)
 @example(-1.2345e20)
 @example(1e16)
-# quantize needs the rounded value's digits to fit Decimal's 28-digit default context
+# the spec's cell quantizes in Decimal's default context, which holds 28 digits
 @given(st.floats(min_value=-1e25, max_value=1e25))
 def test_round_half_up_matches_display_rule(value):
-    expected = float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    expected = float(cell(value))
     # repr tells -0.0 from 0.0, which == does not
     assert repr(round_half_up(value)) == repr(expected)

@@ -21,6 +21,7 @@ from adastream.netsim import (
 from adastream.units import US_PER_SECOND as S
 
 from conftest import check_of
+import reference_loop
 
 NO_FAULTS = FaultSchedule.of()
 
@@ -53,20 +54,6 @@ def test_clamping_holds_under_heavy_noise():
         assert all(u >= 0 for u in trace.uploads)
 
 
-def reference_trace(shape: TraceParams, duration_us, seed) -> list[float]:
-    """The trace by definition: one `Random(seed).gauss` call per noisy sample."""
-    mean, amplitude, period, noise_sd, step_us = shape
-    rng = random.Random(seed)
-    uploads = []
-    for i in range(-(-duration_us // step_us)):
-        t = i * step_us / 1e6
-        value = mean + amplitude * math.sin(2.0 * math.pi * t / period)
-        if noise_sd > 0:
-            value += rng.gauss(0.0, noise_sd)
-        uploads.append(max(0.0, value))
-    return uploads
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     mean=st.floats(0.01, 50.0),
@@ -83,7 +70,7 @@ def test_trace_matches_one_gauss_call_per_sample(
 ):
     shape = TraceParams(mean, amplitude, period, noise_sd, step_us)
     trace = generate_trace(shape, samples * step_us, seed)
-    expected = reference_trace(shape, samples * step_us, seed)
+    expected = reference_loop.trace(shape, samples * step_us, seed)
     assert list(trace.uploads) == expected
     # repr tells 0.0 from -0.0, which == does not
     assert [repr(u) for u in trace.uploads] == [repr(u) for u in expected]
@@ -127,11 +114,6 @@ def test_probe_deterministic_per_instant_regardless_of_call_order():
     assert probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=10) != first
 
 
-def reference_noisy_upload(upload: float, seed: int | str, t_us: int, sd: float) -> float:
-    """The probe's noisy reading by definition: a fresh Random per (seed, t)."""
-    return max(0.0, upload + random.Random(f"{seed}:{t_us}").gauss(0.0, sd))
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.one_of(st.integers(), st.text(max_size=12)),  # text covers non-ASCII
@@ -144,7 +126,7 @@ def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, up
     t_us = ticks // grid_us * grid_us  # up to 1e13 us, on the monitoring grid
     trace = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
     probed_t_us, probed, ok = probe(trace, NO_FAULTS, t_us, probe_noise_sd=sd, seed=seed)
-    expected = reference_noisy_upload(upload, seed, t_us, sd)
+    expected = reference_loop.noisy_upload(upload, seed, t_us, sd)
     assert (probed_t_us, ok) == (t_us, True)
     # repr and copysign tell 0.0 from -0.0, which == does not
     assert repr(probed) == repr(expected)
@@ -178,7 +160,7 @@ def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
     })
     for start_us in edges:
         for end_us in (e for e in edges if e > start_us):
-            scanned = [u for i, u in enumerate(trace.uploads) if start_us <= i * step_us < end_us]
+            scanned = reference_loop.warmup_samples(trace.uploads, step_us, start_us, end_us)
             # parse_scenario refuses a window that selects no samples, with the same sample_indices
             assert bool(scanned) == bool(sample_indices(start_us, end_us, step_us))
             if scanned:

@@ -216,6 +216,39 @@ DIAGNOSTICS = [
     on_base("path10--1", ("trace", "noise_sd_mbps"), -1, "trace.noise_sd_mbps must be >= 0, got -1"),
     on_base("path11--1", ("reconfig_delay_s",), -1, "reconfig_delay_s must be >= 0, got -1"),
     on_base("path12--0.5", ("hysteresis_mbps",), -0.5, "hysteresis_mbps must be >= 0, got -0.5"),
+    # A value of the wrong type, or an unknown key, in an entry of a list; each id names the
+    # row's path, value and dotted key
+    *(
+        (f"path{i}-{value}-{key}[{index}].{field}", mutated(BASE, (key, index, field), value), [diagnostic])
+        for i, ((key, index, field), value, diagnostic) in enumerate([
+            (("adaptation_space", 0, "frame_rate"), 30.9, "adaptation_space[0].frame_rate must be an integer, got 30.9"),
+            (("adaptation_space", 0, "frame_rate"), 30.0, "adaptation_space[0].frame_rate must be an integer, got 30.0"),
+            (("adaptation_space", 0, "frame_rate"), True, "adaptation_space[0].frame_rate must be an integer, got True"),
+            (("adaptation_space", 0, "frame_rate"), "30", "adaptation_space[0].frame_rate must be an integer, got '30'"),
+            (
+                ("adaptation_space", 0, "quality_score"),
+                "0.5",
+                "adaptation_space[0].quality_score must be a finite number, got '0.5'",
+            ),
+            (("adaptation_space", 0, "name"), None, "adaptation_space[0].name must be a string, got None"),
+            (("adaptation_space", 0, "extra"), 1, "unknown key 'adaptation_space[0].extra'"),
+            (("faults", 0, "start_s"), "90", "faults[0].start_s must be a finite number, got '90'"),
+            (("faults", 0, "start_s"), True, "faults[0].start_s must be a finite number, got True"),
+            (("faults", 0, "extra"), 1, "unknown key 'faults[0].extra'"),
+            (("user_overrides", 0, "at_s"), True, "user_overrides[0].at_s must be a finite number, got True"),
+            (("user_overrides", 0, "extra"), 1, "unknown key 'user_overrides[0].extra'"),
+        ])
+    ),
+    # A config name that cannot head a runs.csv column, its id the name: each once ran to exit 0
+    # and wrote a runs.csv header that compare rejected
+    *(
+        (
+            name,
+            mutated(BASE, ("adaptation_space", 0, "name"), name),
+            [f"adaptation_space[0].name must be one line, non-empty, without ',', got {name!r}"],
+        )
+        for name in ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"]
+    ),
 ]
 
 
@@ -246,14 +279,7 @@ def test_every_diagnostic_template_has_an_exact_row():
     init = ast.parse(textwrap.dedent(inspect.getsource(Engine.__init__)))
     refusals = [message_template(node.exc.args[0]) for node in ast.walk(init) if isinstance(node, ast.Raise)]
     assert len(refusals) == 9
-    tables = (
-        test_a_document_gets_exactly_its_diagnostics,
-        test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic,
-        test_values_of_the_wrong_type_or_key_are_diagnosed_by_path,
-    )
-    # a row of each exact table ends with its diagnostic, or its list of diagnostics
-    rows = [getattr(row, "values", row) for table in tables for mark in table.pytestmark for row in mark.args[1]]
-    messages = [m for *_, expected in rows for m in ([expected] if isinstance(expected, str) else expected)]
+    messages = [message for *_, diagnostics in DIAGNOSTICS for message in diagnostics]
     assert [t for t in templates if not any(re.fullmatch(t, m) for m in messages)] == []
     engine_messages = [message for *_, message in ENGINE_REFUSALS]
     assert [t for t in refusals if not any(re.fullmatch(t, m) for m in engine_messages)] == []
@@ -318,57 +344,6 @@ def test_any_document_gives_a_config_or_diagnostics_never_an_exception(mutations
     assert (config is None and diags and all(isinstance(d, str) for d in diags)) or (
         isinstance(config, scenario.ScenarioConfig) and diags == []
     )
-
-
-# A value of the wrong type, or an unknown key, in an entry of a list: its one diagnostic
-WRONG_TYPES_AND_KEYS = [
-    (("adaptation_space", 0, "frame_rate"), 30.9, "adaptation_space[0].frame_rate must be an integer, got 30.9"),
-    (("adaptation_space", 0, "frame_rate"), 30.0, "adaptation_space[0].frame_rate must be an integer, got 30.0"),
-    (("adaptation_space", 0, "frame_rate"), True, "adaptation_space[0].frame_rate must be an integer, got True"),
-    (("adaptation_space", 0, "frame_rate"), "30", "adaptation_space[0].frame_rate must be an integer, got '30'"),
-    (
-        ("adaptation_space", 0, "quality_score"),
-        "0.5",
-        "adaptation_space[0].quality_score must be a finite number, got '0.5'",
-    ),
-    (("adaptation_space", 0, "name"), None, "adaptation_space[0].name must be a string, got None"),
-    (("adaptation_space", 0, "extra"), 1, "unknown key 'adaptation_space[0].extra'"),
-    (("faults", 0, "start_s"), "90", "faults[0].start_s must be a finite number, got '90'"),
-    (("faults", 0, "start_s"), True, "faults[0].start_s must be a finite number, got True"),
-    (("faults", 0, "extra"), 1, "unknown key 'faults[0].extra'"),
-    (("user_overrides", 0, "at_s"), True, "user_overrides[0].at_s must be a finite number, got True"),
-    (("user_overrides", 0, "extra"), 1, "unknown key 'user_overrides[0].extra'"),
-]
-
-
-@pytest.mark.parametrize(
-    "path, value, diagnostic",
-    WRONG_TYPES_AND_KEYS,
-    # each id names the row's path, value and dotted key
-    ids=[
-        f"path{i}-{value}-{key}[{index}].{field}"
-        for i, ((key, index, field), value, _) in enumerate(WRONG_TYPES_AND_KEYS)
-    ],
-)
-def test_values_of_the_wrong_type_or_key_are_diagnosed_by_path(path, value, diagnostic):
-    config, diags = parse_scenario(mutated(BASE, path, value))
-    assert config is None
-    assert diags == [diagnostic]
-
-
-BAD_NAMES = ["", "A,B", ",", "L\nR", "L\r\nR", "L\x1cR", "L\u2028R", "LR\n"]
-
-
-@pytest.mark.parametrize(
-    "name, diagnostic",
-    [(name, f"adaptation_space[0].name must be one line, non-empty, without ',', got {name!r}") for name in BAD_NAMES],
-    ids=BAD_NAMES,
-)
-def test_a_config_name_that_cannot_head_a_runs_csv_column_is_one_diagnostic(name, diagnostic):
-    # each once ran to exit 0 and wrote a runs.csv header that compare rejected
-    config, diags = parse_scenario(mutated(BASE, ("adaptation_space", 0, "name"), name))
-    assert config is None
-    assert diags == [diagnostic]
 
 
 def readme_schema():
