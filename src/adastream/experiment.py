@@ -12,7 +12,6 @@ Every byte of these artifacts is a pure function of (config, seed).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
@@ -118,6 +117,7 @@ class JsonlFileSink:
     """
 
     def __init__(self, file: TextIO, names: tuple[str, ...]):
+        import json  # here, not at the top: a `compare` child never loads it
         self._file = file
         self._quoted = {name: json.dumps(name) for name in (None, *names)}
         self._seq = 0  # the next line's seq: seq counts the lines from 0

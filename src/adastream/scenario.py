@@ -6,7 +6,6 @@ ScenarioError carrying *every* violation found, not just the first.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -356,6 +355,7 @@ def parse_scenario(doc: object) -> tuple[ScenarioConfig | None, list[str]]:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError on any violation."""
+    import json  # here, not at the top: a `compare` child never loads it
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

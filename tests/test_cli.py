@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -23,25 +25,53 @@ from conftest import bundled_config_path
 _HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib", "decimal"}
 
 
+def child_stdout(code: str) -> str:
+    """What a fresh interpreter, importing the package from this checkout, prints while it runs `code`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+
+
 def modules_loaded_by(code: str) -> list[str]:
     """The modules a fresh interpreter adds to sys.modules while it runs `code`."""
-    probe = (
+    return child_stdout(
         "import sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
-    ).stdout.split()
+    ).split()
 
 
 def test_cli_import_loads_no_heavy_module():
     loaded = modules_loaded_by("import adastream.cli")
     assert "adastream.cli" in loaded
     assert _HEAVY_MODULES.isdisjoint(loaded), sorted(_HEAVY_MODULES.intersection(loaded))
+    # only run and validate need json, and they import it where they read or write
+    assert "json" not in loaded
+
+
+def test_only_the_process_entry_freezes_the_start_up_heap():
+    # the installed command runs the entry pyproject.toml names; it freezes the heap and exits
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as file:
+        script = tomllib.load(file)["project"]["scripts"]["adastream"]
+    assert script == "adastream.cli:entry"
+    path = str(bundled_config_path("table3-static-lr"))
+    stdout = child_stdout(
+        "import gc, sys\n"
+        "from adastream.cli import entry\n"
+        f"sys.argv = ['adastream', 'validate', {path!r}]\n"
+        "try:\n"
+        "    entry()\n"
+        "except SystemExit as exit:\n"
+        "    print(exit.code, gc.get_freeze_count() > 0)\n"
+    )
+    assert stdout == "valid: scenario static-LR, 100 runs, seed 42\n0 True\n"
+    # main, which the tests and the traced CLI call in-process, leaves the collector alone
+    frozen = gc.get_freeze_count()
+    assert main(["validate", path]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_bare_package_import_loads_no_submodule():
