@@ -16,7 +16,6 @@ import math
 import random
 from _random import Random as _MersenneTwister
 from bisect import bisect_right
-from random import _sha512  # the hash Random.seed uses, from its lean module
 from typing import NamedTuple
 
 from .units import to_us
@@ -113,8 +112,12 @@ def generate_trace(shape: TraceParams, duration_us: int, seed: int | str) -> Ban
 # the next; only the generator object itself is reused. Like the loop that
 # calls it, this is not safe to share between threads.
 _noise_rng = _MersenneTwister()
-# Bound once, so a draw looks up no attribute.
+# Bound once, so a draw looks up no attribute. Random.seed hashes a str seed with
+# random._sha512, which Python 3.13 binds (from _sha2, not hashlib) only at the
+# first str seed, so one str seed runs before the name is read.
 _reseed, _draw = _noise_rng.seed, _noise_rng.random
+random.Random("")
+_sha512 = random._sha512
 _tau, _cos, _sqrt, _log = math.tau, math.cos, math.sqrt, math.log
 
 

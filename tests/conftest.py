@@ -121,9 +121,9 @@ def check_of(cls) -> None:
         assert type(raised.value) is ValueError
 
 
-def make_scenario(**overrides):
-    """Small valid scenario document, patched by keyword."""
-    doc = {
+def small_document(**overrides) -> dict:
+    """A small valid scenario document, patched by keyword: 4 runs of 30 one-second ticks."""
+    return {
         "schema_version": 1,
         "scenario": "adaptive",
         "runs": 4,
@@ -141,9 +141,13 @@ def make_scenario(**overrides):
         "warmup": {"duration_s": 600.0, "start_s": 27.0, "end_s": 65.0},
         "faults": [],
         "seed": 42,
+        **overrides,
     }
-    doc.update(overrides)
-    config, diags = parse_scenario(doc)
+
+
+def make_scenario(**overrides):
+    """`small_document(**overrides)`, parsed."""
+    config, diags = parse_scenario(small_document(**overrides))
     assert config is not None, f"fixture scenario invalid: {diags}"
     return config
 
@@ -297,9 +301,56 @@ ZERO_DELAY_CHANGES = {
 }
 
 
+# Loop scenarios on a constant trace with no noise, which ties at its own warmup
+# mean: every healthy probe reads above-threshold, so each scenario's faults and
+# overrides decide what the loop does, one rule apiece.
+CONSTANT = {
+    "trace": {"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
+    "probe_noise_sd_mbps": 0.0,
+    "warmup": {"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
+}
+LOOP_SCENARIOS = {
+    # the planner names the applied HR at every tick, so the engine issues nothing
+    "keeps-high-rate": {"runs": 1},
+    # an override issues a user-config strategy; threshold planning reverts it the next tick
+    "user-override": {
+        "runs": 2,
+        "trace": {**CONSTANT["trace"], "mean_mbps": 5.0},
+        "warmup": {"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
+        "user_overrides": [{"at_s": 10.0, "target": "LR"}],
+    },
+    # an override due in a registry outage is planned and dropped once, never retried
+    "override-in-an-outage": {
+        "runs": 2,
+        "faults": [{"start_s": 10.0, "end_s": 20.0, "kind": "registry-unavailable"}],
+        "user_overrides": [{"at_s": 12.0, "target": "LR"}],
+    },
+    # an outage during a switch falls back to its pending target, which the planner reads too
+    "outage-during-a-switch": {
+        "runs": 1,
+        "reconfig_delay_s": 5.5,
+        "faults": [{"start_s": 13.0, "end_s": 20.0, "kind": "registry-unavailable"}],
+        "user_overrides": [{"at_s": 12.0, "target": "LR"}],
+    },
+    # of two overrides due at one tick the later acts, and the earlier leaves no event
+    "overrides-due-at-one-tick": {
+        "runs": 1,
+        "user_overrides": [{"at_s": 12.2, "target": "LR"}, {"at_s": 12.7, "target": "HR"}],
+    },
+    # a due override to the applied config takes its tick's plan, so the planner waits a tick
+    "override-to-the-applied-config": {
+        "runs": 1,
+        "initial_config": "LR",
+        "faults": [{"start_s": 0.0, "end_s": 5.0, "kind": "probe-unavailable"}],
+        "user_overrides": [{"at_s": 5.0, "target": "LR"}],
+    },
+}
+
+
 def named_documents() -> dict[str, dict]:
     """Scenario documents by name: the three bundled configs, the zero-delay
-    golden config, and the benchmark's fault-storm config at seed 42."""
+    golden config, the benchmark's fault-storm config at seed 42, and the loop
+    scenarios."""
     bundled = {
         name: json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
         for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive")
@@ -309,4 +360,5 @@ def named_documents() -> dict[str, dict]:
         **bundled,
         "zero-delay": {**bundled["table3-adaptive"], **ZERO_DELAY_CHANGES},
         "fault-storm@42": json.loads(storm.timed[0].config),
+        **{name: small_document(**{**CONSTANT, **changes}) for name, changes in LOOP_SCENARIOS.items()},
     }

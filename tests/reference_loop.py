@@ -33,7 +33,12 @@ dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class Refused(Exception):
-    """The experiment cannot finish; the message is part of the engine's error."""
+    """The experiment cannot finish; the message is part of the engine's error. A loop
+    that ran to its end hands back its events.jsonl text, its events and its records."""
+
+    def __init__(self, message: str, events_text=None, events=None, records=None):
+        super().__init__(message)
+        self.events_text, self.events, self.records = events_text, events, records
 
 
 def trace(shape, duration_us: int, seed) -> list[float]:
@@ -246,10 +251,14 @@ def reference_artifacts(config: ScenarioConfig) -> tuple[dict[str, str], list[di
     if threshold <= 0:
         raise Refused("threshold of 0 Mbps")
     events, records = run_loop(config, threshold)
+    # All the events in one encode call, as one JSON array, cut into lines at each boundary:
+    # an event's encoding holds no raw newline, and `{"seq":` opens only an event, so each
+    # `},{"seq":` joins two events. One call per event took twice as long.
+    events_text = dumps(events)[1:-1].replace('},{"seq":', '}\n{"seq":') + "\n"
     duration = config.run_duration_us
     for run, _, reconfig, _, _ in records:
         if reconfig == duration:
-            raise Refused(f"run {run} streamed nothing")
+            raise Refused(f"run {run} streamed nothing", events_text, events, records)
 
     # per-run tp and qp, their means, and the weighted p values
     configs = config.space.configs
@@ -286,9 +295,6 @@ def reference_artifacts(config: ScenarioConfig) -> tuple[dict[str, str], list[di
     report_txt += ["metric".ljust(8) + "".join(preset.rjust(8) for preset in QUALITY_PRESETS)]
     for metric, row in grid.items():
         report_txt.append(metric.ljust(8) + "".join(cell(v).rjust(8) for v in row.values()))
-    # All the events in one encode call, as one JSON array, cut into lines at each boundary:
-    # an event's encoding holds no raw newline, and `{"seq":` opens only an event, so each
-    # `},{"seq":` joins two events. One call per event took twice as long.
-    lines = [dumps(events)[1:-1].replace('},{"seq":', '}\n{"seq":')]
-    texts = {"events.jsonl": lines, "runs.csv": runs_csv, "report.csv": report_csv, "report.txt": report_txt}
-    return {name: "\n".join(text) + "\n" for name, text in texts.items()}, events
+    texts = {"runs.csv": runs_csv, "report.csv": report_csv, "report.txt": report_txt}
+    texts = {name: "\n".join(lines) + "\n" for name, lines in texts.items()}
+    return {"events.jsonl": events_text, **texts}, events

@@ -17,6 +17,7 @@ import pytest
 from adastream.errors import SimulationError
 from adastream.experiment import run_experiment, runs_csv_text
 from adastream.kb import default_space
+from adastream.mapek import Engine
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     QUALITY_PRESETS,
@@ -39,6 +40,7 @@ from conftest import (
     parsed_runs,
     registered_strategies,
     run_dropping_events,
+    run_into_jsonl,
     run_with_events,
 )
 import spec_corpus
@@ -270,7 +272,8 @@ def assert_same_text(name: str, got: str, expected: str) -> None:
 def check_document(document) -> None:
     """What validate accepts, run finishes: its four artifacts are byte for byte
     the executable spec's, its runs.csv reads back, and its events keep the
-    invariants of criteria 6 and 7."""
+    invariants of criteria 6 and 7. Where the experiment is refused after its
+    loop ran to the end, the engine's events are the spec's, byte for byte."""
     config, _ = parse_scenario(document)
     if config is None:
         return
@@ -282,9 +285,13 @@ def check_document(document) -> None:
             with pytest.raises(SimulationError, match=re.escape(str(refusal))):
                 run_experiment(config, out)
             assert not any(Path(out).iterdir())
-            if "streamed nothing" in str(refusal):
-                # the loop itself ran to the end, so its events keep the invariants
-                assert_loop_invariants(config, *run_with_events(config))
+            if refusal.events is not None:
+                # the loop itself ran to the end: its events and records are the spec's,
+                # and keep the invariants
+                records, text = run_into_jsonl(Engine(config))
+                assert_same_text("events.jsonl", text, refusal.events_text)
+                assert list(records) == refusal.records
+                assert_loop_invariants(config, records, refusal.events)
             return
         run_experiment(config, out)
         for name, text in expected.items():

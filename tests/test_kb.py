@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adastream.kb import AdaptationSpace, AdaptationStrategy, KnowledgeBase, RunRecord, StreamConfig, default_space
+from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 
 from conftest import check_of
 
@@ -45,19 +45,3 @@ def test_space_cached_lookups_match_scans(names_and_rates):
         assert space.highest_rate_config.frame_rate == max(rates)
         for name in "ABCDEF":
             assert (name in space.names) == any(c.name == name for c in configs)
-
-
-# -- registry operations -----------------------------------------------
-
-
-def test_latest_strategy_empty_is_none():
-    assert KnowledgeBase().latest_strategy() is None
-
-
-def test_latest_wins_after_every_register():
-    kb = KnowledgeBase()
-    for sid, target in enumerate(("LR", "HR", "LR"), start=1):
-        strategy = AdaptationStrategy(sid, target, "user-config")
-        kb.register_strategy(strategy)
-        # fetch after register always observes the complete, just-written value
-        assert kb.latest_strategy() == strategy
