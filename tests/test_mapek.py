@@ -6,26 +6,9 @@ import pytest
 
 from adastream.errors import SimulationError
 from adastream.mapek import Engine
-from adastream.netsim import BandwidthTrace, FaultSchedule, FaultWindow, probe
 from adastream.scenario import UserOverride, WarmupParams, load_scenario
-from adastream.units import to_us
 
 from conftest import bundled_config_path, make_scenario, registered_strategies, run_into_jsonl, run_with_events
-
-
-# -- messages ------------------------------------------------------------
-
-
-def test_healthy_sample_upload_must_be_non_negative():
-    # The probe clamps its noisy reading at 0, here on a trace at 0 Mbps; the
-    # acceptance spec tests check every monitor line of the spec corpus.
-    zero = BandwidthTrace(uploads=(0.0,), step_us=to_us(1))
-    samples = [probe(zero, FaultSchedule.of(), t_us, 5.0, seed=3) for t_us in range(40)]
-    uploads = [upload for _, upload, _ in samples]
-    assert min(uploads) == 0.0 < max(uploads)
-    # a faulted probe reads no upload at all
-    faulted = FaultSchedule.of((FaultWindow(0, 1, "probe-unavailable"),))
-    assert probe(zero, faulted, 0, 5.0, seed=3) == (0, 0.0, False)
 
 
 # -- the loop ------------------------------------------------------------------

@@ -9,17 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adastream import metrics
-from adastream.errors import SimulationError
 from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
-    QUALITY_PRESETS,
-    PerformanceWeights,
-    QualityWeights,
     RunFold,
     aggregate,
-    REPORT_METRICS,
-    config_quality_score,
     quality_scores,
     round_half_up,
     selection_fractions,
@@ -32,7 +26,6 @@ from conftest import fold_of
 from reference_loop import cell, qp, scores, selection as spec_selection
 
 SPACE = default_space()
-_, HR = SPACE.configs
 
 
 def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, run_index=0):
@@ -85,71 +78,6 @@ def test_mean_is_exactly_the_standard_library_fmean(values):
     assert {repr(mean) for row in ("tp", "qp") for mean in grid[row].values()} == {expected}
 
 
-# -- weights -------------------------------------------------------------
-
-
-def test_weights_must_sum_to_one_and_be_non_negative():
-    for weights in (*QUALITY_PRESETS.values(), *PERFORMANCE_PRESETS.values()):
-        assert min(weights) >= 0 and math.isclose(sum(weights), 1.0)
-    assert QUALITY_PRESETS["9r1q"] == QualityWeights(0.9, 0.1)
-    assert PERFORMANCE_PRESETS["p2"] == PerformanceWeights(0.9, 0.1)
-    assert PERFORMANCE_PRESETS["p3"] == PerformanceWeights(0.1, 0.9)
-
-
-# -- time performance and config scores ------------------------------------
-
-
-def test_config_score_pure_rate_fastest_config():
-    assert config_quality_score(HR, SPACE, QualityWeights(1.0, 0.0)) == 1.0
-
-
-# -- per-run quality performance --------------------------------------------
-
-
-def test_quality_performance_excludes_reconfig_seconds():
-    # same streamed mix, extra reconfiguration: qp unchanged
-    scores = quality_scores(SPACE)["5r5q"]
-    base = metrics._quality_at(record(30, 0, lr_s=15, hr_s=15), scores)
-    padded = metrics._quality_at(record(32.7, 2.7, lr_s=15, hr_s=15), scores)
-    assert abs(base - padded) < 1e-12
-
-
-def test_quality_performance_rejects_zero_streamed():
-    # a run that streamed nothing has no qp, and the report refuses it
-    r = record(30, 30, lr_s=0)
-    with pytest.raises(SimulationError, match="^run 0 streamed nothing; quality performance undefined$"):
-        fold_of([r], SPACE)
-
-
-# -- combined system performance ---------------------------------------------
-
-
-def test_system_performance_fixed_point():
-    rng = random.Random(5)
-    for _ in range(20):
-        x = rng.random()
-        w = rng.random()
-        assert abs(system_performance(x, x, PerformanceWeights(w, 1 - w)) - x) < 1e-12
-
-
-def test_system_performance_bounds_and_convexity():
-    rng = random.Random(6)
-    for _ in range(100):
-        tp, qp, w = rng.random(), rng.random(), rng.random()
-        p = system_performance(tp, qp, PerformanceWeights(w, 1 - w))
-        assert 0.0 <= p <= 1.0
-        assert min(tp, qp) - 1e-12 <= p <= max(tp, qp) + 1e-12
-
-
-def test_weight_monotonicity():
-    tp, qp = 0.9, 0.4  # tp > qp: more time weight means more p
-    values = [system_performance(tp, qp, PerformanceWeights(w, 1 - w)) for w in (0.1, 0.5, 0.9)]
-    assert values[0] < values[1] < values[2]
-    tp, qp = 0.3, 0.8  # tp < qp: more time weight means less p
-    values = [system_performance(tp, qp, PerformanceWeights(w, 1 - w)) for w in (0.1, 0.5, 0.9)]
-    assert values[0] > values[1] > values[2]
-
-
 # -- aggregation ---------------------------------------------------------------
 
 
@@ -172,44 +100,7 @@ def test_aggregate_means_match_explicit_oracle():
     assert grid["p2"]["9r1q"] == expected_p2
 
 
-def test_aggregate_all_cells_bounded():
-    rng = random.Random(88)
-    duration = to_us(30)
-    records = []
-    for i in range(40):
-        reconfig = rng.randrange(0, to_us(10))
-        lr = rng.randrange(0, duration - reconfig)
-        hr = duration - reconfig - lr
-        records.append(
-            RunRecord.of(
-                run_index=i, duration_us=duration,
-                reconfig_us=reconfig, switches=0, streamed_us={"LR": lr, "HR": hr},
-            )
-        )
-    grid = aggregate(fold_of(records, SPACE))
-    assert list(grid) == list(REPORT_METRICS)
-    for row in grid.values():
-        assert list(row) == list(QUALITY_PRESETS)
-        assert all(0.0 <= value <= 1.0 for value in row.values())
-
-
 # -- selection + rounding --------------------------------------------------------
-
-
-def test_dominant_config_and_fractions():
-    records = [
-        record(30, 0, lr_s=20, hr_s=10, run_index=0),
-        record(30, 0, lr_s=5, hr_s=25, run_index=1),
-        record(30, 0, lr_s=1, hr_s=29, run_index=2),
-    ]
-    assert selection_fractions(fold_of(records[:1], SPACE))["LR"][0] == 1.0
-    assert selection_fractions(fold_of(records[1:2], SPACE))["HR"][0] == 1.0
-    fractions = selection_fractions(fold_of(records, SPACE))
-    assert list(fractions) == list(SPACE.names)
-    run_frac, sec_frac = fractions["LR"]
-    assert run_frac == pytest.approx(1 / 3)
-    assert sec_frac == pytest.approx(26 / 90)
-    assert fractions["HR"] == (pytest.approx(2 / 3), pytest.approx(64 / 90))
 
 
 def test_selection_ties_go_to_the_first_config_in_space_order():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from adastream.netsim import (
     BandwidthTrace,
     FaultSchedule,
-    FaultWindow,
     TraceParams,
     compute_threshold,
     generate_trace,
@@ -24,34 +23,6 @@ from conftest import check_of
 import reference_loop
 
 NO_FAULTS = FaultSchedule.of()
-
-
-def test_degenerate_sinusoid_is_constant():
-    trace = generate_trace(TraceParams(5, 0, 600, 0, S), 20 * S, seed=0)
-    assert all(u == 5.0 for u in trace.uploads)
-    assert len(trace.uploads) == 20
-
-
-def test_same_seed_same_trace():
-    shape = TraceParams(5, 2, 60, 0.5, S)
-    a = generate_trace(shape, 100 * S, seed=7)
-    b = generate_trace(shape, 100 * S, seed=7)
-    assert a.uploads == b.uploads
-    c = generate_trace(shape, 100 * S, seed=8)
-    assert a.uploads != c.uploads
-
-
-def test_clamped_at_zero():
-    # period 4 at step 1 hits sin = -1 at t=3, where 2 + 3*(-1) < 0
-    trace = generate_trace(TraceParams(2, 3, 4, 0, S), 4 * S, seed=0)
-    assert trace.uploads[3] == 0.0
-    assert all(u >= 0 for u in trace.uploads)
-
-
-def test_clamping_holds_under_heavy_noise():
-    for seed in range(10):
-        trace = generate_trace(TraceParams(1, 2, 30, 3, S), 200 * S, seed=seed)
-        assert all(u >= 0 for u in trace.uploads)
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,41 +50,6 @@ def test_trace_matches_one_gauss_call_per_sample(
     assert prefix.uploads == trace.uploads[: len(prefix.uploads)]
 
 
-def test_noiseless_probe_reads_the_enclosing_step_left_closed():
-    trace = generate_trace(TraceParams(5, 2, 60, 0, S), 10 * S, seed=0)
-
-    def read(t_us):
-        _, upload, _ = probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1)
-        return upload
-
-    assert read(0) == trace.uploads[0]
-    assert read(2_500_000) == read(2 * S)
-    assert read(2_999_999) == trace.uploads[2]
-    assert read(10 * S - 1) == trace.uploads[9]  # the trace's last instant
-
-
-def test_noiseless_probe_equals_bandwidth():
-    trace = generate_trace(TraceParams(5, 2, 60, 0.3, S), 30 * S, seed=3)
-    for t_us in (0, 7 * S, 29_500_000):
-        assert probe(trace, NO_FAULTS, t_us, probe_noise_sd=0, seed=1) == (t_us, trace.uploads[t_us // S], True)
-
-
-def test_probe_inside_fault_window_is_not_ok():
-    trace = generate_trace(TraceParams(5, 0, 60, 0, S), 30 * S, seed=0)
-    faults = FaultSchedule.of(windows=(FaultWindow(5_000_000, 10_000_000, "probe-unavailable"),))
-    ok = [probe(trace, faults, t_us, 0, seed=1)[2] for t_us in (7 * S, 4 * S, 10 * S)]
-    assert ok == [False, True, True]  # the window is half-open
-
-
-def test_probe_deterministic_per_instant_regardless_of_call_order():
-    trace = generate_trace(TraceParams(5, 1, 60, 0, S), 30 * S, seed=0)
-    first = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
-    probe(trace, NO_FAULTS, 3 * S, probe_noise_sd=0.4, seed=9)  # interleaved other call
-    second = probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=9)
-    assert first == second
-    assert probe(trace, NO_FAULTS, 12 * S, probe_noise_sd=0.4, seed=10) != first
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.one_of(st.integers(), st.text(max_size=12)),  # text covers non-ASCII
@@ -137,19 +73,6 @@ def test_fault_schedule_rejects_overlap_same_kind():
     check_of(FaultSchedule)
 
 
-def test_threshold_of_constant_trace_is_the_constant():
-    trace = generate_trace(TraceParams(5, 0, 60, 0, S), 100 * S, seed=0)
-    for window in ((0, 100), (0, 1), (37, 64), (99, 100)):
-        assert compute_threshold(trace, *window) == 5.0
-
-
-def test_threshold_is_arithmetic_mean():
-    trace = BandwidthTrace(uploads=(2.0, 4.0, 6.0), step_us=1_000_000)
-    assert compute_threshold(trace, 0, 3) == 4.0
-    assert compute_threshold(trace, 0, 2) == 3.0
-    assert compute_threshold(trace, 1, 3) == 5.0
-
-
 @pytest.mark.parametrize("step_us", [1, 250_000, 3 * S])
 def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
     # windows at 1 us granularity starting or ending on, or just off, a sample instant
@@ -165,32 +88,6 @@ def test_threshold_averages_exactly_the_samples_a_scan_selects(step_us):
             assert bool(scanned) == bool(sample_indices(start_us, end_us, step_us))
             if scanned:
                 assert repr(compute_threshold(trace, start_us / 1e6, end_us / 1e6)) == repr(fmean(scanned))
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    mean=st.floats(0.1, 20.0),
-    amplitude=st.floats(0.0, 25.0),
-    period=st.floats(0.5, 5000.0),
-    noise_sd=st.sampled_from([0.0, 0.05, 1.0, 8.0]),
-    seed=st.one_of(st.integers(-5, 10**6), st.text(max_size=6)),
-    step_us=st.sampled_from([100_000, 250_000, 500_000, S, 3 * S]),
-    window=st.tuples(st.integers(0, 1200), st.integers(1, 800), st.integers(0, 400)),
-)
-def test_warmup_prefix_gives_the_full_trace_threshold(
-    mean, amplitude, period, noise_sd, seed, step_us, window
-):
-    # The engine generates its warmup trace only up to the window's end.
-    start_ds, width_ds, tail_ds = window
-    start, end = start_ds / 10, (start_ds + width_ds) / 10
-    shape = TraceParams(mean, amplitude, period, noise_sd, step_us)
-    end_us = (start_ds + width_ds) * 100_000
-    full = generate_trace(shape, end_us + tail_ds * 100_000, seed)
-    prefix = generate_trace(shape, end_us, seed)
-    assert prefix.uploads == full.uploads[: len(prefix.uploads)]
-    # parse_scenario refuses a window that selects no samples
-    if sample_indices(start_ds * 100_000, end_us, step_us):
-        assert compute_threshold(prefix, start, end) == compute_threshold(full, start, end)
 
 
 def test_below_threshold_time_grows_with_amplitude():
