@@ -199,45 +199,59 @@ def run_experiment(config: ScenarioConfig, out_dir: str | Path) -> dict[str, dic
     """Run the scenario, write runs.csv, events.jsonl, report.csv, report.txt,
     and return the report grid. Each run is written and folded as it ends.
     """
+    import fcntl  # here, not at the top: a `compare` child never loads it
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # Each artifact is written to <name>.partial, and the partials replace
-    # the previous artifacts only once all four are complete. The old
-    # report.csv goes first and the new one lands last, so a directory the
-    # replaces left half done has no report.csv, and `compare` refuses it.
-    partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
-    names = config.space.names
-    fold = RunFold(names, quality_scores(config.space))
+    # One writer at a time: the directory's own descriptor holds an exclusive
+    # lock through the last replace, and a second writer is refused before it
+    # touches a file. The lock leaves no file behind, and the kernel drops it
+    # when the process dies.
+    lock = os.open(out, os.O_RDONLY)
     try:
-        with (
-            partials["events.jsonl"].open("w", encoding="utf-8", newline="") as events,
-            partials["runs.csv"].open("w", encoding="utf-8", newline="") as runs,
-        ):
-            sink = JsonlFileSink(events, names)
-            runs.write(",".join(RUNS_CSV_FIXED_COLUMNS + [f"seconds_{name}" for name in names]) + "\n")
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SimulationError(f"{out} is being written by another run") from None
+        # Each artifact is written to <name>.partial, and the partials replace
+        # the previous artifacts only once all four are complete. The old
+        # report.csv goes first and the new one lands last, so a directory the
+        # replaces left half done has no report.csv, and `compare` refuses it.
+        partials = {name: out / f"{name}.partial" for name in ARTIFACTS}
+        names = config.space.names
+        fold = RunFold(names, quality_scores(config.space))
+        try:
+            with (
+                partials["events.jsonl"].open("w", encoding="utf-8", newline="") as events,
+                partials["runs.csv"].open("w", encoding="utf-8", newline="") as runs,
+            ):
+                sink = JsonlFileSink(events, names)
+                runs.write(",".join(RUNS_CSV_FIXED_COLUMNS + [f"seconds_{name}" for name in names]) + "\n")
 
-            def write_run(record: RunRecord, ticks: list[tuple]) -> None:
-                sink.write_run(record, ticks)
-                runs.write(runs_csv_text(record, config.scenario, names))
-                fold.add(record)
+                def write_run(record: RunRecord, ticks: list[tuple]) -> None:
+                    sink.write_run(record, ticks)
+                    runs.write(runs_csv_text(record, config.scenario, names))
+                    fold.add(record)
 
-            engine = Engine(config)
-            engine.run(write_run)
-        grid = aggregate(fold)
-        partials["report.csv"].write_text(render_report_csv(grid), encoding="utf-8", newline="")
-        lines = [f"threshold_mbps: {engine.threshold_mbps:.6f}", *_selection_lines(config, fold, grid)]
-        partials["report.txt"].write_text(
-            render_report_text(config.scenario, config.runs, grid, extra_lines=lines),
-            encoding="utf-8",
-            newline="",
-        )
-        (out / "report.csv").unlink(missing_ok=True)
-        for name, partial in partials.items():
-            os.replace(partial, out / name)
-    except BaseException:
-        for partial in partials.values():
-            partial.unlink(missing_ok=True)
-        raise
+                engine = Engine(config)
+                engine.run(write_run)
+            grid = aggregate(fold)
+            partials["report.csv"].write_text(render_report_csv(grid), encoding="utf-8", newline="")
+            lines = [f"threshold_mbps: {engine.threshold_mbps:.6f}", *_selection_lines(config, fold, grid)]
+            partials["report.txt"].write_text(
+                render_report_text(config.scenario, config.runs, grid, extra_lines=lines),
+                encoding="utf-8",
+                newline="",
+            )
+            (out / "report.csv").unlink(missing_ok=True)
+            for name, partial in partials.items():
+                os.replace(partial, out / name)
+        except BaseException:
+            for partial in partials.values():
+                partial.unlink(missing_ok=True)
+            raise
+    finally:
+        os.close(lock)
     return grid
 
 

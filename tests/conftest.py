@@ -1,17 +1,12 @@
 from __future__ import annotations
 
-import io
 import json
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-import adastream
-from adastream.experiment import JsonlFileSink, parse_runs_csv
-from adastream.kb import AdaptationSpace, AdaptationStrategy, RunRecord, StreamConfig, default_space
+from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.mapek import Engine
 from adastream.netsim import FaultSchedule, FaultWindow
 from adastream.metrics import RunFold, quality_scores
@@ -20,22 +15,12 @@ from adastream.scenario import parse_scenario
 # Hypothesis mixes literals from every loaded module outside the standard
 # library, site-packages and test files into about one draw in twenty. The
 # whole suite loads the CLI and the benchmark's runner, layers and workloads;
-# loading them here makes tests/spec_corpus.py's redraw, and each derandomized
-# property left (the fmean, any-document and pending-model ones) run alone,
-# draw what they draw in the whole suite.
+# loading them here (spec_check loads the benchmark's) makes
+# tests/spec_corpus.py's redraw, and each derandomized property left (the
+# fmean, any-document and pending-model ones) run alone, draw what they draw
+# in the whole suite.
 import adastream.cli  # noqa: E402,F401
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-try:
-    import run  # noqa: E402,F401
-    import workloads  # noqa: E402
-finally:
-    sys.path.pop(0)
-
-
-def bundled_config_path(name: str) -> Path:
-    """Path of a scenario file shipped with the package, e.g. 'table3-adaptive'."""
-    return Path(adastream.__file__).parent / "configs" / f"{name}.json"
+from spec_check import run_into_jsonl, small_document
 
 
 def fold_of(records, space: AdaptationSpace) -> RunFold:
@@ -44,22 +29,6 @@ def fold_of(records, space: AdaptationSpace) -> RunFold:
     for record in records:
         fold.add(record)
     return fold
-
-
-def parsed_runs(path) -> tuple[str | None, tuple[str, ...], list[RunRecord]]:
-    """What `parse_runs_csv` reads from a runs.csv: the scenario, the config
-    names of its seconds columns, and each row's record as it is folded."""
-    folded = []
-    add = RunFold.add
-
-    def keeping(fold, record):
-        folded.append(record)
-        add(fold, record)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RunFold, "add", keeping)
-        scenario, fold = parse_runs_csv(path)
-    return scenario, fold.names, folded
 
 
 LR = StreamConfig("LR", 30, 0.99)
@@ -121,30 +90,6 @@ def check_of(cls) -> None:
         assert type(raised.value) is ValueError
 
 
-def small_document(**overrides) -> dict:
-    """A small valid scenario document, patched by keyword: 4 runs of 30 one-second ticks."""
-    return {
-        "schema_version": 1,
-        "scenario": "adaptive",
-        "runs": 4,
-        "run_duration_s": 30.0,
-        "monitor_interval_s": 1.0,
-        "reconfig_delay_s": 2.7,
-        "trace": {
-            "mean_mbps": 5.0,
-            "amplitude_mbps": 2.0,
-            "period_s": 61.0,
-            "noise_sd_mbps": 0.05,
-            "step_s": 1.0,
-        },
-        "probe_noise_sd_mbps": 0.05,
-        "warmup": {"duration_s": 600.0, "start_s": 27.0, "end_s": 65.0},
-        "faults": [],
-        "seed": 42,
-        **overrides,
-    }
-
-
 def make_scenario(**overrides):
     """`small_document(**overrides)`, parsed."""
     config, diags = parse_scenario(small_document(**overrides))
@@ -159,20 +104,6 @@ def run_dropping_events(config) -> tuple[RunRecord, ...]:
     return tuple(records)
 
 
-def run_into_jsonl(engine: Engine) -> tuple[tuple[RunRecord, ...], str]:
-    """Run the engine into events.jsonl's encoder: the run records and the text it wrote."""
-    file = io.StringIO()
-    sink = JsonlFileSink(file, engine.config.space.names)
-    records = []
-
-    def write_run(record, ticks):
-        records.append(record)
-        sink.write_run(record, ticks)
-
-    engine.run(write_run)
-    return tuple(records), file.getvalue()
-
-
 def run_with_events(config) -> tuple[tuple[RunRecord, ...], list[dict]]:
     """Run the engine and parse the events.jsonl lines it wrote.
 
@@ -182,21 +113,6 @@ def run_with_events(config) -> tuple[tuple[RunRecord, ...], list[dict]]:
     """
     records, text = run_into_jsonl(Engine(config))
     return records, json.loads("[" + ",".join(text.splitlines()) + "]")
-
-
-def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
-    """The strategy history, rebuilt from events.jsonl lines in order.
-
-    One strategy per `register` line with ok true; its reason comes from the
-    `plan` line just before it, which names the same tick and target.
-    """
-    strategies = []
-    for plan, line in zip(events, events[1:]):
-        if line["event"] == "register" and line["ok"]:
-            assert plan["event"] == "plan"
-            assert (plan["t_us"], plan["target"]) == (line["t_us"], line["target"])
-            strategies.append(AdaptationStrategy(line["strategy_id"], line["target"], plan["reason"]))
-    return strategies
 
 
 # Bounds on a generated document: its loop ticks and its trace samples.
@@ -288,77 +204,4 @@ def bounded_documents(draw, own_space=False):
         "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
         "user_overrides": overrides,
         "seed": draw(st.integers(0, 2**31)),
-    }
-
-
-# The bundled adaptive config with no reconfiguration delay, a registry outage
-# and two user overrides, so that threshold, post-outage and override switches
-# all complete in the step of the tick that applies them.
-ZERO_DELAY_CHANGES = {
-    "reconfig_delay_s": 0.0,
-    "faults": [{"start_s": 400.0, "end_s": 460.0, "kind": "registry-unavailable"}],
-    "user_overrides": [{"at_s": 1000.0, "target": "LR"}, {"at_s": 2000.0, "target": "HR"}],
-}
-
-
-# Loop scenarios on a constant trace with no noise, which ties at its own warmup
-# mean: every healthy probe reads above-threshold, so each scenario's faults and
-# overrides decide what the loop does, one rule apiece.
-CONSTANT = {
-    "trace": {"mean_mbps": 10.0, "amplitude_mbps": 0.0, "period_s": 61.0, "noise_sd_mbps": 0.0},
-    "probe_noise_sd_mbps": 0.0,
-    "warmup": {"duration_s": 600.0, "start_s": 0.0, "end_s": 60.0},
-}
-LOOP_SCENARIOS = {
-    # the planner names the applied HR at every tick, so the engine issues nothing
-    "keeps-high-rate": {"runs": 1},
-    # an override issues a user-config strategy; threshold planning reverts it the next tick
-    "user-override": {
-        "runs": 2,
-        "trace": {**CONSTANT["trace"], "mean_mbps": 5.0},
-        "warmup": {"duration_s": 600.0, "start_s": 0.0, "end_s": 600.0},
-        "user_overrides": [{"at_s": 10.0, "target": "LR"}],
-    },
-    # an override due in a registry outage is planned and dropped once, never retried
-    "override-in-an-outage": {
-        "runs": 2,
-        "faults": [{"start_s": 10.0, "end_s": 20.0, "kind": "registry-unavailable"}],
-        "user_overrides": [{"at_s": 12.0, "target": "LR"}],
-    },
-    # an outage during a switch falls back to its pending target, which the planner reads too
-    "outage-during-a-switch": {
-        "runs": 1,
-        "reconfig_delay_s": 5.5,
-        "faults": [{"start_s": 13.0, "end_s": 20.0, "kind": "registry-unavailable"}],
-        "user_overrides": [{"at_s": 12.0, "target": "LR"}],
-    },
-    # of two overrides due at one tick the later acts, and the earlier leaves no event
-    "overrides-due-at-one-tick": {
-        "runs": 1,
-        "user_overrides": [{"at_s": 12.2, "target": "LR"}, {"at_s": 12.7, "target": "HR"}],
-    },
-    # a due override to the applied config takes its tick's plan, so the planner waits a tick
-    "override-to-the-applied-config": {
-        "runs": 1,
-        "initial_config": "LR",
-        "faults": [{"start_s": 0.0, "end_s": 5.0, "kind": "probe-unavailable"}],
-        "user_overrides": [{"at_s": 5.0, "target": "LR"}],
-    },
-}
-
-
-def named_documents() -> dict[str, dict]:
-    """Scenario documents by name: the three bundled configs, the zero-delay
-    golden config, the benchmark's fault-storm config at seed 42, and the loop
-    scenarios."""
-    bundled = {
-        name: json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
-        for name in ("table3-static-lr", "table3-static-hr", "table3-adaptive")
-    }
-    storm = workloads.make("fault-storm", 42, bundled_config_path("table3-adaptive").parent)
-    return {
-        **bundled,
-        "zero-delay": {**bundled["table3-adaptive"], **ZERO_DELAY_CHANGES},
-        "fault-storm@42": json.loads(storm.timed[0].config),
-        **{name: small_document(**{**CONSTANT, **changes}) for name, changes in LOOP_SCENARIOS.items()},
     }

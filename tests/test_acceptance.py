@@ -1,24 +1,17 @@
 """Acceptance suite: one test per release criterion, each printing a pass/fail line, and two
-spec tests: conftest's named documents and the spec corpus's two files of recorded draws, on the
-default space or their own, match the executable spec in reference_loop.py and keep the loop
+spec tests: spec_check's named documents and the spec corpus's two files of recorded draws, on
+the default space or their own, match the executable spec in reference_loop.py and keep the loop
 invariants of criteria 6 and 7. Tolerances are fixed here and nowhere else."""
 
 from __future__ import annotations
 
-import gc
-import re
-import tempfile
 import time
 from contextlib import contextmanager
-from itertools import zip_longest
-from pathlib import Path
 
 import pytest
 
-from adastream.errors import SimulationError
-from adastream.experiment import run_experiment, runs_csv_text
+from adastream.experiment import run_experiment
 from adastream.kb import default_space
-from adastream.mapek import Engine
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     QUALITY_PRESETS,
@@ -34,18 +27,10 @@ from adastream.kb import RunRecord
 from adastream.scenario import load_scenario, parse_scenario
 from adastream.units import to_us
 
-from conftest import (
-    bundled_config_path,
-    fold_of,
-    named_documents,
-    parsed_runs,
-    registered_strategies,
-    run_dropping_events,
-    run_into_jsonl,
-    run_with_events,
-)
+from conftest import fold_of, run_dropping_events, run_with_events
 import spec_corpus
-from reference_loop import Refused, qp, reference_artifacts, scores as spec_scores
+from reference_loop import qp, scores as spec_scores
+from spec_check import bundled_config_path, check_documents, named_documents
 
 SPACE = default_space()
 LR, HR = SPACE.configs
@@ -182,143 +167,6 @@ def test_criterion_5_formula_unit_suite():
         assert len(fixtures) >= 10
         for i, (got, expected) in enumerate(fixtures):
             assert abs(got - expected) <= 1e-9, f"fixture {i}: {got!r} vs {expected!r}"
-
-
-def assert_loop_invariants(config, records, events) -> None:
-    """Criteria 6 and 7: exact time accounting, each run's closed-form qp equal to the one its step
-    lines accumulate, an append-only strategy history, register -> apply causality, and the loop's
-    fail-safe and static rules."""
-    # fail-safe: every run completed and accounts for all elapsed time
-    assert len(records) == config.runs
-    for record in records:
-        assert sum(record.streamed_us.values()) + record.reconfig_us == record.duration_us
-
-    # per-step accounting is exact too, each step lasts one monitor interval, and a
-    # static-<c> scenario streams c throughout
-    pinned = config.scenario.removeprefix("static-") if config.scenario != "adaptive" else None
-    per_run_elapsed: dict[int, int] = {}
-    per_run_streamed: dict[int, dict[str, int]] = {}
-    for event in events:
-        if event["event"] != "step":
-            continue
-        assert event["dt_us"] == config.monitor_interval_us
-        assert pinned in (None, event["active"])
-        streamed, segment_us = per_run_streamed.setdefault(event["run"], {}), 0
-        for name, us in event["segments"]:
-            streamed[name] = streamed.get(name, 0) + us
-            segment_us += us
-        assert event["reconfig_us"] + segment_us == event["dt_us"]
-        per_run_elapsed[event["run"]] = per_run_elapsed.get(event["run"], 0) + event["dt_us"]
-    assert per_run_elapsed == dict.fromkeys(range(config.runs), config.run_duration_us)
-
-    # criterion 6: the step segments add up, config by config, to each run's streamed
-    # time, and the closed-form qp equals the spec's qp of that streamed time
-    scores = quality_scores(config.space)
-    for record in records:
-        assert per_run_streamed[record.run_index] == record.streamed_us
-        if not record.streamed_us:  # a run that only reconfigured has no qp
-            continue
-        for score in scores.values():
-            assert abs(_quality_at(record, score) - qp(record, score)) <= 1e-9
-
-    # the registered history, read from the register lines: strictly increasing ids
-    strategies = registered_strategies(events)
-    ids = [s.id for s in strategies]
-    assert all(a < b for a, b in zip(ids, ids[1:]))
-
-    # consecutive strategies never repeat a target
-    targets = [s.target for s in strategies]
-    assert all(a != b for a, b in zip(targets, targets[1:]))
-
-    # causality: each applied change maps 1:1 to an earlier registration
-    registered = {
-        e["strategy_id"]: e["seq"]
-        for e in events
-        if e["event"] == "register" and e["ok"]
-    }
-    seen: set[int] = set()
-    for event in events:
-        if event["event"] == "execute" and event["applied"]:
-            sid = event["strategy_id"]
-            assert sid in registered and registered[sid] < event["seq"]
-            assert sid not in seen
-            seen.add(sid)
-    assert len(seen) == len(registered)  # every registered strategy got executed
-
-    # what the message types take on trust: a healthy probe reads >= 0 Mbps, a faulted
-    # one is analyzed unknown, and a strategy is a user override or follows the tick's
-    # own threshold condition, in an adaptive scenario only
-    healthy = condition = None
-    for event in events:
-        if event["event"] == "monitor":
-            healthy = event["ok"]
-            assert not healthy or event["upload_mbps"] >= 0
-        elif event["event"] == "analyze":
-            condition = event["condition"]
-            assert healthy or condition == "unknown"
-        elif event["event"] == "plan" and event["action"] == "strategy":
-            assert pinned is None
-            assert event["reason"] in ("below-threshold", "above-threshold", "user-config")
-            assert event["reason"] in ("user-config", condition)
-
-
-def assert_same_text(name: str, got: str, expected: str) -> None:
-    """Byte equality, reported at the first line that differs."""
-    if got != expected:
-        pairs = zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
-        at, (wrote, spec) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
-        raise AssertionError(f"{name} line {at + 1}: run_experiment wrote {wrote!r}, the reference {spec!r}")
-
-
-def check_document(document) -> None:
-    """What validate accepts, run finishes: its four artifacts are byte for byte
-    the executable spec's, its runs.csv reads back, and its events keep the
-    invariants of criteria 6 and 7. Where the experiment is refused after its
-    loop ran to the end, the engine's events are the spec's, byte for byte."""
-    config, _ = parse_scenario(document)
-    if config is None:
-        return
-    with tempfile.TemporaryDirectory() as out:
-        try:
-            expected, events = reference_artifacts(config)
-        except Refused as refusal:
-            # a zero threshold, or a run that only reconfigured: one error, no artifact
-            with pytest.raises(SimulationError, match=re.escape(str(refusal))):
-                run_experiment(config, out)
-            assert not any(Path(out).iterdir())
-            if refusal.events is not None:
-                # the loop itself ran to the end: its events and records are the spec's,
-                # and keep the invariants
-                records, text = run_into_jsonl(Engine(config))
-                assert_same_text("events.jsonl", text, refusal.events_text)
-                assert list(records) == refusal.records
-                assert_loop_invariants(config, records, refusal.events)
-            return
-        run_experiment(config, out)
-        for name, text in expected.items():
-            assert_same_text(name, (Path(out) / name).read_bytes().decode("utf-8"), text)
-        scenario, names, records = parsed_runs(Path(out) / "runs.csv")
-    # runs.csv reads back to the config's scenario and names, and its rows render again to the file
-    rows = "".join(runs_csv_text(record, scenario, names) for record in records)
-    assert (scenario, names, rows) == (config.scenario, config.space.names, expected["runs.csv"].partition("\n")[2])
-    assert_loop_invariants(config, records, events)
-
-
-def check_documents(documents) -> None:
-    """`check_document` on each (where, document): a failure names the document's `where`.
-
-    The cyclic collector is off meanwhile: reference counting frees the spec's and the
-    engine's event dicts, and each collection would walk every live one."""
-    gc.disable()
-    try:
-        for where, document in documents:
-            try:
-                check_document(document)
-            except BaseException as failure:
-                failure.add_note(f"document {where}")
-                raise
-    finally:
-        gc.enable()
 
 
 def test_every_accepted_bounded_document_runs_and_keeps_the_loop_invariants():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import fcntl
 import gc
 import json
 import os
@@ -18,19 +19,23 @@ import adastream
 from adastream.cli import main
 from adastream.scenario import parse_scenario
 
-from conftest import bundled_config_path
+from spec_check import bundled_config_path, small_document
 
 
 # Each of these costs a CLI child milliseconds to import and nothing needs it.
 _HEAVY_MODULES = {"dataclasses", "inspect", "logging", "statistics", "fractions", "hashlib", "decimal"}
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def child_stdout(code: str) -> str:
     """What a fresh interpreter, importing the package from this checkout, prints while it runs `code`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True, timeout=60
     ).stdout
 
 
@@ -156,7 +161,7 @@ RAISE_SITES = {
     "experiment.parse_report_csv": "parses report.csv from an out directory",
     "experiment.ScenarioArtifacts.load": "an out directory may hold no run records",
     "experiment.compare": "the out directories may not be distinct scenarios",
-    "experiment.run_experiment": "re-raises once its partial artifacts are removed",
+    "experiment.run_experiment": "refuses a second writer; re-raises once its partial artifacts are removed",
     "kb.AdaptationSpace.of": "built from a document; the parser reports its error",
     "netsim.FaultSchedule.of": "built from a document; the parser reports its error",
     "kb.RunRecord.of": "rebuilt from runs.csv rows; parse_runs_csv reports its error",
@@ -183,6 +188,14 @@ def test_every_raise_is_where_data_enters():
         sites |= raise_sites(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
     assert sorted(sites - RAISE_SITES.keys()) == [], "a re-check past the boundary"
     assert sorted(RAISE_SITES.keys() - sites) == [], "a listed function no longer raises"
+
+
+def test_the_spec_check_imports_neither_pytest_nor_hypothesis():
+    # it runs on Pythons that have neither; the module-load tests above check the package, not tests/
+    tests = str(Path(__file__).resolve().parent)
+    loaded = modules_loaded_by(f"sys.path.insert(0, {tests!r})\nimport spec_check")
+    assert "spec_check" in loaded
+    assert [name for name in loaded if name.split(".")[0] in ("pytest", "_pytest", "hypothesis")] == []
 
 
 def test_engine_setup_path_loads_no_report_code():
@@ -219,6 +232,26 @@ def test_run_seed_override_changes_outputs(tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "a"), "--seed", "1"]) == 0
     assert main(["run", path, "--out", str(tmp_path / "b"), "--seed", "2"]) == 0
     assert (tmp_path / "a" / "events.jsonl").read_bytes() != (tmp_path / "b" / "events.jsonl").read_bytes()
+
+
+def test_a_run_into_a_directory_another_writer_holds_exits_two_and_writes_nothing(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(small_document()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    command = [sys.executable, "-m", "adastream.cli", "run", str(path), "--out", str(out), "--seed", "7"]
+    # this process holds the directory's lock, as a run still writing into it would
+    lock = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        refused = subprocess.run(command, env=child_env(), capture_output=True, text=True, timeout=60)
+    finally:
+        os.close(lock)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == f"error: {out} is being written by another run\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert subprocess.run(command, env=child_env(), capture_output=True, timeout=60).returncode == 0
 
 
 def test_validate_good_config(capsys):

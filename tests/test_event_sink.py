@@ -13,7 +13,8 @@ from adastream.experiment import run_experiment
 from adastream.scenario import parse_scenario
 from adastream.stream import StreamState
 
-from conftest import bundled_config_path, make_scenario
+from conftest import make_scenario
+from spec_check import bundled_config_path
 from reference_loop import reference_artifacts
 
 

@@ -32,7 +32,7 @@ from adastream.netsim import sample_indices  # noqa: E402
 from adastream.scenario import load_scenario  # noqa: E402
 from adastream.units import to_us  # noqa: E402
 
-from conftest import bundled_config_path  # noqa: E402
+from spec_check import bundled_config_path  # noqa: E402
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ from adastream.errors import SimulationError
 from adastream.mapek import Engine
 from adastream.scenario import UserOverride, WarmupParams, load_scenario
 
-from conftest import bundled_config_path, make_scenario, registered_strategies, run_into_jsonl, run_with_events
+from conftest import make_scenario, run_with_events
+from spec_check import bundled_config_path, registered_strategies, run_into_jsonl
 
 
 # -- the loop ------------------------------------------------------------------

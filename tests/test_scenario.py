@@ -19,7 +19,7 @@ from adastream.experiment import ARTIFACTS, run_experiment
 from adastream.mapek import Engine
 from adastream.scenario import parse_scenario
 
-from conftest import bundled_config_path
+from spec_check import bundled_config_path
 from test_mapek import ENGINE_REFUSALS
 
 
