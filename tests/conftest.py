@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -14,13 +15,13 @@ from adastream.scenario import parse_scenario
 
 # Hypothesis mixes literals from every loaded module outside the standard
 # library, site-packages and test files into about one draw in twenty. The
-# whole suite loads the CLI and the benchmark's runner, layers and workloads;
-# loading them here (spec_check loads the benchmark's) makes
-# tests/spec_corpus.py's redraw, and each derandomized property left (the
-# fmean, any-document and pending-model ones) run alone, draw what they draw
-# in the whole suite.
+# suite that first drew the recorded inputs loaded the CLI and the benchmark's
+# runner, layers and workloads; loading them here (spec_check loads the
+# benchmark's) makes tests/spec_corpus.py's redraw draw what that suite drew.
+# No test draws from these strategies; the redraw alone does.
 import adastream.cli  # noqa: E402,F401
-from spec_check import run_into_jsonl, small_document
+from spec_check import BASE, DELAY_US, run_into_jsonl, small_document
+from spec_corpus import DELETE
 
 
 def fold_of(records, space: AdaptationSpace) -> RunFold:
@@ -205,3 +206,60 @@ def bounded_documents(draw, own_space=False):
         "user_overrides": overrides,
         "seed": draw(st.integers(0, 2**31)),
     }
+
+
+# tests/spec_corpus_fmean.jsonl: lists of floats in [0, 1], each the per-run tp and qp
+# values of one fold. Long lists are built from a few drawn values, since a draw per
+# element would overrun Hypothesis's buffer; repeats of values near 1 and near 0 stress
+# the rounding.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_UNIT = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e-307),  # subnormals and their neighbours
+    st.floats(min_value=0.999, max_value=_BELOW_ONE),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.5, _BELOW_ONE, 1.0]),
+)
+_LONG = st.builds(
+    lambda pattern, length: (pattern * (length // len(pattern) + 1))[:length],
+    st.lists(_UNIT, min_size=1, max_size=7),
+    st.integers(1_000, 20_000),
+)
+FMEAN_VALUES = st.one_of(st.lists(_UNIT, min_size=1, max_size=300), _LONG)
+
+
+def key_paths(node, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from key_paths(child, path + (key,))
+
+
+# tests/spec_corpus_mutations.jsonl: one to three odd values, each put at (or
+# deleting) a path of spec_check's BASE document.
+_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        DELETE, None, True, False, "", "90", [], [1.0], {}, {"x": 1},
+        math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-7, 2e-7, 4e-7, 0, 0.0, -1, -0.5,
+    ]),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+)
+MUTATIONS = st.lists(st.tuples(st.sampled_from(list(key_paths(BASE))), _ODD_VALUES), min_size=1, max_size=3)
+
+# tests/spec_corpus_stream_ops.jsonl: a switch delay and up to 40 stream operations.
+# A step's dt is k whole delays plus an offset, at least 1 us: offsets of -1, 0 and 1
+# land steps just before, on and just after a switch's deadline.
+STREAM_DELAYS = st.sampled_from((0, 1, DELAY_US))
+_STEP = st.tuples(
+    st.just("step"), st.integers(0, 3), st.one_of(st.integers(-1, 1), st.integers(-1, 3_000_000))
+)
+STREAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("apply"), st.sampled_from(("LR", "HR", "MR"))),
+        _STEP,
+        st.just(("finalize",)),
+    ),
+    max_size=40,
+)

@@ -1,11 +1,14 @@
 """The spec check, standard library only: `check_document` holds `run_experiment` to the executable
-spec in reference_loop.py, and `check_pins` holds each default-seed benchmark workload and the
-zero-delay config to their pinned digests. The suite calls both under pytest; run as a script, on
-any Python, it checks the named documents, both corpus files and every pin, and prints one line of
-counts, or one line naming the first document or pin that fails, and exits 1."""
+spec in reference_loop.py, `check_pins` holds each default-seed benchmark workload and the
+zero-delay config to their pinned digests, and `check_mean`, `check_mutations` and
+`check_stream_ops` are the fmean, any-document and pending-model properties, run on recorded
+examples. The suite calls them under pytest; run as a script, on any Python, it checks the named
+documents, every corpus file and every pin, and prints one line of counts, or one line naming the
+first document, example or pin that fails, and exits 1."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import io
@@ -16,22 +19,27 @@ import tempfile
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
+from statistics import fmean
 
 ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # a checkout, with no install
     sys.path.insert(0, str(ROOT / "src"))
 
 import adastream  # noqa: E402
+from adastream import metrics  # noqa: E402
 from adastream.errors import SimulationError  # noqa: E402
 from adastream.experiment import JsonlFileSink, compare, parse_runs_csv, render_comparison, run_experiment  # noqa: E402
 from adastream.experiment import runs_csv_text  # noqa: E402
-from adastream.kb import AdaptationStrategy, RunRecord  # noqa: E402
+from adastream.kb import AdaptationStrategy, RunRecord, default_space  # noqa: E402
 from adastream.mapek import Engine  # noqa: E402
-from adastream.metrics import RunFold, _quality_at, quality_scores  # noqa: E402
-from adastream.scenario import parse_scenario  # noqa: E402
+from adastream.metrics import RunFold, _quality_at, aggregate, quality_scores  # noqa: E402
+from adastream.netsim import FAULT_KINDS  # noqa: E402
+from adastream.scenario import ScenarioConfig, parse_scenario  # noqa: E402
+from adastream.stream import StreamState  # noqa: E402
+from adastream.units import to_us  # noqa: E402
 
 import spec_corpus  # noqa: E402
-from reference_loop import Refused, qp, reference_artifacts  # noqa: E402
+from reference_loop import PendingModel, Refused, qp, reference_artifacts  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 try:
@@ -294,32 +302,86 @@ def ledger_sums(records) -> tuple[int, int, Counter]:
     return sum(r.reconfig_us for r in records), sum(r.switches for r in records), streamed
 
 
-def check_run_split(config, document, events_text: str, records) -> str:
+def run_split_twin(config, document) -> dict | None:
     """The run-split relation: runs are measurement windows, not adaptation boundaries, so the
     same total time cut as one run writes the same events.jsonl once each line's run field is
-    dropped, and the same ledger sums. It is skipped where the parser refuses the twin, whose
-    one run may hold more ticks than a run may."""
-    twin, _ = parse_scenario({**document, "runs": 1, "run_duration_s": config.total_duration_us / 1e6})
-    if twin is None:
-        return "run split skipped"
-    assert twin.run_duration_us == config.total_duration_us
+    dropped, and the same ledger sums (`check_run_split`). The twin of a document of two or more
+    runs; the parser refuses one whose one run holds more ticks than a run may."""
+    if config.runs < 2:
+        return None
+    return {**document, "runs": 1, "run_duration_s": config.total_duration_us / 1e6}
+
+
+def check_run_split(twin, expected, records) -> None:
+    assert twin.run_duration_us == sum(record.duration_us for record in records)
     twin_records, twin_text = run_into_jsonl(Engine(twin))
-    assert_same_text("one-run twin's events.jsonl, run fields dropped", without_runs(twin_text), without_runs(events_text))
+    assert_same_text(
+        "one-run twin's events.jsonl, run fields dropped", without_runs(twin_text), without_runs(expected["events.jsonl"])
+    )
     assert ledger_sums(twin_records) == ledger_sums(records), "ledger sums of the one-run twin"
-    return "run split held"
 
 
-def check_document(document, split: bool = False) -> tuple[str, ...]:
+def fault_split_twin(config, document) -> dict | None:
+    """The fault-split relation: a fault window downs its kind at each instant in it, so cutting
+    one window into two adjacent windows of its kind leaves all four artifacts the same
+    (`check_same_artifacts`). The window is the document's first with an interior microsecond,
+    cut at the first tick instant inside it, or else at its middle microsecond; a document with
+    no such window has no twin."""
+    faults, interval_us = document.get("faults", []), config.monitor_interval_us
+    for index, fault in enumerate(faults):
+        start_us, end_us = to_us(fault["start_s"]), to_us(fault["end_s"])
+        cut_us = (start_us // interval_us + 1) * interval_us
+        if cut_us >= end_us:
+            cut_us = (start_us + end_us) // 2
+        if start_us < cut_us:
+            halves = [{**fault, "end_s": cut_us / 1e6}, {**fault, "start_s": cut_us / 1e6}]
+            return {**document, "faults": [*faults[:index], *halves, *faults[index + 1 :]]}
+    return None
+
+
+def far_fault_twin(config, document) -> dict:
+    """The far-fault relation: the loop ticks only before the horizon, the experiment's total
+    time, so one more window of each kind, one monitor interval long from the horizon (or from
+    that kind's last window end, if later), leaves all four artifacts the same
+    (`check_same_artifacts`)."""
+    far = []
+    for kind in FAULT_KINDS:
+        start_us = max([config.total_duration_us, *config.faults.by_kind.get(kind, ((), ()))[1]])
+        far.append({"start_s": start_us / 1e6, "end_s": (start_us + config.monitor_interval_us) / 1e6, "kind": kind})
+    return {**document, "faults": [*document.get("faults", []), *far]}
+
+
+def check_same_artifacts(twin, expected, records) -> None:
+    with tempfile.TemporaryDirectory() as out:
+        run_experiment(twin, out)
+        for name, text in expected.items():
+            assert_same_text(f"twin's {name}", (Path(out) / name).read_bytes().decode("utf-8"), text)
+
+
+# The metamorphic relations, each a document's twin and the check of the twin against the
+# document's artifacts and run records. `check_documents` checks one on each document in turn,
+# so each on every SPLIT_STRIDE-th document.
+RELATIONS = {
+    "run split": (run_split_twin, check_run_split),
+    "fault split": (fault_split_twin, check_same_artifacts),
+    "far fault": (far_fault_twin, check_same_artifacts),
+}
+SPLIT_STRIDE = len(RELATIONS)
+
+
+def check_document(document, relation: str | None = None) -> tuple[str, ...]:
     """What validate accepts, run finishes: its four artifacts are byte for byte
     the executable spec's, its runs.csv reads back, and its events keep the
     invariants of criteria 6 and 7. Where the experiment is refused after its
     loop ran to the end, the engine's events are the spec's, byte for byte.
-    With `split`, a document of two or more runs also keeps the run-split relation.
-    The outcomes, for `check_documents` to count."""
+    With a `relation` of RELATIONS, a document that has a twin keeps that relation too,
+    which is skipped where the experiment or the twin is refused. The outcomes, for
+    `check_documents` to count."""
     config, _ = parse_scenario(document)
     if config is None:
         return ("invalid",)
-    split = split and config.runs >= 2
+    twin_document = RELATIONS[relation][0](config, document) if relation else None
+    skipped = () if twin_document is None else (f"{relation} skipped",)
     with tempfile.TemporaryDirectory() as out:
         try:
             expected, events = reference_artifacts(config)
@@ -338,7 +400,7 @@ def check_document(document, split: bool = False) -> tuple[str, ...]:
                 assert_same_text("events.jsonl", text, refusal.events_text)
                 assert list(records) == refusal.records
                 assert_loop_invariants(config, records, refusal.events)
-            return ("refused", "run split skipped") if split else ("refused",)
+            return ("refused", *skipped)
         run_experiment(config, out)
         for name, text in expected.items():
             assert_same_text(name, (Path(out) / name).read_bytes().decode("utf-8"), text)
@@ -347,27 +409,27 @@ def check_document(document, split: bool = False) -> tuple[str, ...]:
     rows = "".join(runs_csv_text(record, scenario, names) for record in records)
     assert (scenario, names, rows) == (config.scenario, config.space.names, expected["runs.csv"].partition("\n")[2])
     assert_loop_invariants(config, records, events)
-    if split:
-        return ("matched", check_run_split(config, document, expected["events.jsonl"], records))
-    return ("matched",)
-
-
-# `check_documents` checks the run-split relation on every SPLIT_STRIDE-th document it is given.
-SPLIT_STRIDE = 3
+    if twin_document is None:
+        return ("matched",)
+    twin, _ = parse_scenario(twin_document)
+    if twin is None:
+        return ("matched", *skipped)
+    RELATIONS[relation][1](twin, expected, records)
+    return ("matched", f"{relation} held")
 
 
 def check_documents(documents) -> Counter:
-    """`check_document` on each (where, document), the run split on every SPLIT_STRIDE-th:
-    the count of each outcome. A failure names the document's `where`.
+    """`check_document` on each (where, document), with the next of RELATIONS in turn: the count
+    of each outcome. A failure names the document's `where`.
 
     The cyclic collector is off meanwhile: reference counting frees the spec's and the
     engine's event dicts, and each collection would walk every live one."""
-    counts = Counter()
+    counts, relations = Counter(), list(RELATIONS)
     gc.disable()
     try:
         for index, (where, document) in enumerate(documents):
             try:
-                counts.update(check_document(document, split=index % SPLIT_STRIDE == 0))
+                counts.update(check_document(document, relations[index % SPLIT_STRIDE]))
             except BaseException as failure:
                 failure.add_note(f"document {where}")
                 raise
@@ -410,20 +472,157 @@ def check_pins(names=(*workloads.WORKLOADS, "zero-delay")) -> int:
     return checked
 
 
+def check_recorded(check, examples) -> int:
+    """`check` on each (where, example): the number checked. A failure names the example's `where`."""
+    checked = 0
+    for where, example in examples:
+        try:
+            check(example)
+        except BaseException as failure:
+            failure.add_note(f"example {where}")
+            raise
+        checked += 1
+    return checked
+
+
+def check_mean(values) -> None:
+    """The fmean property: folded as each run's tp and qp, `values` report means exactly
+    `statistics.fmean`'s, by repr. The fold's stages are swapped for ones that return the next
+    value, and restored afterwards."""
+    space = default_space()
+    fold = RunFold(space.names, quality_scores(space))
+    run = RunRecord.of(run_index=0, duration_us=30_000_000, reconfig_us=0, switches=0, streamed_us={"LR": 30_000_000})
+    time_performance, quality_at = metrics.time_performance, metrics._quality_at
+    metrics.time_performance = lambda record: value
+    metrics._quality_at = lambda record, score: value
+    try:
+        for value in values:
+            fold.add(run)
+    finally:
+        metrics.time_performance, metrics._quality_at = time_performance, quality_at
+    grid = aggregate(fold)
+    means = {repr(mean) for row in ("tp", "qp") for mean in grid[row].values()}
+    assert means == {repr(fmean(values))}, f"means {sorted(means)}, fmean {fmean(values)!r}"
+
+
+# The bundled adaptive document with one entry in each list it may hold.
+BASE = {
+    **json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8")),
+    "faults": [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}],
+    "user_overrides": [{"at_s": 150.0, "target": "HR"}],
+    "adaptation_space": [
+        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
+    ],
+}
+
+
+def mutated(document, path, value):
+    """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is spec_corpus.DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+def check_mutations(mutations) -> None:
+    """The any-document property: BASE with each (path, value) mutation applied in turn parses to a
+    config or to diagnostics, never an exception. A mutation whose path an earlier one removed or
+    replaced is passed over."""
+    document = BASE
+    for path, value in mutations:
+        try:
+            document = mutated(document, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    config, diags = parse_scenario(document)
+    assert (config is None and diags and all(isinstance(d, str) for d in diags)) or (
+        isinstance(config, ScenarioConfig) and diags == []
+    ), (config, diags)
+
+
+# Per-switch delay that makes one switch per 30 s run cost 9% of the run:
+# solves 1 - x/30 = 0.91.
+DELAY_US = 2_700_000
+
+# Named (delay_us, ops) cases for `check_stream_ops`, beside the recorded ones.
+STREAM_CASES = {
+    "two-applies-then-a-step-across-the-deadline": (
+        DELAY_US, [("apply", "HR"), ("apply", "LR"), ("step", 1, 1), ("apply", "HR"), ("step", 1, 0)],
+    ),
+    "two-applies-then-a-step-with-no-delay": (
+        0, [("apply", "HR"), ("apply", "LR"), ("step", 0, 5), ("apply", "HR"), ("apply", "MR"), ("step", 0, 1)],
+    ),
+    # a switch-back mid-flight, a re-target to a third config, and a run edge inside the switch
+    "switch-back-re-target-and-run-edge-mid-switch": (
+        DELAY_US,
+        [("apply", "HR"), ("step", 0, 9), ("apply", "LR"), ("finalize",), ("apply", "MR"), ("step", 1, -1),
+         ("step", 0, 1), ("apply", "LR"), ("apply", "LR"), ("step", 2, 0), ("finalize",)],
+    ),
+    "switch-back-on-a-one-microsecond-delay": (
+        1, [("apply", "HR"), ("step", 0, 1), ("apply", "LR"), ("apply", "HR"), ("step", 0, 2), ("finalize",)],
+    ),
+    "re-apply-of-the-config-in-flight-then-a-step-across-its-deadline": (
+        DELAY_US, [("apply", "HR"), ("step", 0, 5), ("apply", "HR"), ("step", 1, 0)],
+    ),
+}
+
+
+def check_stream_ops(example) -> None:
+    """The pending-model property: a (delay_us, ops) sequence of applies, steps and run ends keeps
+    StreamState's target, active config and ledger equal to the spec's PendingModel after every op.
+    A step `("step", k, offset)` lasts k delays plus the offset, at least 1 us; a run end with no
+    time in its window is passed over."""
+    delay_us, ops = example
+    stream = StreamState("LR", delay_us)
+    model = PendingModel("LR", delay_us)
+    window_us = run_index = 0
+    for op in ops:
+        if op[0] == "apply":
+            stream.apply_config(op[1])
+            model.apply(op[1])
+        elif op[0] == "step":
+            dt_us = max(1, op[1] * delay_us + op[2])
+            assert stream.step(dt_us) == model.step(dt_us), op
+            window_us += dt_us
+        elif window_us:
+            assert stream.finalize_run(run_index, window_us) == model.finalize(run_index, window_us)
+            window_us = 0
+            run_index += 1
+        assert (stream.target, stream.active) == (model.committed(), model.active), op
+        assert (stream.streamed_us, stream.reconfig_us, stream.switches) == (
+            model.streamed_us, model.reconfig_us, model.switches
+        ), op
+
+
 def main() -> int:
     try:
         counts = check_documents([*named_documents().items(), *spec_corpus.read("bounded")])
         counts += check_documents(spec_corpus.read("own_space"))
+        means = check_recorded(check_mean, spec_corpus.read("fmean"))
+        mutations = check_recorded(check_mutations, spec_corpus.read("mutations"))
+        ops = check_recorded(check_stream_ops, [*STREAM_CASES.items(), *spec_corpus.read("stream_ops")])
         digests = check_pins()
     except Exception as failure:
         first_line = str(failure).partition("\n")[0]
         print("spec check failed:", *getattr(failure, "__notes__", ()), f"{type(failure).__name__}: {first_line}")
         return 1
     documents = counts["matched"] + counts["refused"] + counts["invalid"]
+    relations = "; ".join(f"{name} held on {counts[f'{name} held']}, skipped {counts[f'{name} skipped']}" for name in RELATIONS)
+    recorded = means + mutations + ops - len(STREAM_CASES)
     print(
         f"spec check passed on Python {sys.version.split()[0]}: {documents} documents, "
         f"{counts['matched']} matched the spec, {counts['refused']} refused alike, {counts['invalid']} invalid; "
-        f"run split held on {counts['run split held']}, skipped {counts['run split skipped']}; {digests} pinned digests matched"
+        f"{relations}; {recorded} recorded property examples held ({means} fmean lists, {mutations} mutated "
+        f"documents, {ops - len(STREAM_CASES)} stream op sequences) and {len(STREAM_CASES)} named stream cases; "
+        f"{digests} pinned digests matched"
     )
     return 0
 

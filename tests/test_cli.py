@@ -134,6 +134,19 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == []
 
 
+def test_no_test_draws_its_inputs_afresh():
+    # a derandomized property draws with the literals of every loaded module outside tests/, so an
+    # edit under src/ moves its examples; recorded examples do not move
+    root = Path(__file__).resolve().parent
+    fresh = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.keyword) and node.arg == "derandomize"
+    ]
+    assert fresh == [], "record the examples with tests/spec_corpus.py and check them in spec_check"
+
+
 def test_every_error_type_is_caught_by_name_somewhere():
     # a type no `except` names tells no caller anything a SimulationError's message does not
     package = Path(__file__).resolve().parents[1] / "src" / "adastream"
@@ -432,34 +445,51 @@ def test_compare_on_a_damaged_out_dir_exits_two_with_one_line(
     assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith(f"{message}\n")
 
 
-def test_a_run_cut_short_while_replacing_leaves_a_dir_compare_refuses(
-    table3_dirs, tmp_path, capsys, monkeypatch
-):
-    dirs = [tmp_path / d.name for d in table3_dirs]
-    for src, dst in zip(table3_dirs, dirs):
-        shutil.copytree(src, dst)
-    replace = os.replace
-    calls = 0
-
-    def failing_replace(src, dst):
-        nonlocal calls
-        calls += 1
-        if calls == 3:
-            raise OSError("simulated failure")
-        replace(src, dst)
-
-    monkeypatch.setattr("adastream.experiment.os.replace", failing_replace)
+def test_a_run_cut_short_while_replacing_leaves_a_dir_compare_refuses(table3_dirs, tmp_path, capsys):
+    # The crash walk: the k-th file operation of run_experiment raises, for every k until a run
+    # completes, each time in a directory that holds a complete previous set. Afterwards the
+    # directory holds that set byte for byte, or a set compare refuses with one line.
+    previous = {p.name: p.read_bytes() for p in table3_dirs[2].iterdir()}
     config = str(table3_dirs[2].parent / "ad.json")
-    assert main(["run", config, "--out", str(dirs[2]), "--seed", "7"]) == 2
-    monkeypatch.undo()
-    # events.jsonl is the new run's, report.txt the old one's, and report.csv is gone
-    assert (dirs[2] / "events.jsonl").read_bytes() != (table3_dirs[2] / "events.jsonl").read_bytes()
-    assert (dirs[2] / "report.txt").read_bytes() == (table3_dirs[2] / "report.txt").read_bytes()
-    assert sorted(p.name for p in dirs[2].iterdir()) == ["events.jsonl", "report.txt", "runs.csv"]
-    capsys.readouterr()
-    assert main(["compare", *map(str, dirs)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("i/o error: ") and "report.csv" in err
+    operations = k = 0
+
+    def failing(operation):
+        def kth_fails(*args, **kwargs):
+            nonlocal operations
+            if sys._getframe(1).f_globals["__name__"] == "adastream.experiment":
+                operations += 1
+                if operations == k:
+                    raise OSError("simulated failure")
+            return operation(*args, **kwargs)
+
+        return kth_fails
+
+    kept = refused = 0
+    while True:
+        k, operations = k + 1, 0
+        dirs = [tmp_path / str(k) / d.name for d in table3_dirs]
+        for src, dst in zip(table3_dirs, dirs):
+            shutil.copytree(src, dst)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "replace", failing(os.replace))
+            for name in ("open", "write_text", "unlink"):
+                patch.setattr(Path, name, failing(getattr(Path, name)))
+            code = main(["run", config, "--out", str(dirs[2]), "--seed", "7"])
+        stderr = capsys.readouterr().err
+        if operations < k:  # no k-th operation: the run completed
+            assert code == 0 and stderr == ""
+            break
+        assert (code, stderr) == (2, "i/o error: simulated failure\n"), k
+        if {p.name: p.read_bytes() for p in dirs[2].iterdir()} == previous:
+            kept += 1
+            continue
+        assert main(["compare", *map(str, dirs)]) == 2, k
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(("error: ", "i/o error: ")), (k, err)
+        refused += 1
+    # the two opens, two write_texts and the old report.csv's unlink leave the previous set, and a
+    # failed replace leaves a set with no report.csv
+    assert (kept, refused) == (5, 4)
 
 
 def test_run_with_zero_warmup_threshold_exits_two_without_traceback(tmp_path, capsys):

@@ -1,20 +1,16 @@
 from __future__ import annotations
 
-import math
 import random
 from statistics import fmean
 
-import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from adastream import metrics
 from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     RunFold,
     aggregate,
-    quality_scores,
     round_half_up,
     selection_fractions,
     system_performance,
@@ -22,8 +18,10 @@ from adastream.metrics import (
 )
 from adastream.units import to_us
 
+import spec_corpus
 from conftest import fold_of
 from reference_loop import cell, qp, scores, selection as spec_selection
+from spec_check import check_mean, check_recorded
 
 SPACE = default_space()
 
@@ -46,36 +44,10 @@ def record(duration_s=30.0, reconfig_s=0.0, lr_s=None, hr_s=None, run_index=0):
 
 # -- means ---------------------------------------------------------------
 
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-_UNIT = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1e-307),  # subnormals and their neighbours
-    st.floats(min_value=0.999, max_value=_BELOW_ONE),
-    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.5, _BELOW_ONE, 1.0]),
-)
-# Long lists from a few drawn values: a hypothesis draw per element would
-# overrun its buffer. Repeats of values near 1 and near 0 stress the rounding.
-_LONG = st.builds(
-    lambda pattern, length: (pattern * (length // len(pattern) + 1))[:length],
-    st.lists(_UNIT, min_size=1, max_size=7),
-    st.integers(1_000, 20_000),
-)
 
-
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(st.one_of(st.lists(_UNIT, min_size=1, max_size=300), _LONG))
-def test_mean_is_exactly_the_standard_library_fmean(values):
-    # Each run's tp and qp are the loop's current `value`, which the patched stages return.
-    fold = RunFold(SPACE.names, quality_scores(SPACE))
-    run = record()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "time_performance", lambda r: value)
-        patch.setattr(metrics, "_quality_at", lambda r, scores: value)
-        for value in values:
-            fold.add(run)
-    grid = aggregate(fold)
-    expected = repr(fmean(values))
-    assert {repr(mean) for row in ("tp", "qp") for mean in grid[row].values()} == {expected}
+def test_mean_is_exactly_the_standard_library_fmean():
+    # 120 recorded lists of floats in [0, 1], 63 of them 1,000 to 20,000 long
+    check_recorded(check_mean, spec_corpus.read("fmean"))
 
 
 # -- aggregation ---------------------------------------------------------------

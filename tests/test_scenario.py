@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
 import inspect
 import json
@@ -11,15 +10,14 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adastream import scenario
 from adastream.experiment import ARTIFACTS, run_experiment
 from adastream.mapek import Engine
 from adastream.scenario import parse_scenario
 
-from spec_check import bundled_config_path
+import spec_corpus
+from spec_check import BASE, bundled_config_path, check_mutations, check_recorded, mutated
 from test_mapek import ENGINE_REFUSALS
 
 
@@ -45,37 +43,6 @@ def test_static_scenario_pins_initial_config():
     assert config.scenario == "static-LR"
 
 
-def adaptive_doc_with_entries():
-    """The bundled adaptive document with one entry in each list it may hold."""
-    document = json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8"))
-    document["faults"] = [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}]
-    document["user_overrides"] = [{"at_s": 150.0, "target": "HR"}]
-    document["adaptation_space"] = [
-        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
-        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
-    ]
-    return document
-
-
-DELETE = object()
-
-
-def mutated(document, path, value):
-    """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
-    if not path:
-        return value
-    document = copy.deepcopy(document)
-    parent = document
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return document
-
-
-BASE = adaptive_doc_with_entries()
 PROBE_DOWN = "probe-unavailable"
 # 9,999,968 runs of 2 s are 19,999,936 trace samples, and the engine generates the warmup
 # trace only up to end_s, not over its whole duration: 64 more samples reach the cap exactly
@@ -310,40 +277,9 @@ def test_warmup_end_s_defaults_to_duration_s():
     assert config.warmup.end_s == 90.0
 
 
-def key_paths(node, path=()):
-    """Every path to a value inside a JSON document, the root included."""
-    yield path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from key_paths(child, path + (key,))
-
-
-
-PATHS = list(key_paths(BASE))
-ODD_VALUES = st.one_of(
-    st.sampled_from([
-        DELETE, None, True, False, "", "90", [], [1.0], {}, {"x": 1},
-        math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-7, 2e-7, 4e-7, 0, 0.0, -1, -0.5,
-    ]),
-    st.text(max_size=4),
-    st.integers(),
-    st.floats(),
-)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.sampled_from(PATHS), ODD_VALUES), min_size=1, max_size=3))
-def test_any_document_gives_a_config_or_diagnostics_never_an_exception(mutations):
-    document = BASE
-    for path, value in mutations:
-        try:
-            document = mutated(document, path, value)
-        except (KeyError, IndexError, TypeError):  # an earlier mutation removed or replaced the path
-            pass
-    config, diags = parse_scenario(document)
-    assert (config is None and diags and all(isinstance(d, str) for d in diags)) or (
-        isinstance(config, scenario.ScenarioConfig) and diags == []
-    )
+def test_any_document_gives_a_config_or_diagnostics_never_an_exception():
+    # 500 recorded lists of one to three odd values put at, or deleting, paths of BASE
+    check_recorded(check_mutations, spec_corpus.read("mutations"))
 
 
 def readme_schema():
