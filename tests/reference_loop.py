@@ -244,6 +244,13 @@ def selection(names, records) -> dict[str, tuple[float, float]]:
     return {name: (dominant.count(name) / len(records), streamed_at[name] / total) for name in names}
 
 
+def events_jsonl(events: list[dict]) -> str:
+    """events.jsonl's text. All the events go in one encode call, as one JSON array, cut into lines
+    at each boundary: an event's encoding holds no raw newline, and `{"seq":` opens only an event, so
+    each `},{"seq":` joins two events. One call per event took twice as long."""
+    return dumps(events)[1:-1].replace('},{"seq":', '}\n{"seq":') + "\n"
+
+
 def reference_artifacts(config: ScenarioConfig) -> tuple[dict[str, str], list[dict]]:
     """{artifact name: its text}, and the events as dicts; raises Refused where the
     engine refuses the experiment."""
@@ -251,10 +258,7 @@ def reference_artifacts(config: ScenarioConfig) -> tuple[dict[str, str], list[di
     if threshold <= 0:
         raise Refused("threshold of 0 Mbps")
     events, records = run_loop(config, threshold)
-    # All the events in one encode call, as one JSON array, cut into lines at each boundary:
-    # an event's encoding holds no raw newline, and `{"seq":` opens only an event, so each
-    # `},{"seq":` joins two events. One call per event took twice as long.
-    events_text = dumps(events)[1:-1].replace('},{"seq":', '}\n{"seq":') + "\n"
+    events_text = events_jsonl(events)
     duration = config.run_duration_us
     for run, _, reconfig, _, _ in records:
         if reconfig == duration:

@@ -39,7 +39,8 @@ from adastream.stream import StreamState  # noqa: E402
 from adastream.units import to_us  # noqa: E402
 
 import spec_corpus  # noqa: E402
-from reference_loop import PendingModel, Refused, qp, reference_artifacts  # noqa: E402
+from spec_corpus import BASE, DELAY_US  # noqa: E402
+from reference_loop import PendingModel, Refused, events_jsonl, qp, reference_artifacts  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 try:
@@ -170,6 +171,12 @@ def run_into_jsonl(engine: Engine) -> tuple[tuple[RunRecord, ...], str]:
 
     engine.run(write_run)
     return tuple(records), file.getvalue()
+
+
+def parsed_events(text: str) -> list[dict]:
+    """The events of an events.jsonl text, parsed as one JSON array in one call, which takes half
+    the time of a json.loads per line."""
+    return json.loads("[" + ",".join(text.splitlines()) + "]")
 
 
 def registered_strategies(events: list[dict]) -> list[AdaptationStrategy]:
@@ -358,6 +365,61 @@ def check_same_artifacts(twin, expected, records) -> None:
             assert_same_text(f"twin's {name}", (Path(out) / name).read_bytes().decode("utf-8"), text)
 
 
+def renaming_twin(config, document) -> dict | None:
+    """The renaming relation: a config's name labels it and decides nothing, so giving each config
+    the next one's name along the space (the last the first's), which changes the names'
+    alphabetical order, writes the original's artifacts with each name mapped (`check_renamed`).
+    The pinned scenario, the initial config and the override targets are mapped alike, and a
+    default-space document gets that space written out. A one-config space has no twin."""
+    names = config.space.names
+    if len(names) < 2:
+        return None
+    rename = dict(zip(names, names[1:] + names[:1]))
+    twin = {**document, "adaptation_space": [
+        {"name": rename[c.name], "frame_rate": c.frame_rate, "scale_w": 320, "scale_h": 240, "quality_score": c.quality_score}
+        for c in config.space.configs
+    ]}
+    if config.scenario != "adaptive":
+        twin["scenario"] = "static-" + rename[config.scenario.removeprefix("static-")]
+    if "initial_config" in document:
+        twin["initial_config"] = rename[document["initial_config"]]
+    if "user_overrides" in document:
+        twin["user_overrides"] = [{**override, "target": rename[override["target"]]} for override in document["user_overrides"]]
+    return twin
+
+
+def check_renamed(twin, expected, records) -> None:
+    """The twin's runs.csv header and scenario column, events.jsonl name fields, and report.txt
+    scenario and selection lines are the original's with each name mapped; its report.csv is the
+    original's."""
+    names = twin.space.names
+    rename = dict(zip(names[-1:] + names[:-1], names))
+    header, _, rows = expected["runs.csv"].partition("\n")
+    renamed = {"report.csv": expected["report.csv"]}
+    renamed["runs.csv"] = "".join(
+        [",".join([*header.split(",")[:5], *(f"seconds_{name}" for name in names)]) + "\n"]
+        + [f"{index},{twin.scenario},{cells}\n" for index, _, cells in (row.split(",", 2) for row in rows.splitlines())]
+    )
+    events = parsed_events(expected["events.jsonl"])
+    for event in events:
+        if event.get("target") is not None:
+            event["target"] = rename[event["target"]]
+        if event["event"] == "step":
+            event["active"] = rename[event["active"]]
+            event["segments"] = [[rename[name], us] for name, us in event["segments"]]
+    renamed["events.jsonl"] = events_jsonl(events)
+    # the selection lines name the configs in space order, one line each
+    lines, selections = expected["report.txt"].split("\n"), iter(rename.items())
+    for at, line in enumerate(lines):
+        if line.startswith("scenario: "):
+            lines[at] = f"scenario: {twin.scenario}"
+        elif line.startswith("selection "):
+            old, new = next(selections)
+            lines[at] = f"selection {new}" + line.removeprefix(f"selection {old}")
+    renamed["report.txt"] = "\n".join(lines)
+    check_same_artifacts(twin, renamed, records)
+
+
 # The metamorphic relations, each a document's twin and the check of the twin against the
 # document's artifacts and run records. `check_documents` checks one on each document in turn,
 # so each on every SPLIT_STRIDE-th document.
@@ -365,6 +427,7 @@ RELATIONS = {
     "run split": (run_split_twin, check_run_split),
     "fault split": (fault_split_twin, check_same_artifacts),
     "far fault": (far_fault_twin, check_same_artifacts),
+    "renaming": (renaming_twin, check_renamed),
 }
 SPLIT_STRIDE = len(RELATIONS)
 
@@ -505,18 +568,6 @@ def check_mean(values) -> None:
     assert means == {repr(fmean(values))}, f"means {sorted(means)}, fmean {fmean(values)!r}"
 
 
-# The bundled adaptive document with one entry in each list it may hold.
-BASE = {
-    **json.loads(bundled_config_path("table3-adaptive").read_text(encoding="utf-8")),
-    "faults": [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}],
-    "user_overrides": [{"at_s": 150.0, "target": "HR"}],
-    "adaptation_space": [
-        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
-        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
-    ],
-}
-
-
 def mutated(document, path, value):
     """A copy of `document` with the value at `path` replaced, or deleted if `value` is DELETE."""
     if not path:
@@ -547,10 +598,6 @@ def check_mutations(mutations) -> None:
         isinstance(config, ScenarioConfig) and diags == []
     ), (config, diags)
 
-
-# Per-switch delay that makes one switch per 30 s run cost 9% of the run:
-# solves 1 - x/30 = 0.91.
-DELAY_US = 2_700_000
 
 # Named (delay_us, ops) cases for `check_stream_ops`, beside the recorded ones.
 STREAM_CASES = {

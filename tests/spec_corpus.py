@@ -1,13 +1,16 @@
-"""The recorded test inputs: examples drawn once from conftest's strategies, one compact JSON example
+"""The recorded test inputs: examples drawn once from the strategies below, one compact JSON example
 a line, each file pinned in DIGESTS. The spec documents feed `check_document`; the fmean lists, the
 document mutations and the stream op sequences feed spec_check's three property checks. Run as a
 script, it redraws every file with DRAWS: each one's example count and seed, the sha384 digest
-Hypothesis took of the property that first drew it, which seeded that property's fixed draws. A
-redraw is a deliberate re-pin."""
+Hypothesis took of the property that first drew it, which seeded that property's fixed draws.
+Hypothesis also mixes constants into about one draw in twenty, from the literals of every loaded
+module outside the standard library, site-packages and test files; the redraw hands it the pool
+the corpus was first drawn with, spec_corpus_constants.json (pinned in POOL_SHA256), in place of
+that collection, so the files are a function of this module and that pool alone. A redraw is a
+deliberate re-pin. Outside the `__main__` guard this module imports only the standard library."""
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 DRAWS = {
@@ -24,10 +27,30 @@ DIGESTS = {
     "mutations": "a37b808272379c0da56a9bf5f1632c399b08096fb865e36b078b2e12b3af4c09",
     "stream_ops": "f4b4b4d1537ad4f61d0bade15f4daf3d1fe2bb01346a79c139b0e388bc810f73",
 }
+# The 12 integers, 26 floats, 4 bytes (as latin-1 text) and 209 strings Hypothesis had collected
+# from the package's and the benchmark's literals when it first drew the corpus.
+POOL = Path(__file__).with_name("spec_corpus_constants.json")
+POOL_SHA256 = "b295ed60626cd038eea90874b7e9e7ba4450cb0b7b7e4b51024bb4471d107113"
 
 # The value of a mutation that deletes its path (the root's included, which leaves no document);
 # a mutation line stores it as a path with no value.
 DELETE = object()
+
+# The bundled adaptive document with one entry in each list it may hold, which the recorded
+# mutations change.
+BASE = {
+    **json.loads((Path(__file__).resolve().parents[1] / "src/adastream/configs/table3-adaptive.json").read_bytes()),
+    "faults": [{"start_s": 0.0, "end_s": 180.0, "kind": "probe-unavailable"}],
+    "user_overrides": [{"at_s": 150.0, "target": "HR"}],
+    "adaptation_space": [
+        {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
+    ],
+}
+
+# Per-switch delay that makes one switch per 30 s run cost 9% of the run:
+# solves 1 - x/30 = 0.91.
+DELAY_US = 2_700_000
 
 
 def _repeating(values: list) -> dict:
@@ -60,22 +83,181 @@ def path_of(name: str) -> Path:
     return Path(__file__).with_name(f"spec_corpus_{name}.jsonl")
 
 
+def pinned(path: Path, sha256: str) -> bytes:
+    """The bytes of `path`, once they match their pinned sha256."""
+    if hashlib.sha256(data := path.read_bytes()).hexdigest() != sha256:
+        raise ValueError(f"{path.name} does not match its pinned sha256 in tests/spec_corpus.py")
+    return data
+
+
 def read(name: str):
     """Each (`file:line`, example) of file `name`, once the file matches its pinned sha256."""
     path, decode = path_of(name), FORMATS[name][1]
-    if hashlib.sha256(data := path.read_bytes()).hexdigest() != DIGESTS[name]:
-        raise ValueError(f"{path.name} does not match its pinned sha256; redraw it with tests/spec_corpus.py")
-    for number, line in enumerate(data.decode("utf-8").splitlines(), 1):
+    for number, line in enumerate(pinned(path, DIGESTS[name]).decode("utf-8").splitlines(), 1):
         yield f"{path.name}:{number}", decode(json.loads(line))
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from hypothesis import HealthCheck, given, seed, settings
-    from conftest import FMEAN_VALUES, MUTATIONS, STREAM_DELAYS, STREAM_OPS, bounded_documents
+    import math
 
-    # the importable module, whose DELETE conftest's strategies draw, not this __main__ copy
-    from spec_corpus import FORMATS, path_of
+    from hypothesis import HealthCheck, given, seed, settings
+    from hypothesis import strategies as st
+    from hypothesis.internal.conjecture import providers
+    from hypothesis.internal.floats import float_to_int
+    from sortedcontainers import SortedSet
+
+    # the recorded pool, built as providers builds its own
+    pool = json.loads(pinned(POOL, POOL_SHA256))
+    constants = providers.Constants(
+        integers=SortedSet(pool["integers"]),
+        floats=SortedSet(pool["floats"], key=float_to_int),
+        bytes=SortedSet(text.encode("latin-1") for text in pool["bytes"]),
+        strings=SortedSet(pool["strings"]),
+    )
+    providers._get_local_constants = lambda: constants
+
+    # Bounds on a generated document: its loop ticks and its trace samples.
+    _MAX_TICKS = 20_000
+    _MAX_SAMPLES = 50_000
+
+    # Quote, backslash, control characters, and non-ASCII (BMP and astral); no
+    # ',' or line break, which a config name may not hold.
+    NAME_CHARS = st.sampled_from(list('"\\\x00\x01\x1f\x7f\t/é€😀ab'))
+
+    @st.composite
+    def bounded_documents(draw, own_space=False):
+        """A scenario document of at most _MAX_TICKS ticks and _MAX_SAMPLES trace samples.
+
+        Times are drawn in whole microseconds, so each seconds value in the
+        document converts back exactly. Some documents hold a total run time
+        below one trace step, or a warmup window between two sample instants.
+        With `own_space`, each brings its own adaptation space: one to three
+        configs, whose names need JSON escaping and whose frame rates may tie.
+        """
+        runs = draw(st.integers(1, 4))
+        step_us = draw(st.sampled_from([1, 1_000, 250_000, 1_000_000, 3_000_000, 60_000_000]))
+        interval_us = draw(st.sampled_from(
+            [us for us in (1, 1_000, 250_000, 1_000_000, 3_000_000) if runs * us <= _MAX_SAMPLES * step_us]
+        ))
+        run_limit_us = min(_MAX_TICKS * interval_us, _MAX_SAMPLES * step_us) // runs
+        run_us = interval_us * draw(st.integers(1, max(1, run_limit_us // interval_us)))
+        total_us = runs * run_us
+
+        def instant(steps):
+            """On, or just off, one of the first `steps` sample instants."""
+            nudge = draw(st.sampled_from([0, 1, -1, step_us // 2]))
+            return max(0, draw(st.integers(0, steps)) * step_us + nudge)
+
+        start_us, end_us = instant(30), instant(60)
+        if end_us <= start_us:
+            end_us = start_us + draw(st.integers(1, step_us))
+        warmup = {"start_s": start_us / 1e6, "end_s": end_us / 1e6}
+        warmup["duration_s"] = end_us / 1e6 + draw(st.sampled_from([0.0, 1.0, 1e4]))
+
+        faults = []
+        for kind in ("probe-unavailable", "registry-unavailable"):
+            cursor = 0
+            for _ in range(draw(st.integers(0, 2))):
+                start = cursor + draw(st.integers(0, total_us))
+                cursor = start + draw(st.integers(1, total_us))
+                faults.append({"start_s": start / 1e6, "end_s": cursor / 1e6, "kind": kind})
+
+        names, space = ["LR", "HR"], {}
+        if own_space:
+            names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=5), min_size=1, max_size=3, unique=True))
+            space["adaptation_space"] = [
+                {
+                    "name": name,
+                    "frame_rate": draw(st.sampled_from([1, 30, 60])),
+                    "scale_w": 320,
+                    "scale_h": 240,
+                    "quality_score": draw(st.sampled_from([0.0, 0.2, 0.99, 1.0])),
+                }
+                for name in names
+            ]
+        scenario = draw(st.sampled_from(["adaptive", "adaptive", *(f"static-{name}" for name in names)]))
+        overrides = []
+        if scenario == "adaptive":
+            overrides = [
+                {"at_s": draw(st.integers(0, total_us)) / 1e6, "target": draw(st.sampled_from(names))}
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+        return {
+            "schema_version": 1,
+            "scenario": scenario,
+            "runs": runs,
+            "run_duration_s": run_us / 1e6,
+            "monitor_interval_s": interval_us / 1e6,
+            "reconfig_delay_s": draw(st.sampled_from([0.0, 1e-6, 0.5, 2.7, 100.0])),
+            # amplitudes above the mean clamp the trace to 0 Mbps for part of each period
+            "trace": {
+                "mean_mbps": draw(st.sampled_from([0.5, 5.0])),
+                "amplitude_mbps": draw(st.sampled_from([0.0, 2.0, 8.0])),
+                "period_s": draw(st.sampled_from([1e-6, 0.5, 7.0, 61.0])),
+                "noise_sd_mbps": draw(st.sampled_from([0.0, 0.3])),
+                "step_s": step_us / 1e6,
+            },
+            "probe_noise_sd_mbps": draw(st.sampled_from([0.0, 0.5])),
+            "warmup": warmup,
+            "faults": faults,
+            **space,
+            "hysteresis_mbps": draw(st.sampled_from([0.0, 0.4])),
+            "user_overrides": overrides,
+            "seed": draw(st.integers(0, 2**31)),
+        }
+
+    # spec_corpus_fmean.jsonl: lists of floats in [0, 1], each the per-run tp and qp
+    # values of one fold. Long lists are built from a few drawn values, since a draw per
+    # element would overrun Hypothesis's buffer; repeats of values near 1 and near 0 stress
+    # the rounding.
+    _BELOW_ONE = math.nextafter(1.0, 0.0)
+    _UNIT = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e-307),  # subnormals and their neighbours
+        st.floats(min_value=0.999, max_value=_BELOW_ONE),
+        st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.5, _BELOW_ONE, 1.0]),
+    )
+    _LONG = st.builds(
+        lambda pattern, length: (pattern * (length // len(pattern) + 1))[:length],
+        st.lists(_UNIT, min_size=1, max_size=7),
+        st.integers(1_000, 20_000),
+    )
+    FMEAN_VALUES = st.one_of(st.lists(_UNIT, min_size=1, max_size=300), _LONG)
+
+    def key_paths(node, path=()):
+        """Every path to a value inside a JSON document, the root included."""
+        yield path
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            yield from key_paths(child, path + (key,))
+
+    # spec_corpus_mutations.jsonl: one to three odd values, each put at (or deleting) a path of BASE.
+    _ODD_VALUES = st.one_of(
+        st.sampled_from([
+            DELETE, None, True, False, "", "90", [], [1.0], {}, {"x": 1},
+            math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-7, 2e-7, 4e-7, 0, 0.0, -1, -0.5,
+        ]),
+        st.text(max_size=4),
+        st.integers(),
+        st.floats(),
+    )
+    MUTATIONS = st.lists(st.tuples(st.sampled_from(list(key_paths(BASE))), _ODD_VALUES), min_size=1, max_size=3)
+
+    # spec_corpus_stream_ops.jsonl: a switch delay and up to 40 stream operations.
+    # A step's dt is k whole delays plus an offset, at least 1 us: offsets of -1, 0 and 1
+    # land steps just before, on and just after a switch's deadline.
+    STREAM_DELAYS = st.sampled_from((0, 1, DELAY_US))
+    _STEP = st.tuples(
+        st.just("step"), st.integers(0, 3), st.one_of(st.integers(-1, 1), st.integers(-1, 3_000_000))
+    )
+    STREAM_OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("apply"), st.sampled_from(("LR", "HR", "MR"))),
+            _STEP,
+            st.just(("finalize",)),
+        ),
+        max_size=40,
+    )
 
     drawn: list = []
     # each file's draw, given the strategies as the property that first drew it took them

@@ -35,8 +35,18 @@ from adastream.units import to_us  # noqa: E402
 from spec_check import bundled_config_path  # noqa: E402
 
 
+# Rows that test_each_traced_layer_is_called_as_often_as_pinned already resolves: it runs
+# layers.py, whose install() resolves every row, and pins each of these as called 100-6,000 times.
+RESOLVED_BY_THE_CALL_PIN = {
+    "netsim.probe", "netsim.FaultSchedule.active", "mapek.Monitor.tick", "mapek.Analyzer.evaluate",
+    "mapek.plan", "mapek.Executor.execute", "kb.register_strategy", "kb.latest_strategy",
+    "stream.StreamState.step", "stream.StreamState.apply_config",
+}
+
+
 @pytest.mark.parametrize(
-    "module_name, path", [(module, path) for _, module, path, _ in layers.TARGETS]
+    "module_name, path",
+    [(module, path) for name, module, path, _ in layers.TARGETS if name not in RESOLVED_BY_THE_CALL_PIN],
 )
 def test_every_traced_target_resolves(module_name, path):
     *_, original = layers._resolve(module_name, path)

@@ -17,7 +17,8 @@ from adastream.mapek import Engine
 from adastream.scenario import parse_scenario
 
 import spec_corpus
-from spec_check import BASE, bundled_config_path, check_mutations, check_recorded, mutated
+from spec_corpus import BASE
+from spec_check import bundled_config_path, check_mutations, check_recorded, mutated
 from test_mapek import ENGINE_REFUSALS
 
 

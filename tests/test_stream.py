@@ -6,7 +6,8 @@ from adastream.stream import StreamState
 from adastream.units import to_us
 
 import spec_corpus
-from spec_check import DELAY_US, STREAM_CASES, check_recorded, check_stream_ops
+from spec_corpus import DELAY_US
+from spec_check import STREAM_CASES, check_recorded, check_stream_ops
 
 
 def test_finalize_rejects_clock_mismatch():
