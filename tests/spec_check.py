@@ -1,10 +1,11 @@
 """The spec check, standard library only: `check_document` holds `run_experiment` to the executable
 spec in reference_loop.py, `check_pins` holds each default-seed benchmark workload and the
-zero-delay config to their pinned digests, and `check_mean`, `check_mutations` and
-`check_stream_ops` are the fmean, any-document and pending-model properties, run on recorded
-examples. The suite calls them under pytest; run as a script, on any Python, it checks the named
-documents, every corpus file and every pin, and prints one line of counts, or one line naming the
-first document, example or pin that fails, and exits 1."""
+zero-delay config to their pinned digests, and `check_mean`, `check_mutations`, `check_stream_ops`,
+`check_trace`, `check_probe_noise` and `check_rounding` are the fmean, any-document, pending-model,
+trace, probe-noise and display-rounding properties, run on recorded examples and named cases. The
+suite calls them under pytest; run as a script, on any Python, it checks the named documents, every
+corpus file and every pin, and prints one line of counts, or one line naming the first document,
+example or pin that fails, and exits 1."""
 
 from __future__ import annotations
 
@@ -32,15 +33,15 @@ from adastream.experiment import JsonlFileSink, compare, parse_runs_csv, render_
 from adastream.experiment import runs_csv_text  # noqa: E402
 from adastream.kb import AdaptationStrategy, RunRecord, default_space  # noqa: E402
 from adastream.mapek import Engine  # noqa: E402
-from adastream.metrics import RunFold, _quality_at, aggregate, quality_scores  # noqa: E402
-from adastream.netsim import FAULT_KINDS  # noqa: E402
+from adastream.metrics import RunFold, _quality_at, aggregate, quality_scores, round_half_up  # noqa: E402
+from adastream.netsim import FAULT_KINDS, BandwidthTrace, FaultSchedule, TraceParams, generate_trace, probe  # noqa: E402
 from adastream.scenario import ScenarioConfig, parse_scenario  # noqa: E402
 from adastream.stream import StreamState  # noqa: E402
 from adastream.units import to_us  # noqa: E402
 
 import spec_corpus  # noqa: E402
 from spec_corpus import BASE, DELAY_US  # noqa: E402
-from reference_loop import PendingModel, Refused, events_jsonl, qp, reference_artifacts  # noqa: E402
+from reference_loop import PendingModel, Refused, cell, events_jsonl, noisy_upload, qp, reference_artifacts, trace  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 try:
@@ -138,6 +139,18 @@ LOOP_SCENARIOS = {
         "initial_config": "LR",
         "faults": [{"start_s": 0.0, "end_s": 5.0, "kind": "probe-unavailable"}],
         "user_overrides": [{"at_s": 5.0, "target": "LR"}],
+    },
+    # the top frame rate ties, and the first config in order, not the smallest name, is the
+    # highest: the loop boots there, and reverts to it an override made in a probe outage
+    "tied-top-frame-rate": {
+        "runs": 2,
+        "adaptation_space": [
+            {"name": "HR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.2},
+            {"name": "AR", "frame_rate": 60, "scale_w": 720, "scale_h": 480, "quality_score": 0.5},
+            {"name": "LR", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99},
+        ],
+        "faults": [{"start_s": 10.0, "end_s": 20.0, "kind": "probe-unavailable"}],
+        "user_overrides": [{"at_s": 12.0, "target": "LR"}],
     },
 }
 
@@ -649,6 +662,57 @@ def check_stream_ops(example) -> None:
         ), op
 
 
+def check_trace(example) -> None:
+    """The trace property: `generate_trace` is the spec's trace bit for bit, one `Random(seed).gauss`
+    call a sample, and a shorter trace of the same shape and seed is a prefix of it, which Engine's
+    warmup trace relies on."""
+    shape = TraceParams(*(example[key] for key in ("mean", "amplitude", "period", "noise_sd", "step_us")))
+    samples, short, seed = example["samples"], example["short"], example["seed"]
+    uploads = generate_trace(shape, samples * shape.step_us, seed).uploads
+    # repr tells 0.0 from -0.0, which == does not
+    assert list(map(repr, uploads)) == list(map(repr, trace(shape, samples * shape.step_us, seed)))
+    prefix = generate_trace(shape, min(short, samples) * shape.step_us, seed).uploads
+    assert prefix == uploads[: len(prefix)]
+
+
+def check_probe_noise(example) -> None:
+    """The probe-noise property: a healthy probe's reading at an instant on the monitoring grid, up
+    to 1e13 us, is the spec's bit for bit: one gauss call of a fresh Random keyed on (seed, t_us),
+    clamped at 0."""
+    seed, grid_us, ticks, upload, sd = (example[key] for key in ("seed", "grid_us", "ticks", "upload", "sd"))
+    t_us = ticks // grid_us * grid_us
+    one_sample = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
+    probed_t_us, probed, ok = probe(one_sample, FaultSchedule.of(), t_us, probe_noise_sd=sd, seed=seed)
+    assert (probed_t_us, ok) == (t_us, True)
+    # repr tells 0.0 from -0.0, which == does not
+    assert repr(probed) == repr(noisy_upload(upload, seed, t_us, sd))
+
+
+# Named values for `check_rounding`, beside the recorded ones: the five display cases, then
+# negatives, subnormals and values whose repr has an exponent.
+ROUNDING_CASES = {
+    "0.745-displays-0.75": 0.745,
+    "0.5941-displays-0.59": 0.5941,
+    "0.775-displays-0.78": 0.775,
+    "0.9118-displays-0.91": 0.9118,
+    "minus-0.005-displays-minus-0.01": -0.005,
+    "negative-zero": -0.0,
+    "minus-0.0049-displays-minus-0.00": -0.0049,
+    "minus-2.675-whose-binary-value-is-nearer-zero": -2.675,
+    "smallest-subnormal": 5e-324,
+    "negative-smallest-normal": -2.2250738585072014e-308,
+    "small-exponent": 1.5e-05,
+    "negative-large-exponent": -1.2345e20,
+    "large-exponent": 1e16,
+}
+
+
+def check_rounding(value) -> None:
+    """The display rule: `round_half_up` is the spec's cell, the value's repr quantized half up at
+    two decimals, by repr (which tells -0.0 from 0.0)."""
+    assert repr(round_half_up(value)) == repr(float(cell(value))), value
+
+
 def main() -> int:
     try:
         counts = check_documents([*named_documents().items(), *spec_corpus.read("bounded")])
@@ -656,6 +720,9 @@ def main() -> int:
         means = check_recorded(check_mean, spec_corpus.read("fmean"))
         mutations = check_recorded(check_mutations, spec_corpus.read("mutations"))
         ops = check_recorded(check_stream_ops, [*STREAM_CASES.items(), *spec_corpus.read("stream_ops")])
+        traces = check_recorded(check_trace, spec_corpus.read("trace"))
+        readings = check_recorded(check_probe_noise, spec_corpus.read("probe_noise"))
+        rounded = check_recorded(check_rounding, [*ROUNDING_CASES.items(), *spec_corpus.read("rounding")])
         digests = check_pins()
     except Exception as failure:
         first_line = str(failure).partition("\n")[0]
@@ -663,13 +730,15 @@ def main() -> int:
         return 1
     documents = counts["matched"] + counts["refused"] + counts["invalid"]
     relations = "; ".join(f"{name} held on {counts[f'{name} held']}, skipped {counts[f'{name} skipped']}" for name in RELATIONS)
-    recorded = means + mutations + ops - len(STREAM_CASES)
+    ops, rounded = ops - len(STREAM_CASES), rounded - len(ROUNDING_CASES)
+    recorded = means + mutations + ops + traces + readings + rounded
     print(
         f"spec check passed on Python {sys.version.split()[0]}: {documents} documents, "
         f"{counts['matched']} matched the spec, {counts['refused']} refused alike, {counts['invalid']} invalid; "
         f"{relations}; {recorded} recorded property examples held ({means} fmean lists, {mutations} mutated "
-        f"documents, {ops - len(STREAM_CASES)} stream op sequences) and {len(STREAM_CASES)} named stream cases; "
-        f"{digests} pinned digests matched"
+        f"documents, {ops} stream op sequences, {traces} traces, {readings} probe readings, {rounded} rounded "
+        f"values) and {len(STREAM_CASES) + len(ROUNDING_CASES)} named cases ({len(STREAM_CASES)} stream, "
+        f"{len(ROUNDING_CASES)} rounding); {digests} pinned digests matched"
     )
     return 0
 

@@ -1,12 +1,13 @@
 """The recorded test inputs: examples drawn once from the strategies below, one compact JSON example
 a line, each file pinned in DIGESTS. The spec documents feed `check_document`; the fmean lists, the
-document mutations and the stream op sequences feed spec_check's three property checks. Run as a
-script, it redraws every file with DRAWS: each one's example count and seed, the sha384 digest
-Hypothesis took of the property that first drew it, which seeded that property's fixed draws.
-Hypothesis also mixes constants into about one draw in twenty, from the literals of every loaded
-module outside the standard library, site-packages and test files; the redraw hands it the pool
-the corpus was first drawn with, spec_corpus_constants.json (pinned in POOL_SHA256), in place of
-that collection, so the files are a function of this module and that pool alone. A redraw is a
+document mutations, the stream op sequences, the trace and probe-noise arguments and the rounded
+values feed spec_check's six property checks. Run as a script, it redraws every file with DRAWS:
+each one's example count and seed. The first five seeds are the sha384 digests Hypothesis took of
+the properties that first drew those files, which seeded their fixed draws; the last three were
+chosen. Hypothesis also mixes constants into about one draw in twenty, from the literals of every
+loaded module outside the standard library, site-packages and test files; the redraw hands it the
+pool the corpus was first drawn with, spec_corpus_constants.json (pinned in POOL_SHA256), in place
+of that collection, so the files are a function of this module and that pool alone. A redraw is a
 deliberate re-pin. Outside the `__main__` guard this module imports only the standard library."""
 
 import hashlib
@@ -19,6 +20,9 @@ DRAWS = {
     "fmean": (120, 0x28FB0762FF1512EC5F89CDED43D534BD5D3C5419354151CD754C14C858829FF9FFB14DC760B1131A93E17F50190BDC2F),
     "mutations": (500, 0x84001F4D136398A851756F1BC8A88F673CC8060360ABA347AF11572BD8123C6F25B7F3365EAA4D1EAD5BF6D5E75EC89C),
     "stream_ops": (200, 0xD6B1DFD90812B194E4F63D0C98AC58A77D2718DE46C8E0DFCC6C149EDD27B300607133CCFAD27B333BEF5E246957BE44),
+    "trace": (300, 44),
+    "probe_noise": (400, 44),
+    "rounding": (100, 44),
 }
 DIGESTS = {
     "bounded": "7847ca59170c8d2d008454c9d91300b2b6198957607561a96fb9a9cf4ca472ee",
@@ -26,6 +30,9 @@ DIGESTS = {
     "fmean": "b031d6b70aa2d1835aa63ac5dc1333434764b1700a1214490a6b4ba4fa875570",
     "mutations": "a37b808272379c0da56a9bf5f1632c399b08096fb865e36b078b2e12b3af4c09",
     "stream_ops": "f4b4b4d1537ad4f61d0bade15f4daf3d1fe2bb01346a79c139b0e388bc810f73",
+    "trace": "134215968f6410138b7ca49e3b3ba86b61d43ee2f59acb49db3ec700681d4e1d",
+    "probe_noise": "17fb8aadd030f91eb764731a76423b13e0bd40bab41539ed31fc9bc78cc2e491",
+    "rounding": "efbc97e4f3fb1563ab76a9769a3564a77183939d9910943e8a05191d947e1398",
 }
 # The 12 integers, 26 floats, 4 bytes (as latin-1 text) and 209 strings Hypothesis had collected
 # from the package's and the benchmark's literals when it first drew the corpus.
@@ -61,9 +68,10 @@ def _repeating(values: list) -> dict:
 
 
 # Each file's example, as its JSON line holds it: (encode, decode).
+AS_IS = (lambda example: example,) * 2
 FORMATS = {
-    "bounded": (lambda document: document, lambda document: document),
-    "own_space": (lambda document: document, lambda document: document),
+    "bounded": AS_IS,  # a document
+    "own_space": AS_IS,
     # a list of floats; NaN, ±inf and -0.0 round-trip through json
     "fmean": (_repeating, lambda line: (line["repeat"] * (line["length"] // len(line["repeat"]) + 1))[: line["length"]]),
     # a list of (path, value) mutations
@@ -76,6 +84,9 @@ FORMATS = {
         lambda example: [example[0], [list(op) for op in example[1]]],
         lambda line: (line[0], [tuple(op) for op in line[1]]),
     ),
+    "trace": AS_IS,  # the arguments of one draw, by name
+    "probe_noise": AS_IS,
+    "rounding": AS_IS,  # a float
 }
 
 
@@ -259,6 +270,32 @@ if __name__ == "__main__":
         max_size=40,
     )
 
+    # spec_corpus_trace.jsonl: trace shapes, lengths and seeds.
+    S = 1_000_000  # one second, in microseconds
+    TRACE = {
+        "mean": st.floats(0.01, 50.0),
+        "amplitude": st.floats(0.0, 100.0),  # above the mean, the trace clamps at 0
+        "period": st.floats(1e-3, 1e4),
+        "noise_sd": st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+        "samples": st.integers(1, 257),  # odd and even counts: gauss draws its values in pairs
+        "step_us": st.sampled_from([1, 250_000, S, 7 * S]),
+        "short": st.integers(1, 257),
+        "seed": st.one_of(st.integers(), st.text(max_size=12)),
+    }
+
+    # spec_corpus_probe_noise.jsonl: probe seeds, instants, uploads and noise.
+    PROBE_NOISE = {
+        "seed": st.one_of(st.integers(), st.text(max_size=12)),  # text covers non-ASCII
+        "grid_us": st.sampled_from([1, 500_000, 1_000_000]),
+        "ticks": st.integers(0, 10**13),
+        "upload": st.floats(0.0, 1e6),
+        "sd": st.floats(1e-300, 1e6),
+    }
+
+    # spec_corpus_rounding.jsonl: values to display; the spec's cell quantizes in Decimal's
+    # default context, which holds 28 digits.
+    ROUNDING = st.floats(min_value=-1e25, max_value=1e25)
+
     drawn: list = []
     # each file's draw, given the strategies as the property that first drew it took them
     properties = {
@@ -267,6 +304,9 @@ if __name__ == "__main__":
         "fmean": given(FMEAN_VALUES)(lambda values: drawn.append(values)),
         "mutations": given(MUTATIONS)(lambda mutations: drawn.append(mutations)),
         "stream_ops": given(delay_us=STREAM_DELAYS, ops=STREAM_OPS)(lambda delay_us, ops: drawn.append((delay_us, ops))),
+        "trace": given(**TRACE)(lambda **example: drawn.append(example)),
+        "probe_noise": given(**PROBE_NOISE)(lambda **example: drawn.append(example)),
+        "rounding": given(ROUNDING)(lambda value: drawn.append(value)),
     }
     for name, draw in properties.items():
         examples, drawn_seed = DRAWS[name]

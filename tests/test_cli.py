@@ -135,15 +135,19 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def test_no_test_draws_its_inputs_afresh():
-    # a derandomized property draws with the literals of every loaded module outside tests/, so an
-    # edit under src/ moves its examples; recorded examples do not move
+    # every generated test input is a recorded corpus file, so hypothesis is imported only by the
+    # redraw, under spec_corpus.py's `__main__` guard
     root = Path(__file__).resolve().parent
-    fresh = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(root.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.keyword) and node.arg == "derandomize"
-    ]
+    fresh = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "spec_corpus.py":
+            main_guard = "__name__ == '__main__'"
+            tree.body = [n for n in tree.body if not (isinstance(n, ast.If) and ast.unparse(n.test) == main_guard)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+                fresh += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "hypothesis"]
     assert fresh == [], "record the examples with tests/spec_corpus.py and check them in spec_check"
 
 

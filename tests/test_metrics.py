@@ -3,15 +3,11 @@ from __future__ import annotations
 import random
 from statistics import fmean
 
-from hypothesis import example, given
-from hypothesis import strategies as st
-
 from adastream.kb import AdaptationSpace, RunRecord, StreamConfig, default_space
 from adastream.metrics import (
     PERFORMANCE_PRESETS,
     RunFold,
     aggregate,
-    round_half_up,
     selection_fractions,
     system_performance,
     time_performance,
@@ -20,8 +16,8 @@ from adastream.units import to_us
 
 import spec_corpus
 from conftest import fold_of
-from reference_loop import cell, qp, scores, selection as spec_selection
-from spec_check import check_mean, check_recorded
+from reference_loop import qp, scores, selection as spec_selection
+from spec_check import ROUNDING_CASES, check_mean, check_recorded, check_rounding
 
 SPACE = default_space()
 
@@ -114,24 +110,6 @@ def test_selection_ties_go_to_the_first_config_in_space_order():
     }
 
 
-# The five display cases (0.75, 0.59, 0.78, 0.91 and -0.01 by the rule), then negatives,
-# subnormals and values whose repr has an exponent.
-@example(0.745)
-@example(0.5941)
-@example(0.775)
-@example(0.9118)
-@example(-0.005)
-@example(-0.0)
-@example(-0.0049)
-@example(-2.675)
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(1.5e-05)
-@example(-1.2345e20)
-@example(1e16)
-# the spec's cell quantizes in Decimal's default context, which holds 28 digits
-@given(st.floats(min_value=-1e25, max_value=1e25))
-def test_round_half_up_matches_display_rule(value):
-    expected = float(cell(value))
-    # repr tells -0.0 from 0.0, which == does not
-    assert repr(round_half_up(value)) == repr(expected)
+def test_round_half_up_matches_display_rule():
+    # 13 named values and 100 recorded ones in [-1e25, 1e25]
+    check_recorded(check_rounding, [*ROUNDING_CASES.items(), *spec_corpus.read("rounding")])

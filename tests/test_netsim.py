@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import math
 import random
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adastream.netsim import (
     BandwidthTrace,
@@ -14,59 +11,24 @@ from adastream.netsim import (
     TraceParams,
     compute_threshold,
     generate_trace,
-    probe,
     sample_indices,
 )
 from adastream.units import US_PER_SECOND as S
 
+import spec_corpus
 from conftest import check_of
 import reference_loop
-
-NO_FAULTS = FaultSchedule.of()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    mean=st.floats(0.01, 50.0),
-    amplitude=st.floats(0.0, 100.0),  # above the mean, the trace clamps at 0
-    period=st.floats(1e-3, 1e4),
-    noise_sd=st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
-    samples=st.integers(1, 257),  # odd and even counts: gauss draws its values in pairs
-    step_us=st.sampled_from([1, 250_000, S, 7 * S]),
-    short=st.integers(1, 257),
-    seed=st.one_of(st.integers(), st.text(max_size=12)),
-)
-def test_trace_matches_one_gauss_call_per_sample(
-    mean, amplitude, period, noise_sd, samples, step_us, short, seed
-):
-    shape = TraceParams(mean, amplitude, period, noise_sd, step_us)
-    trace = generate_trace(shape, samples * step_us, seed)
-    expected = reference_loop.trace(shape, samples * step_us, seed)
-    assert list(trace.uploads) == expected
-    # repr tells 0.0 from -0.0, which == does not
-    assert [repr(u) for u in trace.uploads] == [repr(u) for u in expected]
-    # Engine's warmup trace relies on this: a shorter trace is a prefix of a longer one
-    prefix = generate_trace(shape, min(short, samples) * step_us, seed)
-    assert prefix.uploads == trace.uploads[: len(prefix.uploads)]
+from spec_check import check_probe_noise, check_recorded, check_trace
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    seed=st.one_of(st.integers(), st.text(max_size=12)),  # text covers non-ASCII
-    grid_us=st.sampled_from([1, 500_000, 1_000_000]),
-    ticks=st.integers(0, 10**13),
-    upload=st.floats(0.0, 1e6),
-    sd=st.floats(1e-300, 1e6),
-)
-def test_probe_noise_matches_a_fresh_random_per_instant(seed, grid_us, ticks, upload, sd):
-    t_us = ticks // grid_us * grid_us  # up to 1e13 us, on the monitoring grid
-    trace = BandwidthTrace(uploads=(upload,), step_us=10**13 + 1)
-    probed_t_us, probed, ok = probe(trace, NO_FAULTS, t_us, probe_noise_sd=sd, seed=seed)
-    expected = reference_loop.noisy_upload(upload, seed, t_us, sd)
-    assert (probed_t_us, ok) == (t_us, True)
-    # repr and copysign tell 0.0 from -0.0, which == does not
-    assert repr(probed) == repr(expected)
-    assert math.copysign(1.0, probed) == math.copysign(1.0, expected)
+def test_trace_matches_one_gauss_call_per_sample():
+    # 300 recorded shapes, odd and even sample counts, int and str seeds
+    check_recorded(check_trace, spec_corpus.read("trace"))
+
+
+def test_probe_noise_matches_a_fresh_random_per_instant():
+    # 400 recorded readings, up to 1e13 us, with int and non-ASCII str seeds
+    check_recorded(check_probe_noise, spec_corpus.read("probe_noise"))
 
 
 def test_fault_schedule_rejects_overlap_same_kind():
