@@ -82,9 +82,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The process entry of `adastream` and `python -m adastream.cli`. Every import is done,
-    so freezing the heap spares it the full collections of interpreter shutdown; `main`
-    leaves the collector as it found it."""
+    """The process entry of `adastream` and `python -m adastream.cli`. A name stdout cannot encode
+    prints backslash-escaped, as on stderr. Every import is done, so freezing the heap spares it
+    the full collections of interpreter shutdown; `main` leaves the collector as it found it."""
+    if sys.stdout is not None:  # None when the process starts with fd 1 closed
+        sys.stdout.reconfigure(errors="backslashreplace")
     gc.freeze()
     sys.exit(main())
 

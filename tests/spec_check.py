@@ -514,15 +514,18 @@ def check_documents(documents) -> Counter:
     return counts
 
 
-def check_pins(names=(*workloads.WORKLOADS, "zero-delay")) -> int:
+# What check_pins checks by default: each default-seed benchmark workload, then the zero-delay config.
+PIN_NAMES = (*workloads.WORKLOADS, "zero-delay")
+
+
+def check_pins(names=PIN_NAMES) -> int:
     """Run each named default-seed benchmark workload, or the zero-delay config, and check its
     artifacts and comparisons against their sha256 pins, in perfbench/golden.json or
     ZERO_DELAY_SHA256: the number of digests checked. A failure names the pin."""
     checked, golden = 0, json.loads(run.GOLDEN.read_text(encoding="utf-8"))
     for name in names:
         if name == "zero-delay":
-            document = {**json.loads(bundled_config_path("table3-adaptive").read_bytes()), **ZERO_DELAY_CHANGES}
-            experiments, comparisons = [(name, document, {"name": name, **ZERO_DELAY_SHA256})], []
+            experiments, comparisons = [(name, named_documents()[name], {"name": name, **ZERO_DELAY_SHA256})], []
         else:
             workload = workloads.make(name, workloads.DEFAULT_SEED, run.CONFIGS)
             experiments = [(e.name, json.loads(e.config), golden["runs"][e.digest]) for e in workload.experiments]

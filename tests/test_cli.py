@@ -79,6 +79,27 @@ def test_only_the_process_entry_freezes_the_start_up_heap():
     assert gc.get_freeze_count() == frozen
 
 
+def test_the_process_entry_prints_a_name_stdout_cannot_encode_backslash_escaped(tmp_path):
+    # a finished command says so in one line and exits 0, whatever stdout's codec cannot take:
+    # a config name outside ASCII, an out path that argv carries as a surrogate, or no stdout at all
+    space = [{"name": "L😀", "frame_rate": 30, "scale_w": 320, "scale_h": 240, "quality_score": 0.99}]
+    (tmp_path / "scenario.json").write_text(
+        json.dumps(small_document(scenario="static-L😀", runs=1, adaptation_space=space)), encoding="utf-8"
+    )
+    cli = [sys.executable, "-m", "adastream.cli"]
+    for encoding, command, printed in [
+        ("ascii", [*cli, "validate", "scenario.json"], "valid: scenario static-L\\U0001f600, 1 runs, seed 42\n"),
+        ("utf-8", [*cli, "run", "scenario.json", "--out", b"undec_\xff"], "wrote undec_\\udcff: scenario static-L😀, 1 runs\n"),
+        ("utf-8", ["sh", "-c", 'exec "$0" "$@" >&-', *cli, "validate", "scenario.json"], ""),
+    ]:
+        child = subprocess.run(
+            command, cwd=tmp_path, env={**child_env(), "PYTHONIOENCODING": encoding},
+            capture_output=True, encoding="utf-8", timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, printed, ""), command
+    assert sorted(os.listdir(tmp_path / "undec_\udcff")) == ["events.jsonl", "report.csv", "report.txt", "runs.csv"]
+
+
 def test_bare_package_import_loads_no_submodule():
     # the child's assert fails modules_loaded_by if the package binds a public name
     loaded = modules_loaded_by(

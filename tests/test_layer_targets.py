@@ -1,18 +1,14 @@
 """The traced benchmark still measures what the package does.
 
-perfbench/layers.py wraps each stage it names in `TARGETS`, and its
-observers read the traced stages' arguments and results. This file checks
-that each of those names resolves in the package, pins how often the traced
-`adastream run` of the bundled adaptive config calls each layer, checks that
-the observers read the warmup window and the trace samples the stages take,
-and that the sink writes exactly the text the traced encoder returns.
-perfbench/test_perfbench.py checks the tracer itself: that it rebinds every
-imported name and that a traced CLI writes the plain CLI's bytes.
+perfbench/layers.py's trace of `adastream run` on the bundled adaptive config runs once here, and
+two pins read the JSON summary it writes: each layer's calls (`layers[*].calls`) and what the
+observers counted from the traced stages' arguments and results (`counts`). Its `install()`
+resolves every `TARGETS` row, so a row that names nothing fails the traced child. This file imports
+nothing from perfbench/; perfbench/test_perfbench.py checks the tracer itself.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
@@ -21,70 +17,22 @@ from pathlib import Path
 
 import pytest
 
+from spec_check import bundled_config_path
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import layers  # noqa: E402
-
-from adastream import experiment  # noqa: E402
-from adastream.mapek import Engine  # noqa: E402
-from adastream.netsim import sample_indices  # noqa: E402
-from adastream.scenario import load_scenario  # noqa: E402
-from adastream.units import to_us  # noqa: E402
-
-from spec_check import bundled_config_path  # noqa: E402
 
 
-# Rows that test_each_traced_layer_is_called_as_often_as_pinned already resolves: it runs
-# layers.py, whose install() resolves every row, and pins each of these as called 1-6,000 times.
-RESOLVED_BY_THE_CALL_PIN = {
-    "netsim.probe", "netsim.FaultSchedule.active", "mapek.Monitor.tick", "mapek.Analyzer.evaluate",
-    "mapek.plan", "mapek.Executor.execute", "kb.register_strategy", "kb.latest_strategy",
-    "stream.StreamState.step", "stream.StreamState.apply_config", "stream.StreamState.finalize_run",
-    "scenario.load_scenario", "netsim.generate_trace", "netsim.compute_threshold", "mapek.Engine.init",
-    "mapek.Engine.run", "metrics.aggregate", "metrics.selection_fractions", "experiment.run_experiment",
-    "experiment.runs_csv_text",
-}
-
-
-@pytest.mark.parametrize(
-    "module_name, path",
-    [(module, path) for name, module, path, _ in layers.TARGETS if name not in RESOLVED_BY_THE_CALL_PIN],
-)
-def test_every_traced_target_resolves(module_name, path):
-    *_, original = layers._resolve(module_name, path)
-    assert callable(original), f"{module_name}:{path} is not callable"
-
-
-def test_the_sink_writes_exactly_the_text_the_traced_encoder_returns(monkeypatch):
-    # The tracer's events_bytes observer counts len() of what
-    # events_jsonl_text returns, through the module binding the sink calls.
-    returned = []
-    original = experiment.events_jsonl_text
-
-    def recording(*args, **kwargs):
-        text = original(*args, **kwargs)
-        returned.append(text)
-        return text
-
-    monkeypatch.setattr(experiment, "events_jsonl_text", recording)
-    config = load_scenario(bundled_config_path("table3-adaptive"))._replace(runs=3)
-    file = io.StringIO()
-    Engine(config).run(experiment.JsonlFileSink(file, config.space.names).write_run)
-    assert len(returned) == config.runs
-    assert all(type(text) is str for text in returned)
-    assert "".join(returned) == file.getvalue()
-
-
-def traced_bundled_adaptive_run(tmp_path) -> dict:
-    """perfbench/layers.py's trace of `adastream run` on the bundled adaptive config."""
-    trace_file = tmp_path / "trace.json"
-    subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(trace_file),
-         "run", str(bundled_config_path("table3-adaptive")), "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, capture_output=True, timeout=60,
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory) -> tuple[dict, Path]:
+    """perfbench/layers.py's summary of `adastream run` on the bundled adaptive config, and the out dir it wrote."""
+    root = tmp_path_factory.mktemp("traced")
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(root / "trace.json"),
+         "run", str(bundled_config_path("table3-adaptive")), "--out", str(root / "out")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=60,
     )
-    return json.loads(trace_file.read_text(encoding="utf-8"))
+    assert child.returncode == 0, child.stderr
+    return json.loads((root / "trace.json").read_text(encoding="utf-8")), root / "out"
 
 
 # Each traced layer's call count on the bundled adaptive config, a pure function
@@ -119,21 +67,22 @@ BUNDLED_ADAPTIVE_CALLS = {
 }
 
 
-def test_each_traced_layer_is_called_as_often_as_pinned(tmp_path):
-    layers_seen = traced_bundled_adaptive_run(tmp_path)["layers"]
-    assert {name: layer["calls"] for name, layer in layers_seen.items()} == BUNDLED_ADAPTIVE_CALLS
+def test_each_traced_layer_is_called_as_often_as_pinned(traced):
+    summary, _ = traced
+    assert {name: layer["calls"] for name, layer in summary["layers"].items()} == BUNDLED_ADAPTIVE_CALLS
 
 
-def test_the_tracers_observers_read_what_the_traced_stages_take(tmp_path):
-    # The observers read generate_trace's result and compute_threshold's
-    # arguments, the warmup window in seconds; a changed signature that kept
-    # every byte would still skew netsim.warmup.* and the sample count.
-    config = load_scenario(bundled_config_path("table3-adaptive"))
-    counts = traced_bundled_adaptive_run(tmp_path)["counts"]
-    warmup, step_us = config.warmup, config.trace.step_us
-    used = len(sample_indices(to_us(warmup.start_s), to_us(warmup.end_s), step_us))
-    assert used == 38
-    assert counts["netsim.warmup.used"] == used
-    assert counts["netsim.warmup.generated"] == 65
-    # both traces: 100 runs of 30 one-second samples, then the 65-sample warmup
-    assert counts["netsim.generate_trace.samples"] == 3_065
+def test_the_tracers_observers_read_what_the_traced_stages_take(traced):
+    # The observers read generate_trace's result, compute_threshold's arguments (the warmup
+    # window in seconds) and events_jsonl_text's result; a changed signature or sink that kept
+    # every byte would still skew netsim.warmup.*, the sample count or the events size.
+    summary, out = traced
+    assert summary["counts"] == {
+        # both traces: 100 runs of 30 one-second samples, then the 65-sample warmup
+        "netsim.generate_trace.samples": 3_065,
+        # the samples in [27 s, 65 s) that compute_threshold averages, of the 65 it is given
+        "netsim.warmup.used": 38,
+        "netsim.warmup.generated": 65,
+        # the sink writes exactly the text the traced encoder returns
+        "experiment.events_jsonl.bytes": (out / "events.jsonl").stat().st_size,
+    }
